@@ -56,7 +56,7 @@
 //! crossings, and late deliveries are surfaced per round in
 //! [`crate::RunOutcome::late_deliveries`].
 
-use crate::engine::splitmix64;
+use crate::exec::splitmix64;
 use std::collections::{BTreeMap, BTreeSet};
 use ule_graph::{NodeId, Topology};
 

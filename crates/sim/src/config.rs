@@ -11,7 +11,7 @@ pub enum Model {
     /// CONGEST: one message of `O(log n)` bits per edge per round. The
     /// per-message budget is `factor × ⌈log₂(n+1)⌉` bits; oversized
     /// messages are delivered but counted as violations
-    /// ([`crate::engine::RunOutcome::congest_violations`]).
+    /// ([`crate::RunOutcome::congest_violations`]).
     Congest {
         /// Multiplier on `⌈log₂(n+1)⌉`; the paper's identifiers come from
         /// `[1, n⁴]` (4 log n bits), so budgets below 4 are unusable. The

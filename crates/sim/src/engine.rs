@@ -8,8 +8,9 @@
 //! Theorem 3.13 experiment).
 //!
 //! The split of responsibilities: node-state storage, protocol stepping,
-//! message accounting and outcome assembly live in [`crate::exec`] and are
-//! shared with the async threads+channels runtime ([`crate::rt`]). What
+//! run set-up, message accounting and outcome finishing live in
+//! [`crate::exec`] and are shared with the async threads+channels runtime
+//! ([`crate::rt`]). What
 //! lives *here* is the scheduling policy — the decision of when each node
 //! steps and how staged sends reach their destination inboxes: the active
 //! set, the wakeup heap, fast-forward, and the shard/merge machinery.
@@ -98,15 +99,11 @@
 //! Rounds whose active set is too small to amortize thread coordination
 //! are stepped inline on the main thread (same code as `Off`).
 
-use crate::adversary::Schedule;
 use crate::config::SimConfig;
-pub(crate) use crate::exec::splitmix64;
 use crate::exec::{
-    ids_slice, init_store, step_node, validate_wakeup, InboxArena, Ledger, LedgerSink, RngCol,
-    RunCtx, ShardOut, StepScratch, StoreSliceMut, NO_WAKE,
+    init_store, step_node, InboxArena, Ledger, LedgerSink, RngCol, RunCtx, RunFacts, RunOutcome,
+    SendSink, ShardOut, StepScratch, StoreSliceMut, Termination,
 };
-#[allow(unused_imports)] // re-exported for in-crate users of the old paths
-pub use crate::exec::{node_rng_seed, RunOutcome, Termination, WatchHit};
 use crate::protocol::{NodeSetup, Protocol};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
@@ -217,32 +214,36 @@ where
     let min_shard_nodes = config.parallelism.min_shard_nodes();
 
     let mut store = init_store(topo, config, factory);
-    let rc = RunCtx {
-        topo,
-        ids: ids_slice(config, n),
-        knowledge: config.knowledge,
-        seed: config.seed,
-    };
+    let rc = RunCtx::new(topo, config);
 
     // Pending wakeups, min-first. Entries are lazily invalidated: an entry
     // `(w, v)` is genuine iff `store.wake[v] == w` when popped (a node
     // that re-arms its timer leaves the superseded entry behind).
     let mut wake_heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
+    // The round's active set (small for sparse protocols) and the dedup
+    // bitmap guarding it; due deliveries and wakeups join at the top of
+    // the loop.
+    let mut active: Vec<NodeId> = Vec::new();
+    let mut in_active: Vec<bool> = vec![false; n];
 
-    // Legacy wakeup validation: the panic messages are part of the API.
-    validate_wakeup(config, n);
-    // The run's execution model: the wakeup discipline stacked with the
-    // configured adversary (see `crate::adversary`). Every wakeup,
-    // liveness, and message-fate decision flows through these schedules,
-    // and only ever from this sequential control thread. The stack is
-    // hand-inlined rather than routed through `adversary::Compose`
-    // because the wakeup half only ever constrains `wake_round` — its
-    // fate and crash methods are the lockstep defaults — so the hot
-    // per-message path consults the adversary alone, with identical
-    // semantics (pinned by `tests/properties.rs`).
-    let mut wakeup_schedule = config.wakeup.as_schedule();
-
-    let mut ledger: Ledger<P::Msg> = Ledger::new(topo, config);
+    // The shared run set-up arms the spontaneous wakeups the schedules
+    // grant. Round-0 wakeups seed the active set directly: routing them
+    // through the heap would be wasted work (under simultaneous wakeup
+    // that is n pushes + n pops), and the round-0 execution clears the
+    // `wake = 0` markers before any heap lookup could expect entries for
+    // them.
+    let facts = RunFacts::new(topo, config, |v, w| {
+        store.wake[v] = w;
+        if w == 0 {
+            in_active[v] = true;
+            active.push(v);
+        } else {
+            wake_heap.push(Reverse((w, v)));
+        }
+    });
+    // Every send — and with it every adversary fate decision — is
+    // accounted here, on this sequential control thread.
+    let mut ledger: Ledger<P::Msg> = Ledger::new(topo, &facts);
 
     let mut last_status_change: Option<u64> = None;
     let mut round_totals: Vec<(u64, u64)> = Vec::new();
@@ -256,11 +257,6 @@ where
     let mut scratches: Vec<StepScratch<P::Msg>> =
         (0..threads).map(|_| StepScratch::default()).collect();
     let mut bufs: Vec<Vec<(Port, P::Msg)>> = (0..threads).map(|_| Vec::new()).collect();
-    // The round's active set (small for sparse protocols) and the dedup
-    // bitmap guarding it; due deliveries and wakeups join at the top of
-    // the loop.
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut in_active: Vec<bool> = vec![false; n];
     // The shared two-round delivery arena and the ever-started bitmap.
     // `prepared` is the round whose calendar bucket was pre-drained into
     // the arena's *next* side (`u64::MAX` = none): it is set just before
@@ -271,40 +267,6 @@ where
     let mut started = Bitmap::new(n);
     // Lazy-RNG draws observed this round (empty once the column is dense).
     let mut drawn: Vec<(NodeId, StdRng)> = Vec::new();
-
-    // Arm the spontaneous wakeups the schedule grants. Round-0 wakeups
-    // seed the active set directly: routing them through the heap would be
-    // wasted work (under simultaneous wakeup that is n pushes + n pops),
-    // and the round-0 execution clears the `wake = 0` markers before any
-    // heap lookup could expect entries for them. A node that crashes at or
-    // before its wakeup round never participates at all.
-    #[allow(clippy::needless_range_loop)] // v is a node id indexing parallel columns
-    for v in 0..n {
-        // The Compose rule for wakeups, inlined over the two-schedule
-        // stack: a node wakes spontaneously only if both halves allow it,
-        // at the latest round either demands.
-        let wake = match (wakeup_schedule.wake_round(v), ledger.schedule.wake_round(v)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if let Some(w) = wake {
-            if let Some(c) = ledger.crash_round[v] {
-                if c <= w {
-                    ledger.crash_horizon = ledger.crash_horizon.max(c);
-                    continue;
-                }
-            }
-            store.wake[v] = w;
-            if w == 0 {
-                if !in_active[v] {
-                    in_active[v] = true;
-                    active.push(v);
-                }
-            } else {
-                wake_heap.push(Reverse((w, v)));
-            }
-        }
-    }
 
     let mut round: u64 = 0;
     let mut rounds_used: u64 = 0;
@@ -351,8 +313,8 @@ where
 
         // Admit every wakeup due this round; drop superseded entries.
         // Crashed owners need no check here: wakeups are crash-filtered
-        // *at arm time* (setup and the two rearm sites below), so every
-        // genuine heap entry outlives its owner's crash round.
+        // *at arm time* (the shared set-up and `LedgerPart::rearm`), so
+        // every genuine heap entry outlives its owner's crash round.
         while let Some(&Reverse((w, v))) = wake_heap.peek() {
             if w > round {
                 break;
@@ -477,31 +439,24 @@ where
                 if out.status_changed {
                     last_status_change = Some(round);
                 }
+                // A timer its owner's crash outlives is never armed
+                // (the async runtime makes the same arm-time decision,
+                // so the reported crash horizons agree across runtimes).
                 for &(w, v) in &out.wakes {
-                    // Eager crash filtering, as at setup: a timer its
-                    // owner's crash outlives is never armed (the async
-                    // runtime makes the same arm-time decision, so the
-                    // reported crash horizons agree across runtimes).
-                    match ledger.crash_round[v] {
-                        Some(c) if c <= w => {
-                            ledger.crash_horizon = ledger.crash_horizon.max(c);
-                            store.wake[v] = NO_WAKE;
-                        }
-                        _ => wake_heap.push(Reverse((w, v))),
+                    if ledger.part.rearm(&facts, v, w, &mut store.wake[v]) {
+                        wake_heap.push(Reverse((w, v)));
                     }
                 }
+                let mut sink = LedgerSink {
+                    ledger: &mut ledger,
+                    facts: &facts,
+                    round,
+                    arena: &mut arena,
+                };
                 for s in out.sends.drain(..) {
-                    if let Some((at, dest, port, msg)) = ledger.route(round, s) {
-                        if at == round + 1 {
-                            arena.deliver_next(dest as usize, port, msg);
-                        } else {
-                            ledger.queue.push(at, (dest, port, msg));
-                        }
-                    }
+                    sink.accept(s);
                 }
-                for (v, rng) in out.drawn.drain(..) {
-                    drawn.push((v, rng));
-                }
+                drawn.append(&mut out.drawn);
                 out.clear();
             }
         } else {
@@ -517,6 +472,7 @@ where
                 let effects = {
                     let mut sink = LedgerSink {
                         ledger: &mut ledger,
+                        facts: &facts,
                         round,
                         arena: &mut arena,
                     };
@@ -526,14 +482,9 @@ where
                 };
                 // A changed timer needs a heap entry; the stale entry for
                 // the previously armed round (if any) stays in the heap.
-                // Crash-filtered eagerly, as at setup.
                 if let Some(w) = effects.rearmed {
-                    match ledger.crash_round[v] {
-                        Some(c) if c <= w => {
-                            ledger.crash_horizon = ledger.crash_horizon.max(c);
-                            view.wake[v] = NO_WAKE;
-                        }
-                        _ => wake_heap.push(Reverse((w, v))),
+                    if ledger.part.rearm(&facts, v, w, &mut view.wake[v]) {
+                        wake_heap.push(Reverse((w, v)));
                     }
                 }
                 if effects.status_changed {
@@ -566,11 +517,13 @@ where
             }
         }
 
-        round_totals.push((round, ledger.messages));
+        round_totals.push((round, ledger.part.messages));
         round += 1;
     }
 
-    ledger.finish(
+    ledger.part.finish(
+        &facts,
+        ledger.watch_hits,
         &store.statuses,
         rounds_used,
         round,
@@ -585,6 +538,7 @@ mod tests {
     use super::run_sim as run;
     use super::*;
     use crate::config::{Model, Parallelism, SimConfig, Wakeup};
+    use crate::exec::{node_rng_seed, splitmix64};
     use crate::message::{id_bits, Message, Signal};
     use crate::protocol::{Context, Knowledge, Protocol, Status};
     use ule_graph::{gen, IdAssignment, ImplicitTopology};

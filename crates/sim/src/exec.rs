@@ -21,24 +21,37 @@
 //!   sends), parameterized over a `SendSink` so each runtime decides where
 //!   staged sends go without re-implementing the stepping rules, and over
 //!   a [`Topology`] so implicit (procedural) graphs never materialize;
-//! * **message accounting** — `Ledger`: message/bit totals, CONGEST
-//!   budget checks, per-directed-edge statistics (lazily allocated, see
-//!   [`crate::SimConfig::edge_stats`]), watch-edge crossings, adversary
-//!   fates, and delivery queueing through a flat [`CalendarQueue`] (ring
-//!   buffer for the near-future window, `BTreeMap` overflow tier for
-//!   far-future deliveries);
-//! * **outcome assembly** — [`RunOutcome`] and the final crash/termination
-//!   bookkeeping (`Ledger::finish`).
+//! * **run set-up** — `RunFacts`: the one constructor that validates the
+//!   wakeup set, builds the adversary schedule, precomputes crash rounds,
+//!   normalizes and indexes the watched edges and arms the spontaneous
+//!   wakeups (crash-filtered); immutable afterwards and shared by
+//!   reference with every thread of every runtime;
+//! * **message accounting** — `LedgerPart`: what a send costs and what
+//!   becomes of it, defined once (`LedgerPart::account`: message/bit
+//!   totals, CONGEST budget checks, per-directed-edge statistics —
+//!   allocated lazily, see [`crate::SimConfig::edge_stats`] — adversary
+//!   fate, drops, late deliveries, crash horizon). Every column is
+//!   commutative and the per-edge columns are owned by sender range, so
+//!   parts built on different threads `merge` associatively into the part
+//!   one sequential accountant would have built. The engine's `Ledger` is
+//!   one such part plus the *ordered residue* that needs the global send
+//!   order: watch-edge crossings and delivery queueing through a flat
+//!   [`CalendarQueue`]; the async runtime keeps one part per worker;
+//! * **outcome finishing** — [`RunOutcome`] and the final crash/termination
+//!   bookkeeping (`LedgerPart::finish`), fed the merged part by every
+//!   runtime.
 //!
 //! What is *not* here is exactly what distinguishes runtimes: the decision
 //! of **when** a node steps (the lockstep engine's active set, wakeup heap
 //! and fast-forward live in `engine`; the async runtime's per-edge clocks
 //! and quiescence arbiter live in `rt`), and the transport that moves a
 //! staged send to its destination inbox (the engine delivers through the
-//! ledger's calendar queue; the async runtime ships frames over
-//! `std::sync::mpsc` channels). Both scheduling policies execute the same
-//! core in the same order, which is why their outcomes agree exactly
-//! (pinned by `tests/async_conformance.rs`).
+//! inbox arena and the ledger's calendar queue; the async runtime ships
+//! frames over `std::sync::mpsc` channels, and keeps what only it has: the
+//! delivery trace, `round_totals` rebuilt from per-worker round sets, and
+//! watch hits reconstructed from the trace). Both scheduling policies
+//! execute the same core in the same order, which is why their outcomes
+//! agree exactly (pinned by `tests/async_conformance.rs`).
 
 use crate::adversary::{Adversary, Fate, Schedule, SendView};
 use crate::calendar::CalendarQueue;
@@ -47,8 +60,8 @@ use crate::message::Message;
 use crate::protocol::{Context, Knowledge, NodeSetup, Protocol, Status};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-// ule-lint: allow(unordered-iter, reason = "HashMap import used only for watch_index, which is lookup-only (see its suppressions)")
-use std::collections::HashMap;
+use std::collections::BTreeMap;
+use std::ops::Range;
 use ule_graph::{Id, NodeId, Port, Topology};
 
 /// Why the run stopped.
@@ -245,6 +258,18 @@ impl<T> Clone for RunCtx<'_, T> {
 }
 impl<T> Copy for RunCtx<'_, T> {}
 
+impl<'a, T: Topology> RunCtx<'a, T> {
+    /// The context of a run of `config` on `topo`.
+    pub(crate) fn new(topo: &'a T, config: &'a SimConfig) -> Self {
+        RunCtx {
+            topo,
+            ids: ids_slice(config, topo.n()),
+            knowledge: config.knowledge,
+            seed: config.seed,
+        }
+    }
+}
+
 /// The identifier column of `config` as a zero-copy slice (`None` for
 /// anonymous runs).
 ///
@@ -252,7 +277,7 @@ impl<T> Copy for RunCtx<'_, T> {}
 ///
 /// Panics if an explicit assignment does not cover the graph (the panic
 /// message is part of the API, shared with [`init_store`]).
-pub(crate) fn ids_slice(config: &SimConfig, n: usize) -> Option<&[Id]> {
+fn ids_slice(config: &SimConfig, n: usize) -> Option<&[Id]> {
     match &config.ids {
         IdMode::Anonymous => None,
         IdMode::Explicit(a) => {
@@ -434,7 +459,7 @@ impl<M> ShardOut<M> {
 
 /// Where [`step_node`] delivers the sends a node stages: the lockstep
 /// engine's shard path collects them into a `Vec` for the merge phase, its
-/// inline path records them straight into the [`Ledger`] (no intermediate
+/// inline path routes them straight through the [`Ledger`] (no intermediate
 /// buffer — the reference code path stays allocation-free), and the async
 /// runtime ships them into `mpsc` channels. Monomorphized: the stepping
 /// loop pays no dispatch cost.
@@ -606,19 +631,23 @@ impl<M: Message> InboxArena<M> {
     }
 }
 
-/// The inline-path sink: every send is routed straight through
-/// [`Ledger::route`] — synchronous fates into the arena's *next* side,
-/// delayed fates into the calendar — exactly as the historical sequential
-/// engine interleaved its accounting.
+/// The engine's sink: every send is routed straight through
+/// [`Ledger::route`] — synchronous fates (`at == round + 1`, the
+/// overwhelmingly common case) into the arena's *next* side, delayed fates
+/// into the calendar — exactly as the historical sequential engine
+/// interleaved its accounting. The inline path hands it to [`step_node`]
+/// directly (no intermediate buffer); the shard merge feeds it each
+/// shard's staged sends in shard order.
 pub(crate) struct LedgerSink<'a, M> {
     pub(crate) ledger: &'a mut Ledger<M>,
+    pub(crate) facts: &'a RunFacts,
     pub(crate) round: u64,
     pub(crate) arena: &'a mut InboxArena<M>,
 }
 
 impl<M: Message> SendSink<M> for LedgerSink<'_, M> {
     fn accept(&mut self, send: StagedSend<M>) {
-        if let Some((at, dest, port, msg)) = self.ledger.route(self.round, send) {
+        if let Some((at, dest, port, msg)) = self.ledger.route(self.facts, self.round, send) {
             if at == self.round + 1 {
                 self.arena.deliver_next(dest as usize, port, msg);
             } else {
@@ -816,47 +845,393 @@ where
     }
 }
 
-/// Legacy wakeup validation, shared by every runtime: the panic messages
-/// are part of the API.
-pub(crate) fn validate_wakeup(config: &SimConfig, n: usize) {
-    if let Wakeup::Adversarial(set) = &config.wakeup {
-        assert!(!set.is_empty(), "at least one node must wake initially");
-        for &v in set {
+/// The shared, immutable facts of one run: everything every runtime must
+/// agree on before the first node steps. Built by the one run set-up
+/// ([`RunFacts::new`]) and then only read — the engine's control thread
+/// and the async runtime's workers share it by reference (fate queries are
+/// pure, see [`Schedule::message_fate`]).
+pub(crate) struct RunFacts {
+    /// The CONGEST bit budget per message.
+    budget: u64,
+    /// True under the default [`Adversary::Lockstep`]: every fate is the
+    /// identity (deliver next round, nothing crashes), so the per-message
+    /// schedule call is skipped. `tests/properties.rs` pins this shortcut
+    /// against the general path (`Compose([Lockstep])`,
+    /// `BoundedDelay { max_delay: 0 }` take the general path and must
+    /// produce identical outcomes).
+    synchronous: bool,
+    /// Whether the outcome reports the two per-directed-edge arrays (see
+    /// [`crate::SimConfig::edge_stats`]).
+    edge_stats: bool,
+    schedule: Box<dyn Schedule>,
+    /// Precomputed fail-stop round per node.
+    pub(crate) crash_round: Vec<Option<u64>>,
+    /// Normalized watched edge → positions in `SimConfig::watch_edges`
+    /// (reversed and duplicate entries all resolve: one crossing fills
+    /// every position).
+    watch_index: BTreeMap<(NodeId, NodeId), Vec<usize>>,
+    watch_len: usize,
+    /// Latest crash round that suppressed a spontaneous wakeup at set-up.
+    setup_horizon: u64,
+}
+
+impl RunFacts {
+    /// The one run set-up: validates the wakeup set, builds the adversary
+    /// schedule, precomputes crash rounds, normalizes and indexes the
+    /// watched edges, and hands every spontaneous wakeup the run grants
+    /// to `arm(node, round)` in ascending node order — the wakeup
+    /// discipline stacked with the adversary (a node wakes only if both
+    /// allow it, at the later round; hand-inlined rather than routed
+    /// through `adversary::Compose` because the wakeup half only ever
+    /// constrains `wake_round`), crash-filtered: a node that crashes at or
+    /// before its wakeup round never participates at all. The wakeups are
+    /// streamed, not returned as a list — at 10⁸ nodes a list is 1.6 GB.
+    ///
+    /// # Panics
+    ///
+    /// Panics (the messages are part of the API) if an adversarial wakeup
+    /// set is empty or names a node `>= n`, if the adversary schedule
+    /// names an out-of-range node or a non-edge, or if a watched edge is
+    /// not an edge of the graph.
+    pub(crate) fn new<T: Topology>(
+        topo: &T,
+        config: &SimConfig,
+        mut arm: impl FnMut(NodeId, u64),
+    ) -> Self {
+        let n = topo.n();
+        if let Wakeup::Adversarial(set) = &config.wakeup {
+            assert!(!set.is_empty(), "at least one node must wake initially");
+            for &v in set {
+                assert!(
+                    v < n,
+                    "Wakeup::Adversarial names node {v}, but the graph has only {n} nodes"
+                );
+            }
+        }
+        let mut schedule = config.adversary.build(config.seed, topo);
+        let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
+        let mut wakeup_schedule = config.wakeup.as_schedule();
+        let mut setup_horizon = 0u64;
+        for (v, &crash) in crash_round.iter().enumerate() {
+            if let (Some(a), Some(b)) = (wakeup_schedule.wake_round(v), schedule.wake_round(v)) {
+                let w = a.max(b);
+                match crash {
+                    Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
+                    _ => arm(v, w),
+                }
+            }
+        }
+        let mut watch_index: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
+        for (i, &(a, b)) in config.watch_edges.iter().enumerate() {
+            let (a, b) = (a.min(b), a.max(b));
             assert!(
-                v < n,
-                "Wakeup::Adversarial names node {v}, but the graph has only {n} nodes"
+                topo.has_edge(a, b),
+                "watch edge ({a}, {b}) is not an edge of the graph"
             );
+            watch_index.entry((a, b)).or_default().push(i);
+        }
+        RunFacts {
+            budget: config.model.bit_budget(n),
+            synchronous: config.adversary == Adversary::Lockstep,
+            edge_stats: config.edge_stats,
+            schedule,
+            crash_round,
+            watch_index,
+            watch_len: config.watch_edges.len(),
+            setup_horizon,
+        }
+    }
+
+    /// The fate of one send: `Ok(delivery round)`, or `Err(h)` when the
+    /// message is lost — `h` is the crash round of a destination that
+    /// fail-stops at or before the delivery round (dead on arrival; the
+    /// observed crash extends the run's crash horizon) and 0 for a plain
+    /// in-flight drop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a schedule that delivers into the past.
+    #[inline]
+    pub(crate) fn fate(&self, send: &SendView) -> Result<u64, u64> {
+        if self.synchronous {
+            // Lockstep identity fate, skipped wholesale: deliver next
+            // round, nothing drops, nothing crashes.
+            return Ok(send.round + 1);
+        }
+        match self.schedule.message_fate(send) {
+            Fate::Dropped => Err(0),
+            Fate::Deliver { round: at } => {
+                assert!(
+                    at > send.round,
+                    "Schedule bug: message sent in round {} scheduled for delivery at round {at}",
+                    send.round
+                );
+                match self.crash_round[send.dest] {
+                    Some(c) if c <= at => Err(c),
+                    _ => Ok(at),
+                }
+            }
+        }
+    }
+
+    /// Whether the run watches any edge.
+    pub(crate) fn watching(&self) -> bool {
+        self.watch_len > 0
+    }
+
+    /// One unresolved entry per configured watch edge.
+    pub(crate) fn no_watch_hits(&self) -> Vec<Option<WatchHit>> {
+        vec![None; self.watch_len]
+    }
+
+    /// Records a *delivered* send over `(src, dest)` at `round`, preceded
+    /// by `messages_before` sends network-wide, into every still-unresolved
+    /// watch entry for that edge. Returns whether the edge is watched.
+    #[inline]
+    pub(crate) fn note_crossing(
+        &self,
+        hits: &mut [Option<WatchHit>],
+        (src, dest): (NodeId, NodeId),
+        round: u64,
+        messages_before: u64,
+    ) -> bool {
+        let Some(entries) = self.watch_index.get(&(src.min(dest), src.max(dest))) else {
+            return false;
+        };
+        for &i in entries {
+            hits[i].get_or_insert(WatchHit {
+                round,
+                messages_before,
+            });
+        }
+        true
+    }
+}
+
+/// The commutative part of a run's accounting: totals, the late-delivery
+/// tally, the crash horizon and the per-directed-edge columns of one
+/// contiguous directed-edge range. Fates are a pure function of `(seed,
+/// directed edge, per-edge send index)`, so nothing here depends on a
+/// global send order: whoever owns a range of *senders* (a node's
+/// out-edges are contiguous) accounts their sends locally with
+/// [`LedgerPart::account`], and adjacent parts [`LedgerPart::merge`] into
+/// the part a single accountant would have built. The engine's control
+/// thread owns one part over every edge; each async worker owns the part
+/// of its node range.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct LedgerPart {
+    pub(crate) messages: u64,
+    bits: u64,
+    congest_violations: u64,
+    max_message_bits: u64,
+    messages_dropped: u64,
+    /// Latest crash round whose *effect* this part observed (a suppressed
+    /// timer or a dead-on-arrival send); extends the horizon that decides
+    /// which crashes are reported as fired.
+    crash_horizon: u64,
+    /// Deliveries later than the synchronous `send + 1` round, as
+    /// `(delivery round, count)` ascending by round.
+    late: Vec<(u64, u64)>,
+    /// The directed-edge range the two columns below cover.
+    pub(crate) edges: Range<usize>,
+    /// Allocated iff the run reports edge statistics (empty = off).
+    first_directed_use: Vec<u64>,
+    /// Allocated iff the run reports edge statistics *or* is asynchronous
+    /// (fates consume the per-edge send index even when the outcome won't
+    /// report it). Empty only when neither needs it.
+    directed_message_counts: Vec<u64>,
+}
+
+/// Adds `count` late deliveries at `round` to an ascending tally. Within a
+/// stepping round fates never decrease below `round + 1`, but a later
+/// round's near fate can undercut an earlier round's far fate, hence the
+/// sorted insert (the tail is the common case).
+fn tally_late(late: &mut Vec<(u64, u64)>, round: u64, count: u64) {
+    match late.binary_search_by_key(&round, |&(r, _)| r) {
+        Ok(i) => late[i].1 += count,
+        Err(i) => late.insert(i, (round, count)),
+    }
+}
+
+impl LedgerPart {
+    /// An empty part covering the directed edges `edges`.
+    pub(crate) fn new(facts: &RunFacts, edges: Range<usize>) -> Self {
+        let len = edges.len();
+        LedgerPart {
+            messages: 0,
+            bits: 0,
+            congest_violations: 0,
+            max_message_bits: 0,
+            messages_dropped: 0,
+            crash_horizon: 0,
+            late: Vec::new(),
+            edges,
+            first_directed_use: if facts.edge_stats {
+                vec![u64::MAX; len]
+            } else {
+                Vec::new()
+            },
+            directed_message_counts: if facts.edge_stats || !facts.synchronous {
+                vec![0u64; len]
+            } else {
+                Vec::new()
+            },
+        }
+    }
+
+    /// Accounts one send at `round` and decides its fate: `Some(delivery
+    /// round)`, or `None` for a message lost in flight (which still costs
+    /// the sender: totals, CONGEST check and per-edge statistics count it).
+    #[inline]
+    pub(crate) fn account<M>(
+        &mut self,
+        facts: &RunFacts,
+        round: u64,
+        s: &StagedSend<M>,
+    ) -> Option<u64> {
+        self.messages += 1;
+        self.bits += s.bits;
+        self.max_message_bits = self.max_message_bits.max(s.bits);
+        if s.bits > facts.budget {
+            self.congest_violations += 1;
+        }
+        let e = s.didx - self.edges.start;
+        // The per-edge send index (how many sends this directed edge saw
+        // before this one) — the schedule's stream coordinate, equal to
+        // the async runtime's `LinkSeq` frame counter. The counts column
+        // is empty only on synchronous edge-stats-off runs, where no fate
+        // consumes it.
+        let edge_seq = match self.directed_message_counts.get_mut(e) {
+            Some(count) => {
+                *count += 1;
+                *count - 1
+            }
+            None => 0,
+        };
+        if let Some(first) = self.first_directed_use.get_mut(e) {
+            if *first == u64::MAX {
+                *first = round;
+            }
+        }
+        let view = SendView {
+            round,
+            edge_seq,
+            src: s.src,
+            dest: s.dest,
+            didx: s.didx,
+        };
+        match facts.fate(&view) {
+            Ok(at) => {
+                if at > round + 1 {
+                    tally_late(&mut self.late, at, 1);
+                }
+                Some(at)
+            }
+            Err(crash) => {
+                self.messages_dropped += 1;
+                self.crash_horizon = self.crash_horizon.max(crash);
+                None
+            }
+        }
+    }
+
+    /// The one re-arm crash filter: node `v` re-armed its timer (`slot`)
+    /// to round `w`. A timer at or past its owner's crash round is never
+    /// armed — the slot is disarmed on the spot and the crash joins the
+    /// horizon — so every armed timer outlives its owner's crash on every
+    /// runtime. Returns whether the timer stands.
+    pub(crate) fn rearm(&mut self, facts: &RunFacts, v: NodeId, w: u64, slot: &mut u64) -> bool {
+        match facts.crash_round[v] {
+            Some(c) if c <= w => {
+                self.crash_horizon = self.crash_horizon.max(c);
+                *slot = NO_WAKE;
+                false
+            }
+            _ => true,
+        }
+    }
+
+    /// Folds in `next`, the part covering the directed-edge range right
+    /// after this one. Associative; the per-edge columns concatenate
+    /// (ranges are disjoint because a node's out-edges have one owner).
+    pub(crate) fn merge(&mut self, next: LedgerPart) {
+        assert_eq!(
+            self.edges.end, next.edges.start,
+            "ledger parts merge in directed-edge order"
+        );
+        self.edges.end = next.edges.end;
+        self.messages += next.messages;
+        self.bits += next.bits;
+        self.congest_violations += next.congest_violations;
+        self.max_message_bits = self.max_message_bits.max(next.max_message_bits);
+        self.messages_dropped += next.messages_dropped;
+        self.crash_horizon = self.crash_horizon.max(next.crash_horizon);
+        for (round, count) in next.late {
+            tally_late(&mut self.late, round, count);
+        }
+        self.first_directed_use.extend(next.first_directed_use);
+        self.directed_message_counts
+            .extend(next.directed_message_counts);
+    }
+
+    /// The one finish, shared by every runtime: decides which scheduled
+    /// crashes are reported as fired (everything at or before `end_round`,
+    /// extended by crashes whose effect — a suppressed wakeup, a dropped
+    /// delivery — was already observed), downgrades a quiescent run in
+    /// which every node died to [`Termination::AllCrashed`], and assembles
+    /// the outcome from this (fully merged) part plus the runtime's
+    /// ordered residue.
+    #[allow(clippy::too_many_arguments)] // crate-internal; one argument per runtime-owned outcome field
+    pub(crate) fn finish(
+        self,
+        facts: &RunFacts,
+        watch_hits: Vec<Option<WatchHit>>,
+        statuses: &[Status],
+        rounds_used: u64,
+        end_round: u64,
+        mut termination: Termination,
+        last_status_change: Option<u64>,
+        round_totals: Vec<(u64, u64)>,
+    ) -> RunOutcome {
+        let n = statuses.len();
+        let end = end_round.max(self.crash_horizon).max(facts.setup_horizon);
+        let crashed: Vec<NodeId> = (0..n)
+            .filter(|&v| facts.crash_round[v].is_some_and(|c| c <= end))
+            .collect();
+        if termination == Termination::Quiescent && crashed.len() == n && n > 0 {
+            termination = Termination::AllCrashed;
+        }
+        RunOutcome {
+            rounds: rounds_used,
+            messages: self.messages,
+            bits: self.bits,
+            statuses: statuses.to_vec(),
+            termination,
+            congest_violations: self.congest_violations,
+            max_message_bits: self.max_message_bits,
+            watch_hits,
+            first_directed_use: self.first_directed_use,
+            directed_message_counts: if facts.edge_stats {
+                self.directed_message_counts
+            } else {
+                Vec::new()
+            },
+            last_status_change,
+            round_totals,
+            crashed,
+            messages_dropped: self.messages_dropped,
+            late_deliveries: self.late,
         }
     }
 }
 
-/// All global per-message accounting of a run, plus the adversary that
-/// decides each message's fate. Every send — whether stepped inline or in
-/// a shard — funnels through [`Ledger::record`] on the sequential control
-/// thread, in stable merge order, so the accounting is identical at any
-/// thread count. Fates themselves are consulted per edge: the schedule
-/// sees `(round, didx, edge_seq)` where `edge_seq` is the per-edge send
-/// index, a derivation any runtime reproduces locally (the async runtime
-/// computes the very same fates on its worker threads).
+/// The engine's ledger: the one [`LedgerPart`] its control thread accounts
+/// every send into — inline or in the shard merge, always in the stable
+/// sequential order — plus the ordered residue that needs that order: the
+/// watch-edge crossings (`messages_before` is a global-interleaving
+/// quantity) and the delayed-delivery queue.
 pub(crate) struct Ledger<M> {
-    pub(crate) budget: u64,
-    pub(crate) messages: u64,
-    pub(crate) bits: u64,
-    pub(crate) congest_violations: u64,
-    pub(crate) max_message_bits: u64,
-    /// Whether the run materializes the two per-directed-edge arrays in
-    /// its outcome (see [`crate::SimConfig::edge_stats`]).
-    pub(crate) edge_stats: bool,
-    /// Allocated iff `edge_stats` (empty = off).
-    pub(crate) first_directed_use: Vec<u64>,
-    /// Allocated iff `edge_stats` *or* the run is asynchronous (fates
-    /// consume the per-edge send index even when the outcome won't report
-    /// it). Empty only when neither needs it.
-    pub(crate) directed_message_counts: Vec<u64>,
-    /// Normalized watched edge → indices into `watch_hits` (duplicates
-    /// supported: one crossing fills them all).
-    // ule-lint: allow(unordered-iter, reason = "lookup-only per-message hot path (get); never iterated, so order cannot reach a RunOutcome")
-    pub(crate) watch_index: HashMap<(NodeId, NodeId), Vec<usize>>,
+    pub(crate) part: LedgerPart,
     pub(crate) watch_hits: Vec<Option<WatchHit>>,
     /// The *delayed*-delivery queue: a flat calendar (ring + overflow
     /// tier) keyed by delivery round. Only fates beyond `round + 1` land
@@ -872,237 +1247,156 @@ pub(crate) struct Ledger<M> {
     /// compacted to `u32` — half the queue footprint at graph scale (the
     /// node count is asserted to fit at ledger construction).
     pub(crate) queue: CalendarQueue<(u32, u32, M)>,
-    pub(crate) messages_dropped: u64,
-    pub(crate) late: Vec<(u64, u64)>,
-    /// True under the default [`Adversary::Lockstep`]: every fate is the
-    /// identity (deliver next round, nothing crashes), so the per-message
-    /// schedule call is skipped. `tests/properties.rs` pins this shortcut
-    /// against the general path (`Compose([Lockstep])`,
-    /// `BoundedDelay { max_delay: 0 }` take the general path and must
-    /// produce identical outcomes).
-    pub(crate) synchronous: bool,
-    pub(crate) schedule: Box<dyn Schedule>,
-    /// Precomputed fail-stop round per node (queried once at run setup).
-    pub(crate) crash_round: Vec<Option<u64>>,
-    /// Latest crash round whose *effect* the run observed (a suppressed
-    /// wakeup or a dropped delivery); extends the horizon that decides
-    /// which crashes are reported as fired.
-    pub(crate) crash_horizon: u64,
 }
 
 impl<M: Message> Ledger<M> {
-    /// A fresh ledger for a run of `config` on `topo`: builds the
-    /// adversary schedule, precomputes crash rounds, normalizes and
-    /// indexes the watched edges.
+    /// A fresh ledger for a run on `topo`.
     ///
     /// # Panics
     ///
-    /// Panics if a watched edge is not an edge of the graph (the panic
-    /// message is part of the API), or if the node count exceeds `u32`
-    /// (the delivery queue compacts node indices).
-    pub(crate) fn new<T: Topology>(topo: &T, config: &SimConfig) -> Self {
+    /// Panics if the node count exceeds `u32` (the delivery queue
+    /// compacts node indices).
+    pub(crate) fn new<T: Topology>(topo: &T, facts: &RunFacts) -> Self {
         let n = topo.n();
         assert!(
             n as u64 <= u32::MAX as u64,
             "the engine's delivery queue addresses nodes as u32; {n} nodes exceed that"
         );
-        let mut schedule: Box<dyn Schedule> = config.adversary.build(config.seed, topo);
-        let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
-
-        let watch: Vec<(NodeId, NodeId)> = config
-            .watch_edges
-            .iter()
-            .map(|&(a, b)| (a.min(b), a.max(b)))
-            .collect();
-        // Normalized edge → indices into `watch` (duplicate watch entries
-        // are supported: one crossing fills them all). One hash lookup per
-        // sent message replaces the historical O(|watch|) scan per message.
-        // ule-lint: allow(unordered-iter, reason = "built once, then lookup-only; never iterated, so order cannot reach a RunOutcome")
-        let mut watch_index: HashMap<(NodeId, NodeId), Vec<usize>> = HashMap::new();
-        for (i, &(a, b)) in watch.iter().enumerate() {
-            assert!(
-                topo.has_edge(a, b),
-                "watch edge ({a}, {b}) is not an edge of the graph"
-            );
-            watch_index.entry((a, b)).or_default().push(i);
-        }
-
-        let synchronous = config.adversary == Adversary::Lockstep;
-        let edge_stats = config.edge_stats;
-        let dcount = topo.directed_edge_count();
         Ledger {
-            budget: config.model.bit_budget(n),
-            messages: 0,
-            bits: 0,
-            congest_violations: 0,
-            max_message_bits: 0,
-            edge_stats,
-            first_directed_use: if edge_stats {
-                vec![u64::MAX; dcount]
-            } else {
-                Vec::new()
-            },
-            directed_message_counts: if edge_stats || !synchronous {
-                vec![0u64; dcount]
-            } else {
-                Vec::new()
-            },
-            watch_index,
-            watch_hits: vec![None; watch.len()],
+            part: LedgerPart::new(facts, 0..topo.directed_edge_count()),
+            watch_hits: facts.no_watch_hits(),
             queue: CalendarQueue::new(),
-            messages_dropped: 0,
-            late: Vec::new(),
-            synchronous,
-            schedule,
-            crash_round,
-            crash_horizon: 0,
         }
     }
 
     /// Accounts one send and decides its fate: `Some((at, dest, port,
-    /// msg))` for a delivery at round `at`, `None` for a dropped message.
-    /// The caller routes the delivery — the engine sends synchronous
-    /// fates (`at == round + 1`, the overwhelmingly common case) straight
-    /// into the inbox arena's *next* side and only delayed fates through
-    /// the calendar queue. Mirrors the historical sequential accounting
-    /// exactly when every fate is "deliver next round".
+    /// msg))` for a delivery at round `at`, `None` for a dropped message
+    /// (never a watch-edge crossing). The caller routes the delivery.
     pub(crate) fn route(
         &mut self,
+        facts: &RunFacts,
         round: u64,
         s: StagedSend<M>,
     ) -> Option<(u64, u32, u32, M)> {
-        self.messages += 1;
-        self.bits += s.bits;
-        self.max_message_bits = self.max_message_bits.max(s.bits);
-        if s.bits > self.budget {
-            self.congest_violations += 1;
-        }
-        // The per-edge send index (how many sends this directed edge saw
-        // before this one) — the schedule's stream coordinate. Captured
-        // before the increment so it matches the async runtime's `LinkSeq`
-        // frame counters exactly. The counts column is empty only on
-        // synchronous edge-stats-off runs, where no fate consumes it.
-        let edge_seq = if self.directed_message_counts.is_empty() {
-            0
-        } else {
-            let e = self.directed_message_counts[s.didx];
-            self.directed_message_counts[s.didx] += 1;
-            e
-        };
-        if !self.first_directed_use.is_empty() && self.first_directed_use[s.didx] == u64::MAX {
-            self.first_directed_use[s.didx] = round;
-        }
-        let at = if self.synchronous {
-            // Lockstep identity fate, skipped wholesale: deliver next
-            // round, nothing drops, nothing crashes.
-            round + 1
-        } else {
-            let fate = self.schedule.message_fate(&SendView {
-                round,
-                edge_seq,
-                src: s.src,
-                dest: s.dest,
-                didx: s.didx,
-            });
-            let at = match fate {
-                Fate::Dropped => {
-                    self.messages_dropped += 1;
-                    return None;
-                }
-                Fate::Deliver { round: at } => at,
-            };
-            assert!(
-                at > round,
-                "Schedule bug: message sent in round {round} scheduled for delivery at round {at}"
-            );
-            if let Some(c) = self.crash_round[s.dest] {
-                if c <= at {
-                    // Dead on arrival: the destination fail-stops at or
-                    // before the delivery round.
-                    self.messages_dropped += 1;
-                    self.crash_horizon = self.crash_horizon.max(c);
-                    return None;
-                }
-            }
-            if at > round + 1 {
-                // Late-delivery tally, ascending by round. Fates for one
-                // stepping round never decrease below `round + 1`, but a
-                // later round's near fate can undercut an earlier round's
-                // far fate, so insertion sort by round (the tail case is
-                // the common one).
-                match self.late.binary_search_by_key(&at, |&(r, _)| r) {
-                    Ok(i) => self.late[i].1 += 1,
-                    Err(i) => self.late.insert(i, (at, 1)),
-                }
-            }
-            at
-        };
-        if !self.watch_index.is_empty() {
-            if let Some(hits) = self
-                .watch_index
-                .get(&(s.src.min(s.dest), s.src.max(s.dest)))
-            {
-                for &i in hits {
-                    if self.watch_hits[i].is_none() {
-                        self.watch_hits[i] = Some(WatchHit {
-                            round,
-                            messages_before: self.messages - 1,
-                        });
-                    }
-                }
-            }
-        }
+        let at = self.part.account(facts, round, &s)?;
+        let before = self.part.messages - 1;
+        facts.note_crossing(&mut self.watch_hits, (s.src, s.dest), round, before);
         Some((at, s.dest as u32, s.dest_port as u32, s.msg))
     }
+}
 
-    /// Final crash/termination bookkeeping and outcome assembly, shared by
-    /// every runtime: decides which scheduled crashes are reported as
-    /// fired (everything at or before `end_round`, extended by crashes
-    /// whose effect — a suppressed wakeup, a dropped delivery — was
-    /// already observed), and downgrades a quiescent run in which every
-    /// node died to [`Termination::AllCrashed`].
-    pub(crate) fn finish(
-        self,
-        statuses: &[Status],
-        rounds_used: u64,
-        end_round: u64,
-        mut termination: Termination,
-        last_status_change: Option<u64>,
-        round_totals: Vec<(u64, u64)>,
-    ) -> RunOutcome {
-        let n = statuses.len();
-        let end = end_round.max(self.crash_horizon);
-        let crashed: Vec<NodeId> = (0..n)
-            .filter(|&v| self.crash_round[v].is_some_and(|c| c <= end))
-            .collect();
-        if termination == Termination::Quiescent && crashed.len() == n && n > 0 {
-            termination = Termination::AllCrashed;
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::config::Model;
+    use ule_graph::gen;
+
+    /// Builds the send `(v, port)` of `bits` bits on `topo`.
+    fn send<T: Topology>(topo: &T, v: NodeId, port: Port, bits: u64) -> StagedSend<()> {
+        let (dest, dest_port, didx) = topo.endpoint_indexed(v, port);
+        StagedSend {
+            src: v,
+            dest,
+            dest_port,
+            didx,
+            bits,
+            msg: (),
         }
+    }
 
-        RunOutcome {
-            rounds: rounds_used,
-            messages: self.messages,
-            bits: self.bits,
-            statuses: statuses.to_vec(),
-            termination,
-            congest_violations: self.congest_violations,
-            max_message_bits: self.max_message_bits,
-            watch_hits: self.watch_hits,
-            first_directed_use: if self.edge_stats {
-                self.first_directed_use
-            } else {
-                Vec::new()
+    /// The property sharded accounting leans on: accounting a send
+    /// sequence on range-owned parts split by sender and merging them — in
+    /// either grouping — yields the part a single accountant builds.
+    #[test]
+    fn range_owned_parts_merge_to_the_single_part() {
+        let g = gen::cycle(6).unwrap();
+        // (round, sender, port, bits): repeated edges advance the per-edge
+        // fate stream, 40 bits breaks the 9-bit CONGEST budget, and the
+        // round-3 send 4 -> 5 is dead on arrival under the crash schedule.
+        let script: [(u64, NodeId, Port, u64); 12] = [
+            (0, 0, 0, 3),
+            (0, 0, 1, 3),
+            (0, 3, 0, 40),
+            (0, 5, 1, 3),
+            (1, 1, 0, 5),
+            (1, 3, 0, 3),
+            (1, 4, 1, 7),
+            (2, 0, 0, 3),
+            (2, 2, 1, 3),
+            (2, 5, 0, 9),
+            (3, 4, 1, 3),
+            (3, 3, 0, 3),
+        ];
+        let adversaries = [
+            Adversary::Lockstep,
+            Adversary::BoundedDelay { max_delay: 3 },
+            Adversary::CrashStop {
+                schedule: vec![(5, 4), (1, 9)],
             },
-            directed_message_counts: if self.edge_stats {
-                self.directed_message_counts
-            } else {
-                Vec::new()
-            },
-            last_status_change,
-            round_totals,
-            crashed,
-            messages_dropped: self.messages_dropped,
-            late_deliveries: self.late,
+        ];
+        for adversary in adversaries {
+            for edge_stats in [true, false] {
+                let mut config = SimConfig::seeded(7)
+                    .with_model(Model::Congest { factor: 3 })
+                    .with_adversary(adversary.clone());
+                config.edge_stats = edge_stats;
+                let facts = RunFacts::new(&g, &config, |_, _| {});
+                // Parts owning the senders `bounds[i]..bounds[i + 1]`.
+                let account = |bounds: &[NodeId]| -> Vec<LedgerPart> {
+                    let mut parts: Vec<LedgerPart> = bounds
+                        .windows(2)
+                        .map(|w| LedgerPart::new(&facts, 2 * w[0]..2 * w[1]))
+                        .collect();
+                    for &(round, v, port, bits) in &script {
+                        let owner = bounds.iter().rposition(|&lo| lo <= v).unwrap();
+                        parts[owner].account(&facts, round, &send(&g, v, port, bits));
+                    }
+                    // A timer node 1 re-arms past its crash round joins the
+                    // owner's crash horizon.
+                    let owner = bounds.iter().rposition(|&lo| lo <= 1).unwrap();
+                    parts[owner].rearm(&facts, 1, 20, &mut 20);
+                    parts
+                };
+                let single = account(&[0, 6]).pop().unwrap();
+                assert_eq!(single.messages, script.len() as u64);
+                assert_eq!(single.congest_violations, 1);
+                match adversary {
+                    Adversary::CrashStop { .. } => {
+                        assert_eq!(
+                            single.messages_dropped, 1,
+                            "4 -> 5 at round 3 is dead on arrival"
+                        );
+                        assert_eq!(single.crash_horizon, 9);
+                    }
+                    Adversary::BoundedDelay { .. } => assert!(single.late.len() > 1),
+                    _ => assert!(single.late.is_empty()),
+                }
+
+                let [a, b]: [LedgerPart; 2] = account(&[0, 3, 6]).try_into().unwrap();
+                let mut two = a;
+                two.merge(b);
+                assert_eq!(
+                    two, single,
+                    "{adversary:?}, edge_stats {edge_stats}: 2 parts"
+                );
+
+                let [a, b, c]: [LedgerPart; 3] = account(&[0, 1, 4, 6]).try_into().unwrap();
+                let mut left = a.clone();
+                left.merge(b.clone());
+                left.merge(c.clone());
+                let mut right = b;
+                right.merge(c);
+                let mut outer = a;
+                outer.merge(right);
+                assert_eq!(
+                    left, single,
+                    "{adversary:?}, edge_stats {edge_stats}: (a b) c"
+                );
+                assert_eq!(
+                    outer, single,
+                    "{adversary:?}, edge_stats {edge_stats}: a (b c)"
+                );
+            }
         }
     }
 }

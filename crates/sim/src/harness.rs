@@ -15,7 +15,7 @@
 //! written; combining it with a wide trial fan-out is the caller's
 //! responsibility.
 
-use crate::engine::RunOutcome;
+use crate::exec::RunOutcome;
 use std::cell::Cell;
 
 thread_local! {
@@ -159,7 +159,7 @@ impl std::fmt::Display for Summary {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::{Termination, WatchHit};
+    use crate::exec::{Termination, WatchHit};
     use crate::protocol::Status;
 
     fn fake_outcome(ok: bool, rounds: u64, messages: u64) -> RunOutcome {

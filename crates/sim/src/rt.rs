@@ -40,22 +40,31 @@
 //! stronger than "message totals within tolerance": agreement validates
 //! the simulator's accounting against real concurrent execution.
 //!
-//! # Adversaries without a sequential bottleneck
+//! # One accounting path, no sequential bottleneck
 //!
-//! Delay, crash and link-failure adversaries run here with engine-equal
-//! outcomes because message fates are a pure function of `(run_seed,
-//! directed edge, per-edge send index)` (see [`crate::adversary`]): each
-//! worker derives the fate of its own sends locally from its per-edge
-//! [`LinkSeq`] counters — the same coordinates the engine's ledger feeds
-//! the schedule — so no global merge order is needed. Dropped sends still
-//! consume a frame sequence number (the receiving gate tolerates the
-//! gap), crashes suppress wakeups *at arm time* on both runtimes, and
-//! deliveries into a node at or past its crash round are discarded at the
-//! sender. Watch-edge accounting, whose `messages_before` field *is* a
-//! global-interleaving quantity, is reconstructed post-hoc from the
-//! delivery trace: events sorted by `(round, node)` are the engine's
-//! execution order, and replaying the fate derivation over the logged
-//! sends recovers exactly which send first crossed each watched edge.
+//! This module owns *how a staged send travels* and *when a node steps*;
+//! what a send costs and what becomes of it is [`crate::exec`]'s. Each
+//! worker feeds its sends to its own `LedgerPart` — the same
+//! `LedgerPart::account` the engine's control thread calls — covering only
+//! the out-edges of the nodes it owns, and after the pool joins the parts
+//! merge (concatenating the per-edge columns) into the part
+//! `LedgerPart::finish` turns into the [`RunOutcome`]. Delay, crash and
+//! link-failure adversaries run here with engine-equal outcomes because
+//! message fates are a pure function of `(run_seed, directed edge,
+//! per-edge send index)` (see [`crate::adversary`]): no global merge order
+//! is needed. Lost sends still consume a frame sequence number (the
+//! receiving gate tolerates the gap), crashes suppress wakeups *at arm
+//! time* on both runtimes, and deliveries into a node at or past its
+//! crash round are discarded at the sender.
+//!
+//! What stays here is what only this runtime has: the delivery trace and
+//! its [`replay`]; `round_totals`, rebuilt from per-worker active-round
+//! sets because there is no global round loop to push them from; and
+//! watch-edge accounting, whose `messages_before` field *is* a
+//! global-interleaving quantity and is reconstructed post-hoc from the
+//! trace: events sorted by `(round, node)` are the engine's execution
+//! order, and re-deriving each logged send's fate with the core's fate
+//! function recovers exactly which send first crossed each watched edge.
 //!
 //! # Determinism and the delivery trace
 //!
@@ -63,15 +72,17 @@
 //! the engine is at any thread count: scheduling freedom moves wall-clock,
 //! never the computation. In addition, a run records a [`DeliveryTrace`] —
 //! which node ran at which round, what it consumed and what it emitted —
-//! and [`replay`] re-executes a trace sequentially, verifying every step
-//! and rebuilding the identical outcome and trace byte for byte.
+//! and [`replay`] re-executes a trace sequentially — one worker owning
+//! every node, driven by the trace instead of by channels — verifying
+//! every step and rebuilding the identical outcome and trace byte for
+//! byte.
 
-use crate::adversary::{Adversary, Fate, Schedule, SendView};
+use crate::adversary::SendView;
 use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    ids_slice, init_store, step_node, validate_wakeup, RunCtx, RunOutcome, SendSink, StagedSend,
-    StepScratch, StoreSliceMut, Termination, WatchHit, NO_WAKE,
+    init_store, step_node, LedgerPart, RunCtx, RunFacts, RunOutcome, SendSink, StagedSend,
+    StepScratch, StoreSliceMut, Termination, WatchHit,
 };
 use crate::protocol::{NodeSetup, Protocol, Status};
 use crate::transport::{Frame, LinkGate, LinkSeq};
@@ -187,237 +198,126 @@ impl AsyncRuntime {
         F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
     {
         let n = graph.n();
-        validate_wakeup(config, n);
-        validate_watch_edges(graph, config);
         let mut store = init_store(graph, config, factory);
         // The lazy RNG column is an engine-side diet: its first-draw
         // write-back protocol lives in the engine's merge phase, so this
         // runtime materializes the identical streams up front instead.
         store.densify_rngs(config.seed);
+        // The shared run set-up; fate queries are pure, so the workers
+        // share the facts by reference.
+        let facts = RunFacts::new(graph, config, |v, w| store.wake[v] = w);
         if n == 0 {
-            return AsyncRun {
-                outcome: assemble(Vec::new(), &store.statuses, Termination::Quiescent, 0, &[], 0).0,
-                trace: DeliveryTrace::default(),
-            };
+            let quiescent = (Termination::Quiescent, 0);
+            return assemble(graph, &facts, Vec::new(), &store.statuses, quiescent, false);
         }
-        // Build the adversary schedule on the main thread. Fate queries
-        // are pure (`message_fate(&self)`), so the workers share it by
-        // reference; `wake_round`/`crash_round` are consulted here only.
-        let mut schedule = config.adversary.build(config.seed, graph);
-        let synchronous = config.adversary == Adversary::Lockstep;
-        let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
-        // Arm the spontaneous wakeups: the engine's stacked rule (wakeup
-        // discipline AND adversary must wake — later round wins), with
-        // crashes resolved eagerly at arm time exactly as the engine does.
-        let mut setup_horizon = 0u64;
-        let mut wakeup_schedule = config.wakeup.as_schedule();
-        for v in 0..n {
-            let wake = match (wakeup_schedule.wake_round(v), schedule.wake_round(v)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-            if let Some(w) = wake {
-                match crash_round[v] {
-                    Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
-                    _ => store.wake[v] = w,
-                }
-            }
-        }
-        let schedule: &dyn Schedule = &*schedule;
-        let crash_round = &crash_round[..];
-        let rc = RunCtx {
-            topo: graph,
-            ids: ids_slice(config, n),
-            knowledge: config.knowledge,
-            seed: config.seed,
-        };
-
         let workers = self.workers.unwrap_or_else(|| default_workers(n)).min(n);
         let chunk = n.div_ceil(workers);
         let n_workers = n.div_ceil(chunk);
-        let budget = config.model.bit_budget(n);
-        let dcount = graph.directed_edge_count();
 
-        let mut stats: Vec<WorkerStats> =
-            (0..n_workers).map(|_| WorkerStats::new(dcount)).collect();
-        let coord = Mutex::new(Coord {
-            blocked: 0,
-            in_flight: 0,
-            next_event: vec![u64::MAX; n_workers],
-            last_exec: vec![None; n_workers],
-            termination: None,
-            end_round: 0,
-        });
-        let mut senders: Vec<Sender<Packet<P::Msg>>> = Vec::with_capacity(n_workers);
-        let mut receivers: Vec<Receiver<Packet<P::Msg>>> = Vec::with_capacity(n_workers);
-        for _ in 0..n_workers {
-            let (tx, rx) = channel();
-            senders.push(tx);
-            receivers.push(rx);
-        }
+        // Each worker's books cover the out-edges of the nodes it owns:
+        // directed-edge indices are degree prefix sums, so consecutive
+        // node ranges own consecutive edge ranges.
+        let mut edge_lo = 0;
+        let mut books: Vec<(LedgerPart, WorkerStats)> = (0..n_workers)
+            .map(|w| {
+                let owned = w * chunk..((w + 1) * chunk).min(n);
+                let edges = edge_lo..edge_lo + owned.map(|v| graph.degree(v)).sum::<usize>();
+                edge_lo = edges.end;
+                (
+                    LedgerPart::new(&facts, edges.clone()),
+                    WorkerStats::new(edges.len()),
+                )
+            })
+            .collect();
+        let coord = Mutex::new(Coord::new(n_workers));
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_workers).map(|_| channel()).unzip();
 
         // Watch-edge reconstruction needs the event log even when the
         // caller asked for no public trace.
-        let record_trace = !self.no_trace || !config.watch_edges.is_empty();
+        let record_trace = !self.no_trace || facts.watching();
         std::thread::scope(|scope| {
             let mut rest = store.as_mut();
-            let coord = &coord;
-            for ((w, stat), rx) in stats.iter_mut().enumerate().zip(receivers) {
+            for ((w, (part, stats)), rx) in books.iter_mut().enumerate().zip(receivers) {
                 let lo = w * chunk;
                 let hi = ((w + 1) * chunk).min(n);
                 let (mine, rem) = rest.split_at_mut(hi - lo);
                 rest = rem;
-                let senders = senders.clone();
-                scope.spawn(move || {
-                    let worker = Worker {
-                        w,
-                        lo,
-                        hi,
-                        chunk,
-                        cap: config.max_rounds,
-                        budget,
-                        n_workers,
-                        record_trace,
-                        synchronous,
-                        rc,
-                        schedule,
-                        crash_round,
-                        store: mine,
-                        rt: (lo..hi).map(|v| NodeRt::new(graph.degree(v))).collect(),
-                        started: vec![false; hi - lo],
-                        inbox: Vec::new(),
-                        stats: stat,
-                        senders,
-                        coord,
-                        scratch: StepScratch::default(),
-                    };
-                    worker.run(rx)
-                });
+                let worker = Worker {
+                    w,
+                    lo,
+                    chunk,
+                    cap: config.max_rounds,
+                    record_trace,
+                    rc: RunCtx::new(graph, config),
+                    facts: &facts,
+                    store: mine,
+                    rt: (lo..hi).map(|v| NodeRt::new(graph.degree(v))).collect(),
+                    inbox: Vec::new(),
+                    part,
+                    stats,
+                    senders: senders.clone(),
+                    coord: &coord,
+                    scratch: StepScratch::default(),
+                };
+                scope.spawn(move || worker.run(rx));
             }
         });
         drop(senders);
 
-        let (termination, end_round) = {
-            let coord = lock(&coord);
-            (
-                coord
-                    .termination
-                    .expect("workers stopped without an arbiter decision"),
-                coord.end_round,
-            )
-        };
-        let (mut outcome, mut events) = assemble(
-            stats,
+        let verdict = lock(&coord)
+            .verdict
+            .expect("workers stopped without an arbiter decision");
+        assemble(
+            graph,
+            &facts,
+            books,
             &store.statuses,
-            termination,
-            end_round,
-            crash_round,
-            setup_horizon,
-        );
-        events.sort_by_key(|e| (e.round, e.node));
-        if !config.watch_edges.is_empty() {
-            outcome.watch_hits =
-                reconstruct_watch_hits(graph, config, &events, synchronous, schedule, crash_round);
-            if self.no_trace {
-                events.clear();
-            }
-        }
-        if !config.edge_stats {
-            outcome.first_directed_use = Vec::new();
-            outcome.directed_message_counts = Vec::new();
-        }
-        AsyncRun {
-            outcome,
-            trace: DeliveryTrace { events },
-        }
+            verdict,
+            !self.no_trace,
+        )
     }
 }
 
-/// Panics (like the engine's ledger) if a configured watch edge is not an
-/// edge of `graph`.
-fn validate_watch_edges<T: Topology>(graph: &T, config: &SimConfig) {
-    for &(a, b) in &config.watch_edges {
-        assert!(
-            graph.has_edge(a, b),
-            "watch edge ({a}, {b}) is not an edge of the graph"
-        );
-    }
-}
-
-/// Rebuilds the engine's watch-edge accounting from the delivery trace.
+/// Rebuilds the engine's watch-edge accounting from the delivery trace —
+/// the one piece of accounting that needs a global order
+/// (`messages_before` is a global-interleaving quantity), and therefore
+/// the one piece this runtime keeps to itself.
 ///
 /// `events` sorted by `(round, node)` is exactly the engine's execution
-/// order, and every activation logs *all* of its sends — including
-/// dropped ones — as `(directed edge, per-edge send index)`. Re-deriving
-/// each send's fate (plus the sender-side dead-on-arrival crash check)
-/// therefore recovers which sends the engine actually delivered, in the
-/// engine's global send order; `messages_before` counts every send —
+/// order, and every activation logs *all* of its sends — including lost
+/// ones — as `(directed edge, per-edge send index)`. Re-deriving each
+/// send's fate ([`RunFacts::fate`], the function that decided it the first
+/// time) therefore recovers which sends the engine actually delivered, in
+/// the engine's global send order; `messages_before` counts every send —
 /// delivered or not — strictly before the first delivered crossing, which
 /// is what the ledger counts too.
 fn reconstruct_watch_hits<T: Topology>(
     graph: &T,
-    config: &SimConfig,
+    facts: &RunFacts,
     events: &[TraceEvent],
-    synchronous: bool,
-    schedule: &dyn Schedule,
-    crash_round: &[Option<u64>],
 ) -> Vec<Option<WatchHit>> {
-    // Directed-edge index -> (src, dest), and normalized undirected edge
-    // -> positions in `config.watch_edges` (duplicates all resolve).
-    let mut endpoints = vec![(0 as NodeId, 0 as NodeId); graph.directed_edge_count()];
-    for v in 0..graph.n() {
-        for p in 0..graph.degree(v) {
-            let (dest, _rev, didx) = graph.endpoint_indexed(v, p);
-            endpoints[didx] = (v, dest);
-        }
+    let mut hits = facts.no_watch_hits();
+    if hits.is_empty() {
+        return hits;
     }
-    // Keyed exactly as the ledger keys its index: entries as configured,
-    // lookups normalized.
-    let mut watch_index: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
-    for (i, &(a, b)) in config.watch_edges.iter().enumerate() {
-        watch_index.entry((a, b)).or_default().push(i);
-    }
-    let mut hits: Vec<Option<WatchHit>> = vec![None; config.watch_edges.len()];
-    let mut unresolved = hits.len();
     let mut sent_so_far: u64 = 0;
-    'events: for ev in events {
+    for ev in events {
         for &(didx, edge_seq) in &ev.sent {
-            let (src, dest) = endpoints[didx];
-            let delivered = if synchronous {
-                true
-            } else {
-                let view = SendView {
-                    round: ev.round,
-                    edge_seq,
-                    src,
-                    dest,
-                    didx,
-                };
-                match schedule.message_fate(&view) {
-                    Fate::Dropped => false,
-                    Fate::Deliver { round: at } => {
-                        !crash_round[dest].is_some_and(|c| c <= at)
-                    }
-                }
+            let src = ev.node;
+            let (dest, _) = graph.endpoint(src, didx - graph.directed_index(src, 0));
+            let view = SendView {
+                round: ev.round,
+                edge_seq,
+                src,
+                dest,
+                didx,
             };
             sent_so_far += 1;
-            if !delivered {
-                continue;
-            }
-            let key = (src.min(dest), src.max(dest));
-            if let Some(indices) = watch_index.get(&key) {
-                for &i in indices {
-                    if hits[i].is_none() {
-                        hits[i] = Some(WatchHit {
-                            round: ev.round,
-                            messages_before: sent_so_far - 1,
-                        });
-                        unresolved -= 1;
-                    }
-                }
-                if unresolved == 0 {
-                    break 'events;
-                }
+            if facts.fate(&view).is_ok()
+                && facts.note_crossing(&mut hits, (src, dest), ev.round, sent_so_far - 1)
+                && hits.iter().all(Option::is_some)
+            {
+                return hits;
             }
         }
     }
@@ -442,167 +342,74 @@ where
     F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
 {
     let n = graph.n();
-    validate_wakeup(config, n);
-    validate_watch_edges(graph, config);
+    let cap = config.max_rounds;
     let mut store = init_store(graph, config, factory);
     store.densify_rngs(config.seed);
-    let mut schedule = config.adversary.build(config.seed, graph);
-    let synchronous = config.adversary == Adversary::Lockstep;
-    let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
-    let mut setup_horizon = 0u64;
-    let mut wakeup_schedule = config.wakeup.as_schedule();
-    for v in 0..n {
-        let wake = match (wakeup_schedule.wake_round(v), schedule.wake_round(v)) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            _ => None,
-        };
-        if let Some(w) = wake {
-            match crash_round[v] {
-                Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
-                _ => store.wake[v] = w,
-            }
-        }
-    }
-    let schedule: &dyn Schedule = &*schedule;
-    let rc = RunCtx {
-        topo: graph,
-        ids: ids_slice(config, n),
-        knowledge: config.knowledge,
-        seed: config.seed,
+    let facts = RunFacts::new(graph, config, |v, w| store.wake[v] = w);
+    let dcount = graph.directed_edge_count();
+    let mut books = vec![(LedgerPart::new(&facts, 0..dcount), WorkerStats::new(dcount))];
+    // A replay is one worker that owns every node and has no channels:
+    // every delivery is local, so the (empty) sender list and the arbiter
+    // state are never touched.
+    let coord = Mutex::new(Coord::new(0));
+    let (part, stats) = &mut books[0];
+    let mut worker = Worker {
+        w: 0,
+        lo: 0,
+        chunk: n,
+        cap,
+        record_trace: true,
+        rc: RunCtx::new(graph, config),
+        facts: &facts,
+        store: store.as_mut(),
+        rt: (0..n).map(|v| NodeRt::new(graph.degree(v))).collect(),
+        inbox: Vec::new(),
+        part,
+        stats,
+        senders: Vec::new(),
+        coord: &coord,
+        scratch: StepScratch::default(),
     };
-    let cap = config.max_rounds;
-    let budget = config.model.bit_budget(n);
-    let mut rt: Vec<NodeRt<P::Msg>> = (0..n).map(|v| NodeRt::new(graph.degree(v))).collect();
-    let mut stats = WorkerStats::new(graph.directed_edge_count());
-    let mut scratch: StepScratch<P::Msg> = StepScratch::default();
-    let mut inbox: Vec<(Port, P::Msg)> = Vec::new();
-    let mut started = vec![false; n];
-    // A replay is a one-worker execution with no channels: every delivery
-    // is local, so the sink's sender list and arbiter are never touched.
-    let senders: Vec<Sender<Packet<P::Msg>>> = Vec::new();
-    let coord = Mutex::new(Coord {
-        blocked: 0,
-        in_flight: 0,
-        next_event: Vec::new(),
-        last_exec: Vec::new(),
-        termination: None,
-        end_round: 0,
-    });
-
-    {
-        let mut view = store.as_mut();
-        for ev in &trace.events {
-            let (v, e) = (ev.node, ev.round);
-            assert!(
-                v < n,
-                "replay: trace names node {v}, but the graph has {n} nodes"
-            );
-            assert!(
-                e < cap,
-                "replay: trace activates node {v} at round {e}, at or past the round cap {cap}"
-            );
-            let mut due = rt[v].pending.take_at(e);
-            due.sort_by_key(|a| (a.0, a.1, a.2));
-            if due.is_empty() {
-                assert_eq!(
-                    view.wake[v], e,
-                    "replay: node {v} has no delivery and no timer due at round {e}"
-                );
-            }
-            let delivered: Vec<(Port, NodeId, u64)> = due
-                .iter()
-                .map(|&(_, src, emit, port, _)| (port, src, emit))
-                .collect();
-            assert_eq!(
-                delivered, ev.delivered,
-                "replay divergence: node {v} at round {e} consumes different deliveries"
-            );
-            inbox.clear();
-            inbox.extend(due.drain(..).map(|(_, _, _, port, msg)| (port, msg)));
-            rt[v].pending.recycle(due);
-            let mut sink = ChannelSink {
-                round: e,
-                lo: 0,
-                hi: n,
-                chunk: n,
-                budget,
-                synchronous,
-                schedule,
-                crash_round: &crash_round,
-                rt: &mut rt,
-                stats: &mut stats,
-                senders: &senders,
-                coord: &coord,
-                emit: 0,
-                sent_log: Vec::new(),
-                record_trace: true,
-            };
-            let effects = step_node(
-                &rc, e, v, &mut view, v, !started[v], &inbox, &mut scratch, &mut sink,
-            );
-            started[v] = true;
-            let sent = std::mem::take(&mut sink.sent_log);
-            assert_eq!(
-                sent, ev.sent,
-                "replay divergence: node {v} at round {e} emits different frames"
-            );
-            if let Some(w) = effects.rearmed {
-                if let Some(c) = crash_round[v] {
-                    if c <= w {
-                        view.wake[v] = NO_WAKE;
-                        stats.crash_horizon = stats.crash_horizon.max(c);
-                    }
-                }
-            }
-            stats.note_exec(e, v, delivered, sent, effects.status_changed, true);
-        }
+    for ev in &trace.events {
+        let (v, e) = (ev.node, ev.round);
+        assert!(
+            v < n,
+            "replay: trace names node {v}, but the graph has {n} nodes"
+        );
+        assert!(
+            e < cap,
+            "replay: trace activates node {v} at round {e}, at or past the round cap {cap}"
+        );
+        assert_eq!(
+            worker.next_event(v),
+            e,
+            "replay: node {v} has no delivery and no timer due at round {e}"
+        );
+        worker.execute(v, e);
+        let replayed = worker
+            .stats
+            .events
+            .last()
+            .expect("a traced worker logs every activation");
+        assert_eq!(
+            replayed.delivered, ev.delivered,
+            "replay divergence: node {v} at round {e} consumes different deliveries"
+        );
+        assert_eq!(
+            replayed.sent, ev.sent,
+            "replay divergence: node {v} at round {e} emits different frames"
+        );
     }
 
     // The trace carries no termination verdict; re-derive it the way the
     // arbiter did. Any event left executable below the cap means the
     // trace is truncated — that is a divergence, not a verdict.
-    let r_next = (0..n)
-        .map(|v| next_event_round(store.wake[v], &mut rt[v]))
-        .min()
-        .unwrap_or(u64::MAX);
-    let rounds_done = stats.last_exec.map_or(0, |r| r + 1);
-    let (termination, end_round) = if r_next == u64::MAX {
-        if rounds_done >= cap {
-            (Termination::RoundLimit, cap)
-        } else {
-            (Termination::Quiescent, rounds_done)
-        }
-    } else {
-        assert!(
-            r_next >= cap,
-            "replay: trace ended with an executable event at round {r_next} (cap {cap})"
-        );
-        (
-            Termination::RoundLimit,
-            if rounds_done >= cap { cap } else { r_next },
-        )
-    };
-    let (mut outcome, mut events) = assemble(
-        vec![stats],
-        &store.statuses,
-        termination,
-        end_round,
-        &crash_round,
-        setup_horizon,
-    );
-    events.sort_by_key(|e| (e.round, e.node));
-    if !config.watch_edges.is_empty() {
-        outcome.watch_hits =
-            reconstruct_watch_hits(graph, config, &events, synchronous, schedule, &crash_round);
-    }
-    if !config.edge_stats {
-        outcome.first_directed_use = Vec::new();
-        outcome.directed_message_counts = Vec::new();
-    }
-    AsyncRun {
-        outcome,
-        trace: DeliveryTrace { events },
-    }
+    let r_next = worker.earliest_event();
+    let verdict = verdict(r_next, worker.stats.last_exec, cap).unwrap_or_else(|| {
+        panic!("replay: trace ended with an executable event at round {r_next} (cap {cap})")
+    });
+    drop(worker);
+    assemble(graph, &facts, books, &store.statuses, verdict, true)
 }
 
 /// Worker-pool size when the caller does not pin one: the machine's
@@ -659,12 +466,42 @@ struct Coord {
     next_event: Vec<u64>,
     /// Per worker: latest executed round.
     last_exec: Vec<Option<u64>>,
-    termination: Option<Termination>,
-    /// The engine's `end_round` at the arbiter's stop decision (the round
-    /// its loop would have broken at): `rounds_done` on quiescence, the
-    /// truncation round on a round-limit stop. Crash horizons extend it
-    /// during assembly, exactly as in `Ledger::finish`.
-    end_round: u64,
+    /// The arbiter's stop decision (see [`verdict`]).
+    verdict: Option<(Termination, u64)>,
+}
+
+impl Coord {
+    fn new(n_workers: usize) -> Self {
+        Coord {
+            blocked: 0,
+            in_flight: 0,
+            next_event: vec![u64::MAX; n_workers],
+            last_exec: vec![None; n_workers],
+            verdict: None,
+        }
+    }
+}
+
+/// The stop rule at a global block: the earliest pending event anywhere is
+/// `r_star` (`u64::MAX` = none) and the latest executed round `last_exec`.
+/// `Some((termination, end_round))` ends the run — `end_round` is the
+/// round the engine's loop would have broken at, which `LedgerPart::finish`
+/// extends by the crash horizons — and `None` means an event below the cap
+/// is still executable (the arbiter advances to `r_star`).
+fn verdict(r_star: u64, last_exec: Option<u64>, cap: u64) -> Option<(Termination, u64)> {
+    let rounds_done = last_exec.map_or(0, |r| r + 1);
+    if r_star < cap {
+        None
+    } else if rounds_done >= cap {
+        // The run *ended at* the cap, which the engine reports as a
+        // truncation even when nothing is pending.
+        Some((Termination::RoundLimit, cap))
+    } else if r_star == u64::MAX {
+        Some((Termination::Quiescent, rounds_done))
+    } else {
+        // The engine fast-forwards to `r*` and breaks there.
+        Some((Termination::RoundLimit, r_star))
+    }
 }
 
 /// Horizon of each node's delivery calendar: under the lockstep model
@@ -685,6 +522,8 @@ struct NodeRt<M> {
     in_clock: Vec<u64>,
     /// Frame-sequence gate over the in-ports.
     gate: LinkGate,
+    /// Whether the node has ever been activated.
+    started: bool,
 }
 
 impl<M> NodeRt<M> {
@@ -693,16 +532,9 @@ impl<M> NodeRt<M> {
             pending: CalendarQueue::with_horizon(NODE_CALENDAR_HORIZON),
             in_clock: vec![0; degree],
             gate: LinkGate::new(degree),
+            started: false,
         }
     }
-}
-
-/// The earliest round a node has any reason to run: its timer (`wake`,
-/// with [`NO_WAKE`] `== u64::MAX` meaning none) or its earliest queued
-/// delivery.
-fn next_event_round<M>(wake: u64, rt: &mut NodeRt<M>) -> u64 {
-    let delivery = rt.pending.next_event_round().unwrap_or(u64::MAX);
-    wake.min(delivery)
 }
 
 /// Gates, decodes and queues one frame at its destination.
@@ -725,106 +557,55 @@ fn deliver_frame<M>(dest: &mut NodeRt<M>, port: Port, frame: &Frame, msg: M) {
     dest.pending.push(at, (send_round, src, emit, port, msg));
 }
 
-/// Per-worker accounting, merged into the [`RunOutcome`] after the pool
-/// joins. Workers own disjoint node ranges, so per-directed-edge entries
-/// never collide (a node's out-edges belong to its owner).
+/// What a worker keeps beside its [`LedgerPart`]: the transport state of
+/// its out-links and the trace-side log that `assemble` rebuilds
+/// `round_totals` from (there is no global round loop to push them from).
 struct WorkerStats {
-    messages: u64,
-    bits: u64,
-    congest_violations: u64,
-    max_message_bits: u64,
-    first_directed_use: Vec<u64>,
-    directed_message_counts: Vec<u64>,
-    /// Outgoing link sequencers, by directed-edge index.
+    /// Outgoing link sequencers of the owned directed-edge range (indexed
+    /// relative to the part's `edges.start`).
     link_seq: Vec<LinkSeq>,
-    /// Messages sent per round (for the cumulative `round_totals`);
-    /// dropped sends count, exactly as in the ledger.
+    /// Messages sent per round (for the cumulative `round_totals`); lost
+    /// sends count, exactly as in the ledger.
     sends_per_round: BTreeMap<u64, u64>,
     /// Rounds in which any owned node ran (the active rounds).
     executed: BTreeSet<u64>,
-    /// Sends the adversary dropped or that would arrive at a crashed
-    /// destination (sender-side dead-on-arrival).
-    messages_dropped: u64,
-    /// Deliveries later than the synchronous `round + 1`, tallied by
-    /// delivery round.
-    late: BTreeMap<u64, u64>,
-    /// Latest crash round that suppressed a wakeup of an owned node.
-    crash_horizon: u64,
     last_status_change: Option<u64>,
     last_exec: Option<u64>,
     events: Vec<TraceEvent>,
 }
 
 impl WorkerStats {
-    fn new(dcount: usize) -> Self {
+    fn new(edges: usize) -> Self {
         WorkerStats {
-            messages: 0,
-            bits: 0,
-            congest_violations: 0,
-            max_message_bits: 0,
-            first_directed_use: vec![u64::MAX; dcount],
-            directed_message_counts: vec![0u64; dcount],
-            link_seq: (0..dcount).map(|_| LinkSeq::new()).collect(),
+            link_seq: (0..edges).map(|_| LinkSeq::new()).collect(),
             sends_per_round: BTreeMap::new(),
             executed: BTreeSet::new(),
-            messages_dropped: 0,
-            late: BTreeMap::new(),
-            crash_horizon: 0,
             last_status_change: None,
             last_exec: None,
             events: Vec::new(),
         }
     }
-
-    /// Books one activation of `node` at `round`.
-    fn note_exec(
-        &mut self,
-        round: u64,
-        node: NodeId,
-        delivered: Vec<(Port, NodeId, u64)>,
-        sent: Vec<(usize, u64)>,
-        status_changed: bool,
-        record_trace: bool,
-    ) {
-        self.executed.insert(round);
-        self.last_exec = Some(self.last_exec.map_or(round, |r| r.max(round)));
-        if status_changed {
-            self.last_status_change = Some(self.last_status_change.map_or(round, |r| r.max(round)));
-        }
-        if record_trace {
-            self.events.push(TraceEvent {
-                round,
-                node,
-                delivered,
-                sent,
-            });
-        }
-    }
 }
 
-/// The [`SendSink`] of the async runtime: accounts each send, stamps it
-/// into a [`Frame`] on its link, and either queues it locally (the
-/// destination shares this worker) or ships it over the destination
-/// worker's channel.
+/// The [`SendSink`] of the async runtime: accounts each send into the
+/// worker's [`LedgerPart`], stamps it into a [`Frame`] on its link, and
+/// either queues it locally (the destination shares this worker) or ships
+/// it over the destination worker's channel.
 struct ChannelSink<'a, M> {
     round: u64,
-    /// This worker's node range (`lo..hi`); `rt` is indexed by `v - lo`.
+    /// This worker's first node; `rt` is indexed by `v - lo`.
     lo: NodeId,
-    hi: NodeId,
     chunk: usize,
-    budget: u64,
-    /// Fast path: under [`Adversary::Lockstep`] no fate is queried.
-    synchronous: bool,
-    schedule: &'a dyn Schedule,
-    crash_round: &'a [Option<u64>],
+    facts: &'a RunFacts,
     rt: &'a mut [NodeRt<M>],
-    stats: &'a mut WorkerStats,
+    part: &'a mut LedgerPart,
+    link_seq: &'a mut [LinkSeq],
     senders: &'a [Sender<Packet<M>>],
     coord: &'a Mutex<Coord>,
-    /// Emission index within the current activation.
+    /// Sends so far in the current activation (the next emission index).
     emit: u64,
     /// `(directed-edge index, frame seq)` log of the current activation —
-    /// dropped sends included (the fate derivation recovers them).
+    /// lost sends included (the fate derivation recovers them).
     sent_log: Vec<(usize, u64)>,
     record_trace: bool,
 }
@@ -833,98 +614,30 @@ impl<M> SendSink<M> for ChannelSink<'_, M> {
     fn accept(&mut self, send: StagedSend<M>) {
         let emit = self.emit;
         self.emit += 1;
-        let st = &mut *self.stats;
-        // The per-edge send index feeding the fate stream: the count
-        // *before* this send — the same coordinate the engine's ledger
-        // derives, and the value the link sequencer stamps next.
-        let edge_seq = st.directed_message_counts[send.didx];
-        st.messages += 1;
-        st.bits += send.bits;
-        st.max_message_bits = st.max_message_bits.max(send.bits);
-        if send.bits > self.budget {
-            st.congest_violations += 1;
-        }
-        st.directed_message_counts[send.didx] += 1;
-        if st.first_directed_use[send.didx] == u64::MAX {
-            st.first_directed_use[send.didx] = self.round;
-        }
-        *st.sends_per_round.entry(self.round).or_insert(0) += 1;
-
-        let deliver_at = if self.synchronous {
-            self.round + 1
-        } else {
-            let view = SendView {
-                round: self.round,
-                edge_seq,
-                src: send.src,
-                dest: send.dest,
-                didx: send.didx,
-            };
-            match self.schedule.message_fate(&view) {
-                Fate::Dropped => {
-                    // Dropped sends still consume their frame sequence
-                    // number so the receiving gate sees a gap, never a
-                    // regression; the seq is consumed by not stamping.
-                    let seq = st.link_seq[send.didx].stamp(Vec::new()).seq;
-                    debug_assert_eq!(seq, edge_seq);
-                    if self.record_trace {
-                        self.sent_log.push((send.didx, seq));
-                    }
-                    st.messages_dropped += 1;
-                    return;
-                }
-                Fate::Deliver { round: at } => {
-                    assert!(
-                        at > self.round,
-                        "schedule delivered a round-{} send at round {at}",
-                        self.round
-                    );
-                    at
-                }
-            }
+        let fate = self.part.account(self.facts, self.round, &send);
+        // Every send consumes its link's next sequence number — lost ones
+        // too (an empty frame that never ships), so the receiving gate
+        // sees a gap, never a regression. The number equals the per-edge
+        // send index the part just fed the fate stream.
+        let words = match fate {
+            Some(at) => vec![self.round, at, send.src as u64, emit],
+            None => Vec::new(),
         };
-        // Sender-side crash check: a message into a node at or past its
-        // crash round is dead on arrival — same rule as the ledger.
-        if let Some(c) = self.crash_round[send.dest] {
-            if c <= deliver_at {
-                let seq = st.link_seq[send.didx].stamp(Vec::new()).seq;
-                debug_assert_eq!(seq, edge_seq);
-                if self.record_trace {
-                    self.sent_log.push((send.didx, seq));
-                }
-                st.messages_dropped += 1;
-                st.crash_horizon = st.crash_horizon.max(c);
-                return;
-            }
-        }
-        if deliver_at > self.round + 1 {
-            *st.late.entry(deliver_at).or_insert(0) += 1;
-        }
-
-        let frame = st.link_seq[send.didx].stamp(vec![
-            self.round,
-            deliver_at,
-            send.src as u64,
-            emit,
-        ]);
-        debug_assert_eq!(frame.seq, edge_seq);
+        let frame = self.link_seq[send.didx - self.part.edges.start].stamp(words);
         if self.record_trace {
             self.sent_log.push((send.didx, frame.seq));
         }
-        if send.dest >= self.lo && send.dest < self.hi {
+        if fate.is_none() {
+            return;
+        }
+        // `dest - lo` indexes the owned range; a destination below `lo`
+        // wraps past its end, like one above it.
+        if let Some(local) = self.rt.get_mut(send.dest.wrapping_sub(self.lo)) {
             // The destination shares this worker: queue it directly —
             // through the same gate the channel path uses.
-            deliver_frame(
-                &mut self.rt[send.dest - self.lo],
-                send.dest_port,
-                &frame,
-                send.msg,
-            );
+            deliver_frame(local, send.dest_port, &frame, send.msg);
         } else {
-            {
-                let mut c = lock(self.coord);
-                c.in_flight += 1;
-            }
+            lock(self.coord).in_flight += 1;
             self.senders[send.dest / self.chunk]
                 .send(Packet::Payload {
                     dest: send.dest,
@@ -943,26 +656,21 @@ enum Decision {
     Stop,
 }
 
-/// One pool worker: owns the contiguous node range `lo..hi`.
+/// One pool worker: owns the contiguous node range starting at `lo` (one
+/// [`NodeRt`] per owned node).
 struct Worker<'env, T: Topology, P: Protocol> {
     w: usize,
     lo: NodeId,
-    hi: NodeId,
     chunk: usize,
     cap: u64,
-    budget: u64,
-    n_workers: usize,
     record_trace: bool,
-    synchronous: bool,
     rc: RunCtx<'env, T>,
-    schedule: &'env dyn Schedule,
-    crash_round: &'env [Option<u64>],
+    facts: &'env RunFacts,
     store: StoreSliceMut<'env, P>,
     rt: Vec<NodeRt<P::Msg>>,
-    /// Ever-activated flags for the owned range (indexed by `v - lo`).
-    started: Vec<bool>,
     /// Reusable inbox buffer for the node currently stepping.
     inbox: Vec<(Port, P::Msg)>,
+    part: &'env mut LedgerPart,
     stats: &'env mut WorkerStats,
     senders: Vec<Sender<Packet<P::Msg>>>,
     coord: &'env Mutex<Coord>,
@@ -975,10 +683,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         // broadcast Stop, then let the panic propagate through the scope.
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| self.drive(&rx)));
         if let Err(payload) = result {
-            {
-                let mut c = lock(self.coord);
-                c.in_flight += self.n_workers as u64;
-            }
+            lock(self.coord).in_flight += self.senders.len() as u64;
             for s in &self.senders {
                 let _ = s.send(Packet::Stop);
             }
@@ -1007,7 +712,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
             let mut ran = false;
             loop {
                 let mut pass = false;
-                for i in 0..(self.hi - self.lo) {
+                for i in 0..self.rt.len() {
                     while let Some(e) = self.executable(i) {
                         self.execute(i, e);
                         pass = true;
@@ -1028,26 +733,36 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         }
     }
 
+    /// The earliest round node `lo + i` has any reason to run: its timer
+    /// (`NO_WAKE == u64::MAX` meaning none) or its earliest queued
+    /// delivery.
+    fn next_event(&mut self, i: usize) -> u64 {
+        let delivery = self.rt[i].pending.next_event_round();
+        self.store.wake[i].min(delivery.unwrap_or(u64::MAX))
+    }
+
+    /// The earliest pending event over every owned node.
+    fn earliest_event(&mut self) -> u64 {
+        (0..self.rt.len())
+            .map(|i| self.next_event(i))
+            .min()
+            .unwrap_or(u64::MAX)
+    }
+
     /// The round node `lo + i` can execute now, if any: its next event,
     /// provided every in-port clock has reached it and it is below the
     /// round cap.
     fn executable(&mut self, i: usize) -> Option<u64> {
-        let e = next_event_round(self.store.wake[i], &mut self.rt[i]);
-        if e == u64::MAX || e >= self.cap {
-            return None;
-        }
-        if self.rt[i].in_clock.iter().all(|&c| c >= e) {
-            Some(e)
-        } else {
-            None
-        }
+        let e = self.next_event(i);
+        (e < self.cap && self.rt[i].in_clock.iter().all(|&c| c >= e)).then_some(e)
     }
 
-    /// Executes node `lo + i` at round `e`.
+    /// Executes node `lo + i` at round `e` — the one activation sequence
+    /// of this runtime, live or replayed.
     fn execute(&mut self, i: usize, e: u64) {
         let v = self.lo + i;
         debug_assert!(
-            self.crash_round[v].is_none_or(|c| e < c),
+            !self.facts.crash_round[v].is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
         let mut due = self.rt[i].pending.take_at(e);
@@ -1065,18 +780,15 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         self.inbox
             .extend(due.drain(..).map(|(_, _, _, port, msg)| (port, msg)));
         self.rt[i].pending.recycle(due);
-        let first = !self.started[i];
+        let first = !std::mem::replace(&mut self.rt[i].started, true);
         let mut sink = ChannelSink {
             round: e,
             lo: self.lo,
-            hi: self.hi,
             chunk: self.chunk,
-            budget: self.budget,
-            synchronous: self.synchronous,
-            schedule: self.schedule,
-            crash_round: self.crash_round,
+            facts: self.facts,
             rt: &mut self.rt,
-            stats: self.stats,
+            part: self.part,
+            link_seq: &mut self.stats.link_seq,
             senders: &self.senders,
             coord: self.coord,
             emit: 0,
@@ -1094,76 +806,46 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
             &mut self.scratch,
             &mut sink,
         );
-        self.started[i] = true;
-        let sent = std::mem::take(&mut sink.sent_log);
-        // A re-armed timer at or past the node's crash round is resolved
-        // eagerly, exactly as the engine's merge does.
+        let (sends, sent) = (sink.emit, sink.sent_log);
         if let Some(w) = effects.rearmed {
-            if let Some(c) = self.crash_round[v] {
-                if c <= w {
-                    self.store.wake[i] = NO_WAKE;
-                    self.stats.crash_horizon = self.stats.crash_horizon.max(c);
-                }
-            }
+            self.part.rearm(self.facts, v, w, &mut self.store.wake[i]);
         }
-        self.stats.note_exec(
-            e,
-            v,
-            delivered,
-            sent,
-            effects.status_changed,
-            self.record_trace,
-        );
+        let st = &mut *self.stats;
+        st.executed.insert(e);
+        *st.sends_per_round.entry(e).or_insert(0) += sends;
+        st.last_exec = st.last_exec.max(Some(e));
+        if effects.status_changed {
+            st.last_status_change = st.last_status_change.max(Some(e));
+        }
+        if self.record_trace {
+            st.events.push(TraceEvent {
+                round: e,
+                node: v,
+                delivered,
+                sent,
+            });
+        }
     }
 
     /// Reports this worker idle and blocks on the channel; the last
     /// worker to block (with nothing in flight) arbitrates. Returns true
     /// when the run is over.
     fn block(&mut self, rx: &Receiver<Packet<P::Msg>>) -> bool {
+        let earliest = self.earliest_event();
         let decision = {
             let mut c = lock(self.coord);
             c.blocked += 1;
-            c.next_event[self.w] = (0..(self.hi - self.lo))
-                .map(|i| next_event_round(self.store.wake[i], &mut self.rt[i]))
-                .min()
-                .unwrap_or(u64::MAX);
+            c.next_event[self.w] = earliest;
             c.last_exec[self.w] = self.stats.last_exec;
-            if c.blocked == self.n_workers && c.in_flight == 0 {
+            if c.blocked == self.senders.len() && c.in_flight == 0 {
                 let r_star = c.next_event.iter().copied().min().unwrap_or(u64::MAX);
-                let rounds_done = c
-                    .last_exec
-                    .iter()
-                    .filter_map(|&r| r)
-                    .max()
-                    .map_or(0, |r| r + 1);
-                let decision = if r_star == u64::MAX {
-                    // Quiescent — unless the run *ended at* the cap, which
-                    // the engine reports as a truncation.
-                    if rounds_done >= self.cap {
-                        c.termination = Some(Termination::RoundLimit);
-                        c.end_round = self.cap;
-                        Decision::Stop
-                    } else {
-                        c.termination = Some(Termination::Quiescent);
-                        c.end_round = rounds_done;
-                        Decision::Stop
-                    }
-                } else if r_star >= self.cap {
-                    c.termination = Some(Termination::RoundLimit);
-                    // The engine breaks as soon as its round counter
-                    // reaches the cap: right after an active round at
-                    // `cap - 1`, or after fast-forwarding to `r*`.
-                    c.end_round = if rounds_done >= self.cap {
-                        self.cap
-                    } else {
-                        r_star
-                    };
-                    Decision::Stop
-                } else {
-                    Decision::Advance(r_star)
-                };
-                c.in_flight += self.n_workers as u64;
-                Some(decision)
+                let last_exec = c.last_exec.iter().copied().max().flatten();
+                c.verdict = verdict(r_star, last_exec, self.cap);
+                c.in_flight += self.senders.len() as u64;
+                Some(match c.verdict {
+                    Some(_) => Decision::Stop,
+                    None => Decision::Advance(r_star),
+                })
             } else {
                 None
             }
@@ -1179,10 +861,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
         }
         match rx.recv() {
             Ok(pkt) => {
-                {
-                    let mut c = lock(self.coord);
-                    c.blocked -= 1;
-                }
+                lock(self.coord).blocked -= 1;
                 self.handle(pkt)
             }
             Err(_) => true,
@@ -1197,130 +876,85 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
                 port,
                 frame,
                 msg,
-            } => {
-                deliver_frame(&mut self.rt[dest - self.lo], port, &frame, msg);
-                let mut c = lock(self.coord);
-                c.in_flight -= 1;
-                false
-            }
+            } => deliver_frame(&mut self.rt[dest - self.lo], port, &frame, msg),
             Packet::Advance { upto } => {
                 for node in self.rt.iter_mut() {
                     for clock in node.in_clock.iter_mut() {
                         *clock = (*clock).max(upto);
                     }
                 }
-                let mut c = lock(self.coord);
-                c.in_flight -= 1;
-                false
             }
-            Packet::Stop => true,
+            Packet::Stop => return true,
         }
+        lock(self.coord).in_flight -= 1;
+        false
     }
 }
 
-/// Merges per-worker accounting into the [`RunOutcome`] (plus the raw,
-/// unsorted trace events). The crash finishing — horizon-extended end
-/// round, crashed roster, all-crashed downgrade — replicates
-/// `Ledger::finish` exactly. Watch hits are reconstructed by the caller
-/// (they need the sorted trace).
-fn assemble(
-    stats: Vec<WorkerStats>,
+/// Merges the workers' books into the [`AsyncRun`]: the ledger parts fold
+/// (in worker order — consecutive edge ranges) into the one part
+/// `LedgerPart::finish` turns into the outcome, and what only this runtime
+/// has is rebuilt here — `round_totals` from the per-worker active-round
+/// sets and send tallies, the `(round, node)`-sorted trace, and the watch
+/// hits reconstructed from it. `(termination, end_round)` is the arbiter's
+/// [`verdict`].
+fn assemble<T: Topology>(
+    graph: &T,
+    facts: &RunFacts,
+    books: Vec<(LedgerPart, WorkerStats)>,
     statuses: &[Status],
-    termination: Termination,
-    end_round: u64,
-    crash_round: &[Option<u64>],
-    setup_horizon: u64,
-) -> (RunOutcome, Vec<TraceEvent>) {
-    let dcount = stats.first().map_or(0, |s| s.first_directed_use.len());
-    let mut messages = 0u64;
-    let mut bits = 0u64;
-    let mut congest_violations = 0u64;
-    let mut max_message_bits = 0u64;
-    let mut first_directed_use = vec![u64::MAX; dcount];
-    let mut directed_message_counts = vec![0u64; dcount];
+    (termination, end_round): (Termination, u64),
+    keep_trace: bool,
+) -> AsyncRun {
+    let mut merged = LedgerPart::new(facts, 0..0);
     let mut sends_per_round: BTreeMap<u64, u64> = BTreeMap::new();
     let mut executed: BTreeSet<u64> = BTreeSet::new();
-    let mut messages_dropped = 0u64;
-    let mut late: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut crash_horizon = setup_horizon;
     let mut last_status_change: Option<u64> = None;
     let mut last_exec: Option<u64> = None;
     let mut events: Vec<TraceEvent> = Vec::new();
-    for st in stats {
-        messages += st.messages;
-        bits += st.bits;
-        congest_violations += st.congest_violations;
-        max_message_bits = max_message_bits.max(st.max_message_bits);
-        for (acc, v) in first_directed_use.iter_mut().zip(st.first_directed_use) {
-            *acc = (*acc).min(v);
-        }
-        for (acc, v) in directed_message_counts
-            .iter_mut()
-            .zip(st.directed_message_counts)
-        {
-            *acc += v;
-        }
+    for (part, st) in books {
+        merged.merge(part);
         for (r, c) in st.sends_per_round {
             *sends_per_round.entry(r).or_insert(0) += c;
         }
         executed.extend(st.executed);
-        messages_dropped += st.messages_dropped;
-        for (r, c) in st.late {
-            *late.entry(r).or_insert(0) += c;
-        }
-        crash_horizon = crash_horizon.max(st.crash_horizon);
-        last_status_change = match (last_status_change, st.last_status_change) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
-        last_exec = match (last_exec, st.last_exec) {
-            (Some(a), Some(b)) => Some(a.max(b)),
-            (a, b) => a.or(b),
-        };
+        last_status_change = last_status_change.max(st.last_status_change);
+        last_exec = last_exec.max(st.last_exec);
         events.extend(st.events);
     }
-    let mut round_totals: Vec<(u64, u64)> = Vec::with_capacity(executed.len());
     let mut cumulative = 0u64;
-    for r in executed {
-        cumulative += sends_per_round.get(&r).copied().unwrap_or(0);
-        round_totals.push((r, cumulative));
-    }
-    // `Ledger::finish`: every crash at or before the furthest round the
-    // run observed — including crashes only witnessed through suppressed
-    // wakeups or dead-on-arrival sends — is reported as crashed.
-    let end = end_round.max(crash_horizon);
-    let crashed: Vec<NodeId> = (0..crash_round.len())
-        .filter(|&v| crash_round[v].is_some_and(|c| c <= end))
+    let round_totals: Vec<(u64, u64)> = executed
+        .into_iter()
+        .map(|r| {
+            cumulative += sends_per_round.get(&r).copied().unwrap_or(0);
+            (r, cumulative)
+        })
         .collect();
-    let n = crash_round.len();
-    let termination = if termination == Termination::Quiescent && n > 0 && crashed.len() == n {
-        Termination::AllCrashed
-    } else {
-        termination
-    };
-    let outcome = RunOutcome {
-        rounds: last_exec.map_or(0, |r| r + 1),
-        messages,
-        bits,
-        statuses: statuses.to_vec(),
+    events.sort_by_key(|e| (e.round, e.node));
+    let watch_hits = reconstruct_watch_hits(graph, facts, &events);
+    if !keep_trace {
+        events.clear();
+    }
+    let outcome = merged.finish(
+        facts,
+        watch_hits,
+        statuses,
+        last_exec.map_or(0, |r| r + 1),
+        end_round,
         termination,
-        congest_violations,
-        max_message_bits,
-        watch_hits: Vec::new(),
-        first_directed_use,
-        directed_message_counts,
         last_status_change,
         round_totals,
-        crashed,
-        messages_dropped,
-        late_deliveries: late.into_iter().collect(),
-    };
-    (outcome, events)
+    );
+    AsyncRun {
+        outcome,
+        trace: DeliveryTrace { events },
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::adversary::Adversary;
     use crate::config::Wakeup;
     use crate::engine::run_sim as run;
     use crate::message::{id_bits, Message, Signal};
@@ -1498,7 +1132,11 @@ mod tests {
                 },
             ]),
         ] {
-            let c = cfg(9, 7).with_adversary(adv.clone()).watching(&[(0, 1), (4, 5)]);
+            // A reversed and a duplicated entry ride along: watch edges are
+            // normalized once, in the shared set-up, for both runtimes.
+            let c = cfg(9, 7)
+                .with_adversary(adv.clone())
+                .watching(&[(0, 1), (4, 5), (5, 4), (0, 1)]);
             let reference = run(&g, &c, mk(12));
             assert!(reference.watch_hits.iter().any(|h| h.is_some()));
             for workers in [1, 2] {
@@ -1510,6 +1148,19 @@ mod tests {
             assert_eq!(quiet.outcome, reference, "{adv:?}, without_trace");
             assert!(quiet.trace.events.is_empty());
         }
+        // FloodMax on a path, watching (3, 2): nodes 0, 1 and node 2's
+        // first port send 4 messages before 2 -> 3 crosses in round 0.
+        let g = gen::path(6).unwrap();
+        let c = cfg(6, 0).watching(&[(3, 2)]);
+        let hit = vec![Some(WatchHit {
+            round: 0,
+            messages_before: 4,
+        })];
+        assert_eq!(run(&g, &c, mk(8)).watch_hits, hit);
+        assert_eq!(
+            AsyncRuntime::new().run(&g, &c, mk(8)).outcome.watch_hits,
+            hit
+        );
     }
 
     /// An adversarial replay reproduces the run — dropped sends included

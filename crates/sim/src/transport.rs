@@ -1,16 +1,8 @@
-//! Chunked transport: sending payloads larger than one CONGEST message.
+//! Framed links: the wire format and FIFO discipline of the async
+//! threads+channels runtime ([`crate::rt`]).
 //!
-//! Algorithm 1 (the clustering algorithm, Theorem 4.7) convergecasts
-//! *graphs* of `O(log² n)` bits over links that carry `O(log n)` bits per
-//! round; the paper notes "this might take multiple rounds". This module
-//! provides the mechanism: [`split_payload`] turns a word sequence into
-//! CONGEST-sized [`Frame`]s, and [`Assembler`] reassembles frames arriving
-//! on a port back into the original payload. Protocols embed [`Frame`] in
-//! their message enum and drain one frame per port per round.
-//!
-//! [`Frame`] is also the wire format of the async threads+channels runtime
-//! ([`crate::rt`]): every delivery crosses its `mpsc` channel wrapped in a
-//! frame whose `u64` sequence number ([`LinkSeq`]) is checked on arrival
+//! Every delivery crosses its `mpsc` channel wrapped in a [`Frame`] whose
+//! `u64` sequence number ([`LinkSeq`]) is checked on arrival
 //! ([`LinkGate`]), making the per-edge FIFO guarantee of the execution
 //! model an enforced invariant rather than an assumption.
 
@@ -20,11 +12,9 @@ use ule_graph::Port;
 /// One chunk of a multi-round payload transfer.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
-    /// Position of this frame in its payload (0-based). `u64`, matching
-    /// the index space of payload slices: the historical `u32` field was
-    /// filled with `i as u32`, which silently truncated the sequence
-    /// number beyond 2³² frames and made the [`Assembler`]'s in-order
-    /// check accept wrapped frames as fresh transfers.
+    /// Position of this frame on its link (0-based). `u64`: the
+    /// historical `u32` field silently truncated the sequence number
+    /// beyond 2³² frames, so a wrapped frame passed for a fresh one.
     pub seq: u64,
     /// Whether this is the final frame of the payload.
     pub last: bool,
@@ -35,95 +25,6 @@ pub struct Frame {
 impl Message for Frame {
     fn size_bits(&self) -> u64 {
         TAG_BITS + uint_bits(self.seq) + 1 + self.words.iter().map(|&w| uint_bits(w)).sum::<u64>()
-    }
-}
-
-/// Splits `payload` into frames of at most `words_per_frame` words.
-///
-/// An empty payload yields a single empty final frame, so that receivers
-/// always observe a complete transfer.
-///
-/// # Panics
-///
-/// Panics if `words_per_frame == 0`.
-///
-/// # Examples
-///
-/// ```
-/// use ule_sim::transport::{split_payload, Assembler};
-///
-/// let frames = split_payload(&[10, 20, 30, 40, 50], 2);
-/// assert_eq!(frames.len(), 3);
-/// let mut asm = Assembler::new(1);
-/// let mut result = None;
-/// for f in frames {
-///     if let Some(p) = asm.accept(0, f) { result = Some(p); }
-/// }
-/// assert_eq!(result.unwrap(), vec![10, 20, 30, 40, 50]);
-/// ```
-pub fn split_payload(payload: &[u64], words_per_frame: usize) -> Vec<Frame> {
-    assert!(words_per_frame > 0, "frames must carry at least one word");
-    if payload.is_empty() {
-        return vec![Frame {
-            seq: 0,
-            last: true,
-            words: Vec::new(),
-        }];
-    }
-    let total = payload.len().div_ceil(words_per_frame);
-    payload
-        .chunks(words_per_frame)
-        .enumerate()
-        .map(|(i, chunk)| Frame {
-            seq: i as u64,
-            last: i + 1 == total,
-            words: chunk.to_vec(),
-        })
-        .collect()
-}
-
-/// Per-port reassembly of framed payloads.
-///
-/// Frames on one port must arrive in order (the synchronous model
-/// guarantees this when the sender emits one frame per round); interleaving
-/// across ports is fine.
-#[derive(Debug)]
-pub struct Assembler {
-    partial: Vec<Vec<u64>>,
-    expect: Vec<u64>,
-}
-
-impl Assembler {
-    /// An assembler for a node with `degree` ports.
-    pub fn new(degree: usize) -> Self {
-        Assembler {
-            partial: vec![Vec::new(); degree],
-            expect: vec![0; degree],
-        }
-    }
-
-    /// Accepts one frame from `port`; returns the complete payload when the
-    /// final frame arrives.
-    ///
-    /// # Panics
-    ///
-    /// Panics on out-of-order frames (a protocol bug under the synchronous
-    /// model) or an out-of-range port.
-    pub fn accept(&mut self, port: Port, frame: Frame) -> Option<Vec<u64>> {
-        assert!(
-            frame.seq == self.expect[port],
-            "out-of-order frame on port {port}: got {}, expected {}",
-            frame.seq,
-            self.expect[port]
-        );
-        self.expect[port] += 1;
-        self.partial[port].extend_from_slice(&frame.words);
-        if frame.last {
-            self.expect[port] = 0;
-            Some(std::mem::take(&mut self.partial[port]))
-        } else {
-            None
-        }
     }
 }
 
@@ -203,58 +104,6 @@ mod tests {
     use super::*;
 
     #[test]
-    fn split_sizes() {
-        let frames = split_payload(&[1, 2, 3, 4, 5, 6, 7], 3);
-        assert_eq!(frames.len(), 3);
-        assert_eq!(frames[0].words, vec![1, 2, 3]);
-        assert!(!frames[0].last);
-        assert_eq!(frames[2].words, vec![7]);
-        assert!(frames[2].last);
-    }
-
-    #[test]
-    fn empty_payload_single_frame() {
-        let frames = split_payload(&[], 4);
-        assert_eq!(frames.len(), 1);
-        assert!(frames[0].last);
-        let mut asm = Assembler::new(1);
-        assert_eq!(asm.accept(0, frames[0].clone()), Some(vec![]));
-    }
-
-    #[test]
-    fn interleaved_ports_reassemble() {
-        let a = split_payload(&[1, 2, 3], 1);
-        let b = split_payload(&[9, 8], 1);
-        let mut asm = Assembler::new(2);
-        assert_eq!(asm.accept(0, a[0].clone()), None);
-        assert_eq!(asm.accept(1, b[0].clone()), None);
-        assert_eq!(asm.accept(0, a[1].clone()), None);
-        assert_eq!(asm.accept(1, b[1].clone()), Some(vec![9, 8]));
-        assert_eq!(asm.accept(0, a[2].clone()), Some(vec![1, 2, 3]));
-    }
-
-    #[test]
-    fn assembler_reuses_port_after_completion() {
-        let mut asm = Assembler::new(1);
-        for _ in 0..3 {
-            let frames = split_payload(&[5, 6], 1);
-            let mut out = None;
-            for f in frames {
-                out = asm.accept(0, f).or(out);
-            }
-            assert_eq!(out, Some(vec![5, 6]));
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn out_of_order_panics() {
-        let frames = split_payload(&[1, 2, 3], 1);
-        let mut asm = Assembler::new(1);
-        asm.accept(0, frames[1].clone());
-    }
-
-    #[test]
     fn link_seq_and_gate_enforce_fifo() {
         let mut seq = LinkSeq::new();
         let mut gate = LinkGate::new(2);
@@ -314,12 +163,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "at least one word")]
-    fn zero_chunk_panics() {
-        split_payload(&[1], 0);
-    }
-
-    #[test]
     fn sequence_numbers_do_not_truncate_at_the_u32_boundary() {
         // The historical `i as u32` cast wrapped the 2³²-th frame back to
         // sequence 0. The field is now the full payload index space: a
@@ -334,37 +177,6 @@ mod tests {
         assert!(
             beyond.size_bits() > TAG_BITS + 32,
             "a 33-bit sequence number must be accounted as such"
-        );
-        // An assembler mid-transfer at the boundary accepts the next
-        // frame instead of mistaking a wrapped seq-0 for a new payload.
-        let mut asm = Assembler {
-            partial: vec![Vec::new()],
-            expect: vec![u64::from(u32::MAX) + 1],
-        };
-        assert_eq!(
-            asm.accept(0, beyond),
-            None,
-            "in-order frame past the u32 boundary is part of the transfer"
-        );
-        assert_eq!(asm.expect[0], (1 << 32) + 1);
-    }
-
-    #[test]
-    #[should_panic(expected = "out-of-order")]
-    fn wrapped_seq_zero_at_the_boundary_is_rejected() {
-        // Under the old truncation this frame would have carried seq 0 ==
-        // expect 0 and been accepted silently; now it must panic loudly.
-        let mut asm = Assembler {
-            partial: vec![vec![7]],
-            expect: vec![u64::from(u32::MAX) + 1],
-        };
-        asm.accept(
-            0,
-            Frame {
-                seq: 0,
-                last: true,
-                words: vec![2],
-            },
         );
     }
 }

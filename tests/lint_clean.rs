@@ -24,11 +24,11 @@ fn workspace_has_no_unsuppressed_findings() {
 #[test]
 fn suppressions_in_tree_are_the_known_set() {
     // The ledger of exceptions is small and audited: the two
-    // throughput-timing Instant::now sites, the lookup-only watch_index
-    // HashMap, and the counting GlobalAlloc wrapper behind ule-xp's
-    // count-allocs feature (GlobalAlloc is an unsafe trait; the impl
-    // delegates verbatim to System). Growing this list should be a
-    // deliberate, reviewed act — update this test when you do.
+    // throughput-timing Instant::now sites and the counting GlobalAlloc
+    // wrapper behind ule-xp's count-allocs feature (GlobalAlloc is an
+    // unsafe trait; the impl delegates verbatim to System). Growing this
+    // list should be a deliberate, reviewed act — update this test when
+    // you do.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
     let findings = scan_tree(root).expect("workspace scan failed");
     let mut suppressed: Vec<(String, String)> = findings
@@ -41,10 +41,6 @@ fn suppressions_in_tree_are_the_known_set() {
     assert_eq!(
         suppressed,
         vec![
-            (
-                "unordered-iter".to_string(),
-                "crates/sim/src/exec.rs".to_string()
-            ),
             (
                 "unsafe-block".to_string(),
                 "crates/xp/src/metrics.rs".to_string()
