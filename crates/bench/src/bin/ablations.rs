@@ -19,12 +19,12 @@
 //!   vs. the knowledge-free doubling schedule — the price of not knowing
 //!   `D`, per graph shape.
 
-use ule_core::las_vegas::{elect as lv_elect, LasVegasConfig};
-use ule_core::least_el::{elect as le_elect, LeastElConfig};
+use ule_core::las_vegas::{LasVegasConfig, LasVegasElect};
+use ule_core::least_el::{LeastEl, LeastElConfig};
 use ule_core::Algorithm;
 use ule_graph::{analysis, gen, IdSpace};
 use ule_sim::harness::{parallel_trials, Summary};
-use ule_sim::{Knowledge, SimConfig};
+use ule_sim::{Knowledge, Runner, SimConfig};
 use ule_spanner::{elect_probed, SpannerConfig};
 
 fn main() {
@@ -76,7 +76,7 @@ fn main() {
             let outs = parallel_trials(4 * trials, |t| {
                 let cfg =
                     SimConfig::seeded(t).with_knowledge(Knowledge::n_and_diameter(g.len(), d));
-                lv_elect(&g, &cfg, &lv)
+                Runner::new(&g, &cfg).run(|_, s, _| LasVegasElect::new(lv, s.degree))
             });
             let s = Summary::from_outcomes(&outs);
             println!(
@@ -107,7 +107,7 @@ fn main() {
                 .with_knowledge(Knowledge::n(g.len()));
             let mut lcfg = LeastElConfig::all_candidates();
             lcfg.id_tie_break = id_tie;
-            le_elect(&g, &cfg, &lcfg)
+            Runner::new(&g, &cfg).run(|_, s, _| LeastEl::new(lcfg.clone(), s.degree))
         });
         let s = Summary::from_outcomes(&outs);
         println!(

@@ -6,11 +6,16 @@
 //! cargo run --release -p ule-bench --bin fig_success_prob [-- --quick]
 //! ```
 
-use ule_core::least_el::{elect, LeastElConfig};
+use ule_core::least_el::{LeastEl, LeastElConfig};
 use ule_core::Algorithm;
-use ule_graph::gen;
+use ule_graph::{gen, Graph};
 use ule_sim::harness::{parallel_trials, Summary};
-use ule_sim::{Knowledge, SimConfig};
+use ule_sim::{Knowledge, RunOutcome, Runner, SimConfig};
+
+/// One Least-El run under a custom candidate policy (not a registry row).
+fn elect(g: &Graph, sim: &SimConfig, lcfg: &LeastElConfig) -> RunOutcome {
+    Runner::new(g, sim).run(|_, setup, _| LeastEl::new(lcfg.clone(), setup.degree))
+}
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");

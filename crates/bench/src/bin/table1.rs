@@ -16,10 +16,11 @@
 //! The spanner row (Corollary 4.2) is included via `ule-spanner` on dense
 //! workloads only (its claim is conditional on `m > n^{1+ε}`).
 
-use ule_bench::{format_row, row_header, standard_workloads, TableRow};
 use ule_graph::analysis;
+use ule_graph::gen::{workload_graph, Family};
 use ule_sim::harness::{parallel_trials, Summary};
 use ule_sim::{Knowledge, SimConfig};
+use ule_xp::report::{format_row, render, row_header};
 use ule_xp::{builtin, execute, RunMeta};
 
 fn main() {
@@ -34,32 +35,26 @@ fn main() {
     );
 
     let result = execute(&spec, RunMeta::capture(), false).expect("campaign runs");
-    print!("{}", ule_xp::report::render(&result));
+    print!("{}", render(&result));
 
     // Corollary 4.2 (spanner) on the dense workloads only (the spanner
     // election layers on `ule-core` and is not a registry algorithm, so
     // campaigns cannot sweep it).
     println!("### spanner (4.2) — Cor 4.2 | claimed: time O(D), messages O(m) for m > n^(1+ε), success whp");
-    println!("{}", row_header());
+    println!("{}", row_header(false));
     let sc = ule_spanner::SpannerConfig::for_epsilon(0.5);
-    let workloads = standard_workloads(&spec.groups[0].sizes);
-    for (label, g) in workloads.iter().filter(|(l, _)| l.starts_with("dense")) {
-        let d = analysis::diameter_exact(g).expect("connected") as usize;
+    for &size in &spec.groups[0].sizes {
+        let g = workload_graph(spec.graph_seed, Family::DenseRandom, size).expect("family builds");
+        let (n, m) = (g.len(), g.edge_count());
+        let d = analysis::diameter_exact(&g).expect("connected").max(1) as usize;
         let outs = parallel_trials(trials, |t| {
-            let sim = SimConfig::seeded(t).with_knowledge(Knowledge::n(g.len()));
-            ule_spanner::elect(g, &sim, &sc)
+            let sim = SimConfig::seeded(t).with_knowledge(Knowledge::n(n));
+            ule_spanner::elect(&g, &sim, &sc)
         });
         let s = Summary::from_outcomes(&outs);
-        let row = TableRow {
-            workload: label.clone(),
-            n: g.len(),
-            m: g.edge_count(),
-            d,
-            time_ratio: s.mean_rounds / d.max(1) as f64,
-            msg_ratio: s.mean_messages / g.edge_count() as f64,
-            summary: s,
-        };
-        println!("{}", format_row(&row));
+        let ratios = (s.mean_rounds / d as f64, s.mean_messages / m as f64);
+        let label = format!("{}/{n}", Family::DenseRandom);
+        println!("{}", format_row(&label, (n, m, d), &s, ratios, None));
     }
     println!();
     println!(

@@ -3,7 +3,7 @@
 //! * [`FloodMax`] — the classical `O(D)`-time flooding election (nodes
 //!   know `D`, flood the maximum identifier for `D` rounds); message cost
 //!   `O(m·D)` is what the Least-El family improves on.
-//! * [`tole`] — a **t**ime-**o**ptimal **l**eader **e**lection in the
+//! * [`Tole`] — a **t**ime-**o**ptimal **l**eader **e**lection in the
 //!   spirit of Peleg \[20\]: deterministic, `O(D)` rounds, **no knowledge of
 //!   `n`, `m`, or `D`**, termination detected by echoes instead of a round
 //!   deadline. Realized as the wave/echo engine run under the *maximize*
@@ -21,11 +21,9 @@
 
 use crate::wave::{Key, Objective, WaveCore, WaveMsg, WaveOutcome};
 use rand::Rng;
-use ule_graph::{Id, Topology};
+use ule_graph::Id;
 use ule_sim::message::{id_bits, Message, TAG_BITS};
-use ule_sim::{
-    Context, PortOutbox, Protocol, RunOutcome, Runner, RuntimeKind, SimConfig, Status,
-};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// FloodMax message: the largest identifier seen so far.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,6 +37,22 @@ impl Message for MaxMsg {
 
 /// The FloodMax protocol. Requires unique identifiers and knowledge of `D`
 /// (or any upper bound on it).
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_graph::{gen, IdAssignment};
+///
+/// let g = gen::cycle(10)?;
+/// let cfg = SimConfig::seeded(0)
+///     .with_ids(IdAssignment::sequential(10))
+///     .with_knowledge(Knowledge::n_and_diameter(10, 5));
+/// let out = Algorithm::FloodMax.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct FloodMax {
     best: Id,
@@ -99,44 +113,27 @@ impl Protocol for FloodMax {
     }
 }
 
-/// Runs FloodMax; `sim` must grant `D` and carry explicit identifiers.
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::baseline::flood_max;
-/// use ule_sim::{Knowledge, SimConfig};
-/// use ule_graph::{gen, IdAssignment};
-///
-/// let g = gen::cycle(10)?;
-/// let cfg = SimConfig::seeded(0)
-///     .with_ids(IdAssignment::sequential(10))
-///     .with_knowledge(Knowledge::n_and_diameter(10, 5));
-/// let out = flood_max(&g, &cfg);
-/// assert!(out.election_succeeded());
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn flood_max<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    flood_max_on(RuntimeKind::Sim, graph, sim)
-}
-
-/// [`flood_max`] on a caller-selected runtime.
-pub fn flood_max_on<T: Topology>(
-    kind: RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-) -> RunOutcome {
-    Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, _, _| FloodMax::new())
-}
-
 /// Time-optimal election à la Peleg \[20\]: deterministic, `O(D)` rounds,
 /// no knowledge, echo-terminated.
 ///
 /// Every node starts a wave keyed by its identifier under the *maximize*
 /// objective; exactly the maximum identifier's wave completes clean (see
 /// [`crate::wave`]), electing it without any round deadline.
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::SimConfig;
+/// use ule_graph::{gen, IdAssignment};
+///
+/// let g = gen::path(12)?;
+/// let cfg = SimConfig::seeded(0).with_ids(IdAssignment::sequential(12));
+/// let out = Algorithm::Tole.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// assert_eq!(out.leader(), Some(11)); // maximum identifier
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct Tole {
     core: WaveCore,
@@ -176,33 +173,6 @@ impl Protocol for Tole {
     fn status(&self) -> Status {
         self.status
     }
-}
-
-/// Runs the [`Tole`] election (identifiers required, no knowledge needed).
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::baseline::tole;
-/// use ule_sim::SimConfig;
-/// use ule_graph::{gen, IdAssignment};
-///
-/// let g = gen::path(12)?;
-/// let cfg = SimConfig::seeded(0).with_ids(IdAssignment::sequential(12));
-/// let out = tole(&g, &cfg);
-/// assert!(out.election_succeeded());
-/// assert_eq!(out.leader(), Some(11)); // maximum identifier
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn tole<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    tole_on(RuntimeKind::Sim, graph, sim)
-}
-
-/// [`tole`] on a caller-selected runtime.
-pub fn tole_on<T: Topology>(kind: RuntimeKind, graph: &T, sim: &SimConfig) -> RunOutcome {
-    Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| Tole::new(setup.degree))
 }
 
 /// The 1/n coin-flip "algorithm": self-elect with probability `1/n`,
@@ -247,30 +217,26 @@ impl Protocol for CoinFlip {
     }
 }
 
-/// Runs the coin-flip algorithm (`sim` must grant `n`).
-pub fn coin_flip<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    coin_flip_on(RuntimeKind::Sim, graph, sim)
-}
-
-/// [`coin_flip`] on a caller-selected runtime.
-pub fn coin_flip_on<T: Topology>(
-    kind: RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-) -> RunOutcome {
-    Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, _, _| CoinFlip::new())
-}
-
 #[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::Algorithm;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ule_graph::{analysis, gen, Graph, IdSpace};
     use ule_sim::harness::{parallel_trials, Summary};
-    use ule_sim::Knowledge;
+    use ule_sim::{Knowledge, RunOutcome, SimConfig};
+
+    fn flood_max(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        Algorithm::FloodMax.run_with(g, cfg)
+    }
+
+    fn tole(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        Algorithm::Tole.run_with(g, cfg)
+    }
+
+    fn coin_flip(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        Algorithm::CoinFlip.run_with(g, cfg)
+    }
 
     fn flood_cfg(g: &Graph, seed: u64) -> SimConfig {
         let d = analysis::diameter_exact(g).unwrap() as usize;

@@ -101,8 +101,7 @@ pub fn majority_informed(outcome: &RunOutcome) -> bool {
 /// ```
 pub fn flood_broadcast<T: Topology>(graph: &T, sim: &SimConfig, source: NodeId) -> RunOutcome {
     assert!(source < graph.n(), "source out of range");
-    ule_sim::Runner::new(graph, sim)
-        .run(|v, _, _| FloodBroadcast::new(v == source))
+    ule_sim::Runner::new(graph, sim).run(|v, _, _| FloodBroadcast::new(v == source))
 }
 
 #[cfg(test)]

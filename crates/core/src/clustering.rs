@@ -30,14 +30,14 @@
 //! edges: `O((n + log² n)·log n)` messages, `O(D log n)` rounds.
 //!
 //! The CONGEST budget for this protocol is `32·⌈log₂ n⌉` bits (records
-//! carry four `O(log n)`-bit fields); [`elect`] configures it.
+//! carry four `O(log n)`-bit fields); [`crate::Algorithm::run_on`]
+//! configures it.
 
 use crate::wave::{rank_space, Key, WaveCore, WaveMsg, WaveOutcome};
 use rand::Rng;
 use std::collections::BTreeMap;
-use ule_graph::Topology;
 use ule_sim::message::{id_bits, Message, TAG_BITS};
-use ule_sim::{Context, Model, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// One inter-cluster edge: clusters and endpoint tags, canonicalized so
 /// `cluster_a < cluster_b`.
@@ -146,7 +146,28 @@ enum PortState {
     Peer { cluster: u64, tag: u64 },
 }
 
-/// Per-node protocol state for Algorithm 1.
+/// Per-node protocol state for Algorithm 1 (requires knowledge of `n`;
+/// anonymous-safe).
+///
+/// Edge records carry four `O(log n)`-bit fields — still `O(log n)` as the
+/// theorem requires, but past the default CONGEST factor of 16, so
+/// [`crate::Algorithm::run_on`] widens the budget to `32·⌈log₂ n⌉` bits
+/// for this algorithm.
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_graph::gen;
+///
+/// let g = gen::torus(5, 5)?;
+/// let cfg = SimConfig::seeded(5).with_knowledge(Knowledge::n(g.len()));
+/// let out = Algorithm::Clustering.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// assert_eq!(out.congest_violations, 0);
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct Clustering {
     degree: usize,
@@ -374,45 +395,6 @@ impl Protocol for Clustering {
     }
 }
 
-/// Runs Algorithm 1 (requires knowledge of `n`; anonymous-safe).
-///
-/// Overrides the CONGEST budget to `32·⌈log₂ n⌉` bits — edge records carry
-/// four `O(log n)`-bit fields, still `O(log n)` as the theorem requires.
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::clustering::elect;
-/// use ule_sim::{Knowledge, SimConfig};
-/// use ule_graph::gen;
-///
-/// let g = gen::torus(5, 5)?;
-/// let cfg = SimConfig::seeded(5).with_knowledge(Knowledge::n(g.len()));
-/// let out = elect(&g, &cfg);
-/// assert!(out.election_succeeded());
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn elect<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    elect_on(ule_sim::RuntimeKind::Sim, graph, sim)
-}
-
-/// [`elect`] on a caller-selected runtime.
-pub fn elect_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-) -> RunOutcome {
-    let mut sim = sim.clone();
-    if let Model::Congest { factor } = sim.model {
-        sim.model = Model::Congest {
-            factor: factor.max(32),
-        };
-    }
-    ule_sim::Runner::new(graph, &sim)
-        .runtime(kind)
-        .run(|_, setup, _| Clustering::new(setup.degree))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -420,7 +402,11 @@ mod tests {
     use rand::SeedableRng;
     use ule_graph::{gen, Graph};
     use ule_sim::harness::{parallel_trials, Summary};
-    use ule_sim::{Knowledge, Termination};
+    use ule_sim::{Knowledge, RunOutcome, SimConfig, Termination};
+
+    fn elect(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        crate::Algorithm::Clustering.run_with(g, cfg)
+    }
 
     fn cfg(g: &Graph, seed: u64) -> SimConfig {
         SimConfig::seeded(seed).with_knowledge(Knowledge::n(g.len()))
@@ -504,12 +490,9 @@ mod tests {
         let cl: u64 = (0..5).map(|t| elect(&g, &cfg(&g, t)).messages).sum();
         let le: u64 = (0..5)
             .map(|t| {
-                crate::least_el::elect(
-                    &g,
-                    &cfg(&g, t),
-                    &crate::least_el::LeastElConfig::all_candidates(),
-                )
-                .messages
+                crate::Algorithm::LeastElAll
+                    .run_with(&g, &cfg(&g, t))
+                    .messages
             })
             .sum();
         assert!(

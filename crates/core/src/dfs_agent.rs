@@ -22,9 +22,9 @@
 //! simulable: engine work is proportional to agent *moves*, not rounds.
 
 use std::collections::BTreeMap;
-use ule_graph::{Id, Topology};
+use ule_graph::Id;
 use ule_sim::message::{id_bits, Message, TAG_BITS};
-use ule_sim::{Context, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// Cap on the throttling exponent so tick arithmetic stays in `u64`.
 /// Identifiers at or above the cap share one rate; the 4m message bound is
@@ -80,7 +80,34 @@ enum Pending {
     RetreatVia(usize),
 }
 
-/// Per-node protocol state for Theorem 4.1.
+/// Per-node protocol state for Theorem 4.1. The run must carry explicit
+/// identifiers; no knowledge of `n`, `m`, `D` is needed. Construct with
+/// `send_wakeup` set when the run uses adversarial wakeup. The run's round
+/// cap must accommodate `Θ(m · 2^{min id})` rounds — prefer small
+/// identifiers (the *time* is the algorithm's admitted weakness; the
+/// *messages* stay `O(m)` regardless).
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::SimConfig;
+/// use ule_graph::{gen, IdAssignment};
+///
+/// let g = gen::cycle(8)?;
+/// let cfg = SimConfig::seeded(0)
+///     .with_ids(IdAssignment::sequential(8))
+///     .with_max_rounds(u64::MAX / 4);
+/// // `send_wakeup = false`; a wakeup phase goes through
+/// // `ule_sim::Runner` and `DfsAgent::new`.
+/// let out = Algorithm::DfsAgent.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// // The minimum identifier (1, at node 0) wins.
+/// assert_eq!(out.leader(), Some(0));
+/// // Theorem 4.1: no more than ~4m messages.
+/// assert!(out.messages <= 4 * g.edge_count() as u64 + 2 * 8);
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct DfsAgent {
     send_wakeup: bool,
@@ -277,60 +304,17 @@ impl Protocol for DfsAgent {
     }
 }
 
-/// Runs the Theorem 4.1 election. `sim` must carry explicit identifiers;
-/// no knowledge of `n`, `m`, `D` is needed. Set `send_wakeup` when `sim`
-/// uses adversarial wakeup. The round cap in `sim` must accommodate
-/// `Θ(m · 2^{min id})` rounds — prefer small identifiers (the *time* is the
-/// algorithm's admitted weakness; the *messages* stay `O(m)` regardless).
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::dfs_agent::elect;
-/// use ule_sim::SimConfig;
-/// use ule_graph::{gen, IdAssignment};
-///
-/// let g = gen::cycle(8)?;
-/// let cfg = SimConfig::seeded(0)
-///     .with_ids(IdAssignment::sequential(8))
-///     .with_max_rounds(u64::MAX / 4);
-/// let out = elect(&g, &cfg, false);
-/// assert!(out.election_succeeded());
-/// // The minimum identifier (1, at node 0) wins.
-/// assert_eq!(out.leader(), Some(0));
-/// // Theorem 4.1: no more than ~4m messages.
-/// assert!(out.messages <= 4 * g.edge_count() as u64 + 2 * 8);
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn elect<T: Topology>(graph: &T, sim: &SimConfig, send_wakeup: bool) -> RunOutcome {
-    elect_on(ule_sim::RuntimeKind::Sim, graph, sim, send_wakeup)
-}
-
-/// [`elect`] on a caller-selected runtime.
-pub fn elect_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-    send_wakeup: bool,
-) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| {
-            DfsAgent::new(
-                setup.id.expect("DFS agents require unique identifiers"),
-                setup.degree,
-                send_wakeup,
-            )
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ule_graph::{gen, Graph, IdAssignment};
-    use ule_sim::{Termination, Wakeup};
+    use ule_sim::{RunOutcome, Runner, SimConfig, Termination, Wakeup};
+
+    fn elect(g: &Graph, cfg: &SimConfig, send_wakeup: bool) -> RunOutcome {
+        Runner::new(g, cfg).run(|_, s, _| DfsAgent::new(s.id.unwrap(), s.degree, send_wakeup))
+    }
 
     fn cfg(n: usize, seed: u64) -> SimConfig {
         SimConfig::seeded(seed)

@@ -175,10 +175,9 @@ pub fn elect_explicit<T: Topology>(
     cfg: &LeastElConfig,
 ) -> (RunOutcome, Vec<Option<Id>>) {
     let probe: LeaderProbe = Arc::new(Mutex::new(vec![None; graph.n()]));
-    let out = ule_sim::Runner::new(graph, sim)
-        .run(|v, setup, _| {
-            ExplicitElect::new(cfg.clone(), v, setup.degree).with_probe(Arc::clone(&probe))
-        });
+    let out = ule_sim::Runner::new(graph, sim).run(|v, setup, _| {
+        ExplicitElect::new(cfg.clone(), v, setup.degree).with_probe(Arc::clone(&probe))
+    });
     let learned = probe.lock().expect("probe poisoned").clone();
     (out, learned)
 }
@@ -227,7 +226,7 @@ mod tests {
         let g = gen::random_connected(60, 200, &mut rng).unwrap();
         let c = cfg(&g, 2);
         let (explicit, _) = elect_explicit(&g, &c, &LeastElConfig::all_candidates());
-        let implicit = crate::least_el::elect(&g, &c, &LeastElConfig::all_candidates());
+        let implicit = crate::Algorithm::LeastElAll.run_with(&g, &c);
         assert!(explicit.election_succeeded() && implicit.election_succeeded());
         let extra = explicit.messages.saturating_sub(implicit.messages);
         // The announcement is one flood: ≤ 2m extra messages, and the

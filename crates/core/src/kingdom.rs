@@ -38,9 +38,9 @@
 //! i.e. the kingdom does not span the graph yet.
 
 use std::fmt;
-use ule_graph::{Id, Topology};
+use ule_graph::Id;
 use ule_sim::message::{id_bits, uint_bits, Message, TAG_BITS};
-use ule_sim::{Context, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// How far kingdoms grow in each phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +167,30 @@ struct PhaseState {
     sent_victor: bool,
 }
 
-/// The growing-kingdom protocol instance at one node.
+/// The growing-kingdom protocol instance at one node: deterministic,
+/// `O(m log n)` messages; the run must carry identifiers. Under
+/// [`RadiusSchedule::KnownDiameter`] (the run grants `D`) it takes
+/// `O(D log n)` rounds; under [`RadiusSchedule::Doubling`] it needs no
+/// knowledge of `n`, `m`, or `D` and takes `O(n + D log n)` rounds (see
+/// the module documentation for why the synchronized variant pays the
+/// `O(n)` term).
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_graph::{gen, IdAssignment};
+///
+/// let g = gen::cycle(9)?;
+/// let cfg = SimConfig::seeded(0)
+///     .with_ids(IdAssignment::sequential(9))
+///     .with_knowledge(Knowledge::n_and_diameter(9, 4));
+/// let out = Algorithm::KingdomKnownD.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// assert_eq!(out.leader(), Some(8)); // the maximum identifier wins
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 pub struct Kingdom {
     schedule: RadiusSchedule,
     my_id: Id,
@@ -437,78 +460,21 @@ impl Protocol for Kingdom {
     }
 }
 
-/// Runs the known-`D` variant: deterministic, `O(D log n)` rounds,
-/// `O(m log n)` messages. `sim` must grant `D` and carry identifiers.
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::kingdom::elect_known_diameter;
-/// use ule_sim::{Knowledge, SimConfig};
-/// use ule_graph::{gen, IdAssignment};
-///
-/// let g = gen::cycle(9)?;
-/// let cfg = SimConfig::seeded(0)
-///     .with_ids(IdAssignment::sequential(9))
-///     .with_knowledge(Knowledge::n_and_diameter(9, 4));
-/// let out = elect_known_diameter(&g, &cfg);
-/// assert!(out.election_succeeded());
-/// assert_eq!(out.leader(), Some(8)); // the maximum identifier wins
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn elect_known_diameter<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    elect_known_diameter_on(ule_sim::RuntimeKind::Sim, graph, sim)
-}
-
-/// [`elect_known_diameter`] on a caller-selected runtime.
-pub fn elect_known_diameter_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| {
-            Kingdom::new(
-                RadiusSchedule::KnownDiameter,
-                setup.id.expect("kingdom election requires identifiers"),
-                setup.degree,
-            )
-        })
-}
-
-/// Runs the doubling-radius variant: deterministic, no knowledge of `n`,
-/// `m`, or `D`; `O(m log n)` messages; `O(n + D log n)` rounds (see the
-/// module documentation for why the synchronized variant pays the `O(n)`
-/// term).
-pub fn elect_doubling<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    elect_doubling_on(ule_sim::RuntimeKind::Sim, graph, sim)
-}
-
-/// [`elect_doubling`] on a caller-selected runtime.
-pub fn elect_doubling_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| {
-            Kingdom::new(
-                RadiusSchedule::Doubling,
-                setup.id.expect("kingdom election requires identifiers"),
-                setup.degree,
-            )
-        })
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ule_graph::{analysis, gen, Graph, IdAssignment, IdSpace};
-    use ule_sim::{Knowledge, Termination};
+    use ule_sim::{Knowledge, RunOutcome, SimConfig, Termination};
+
+    fn elect_known_diameter(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        crate::Algorithm::KingdomKnownD.run_with(g, cfg)
+    }
+
+    fn elect_doubling(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        crate::Algorithm::KingdomDoubling.run_with(g, cfg)
+    }
 
     fn cfg_known(g: &Graph, seed: u64) -> SimConfig {
         let d = analysis::diameter_exact(g).unwrap().max(1) as usize;

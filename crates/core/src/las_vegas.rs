@@ -24,8 +24,7 @@
 
 use crate::wave::{rank_space, Key, WaveCore, WaveMsg, WaveOutcome};
 use rand::Rng;
-use ule_graph::Topology;
-use ule_sim::{Context, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// Configuration of the Las Vegas election.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -46,7 +45,25 @@ impl Default for LasVegasConfig {
     }
 }
 
-/// Per-node protocol state for Corollary 4.6.
+/// Per-node protocol state for Corollary 4.6: success probability 1,
+/// expected `O(D)` rounds and `O(m)` messages. The run must grant both `n`
+/// and `D`.
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_graph::gen;
+///
+/// let g = gen::cycle(12)?;
+/// let cfg = SimConfig::seeded(2).with_knowledge(Knowledge::n_and_diameter(12, 6));
+/// // `LasVegasConfig::default()`; a custom config goes through
+/// // `ule_sim::Runner` and `LasVegasElect::new`.
+/// let out = Algorithm::LasVegas.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct LasVegasElect {
     cfg: LasVegasConfig,
@@ -148,38 +165,6 @@ impl Protocol for LasVegasElect {
     }
 }
 
-/// Runs the Corollary 4.6 election: success probability 1, expected `O(D)`
-/// rounds and `O(m)` messages. `sim` must grant both `n` and `D`.
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::las_vegas::{elect, LasVegasConfig};
-/// use ule_sim::{Knowledge, SimConfig};
-/// use ule_graph::gen;
-///
-/// let g = gen::cycle(12)?;
-/// let cfg = SimConfig::seeded(2).with_knowledge(Knowledge::n_and_diameter(12, 6));
-/// let out = elect(&g, &cfg, &LasVegasConfig::default());
-/// assert!(out.election_succeeded());
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn elect<T: Topology>(graph: &T, sim: &SimConfig, cfg: &LasVegasConfig) -> RunOutcome {
-    elect_on(ule_sim::RuntimeKind::Sim, graph, sim, cfg)
-}
-
-/// [`elect`] on a caller-selected runtime.
-pub fn elect_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-    cfg: &LasVegasConfig,
-) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| LasVegasElect::new(*cfg, setup.degree))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,7 +172,11 @@ mod tests {
     use rand::SeedableRng;
     use ule_graph::{analysis, gen, Graph};
     use ule_sim::harness::{parallel_trials, Summary};
-    use ule_sim::{Knowledge, Termination};
+    use ule_sim::{Knowledge, RunOutcome, Runner, SimConfig, Termination};
+
+    fn elect(g: &Graph, sim: &SimConfig, cfg: &LasVegasConfig) -> RunOutcome {
+        Runner::new(g, sim).run(|_, setup, _| LasVegasElect::new(*cfg, setup.degree))
+    }
 
     fn cfg(g: &Graph, seed: u64) -> SimConfig {
         let d = analysis::diameter_exact(g).unwrap().max(1) as usize;

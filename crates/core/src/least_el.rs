@@ -26,8 +26,7 @@
 use crate::wave::{Key, WaveCore, WaveMsg, WaveOutcome};
 use rand::rngs::StdRng;
 use rand::Rng;
-use ule_graph::Topology;
-use ule_sim::{Context, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// How many candidates to expect (the paper's `f(n)`).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -118,7 +117,25 @@ impl LeastElConfig {
     }
 }
 
-/// The per-node protocol state.
+/// The per-node protocol state. Runs under a [`ule_sim::SimConfig`] that
+/// grants knowledge of `n` (see [`LeastElConfig`] for what each variant
+/// assumes).
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_graph::gen;
+///
+/// let g = gen::torus(5, 5)?;
+/// let cfg = SimConfig::seeded(7).with_knowledge(Knowledge::n(g.len()));
+/// // `LeastElConfig::all_candidates()`; a custom config goes through
+/// // `ule_sim::Runner` and `LeastEl::new`.
+/// let out = Algorithm::LeastElAll.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct LeastEl {
     cfg: LeastElConfig,
@@ -191,38 +208,6 @@ impl Protocol for LeastEl {
     }
 }
 
-/// Runs the Least-El election on `graph` under `sim` (which must grant
-/// knowledge of `n`; see [`LeastElConfig`] for what each variant assumes).
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::least_el::{elect, LeastElConfig};
-/// use ule_sim::{Knowledge, SimConfig};
-/// use ule_graph::gen;
-///
-/// let g = gen::torus(5, 5)?;
-/// let cfg = SimConfig::seeded(7).with_knowledge(Knowledge::n(g.len()));
-/// let out = elect(&g, &cfg, &LeastElConfig::all_candidates());
-/// assert!(out.election_succeeded());
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn elect<T: Topology>(graph: &T, sim: &SimConfig, cfg: &LeastElConfig) -> RunOutcome {
-    elect_on(ule_sim::RuntimeKind::Sim, graph, sim, cfg)
-}
-
-/// [`elect`] on a caller-selected runtime.
-pub fn elect_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-    cfg: &LeastElConfig,
-) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| LeastEl::new(cfg.clone(), setup.degree))
-}
-
 /// Convenience used by tests and harnesses: draw a fresh key outside a
 /// protocol (e.g. for the clustering overlay election).
 pub fn random_key(n: usize, tie: Option<u64>, rng: &mut StdRng) -> Key {
@@ -239,7 +224,11 @@ mod tests {
     use rand::SeedableRng;
     use ule_graph::{gen, Graph, IdAssignment, IdSpace};
     use ule_sim::harness::{parallel_trials, Summary};
-    use ule_sim::{Knowledge, Model, Termination, Wakeup};
+    use ule_sim::{Knowledge, Model, RunOutcome, Runner, SimConfig, Termination, Wakeup};
+
+    fn elect(g: &Graph, sim: &SimConfig, cfg: &LeastElConfig) -> RunOutcome {
+        Runner::new(g, sim).run(|_, setup, _| LeastEl::new(cfg.clone(), setup.degree))
+    }
 
     fn cfg_for(g: &Graph, seed: u64) -> SimConfig {
         SimConfig::seeded(seed).with_knowledge(Knowledge::n(g.len()))

@@ -21,16 +21,20 @@
 //! (Corollary 4.2) lives in the `ule-spanner` crate; the lower-bound
 //! experiment harnesses live in `ule-lowerbound`.
 //!
+//! The modules export protocols and their constructors; the [`registry`]
+//! is the one runner: [`Algorithm::run_on`] pairs each of the twelve
+//! Table 1 rows with a [`ule_sim::Runner`], and [`Algorithm::config`] is
+//! the one rule for the [`ule_sim::SimConfig`] it needs. Parameterised
+//! variants go through a `Runner` and the protocol's public constructor.
+//!
 //! ## Quick start
 //!
 //! ```
-//! use ule_core::least_el::{elect, LeastElConfig};
-//! use ule_sim::{Knowledge, SimConfig};
+//! use ule_core::Algorithm;
 //! use ule_graph::gen;
 //!
 //! let g = gen::hypercube(5)?;
-//! let sim = SimConfig::seeded(42).with_knowledge(Knowledge::n(g.len()));
-//! let out = elect(&g, &sim, &LeastElConfig::whp());
+//! let out = Algorithm::LeastElWhp.run(&g, 42);
 //! assert!(out.election_succeeded());
 //! println!("leader {:?} in {} rounds, {} messages",
 //!          out.leader(), out.rounds, out.messages);

@@ -3,14 +3,22 @@
 //! The experiment harnesses (Table 1 regeneration, the trade-off figure,
 //! the lower-bound sweeps) iterate over algorithms; [`Algorithm`] names
 //! them, [`AlgorithmSpec`] documents their requirements and claimed
-//! bounds, and [`Algorithm::run`] executes one seeded trial with the
-//! correct knowledge flags, identifier mode, and round budget.
+//! bounds, [`Algorithm::config`] is the one rule for which [`SimConfig`]
+//! satisfies them (knowledge flags, identifier mode, round budget), and
+//! [`Algorithm::run_on`] is the one place a registry protocol meets a
+//! [`Runner`].
 
-use crate::{baseline, clustering, dfs_agent, kingdom, las_vegas, least_el, size_estimate};
+use crate::baseline::{CoinFlip, FloodMax, Tole};
+use crate::clustering::Clustering;
+use crate::dfs_agent::DfsAgent;
+use crate::kingdom::{Kingdom, RadiusSchedule};
+use crate::las_vegas::{LasVegasConfig, LasVegasElect};
+use crate::least_el::{LeastEl, LeastElConfig};
+use crate::size_estimate::SizeEstimateElect;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ule_graph::{analysis, Graph, IdAssignment, IdSpace, Topology};
-use ule_sim::{Knowledge, RunOutcome, RuntimeKind, SimConfig};
+use ule_sim::{Knowledge, Model, NodeSetup, RunOutcome, Runner, RuntimeKind, SimConfig};
 
 /// Every election algorithm implemented from the paper (the spanner-based
 /// Corollary 4.2 lives in `ule-spanner`, which layers on this crate).
@@ -252,48 +260,30 @@ impl Algorithm {
         }
     }
 
-    /// Builds a [`SimConfig`] satisfying this algorithm's requirements:
-    /// exact diameter when needed, sampled identifiers when needed
-    /// (sequential for [`Algorithm::DfsAgent`], whose running time is
-    /// exponential in the smallest identifier), and a permissive round cap.
-    pub fn config_for(self, graph: &Graph, seed: u64) -> SimConfig {
-        let d = self.spec().needs_diameter.then(|| {
-            analysis::diameter_exact(graph)
-                .expect("graph must be connected")
-                .max(1) as usize
-        });
-        self.config_with_diameter(graph.len(), d, seed)
-    }
-
-    /// [`Algorithm::config_for`] for any [`Topology`], including implicit
-    /// ones with no adjacency arrays to sweep: the diameter, when this
-    /// algorithm requires it, comes from the topology's closed form
-    /// ([`Topology::diameter_hint`]) instead of a BFS over `n` nodes.
+    /// The one configuration rule: the [`SimConfig`] satisfying this
+    /// algorithm's requirements on `n` nodes — knowledge of `n` and of
+    /// `diameter` exactly where [`AlgorithmSpec`] requires them, sampled
+    /// identifiers when needed (sequential for [`Algorithm::DfsAgent`],
+    /// whose running time is exponential in the smallest identifier), and
+    /// a permissive round cap. `diameter` is ignored by algorithms that do
+    /// not need it, so implicit topologies pass their closed form
+    /// ([`Topology::diameter_hint`]) and never sweep `n` nodes.
     ///
     /// # Panics
     ///
-    /// Panics if the algorithm needs the diameter but the topology offers
-    /// no closed form (e.g. a materialized [`Graph`], whose hint is
-    /// `None` — use [`Algorithm::config_for`] there).
-    pub fn config_for_topo<T: Topology>(self, topo: &T, seed: u64) -> SimConfig {
-        let d = self.spec().needs_diameter.then(|| {
-            topo.diameter_hint()
-                .expect("topology offers no closed-form diameter")
-                .max(1)
-        });
-        self.config_with_diameter(topo.n(), d, seed)
-    }
-
-    /// Shared tail of [`Algorithm::config_for`] and
-    /// [`Algorithm::config_for_topo`]: everything past diameter discovery
-    /// depends only on `n`.
-    fn config_with_diameter(self, n: usize, d: Option<usize>, seed: u64) -> SimConfig {
+    /// Panics, naming the algorithm, if it needs the diameter and
+    /// `diameter` is `None`.
+    pub fn config(self, n: usize, diameter: Option<usize>, seed: u64) -> SimConfig {
         let spec = self.spec();
         let mut cfg = SimConfig::seeded(seed);
         cfg.knowledge = Knowledge {
             n: spec.needs_n.then_some(n),
             m: None,
-            diameter: d,
+            diameter: spec.needs_diameter.then(|| {
+                diameter
+                    .unwrap_or_else(|| panic!("{self} needs the diameter, but none was given"))
+                    .max(1)
+            }),
         };
         if spec.needs_ids {
             let ids = if self == Algorithm::DfsAgent {
@@ -308,6 +298,16 @@ impl Algorithm {
             cfg = cfg.with_max_rounds(u64::MAX / 4);
         }
         cfg
+    }
+
+    /// [`Algorithm::config`] for a materialized graph: the diameter, when
+    /// this algorithm requires it, is the exact one (all-pairs BFS).
+    pub fn config_for(self, graph: &Graph, seed: u64) -> SimConfig {
+        let d = self
+            .spec()
+            .needs_diameter
+            .then(|| analysis::diameter_exact(graph).expect("graph must be connected") as usize);
+        self.config(graph.len(), d, seed)
     }
 
     /// Runs one seeded trial with an automatically derived configuration.
@@ -326,38 +326,51 @@ impl Algorithm {
 
     /// [`Algorithm::run_with`] on a caller-selected runtime: the identical
     /// protocol code runs on the lockstep engine or over channels
-    /// ([`ule_sim::rt`]), and under [`ule_sim::Adversary::Lockstep`] both
-    /// produce the same [`RunOutcome`].
-    pub fn run_on<T: Topology>(
-        self,
-        kind: RuntimeKind,
-        graph: &T,
-        cfg: &SimConfig,
-    ) -> RunOutcome {
+    /// ([`ule_sim::rt`]), and both produce the same [`RunOutcome`].
+    /// Parameterised variants (a custom [`LeastElConfig`] or
+    /// [`LasVegasConfig`], a DFS agent with a wakeup phase) go through a
+    /// [`Runner`] and the protocol's public constructor instead.
+    ///
+    /// # Panics
+    ///
+    /// Panics, naming the algorithm, if it needs identifiers and `cfg`
+    /// carries none.
+    pub fn run_on<T: Topology>(self, kind: RuntimeKind, graph: &T, cfg: &SimConfig) -> RunOutcome {
+        // Clustering's edge records carry four `O(log n)`-bit fields:
+        // still `O(log n)` as Theorem 4.7 requires, but past the default
+        // budget, so its CONGEST factor is widened to at least 32.
+        let widened;
+        let cfg = match (self, cfg.model) {
+            (Algorithm::Clustering, Model::Congest { factor }) if factor < 32 => {
+                widened = cfg.clone().with_model(Model::Congest { factor: 32 });
+                &widened
+            }
+            _ => cfg,
+        };
+        let runner = Runner::new(graph, cfg).runtime(kind);
+        let id = |setup: &NodeSetup| {
+            setup
+                .id
+                .unwrap_or_else(|| panic!("{self} requires unique identifiers"))
+        };
+        let least_el =
+            |c: LeastElConfig| runner.run(|_, setup, _| LeastEl::new(c.clone(), setup.degree));
+        let kingdom = |schedule| runner.run(|_, s, _| Kingdom::new(schedule, id(s), s.degree));
         match self {
-            Algorithm::LeastElAll => {
-                least_el::elect_on(kind, graph, cfg, &least_el::LeastElConfig::all_candidates())
-            }
-            Algorithm::LeastElWhp => {
-                least_el::elect_on(kind, graph, cfg, &least_el::LeastElConfig::whp())
-            }
-            Algorithm::LeastElConstant => least_el::elect_on(
-                kind,
-                graph,
-                cfg,
-                &least_el::LeastElConfig::constant_error(0.1),
-            ),
-            Algorithm::SizeEstimate => size_estimate::elect_on(kind, graph, cfg),
+            Algorithm::LeastElAll => least_el(LeastElConfig::all_candidates()),
+            Algorithm::LeastElWhp => least_el(LeastElConfig::whp()),
+            Algorithm::LeastElConstant => least_el(LeastElConfig::constant_error(0.1)),
+            Algorithm::SizeEstimate => runner.run(|_, s, _| SizeEstimateElect::new(s.degree)),
             Algorithm::LasVegas => {
-                las_vegas::elect_on(kind, graph, cfg, &las_vegas::LasVegasConfig::default())
+                runner.run(|_, s, _| LasVegasElect::new(LasVegasConfig::default(), s.degree))
             }
-            Algorithm::Clustering => clustering::elect_on(kind, graph, cfg),
-            Algorithm::DfsAgent => dfs_agent::elect_on(kind, graph, cfg, false),
-            Algorithm::KingdomKnownD => kingdom::elect_known_diameter_on(kind, graph, cfg),
-            Algorithm::KingdomDoubling => kingdom::elect_doubling_on(kind, graph, cfg),
-            Algorithm::FloodMax => baseline::flood_max_on(kind, graph, cfg),
-            Algorithm::Tole => baseline::tole_on(kind, graph, cfg),
-            Algorithm::CoinFlip => baseline::coin_flip_on(kind, graph, cfg),
+            Algorithm::Clustering => runner.run(|_, s, _| Clustering::new(s.degree)),
+            Algorithm::DfsAgent => runner.run(|_, s, _| DfsAgent::new(id(s), s.degree, false)),
+            Algorithm::KingdomKnownD => kingdom(RadiusSchedule::KnownDiameter),
+            Algorithm::KingdomDoubling => kingdom(RadiusSchedule::Doubling),
+            Algorithm::FloodMax => runner.run(|_, _, _| FloodMax::new()),
+            Algorithm::Tole => runner.run(|_, s, _| Tole::new(s.degree)),
+            Algorithm::CoinFlip => runner.run(|_, _, _| CoinFlip::new()),
         }
     }
 }
@@ -374,17 +387,28 @@ mod tests {
     use ule_graph::gen;
 
     #[test]
-    fn config_for_topo_and_implicit_runs_match_materialized() {
+    fn config_equals_config_for_and_implicit_runs_match_materialized() {
         let imp = ule_graph::ImplicitTopology::Torus { rows: 4, cols: 4 };
         let g = imp.materialize();
         for alg in Algorithm::ALL {
             let cfg = alg.config_for(&g, 9);
-            let topo_cfg = alg.config_for_topo(&imp, 9);
-            assert_eq!(cfg.knowledge, topo_cfg.knowledge, "{alg}");
-            assert_eq!(cfg.ids, topo_cfg.ids, "{alg}");
-            assert_eq!(cfg.max_rounds, topo_cfg.max_rounds, "{alg}");
-            assert_eq!(alg.run_with(&g, &cfg), alg.run_with(&imp, &topo_cfg), "{alg}");
+            let topo_cfg = alg.config(imp.n(), imp.diameter_hint(), 9);
+            assert_eq!(cfg, topo_cfg, "{alg}");
+            assert_eq!(
+                alg.run_with(&g, &cfg),
+                alg.run_with(&imp, &topo_cfg),
+                "{alg}"
+            );
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "kingdom(D) needs the diameter")]
+    fn config_without_a_needed_diameter_panics_naming_the_algorithm() {
+        // Algorithms that do not need it accept its absence …
+        assert_eq!(Algorithm::Tole.config(16, None, 0).knowledge.diameter, None);
+        // … the others refuse by name.
+        Algorithm::KingdomKnownD.config(16, None, 0);
     }
 
     #[test]

@@ -17,9 +17,8 @@
 
 use crate::wave::{Key, WaveCore, WaveMsg, WaveOutcome};
 use rand::Rng;
-use ule_graph::Topology;
 use ule_sim::message::{uint_bits, Message, TAG_BITS};
-use ule_sim::{Context, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// Cap on the geometric draw (`P(X > 60) < 2⁻⁶⁰`).
 const X_CAP: u32 = 60;
@@ -49,7 +48,23 @@ impl Message for SeMsg {
     }
 }
 
-/// Per-node protocol state for Corollary 4.5.
+/// Per-node protocol state for Corollary 4.5: probability 1, `O(D)` time,
+/// `O(m·min(log n, D))` messages w.h.p., **no** knowledge of `n`, `m`, `D`.
+/// Requires unique identifiers.
+///
+/// # Examples
+///
+/// ```
+/// use ule_core::Algorithm;
+/// use ule_sim::SimConfig;
+/// use ule_graph::{gen, IdAssignment};
+///
+/// let g = gen::grid(4, 4)?;
+/// let cfg = SimConfig::seeded(3).with_ids(IdAssignment::sequential(16));
+/// let out = Algorithm::SizeEstimate.run_with(&g, &cfg);
+/// assert!(out.election_succeeded());
+/// # Ok::<(), ule_graph::GraphError>(())
+/// ```
 #[derive(Debug)]
 pub struct SizeEstimateElect {
     degree: usize,
@@ -167,38 +182,6 @@ impl Protocol for SizeEstimateElect {
     }
 }
 
-/// Runs the Corollary 4.5 election: probability 1, `O(D)` time,
-/// `O(m·min(log n, D))` messages w.h.p., **no** knowledge of `n`, `m`, `D`.
-/// Requires unique identifiers in `sim`.
-///
-/// # Examples
-///
-/// ```
-/// use ule_core::size_estimate::elect;
-/// use ule_sim::SimConfig;
-/// use ule_graph::{gen, IdAssignment};
-///
-/// let g = gen::grid(4, 4)?;
-/// let cfg = SimConfig::seeded(3).with_ids(IdAssignment::sequential(16));
-/// let out = elect(&g, &cfg);
-/// assert!(out.election_succeeded());
-/// # Ok::<(), ule_graph::GraphError>(())
-/// ```
-pub fn elect<T: Topology>(graph: &T, sim: &SimConfig) -> RunOutcome {
-    elect_on(ule_sim::RuntimeKind::Sim, graph, sim)
-}
-
-/// [`elect`] on a caller-selected runtime.
-pub fn elect_on<T: Topology>(
-    kind: ule_sim::RuntimeKind,
-    graph: &T,
-    sim: &SimConfig,
-) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .runtime(kind)
-        .run(|_, setup, _| SizeEstimateElect::new(setup.degree))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -206,7 +189,11 @@ mod tests {
     use rand::SeedableRng;
     use ule_graph::{gen, Graph, IdSpace};
     use ule_sim::harness::{parallel_trials, Summary};
-    use ule_sim::{Termination, Wakeup};
+    use ule_sim::{RunOutcome, SimConfig, Termination, Wakeup};
+
+    fn elect(g: &Graph, cfg: &SimConfig) -> RunOutcome {
+        crate::Algorithm::SizeEstimate.run_with(g, cfg)
+    }
 
     fn cfg(g: &Graph, seed: u64) -> SimConfig {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x77);

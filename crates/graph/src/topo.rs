@@ -368,8 +368,8 @@ fn torus_incident(rows: usize, cols: usize, r: usize, c: usize) -> [(usize, usiz
     let lc = (c + cols - 1) % cols;
     let ur = (r + rows - 1) % rows;
     let mut e = [
-        (2 * (r * cols + lc), r, lc),          // left neighbour's right edge
-        (2 * (ur * cols + c) + 1, ur, c),      // up neighbour's down edge
+        (2 * (r * cols + lc), r, lc),            // left neighbour's right edge
+        (2 * (ur * cols + c) + 1, ur, c),        // up neighbour's down edge
         (2 * (r * cols + c), r, (c + 1) % cols), // own right edge
         (2 * (r * cols + c) + 1, (r + 1) % rows, c), // own down edge
     ];
@@ -604,7 +604,10 @@ impl Topology for ImplicitTopology {
                 } else {
                     // a == 0: incoming connector from the previous
                     // clique's last node.
-                    (((c + d_prime - 1) % d_prime) * gamma + (gamma - 1), gamma - 1)
+                    (
+                        ((c + d_prime - 1) % d_prime) * gamma + (gamma - 1),
+                        gamma - 1,
+                    )
                 }
             }
         }
@@ -626,15 +629,11 @@ impl Topology for ImplicitTopology {
             ImplicitTopology::Path { n } => 2 * (n - 1),
             ImplicitTopology::Star { n } => 2 * (n - 1),
             ImplicitTopology::Complete { n } => n * (n - 1),
-            ImplicitTopology::Grid { rows, cols } => {
-                2 * (rows * (cols - 1) + cols * (rows - 1))
-            }
+            ImplicitTopology::Grid { rows, cols } => 2 * (rows * (cols - 1) + cols * (rows - 1)),
             ImplicitTopology::Torus { rows, cols } => 4 * rows * cols,
             ImplicitTopology::Hypercube { dim } => dim as usize * (1usize << dim),
             ImplicitTopology::CompleteBinaryTree { depth } => 2 * ((1usize << (depth + 1)) - 2),
-            ImplicitTopology::CliqueCycle { d_prime, gamma } => {
-                d_prime * (gamma * (gamma - 1) + 2)
-            }
+            ImplicitTopology::CliqueCycle { d_prime, gamma } => d_prime * (gamma * (gamma - 1) + 2),
         }
     }
 

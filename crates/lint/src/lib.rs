@@ -15,10 +15,13 @@
 //! keys off the *claimed* relative path, so tests can scan fixtures under
 //! virtual deterministic paths), [`scan_tree`] for the workspace walk
 //! used by the `ule-lint` binary and the `lint_clean` workspace test.
+//! The same walker and lexer also produce the workspace's tracked size
+//! numbers ([`stats`], `ule-lint stats`).
 
 pub mod lexer;
 pub mod report;
 pub mod rules;
+pub mod stats;
 
 pub use report::{to_json, Finding, Severity};
 pub use rules::{rule_summary, scan_source, unsuppressed, ALL_RULES};

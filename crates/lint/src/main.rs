@@ -6,6 +6,8 @@
 //! cargo run -p ule-lint -- check --out report.json   # JSON artifact + human output
 //! cargo run -p ule-lint -- check --root /path/to/ws
 //! cargo run -p ule-lint -- rules                 # list rules and what they encode
+//! cargo run -p ule-lint -- stats [--root DIR] [--out FILE]
+//!                                                # per-crate code lines and pub items, JSON lines
 //! ```
 //!
 //! Exit status: 0 when the tree is clean (no unsuppressed error-severity
@@ -16,10 +18,11 @@ use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use ule_lint::{rule_summary, scan_tree, to_json, unsuppressed, ALL_RULES};
+use ule_lint::{rule_summary, scan_tree, stats, to_json, unsuppressed, ALL_RULES};
 
 fn usage() -> ExitCode {
-    eprintln!("usage: ule-lint check [--json] [--root DIR] [--out FILE]\n       ule-lint rules");
+    eprintln!("usage: ule-lint check [--json] [--root DIR] [--out FILE]");
+    eprintln!("       ule-lint stats [--root DIR] [--out FILE]\n       ule-lint rules");
     ExitCode::from(2)
 }
 
@@ -43,31 +46,46 @@ fn main() -> ExitCode {
             }
             ExitCode::SUCCESS
         }
-        Some("check") => run_check(&args[1..]),
+        Some("check") => parse_flags(&args[1..]).map_or_else(usage, run_check),
+        Some("stats") => parse_flags(&args[1..]).map_or_else(usage, run_stats),
         _ => usage(),
     }
 }
 
-fn run_check(args: &[String]) -> ExitCode {
-    let mut json = false;
-    let mut root = default_root();
-    let mut out: Option<PathBuf> = None;
+/// `(--json, --root, --out)`.
+type Flags = (bool, PathBuf, Option<PathBuf>);
+
+/// The flags shared by `check` and `stats` (whose output is JSON already).
+fn parse_flags(args: &[String]) -> Option<Flags> {
+    let (mut json, mut root, mut out) = (false, default_root(), None);
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--json" => json = true,
-            "--root" => match it.next() {
-                Some(d) => root = PathBuf::from(d),
-                None => return usage(),
-            },
-            "--out" => match it.next() {
-                Some(f) => out = Some(PathBuf::from(f)),
-                None => return usage(),
-            },
-            _ => return usage(),
+            "--root" => root = PathBuf::from(it.next()?),
+            "--out" => out = Some(PathBuf::from(it.next()?)),
+            _ => return None,
         }
     }
+    Some((json, root, out))
+}
 
+fn run_stats((_, root, out): Flags) -> ExitCode {
+    let written = stats::crate_stats(&root).and_then(|rows| {
+        let text = stats::render(&rows);
+        print!("{text}");
+        out.map_or(Ok(()), |path| fs::write(path, text))
+    });
+    match written {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("ule-lint: stats failed under {}: {e}", root.display());
+            ExitCode::from(2)
+        }
+    }
+}
+
+fn run_check((json, root, out): Flags) -> ExitCode {
     let findings = match scan_tree(&root) {
         Ok(f) => f,
         Err(e) => {

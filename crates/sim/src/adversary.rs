@@ -2,8 +2,8 @@
 //!
 //! The KPPRT bounds are stated against a *worst-case adversary*, but until
 //! this module the engine could express only one adversarial knob (the
-//! wakeup pattern): message delivery was hard-wired to "next round". Here
-//! every message fate, spontaneous wakeup, and node-liveness decision of a
+//! wakeup pattern, [`crate::Wakeup`]): message delivery was hard-wired to
+//! "next round". Here every message fate and node-liveness decision of a
 //! run flows through a [`Schedule`] — the adversary — so the same twelve
 //! `ule-core` algorithms can be measured under bounded-delay asynchrony,
 //! fail-stop crashes, and permanent link failures without touching a line
@@ -44,9 +44,6 @@
 //! * **Link failures** ([`LinkFailure`]): an undirected edge scheduled to
 //!   die at round `c` carries messages sent in rounds `< c` and silently
 //!   drops (in both directions) everything sent in rounds `>= c`.
-//! * **Wakeups** ([`WakeupSchedule`]): the legacy [`crate::Wakeup`] modes
-//!   are themselves expressed as a schedule — "everyone wakes at round 0"
-//!   is the lockstep default, an adversarial wakeup set restricts it.
 //!
 //! Dropped messages still *cost* the sender (they count toward
 //! [`crate::RunOutcome::messages`], bits, CONGEST checks, and per-edge
@@ -57,7 +54,7 @@
 //! [`crate::RunOutcome::late_deliveries`].
 
 use crate::exec::splitmix64;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use ule_graph::{NodeId, Topology};
 
 /// Domain-separation tag for the [`BoundedDelay`] delay stream (distinct
@@ -99,24 +96,16 @@ pub struct SendView {
     pub didx: usize,
 }
 
-/// An execution-model adversary: decides wakeups, liveness, and message
-/// fates. All default methods implement the lockstep synchronous model.
+/// An execution-model adversary: decides liveness and message fates. All
+/// default methods implement the lockstep synchronous model.
 ///
 /// Implementations must be deterministic (see the module docs): the
-/// runtime calls [`Schedule::wake_round`] and [`Schedule::crash_round`]
-/// once per node at run setup (ascending node order, sequential control
-/// thread), while [`Schedule::message_fate`] is a *pure* shared-state
-/// query — the async runtime invokes it concurrently from worker threads,
-/// hence the `Sync` bound and the `&self` receiver.
+/// runtime calls [`Schedule::crash_round`] once per node at run setup
+/// (ascending node order, sequential control thread), while
+/// [`Schedule::message_fate`] is a *pure* shared-state query — the async
+/// runtime invokes it concurrently from worker threads, hence the `Sync`
+/// bound and the `&self` receiver.
 pub trait Schedule: Send + Sync {
-    /// Spontaneous wakeup round of node `v`, or `None` when the node wakes
-    /// only on first message receipt. Lockstep default: everyone wakes at
-    /// round 0.
-    fn wake_round(&mut self, v: NodeId) -> Option<u64> {
-        let _ = v;
-        Some(0)
-    }
-
     /// Round at whose start node `v` fail-stops, or `None` when it never
     /// crashes (the lockstep default).
     fn crash_round(&mut self, v: NodeId) -> Option<u64> {
@@ -137,8 +126,8 @@ pub trait Schedule: Send + Sync {
     }
 }
 
-/// The synchronous baseline: everyone wakes at round 0, nothing crashes,
-/// every message arrives next round. Running under an explicit `Lockstep`
+/// The synchronous baseline: nothing crashes, every message arrives next
+/// round. Running under an explicit `Lockstep`
 /// is byte-for-byte identical to the legacy engine (pinned by
 /// `tests/properties.rs` and the scheduler-equivalence matrix).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -256,43 +245,9 @@ impl Schedule for LinkFailure {
     }
 }
 
-/// The legacy [`crate::Wakeup`] discipline, expressed as a schedule:
-/// `None` = everyone wakes at round 0 (simultaneous), `Some(set)` = only
-/// the listed nodes do, the rest wake on first message receipt.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct WakeupSchedule {
-    awake: Option<BTreeSet<NodeId>>,
-}
-
-impl WakeupSchedule {
-    /// Simultaneous wakeup (the lockstep default).
-    pub fn simultaneous() -> WakeupSchedule {
-        WakeupSchedule { awake: None }
-    }
-
-    /// Adversarial wakeup: exactly the listed nodes wake spontaneously.
-    pub fn adversarial(set: &[NodeId]) -> WakeupSchedule {
-        WakeupSchedule {
-            awake: Some(set.iter().copied().collect()),
-        }
-    }
-}
-
-impl Schedule for WakeupSchedule {
-    fn wake_round(&mut self, v: NodeId) -> Option<u64> {
-        match &self.awake {
-            None => Some(0),
-            Some(set) => set.contains(&v).then_some(0),
-        }
-    }
-}
-
 /// Stacks several schedules into one adversary. The most restrictive
 /// component always wins:
 ///
-/// * **wakeups** — a node wakes spontaneously only if *every* component
-///   allows it, at the latest round any component demands (`None`
-///   dominates);
 /// * **crashes** — the earliest scheduled crash fires;
 /// * **message fates** — [`Fate::Dropped`] dominates; otherwise the
 ///   message arrives at the latest delivery round any component assigns.
@@ -308,17 +263,6 @@ impl Compose {
 }
 
 impl Schedule for Compose {
-    fn wake_round(&mut self, v: NodeId) -> Option<u64> {
-        let mut wake = Some(0);
-        for part in &mut self.parts {
-            wake = match (wake, part.wake_round(v)) {
-                (Some(a), Some(b)) => Some(a.max(b)),
-                _ => None,
-            };
-        }
-        wake
-    }
-
     fn crash_round(&mut self, v: NodeId) -> Option<u64> {
         self.parts.iter_mut().filter_map(|p| p.crash_round(v)).min()
     }
@@ -428,7 +372,6 @@ mod tests {
     #[test]
     fn lockstep_defaults() {
         let mut s = Lockstep;
-        assert_eq!(s.wake_round(3), Some(0));
         assert_eq!(s.crash_round(3), None);
         assert_eq!(
             s.message_fate(&send(7, 0, 0, 1)),
@@ -483,9 +426,7 @@ mod tests {
         let delay = splitmix64(edge_stream.wrapping_add(7)) % 9;
         assert_eq!(
             s.message_fate(&send_on(3, 10, 7)),
-            Fate::Deliver {
-                round: 11 + delay
-            }
+            Fate::Deliver { round: 11 + delay }
         );
     }
 
@@ -539,27 +480,15 @@ mod tests {
     }
 
     #[test]
-    fn wakeup_schedule_mirrors_legacy_modes() {
-        let mut sim = WakeupSchedule::simultaneous();
-        assert_eq!(sim.wake_round(17), Some(0));
-        let mut adv = WakeupSchedule::adversarial(&[2, 5]);
-        assert_eq!(adv.wake_round(2), Some(0));
-        assert_eq!(adv.wake_round(3), None);
-    }
-
-    #[test]
     fn compose_takes_the_most_restrictive_decision() {
         let g = gen::cycle(6).unwrap();
         let mut s = Compose::new(vec![
-            Box::new(WakeupSchedule::adversarial(&[0])),
             Box::new(BoundedDelay::new(1, 4)),
+            Box::new(CrashStop::new(6, &[(3, 9)])),
             Box::new(CrashStop::new(6, &[(3, 2)])),
             Box::new(LinkFailure::new(&g, &[((4, 5), 0)])),
         ]);
-        // Wakeup: None dominates.
-        assert_eq!(s.wake_round(0), Some(0));
-        assert_eq!(s.wake_round(1), None);
-        // Crash: the one scheduled crash survives the stack.
+        // Crash: the earliest scheduled crash survives the stack.
         assert_eq!(s.crash_round(3), Some(2));
         assert_eq!(s.crash_round(0), None);
         // Fate: drop dominates; otherwise the latest delivery round wins.

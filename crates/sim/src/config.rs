@@ -1,7 +1,7 @@
 //! Run configuration: communication model, identifiers, knowledge, wakeup,
 //! and the execution-model adversary.
 
-use crate::adversary::{Adversary, WakeupSchedule};
+use crate::adversary::Adversary;
 use crate::protocol::Knowledge;
 use ule_graph::{IdAssignment, NodeId};
 
@@ -144,24 +144,13 @@ pub enum Wakeup {
     #[default]
     Simultaneous,
     /// Only the listed nodes wake at round 0; everyone else wakes on first
-    /// message receipt. The list must be non-empty.
+    /// message receipt. The list must be non-empty; order and repeats are
+    /// immaterial.
     Adversarial(Vec<NodeId>),
 }
 
-impl Wakeup {
-    /// The wakeup discipline expressed as an execution-model schedule (the
-    /// engine stacks it with [`SimConfig::adversary`], so *every* wakeup
-    /// decision flows through the [`crate::adversary`] layer).
-    pub fn as_schedule(&self) -> WakeupSchedule {
-        match self {
-            Wakeup::Simultaneous => WakeupSchedule::simultaneous(),
-            Wakeup::Adversarial(set) => WakeupSchedule::adversarial(set),
-        }
-    }
-}
-
 /// Full configuration of one simulated execution.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SimConfig {
     /// Communication model (default CONGEST with factor 16).
     pub model: Model,
@@ -224,13 +213,6 @@ impl SimConfig {
         }
     }
 
-    /// A typed builder (see [`SimConfigBuilder`]). Every configuration
-    /// runs on every runtime — adversaries and watch edges included — so
-    /// [`SimConfigBuilder::build`] is infallible.
-    pub fn builder() -> SimConfigBuilder {
-        SimConfigBuilder::default()
-    }
-
     /// Builder-style: set knowledge.
     pub fn with_knowledge(mut self, k: Knowledge) -> Self {
         self.knowledge = k;
@@ -287,98 +269,6 @@ impl SimConfig {
     }
 }
 
-/// Typed builder for [`SimConfig`], created by [`SimConfig::builder`].
-///
-/// Since message fates became a pure function of `(seed, directed edge,
-/// per-edge send index)` (see [`crate::adversary`]), every configuration —
-/// adversaries and watch edges included — runs on every runtime with
-/// field-for-field equal outcomes, so there is nothing left to validate
-/// against a runtime choice and [`SimConfigBuilder::build`] is infallible.
-///
-/// ```
-/// use ule_sim::{Adversary, SimConfig};
-///
-/// let cfg = SimConfig::builder()
-///     .seed(7)
-///     .adversary(Adversary::BoundedDelay { max_delay: 2 })
-///     .build();
-/// assert_eq!(cfg.seed, 7);
-/// ```
-#[derive(Debug, Clone, Default)]
-pub struct SimConfigBuilder {
-    config: SimConfig,
-}
-
-impl SimConfigBuilder {
-    /// Seed for all node RNG streams.
-    pub fn seed(mut self, seed: u64) -> Self {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Communication model (default CONGEST with factor 16).
-    pub fn model(mut self, model: Model) -> Self {
-        self.config.model = model;
-        self
-    }
-
-    /// What the nodes know (default: nothing).
-    pub fn knowledge(mut self, k: Knowledge) -> Self {
-        self.config.knowledge = k;
-        self
-    }
-
-    /// Explicit unique identifiers (default: anonymous).
-    pub fn ids(mut self, ids: IdAssignment) -> Self {
-        self.config.ids = IdMode::Explicit(ids);
-        self
-    }
-
-    /// Wakeup discipline (default: simultaneous).
-    pub fn wakeup(mut self, wakeup: Wakeup) -> Self {
-        self.config.wakeup = wakeup;
-        self
-    }
-
-    /// Hard cap on simulated rounds.
-    pub fn max_rounds(mut self, max_rounds: u64) -> Self {
-        self.config.max_rounds = max_rounds;
-        self
-    }
-
-    /// Watches edges for first crossing (appends).
-    pub fn watching(mut self, edges: &[(NodeId, NodeId)]) -> Self {
-        self.config.watch_edges.extend_from_slice(edges);
-        self
-    }
-
-    /// Intra-run parallelism (default [`Parallelism::Auto`]).
-    pub fn parallelism(mut self, parallelism: Parallelism) -> Self {
-        self.config.parallelism = parallelism;
-        self
-    }
-
-    /// The execution-model adversary (default [`Adversary::Lockstep`]).
-    pub fn adversary(mut self, adversary: Adversary) -> Self {
-        self.config.adversary = adversary;
-        self
-    }
-
-    /// Per-directed-edge statistics arrays (default on; see
-    /// [`SimConfig::edge_stats`]).
-    pub fn edge_stats(mut self, edge_stats: bool) -> Self {
-        self.config.edge_stats = edge_stats;
-        self
-    }
-
-    /// Returns the finished configuration. Infallible: graph-dependent
-    /// validation (wakeup sets, watch edges, adversary schedules) happens
-    /// at run start, where the graph is known.
-    pub fn build(self) -> SimConfig {
-        self.config
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -398,8 +288,12 @@ mod tests {
             .with_max_rounds(10)
             .with_model(Model::Local)
             .with_wakeup(Wakeup::Adversarial(vec![0]))
+            .with_adversary(Adversary::BoundedDelay { max_delay: 3 })
+            .with_edge_stats(false)
             .watching(&[(0, 1)]);
         assert_eq!(cfg.seed, 9);
+        assert_eq!(cfg.adversary, Adversary::BoundedDelay { max_delay: 3 });
+        assert!(!cfg.edge_stats);
         assert_eq!(cfg.knowledge.n, Some(4));
         assert_eq!(cfg.max_rounds, 10);
         assert_eq!(cfg.model, Model::Local);
@@ -415,19 +309,6 @@ mod tests {
         assert_eq!(cfg.parallelism, Parallelism::Auto);
         assert_eq!(cfg.adversary, Adversary::Lockstep);
         assert!(cfg.edge_stats);
-    }
-
-    #[test]
-    fn adversary_builder_and_wakeup_bridge() {
-        let cfg = SimConfig::seeded(1).with_adversary(Adversary::BoundedDelay { max_delay: 3 });
-        assert_eq!(cfg.adversary, Adversary::BoundedDelay { max_delay: 3 });
-        // The legacy wakeup modes express themselves as schedules.
-        use crate::adversary::Schedule;
-        let mut s = Wakeup::Simultaneous.as_schedule();
-        assert_eq!(s.wake_round(5), Some(0));
-        let mut a = Wakeup::Adversarial(vec![1]).as_schedule();
-        assert_eq!(a.wake_round(1), Some(0));
-        assert_eq!(a.wake_round(0), None);
     }
 
     #[test]
@@ -459,29 +340,5 @@ mod tests {
     #[should_panic(expected = "Parallelism::Threads(0)")]
     fn zero_threads_panics() {
         Parallelism::Threads(0).effective_threads(10);
-    }
-
-    #[test]
-    fn typed_builder_builds_every_combination() {
-        let cfg = SimConfig::builder()
-            .seed(3)
-            .knowledge(Knowledge::n(9))
-            .ids(IdAssignment::sequential(9))
-            .max_rounds(50)
-            .model(Model::Local)
-            .wakeup(Wakeup::Adversarial(vec![0]))
-            .parallelism(Parallelism::Off)
-            .adversary(Adversary::BoundedDelay { max_delay: 1 })
-            .edge_stats(false)
-            .watching(&[(0, 1)])
-            .build();
-        assert_eq!(cfg.seed, 3);
-        assert!(!cfg.edge_stats);
-        assert_eq!(cfg.knowledge.n, Some(9));
-        assert_eq!(cfg.max_rounds, 50);
-        assert_eq!(cfg.model, Model::Local);
-        assert_eq!(cfg.parallelism, Parallelism::Off);
-        assert_eq!(cfg.adversary, Adversary::BoundedDelay { max_delay: 1 });
-        assert_eq!(cfg.watch_edges, vec![(0, 1)]);
     }
 }

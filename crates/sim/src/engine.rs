@@ -226,20 +226,15 @@ where
     let mut active: Vec<NodeId> = Vec::new();
     let mut in_active: Vec<bool> = vec![false; n];
 
-    // The shared run set-up arms the spontaneous wakeups the schedules
-    // grant. Round-0 wakeups seed the active set directly: routing them
-    // through the heap would be wasted work (under simultaneous wakeup
-    // that is n pushes + n pops), and the round-0 execution clears the
-    // `wake = 0` markers before any heap lookup could expect entries for
-    // them.
-    let facts = RunFacts::new(topo, config, |v, w| {
-        store.wake[v] = w;
-        if w == 0 {
-            in_active[v] = true;
-            active.push(v);
-        } else {
-            wake_heap.push(Reverse((w, v)));
-        }
+    // The shared run set-up arms the spontaneous round-0 wakeups. They
+    // seed the active set directly: routing them through the heap would be
+    // wasted work (under simultaneous wakeup that is n pushes + n pops),
+    // and the round-0 execution clears the `wake = 0` markers before any
+    // heap lookup could expect entries for them.
+    let facts = RunFacts::new(topo, config, |v| {
+        store.wake[v] = 0;
+        in_active[v] = true;
+        active.push(v);
     });
     // Every send — and with it every adversary fate decision — is
     // accounted here, on this sequential control thread.
@@ -417,7 +412,15 @@ where
                     base = hi;
                     scope.spawn(move || {
                         step_shard(
-                            rc_ref, round, lo, mine, nodes, arena_ref, started_ref, buf, scratch,
+                            rc_ref,
+                            round,
+                            lo,
+                            mine,
+                            nodes,
+                            arena_ref,
+                            started_ref,
+                            buf,
+                            scratch,
                             out,
                         )
                     });
@@ -477,7 +480,15 @@ where
                         arena: &mut arena,
                     };
                     step_node(
-                        &rc, round, v, &mut view, v, first, &inbox_buf, &mut scratch, &mut sink,
+                        &rc,
+                        round,
+                        v,
+                        &mut view,
+                        v,
+                        first,
+                        &inbox_buf,
+                        &mut scratch,
+                        &mut sink,
                     )
                 };
                 // A changed timer needs a heap entry; the stale entry for
@@ -1282,9 +1293,8 @@ mod tests {
         for cfg in [
             flood_cfg(16, 12, 9),
             flood_cfg(16, 12, 9).with_parallelism(Parallelism::Threads(3)),
-            flood_cfg(16, 12, 9).with_adversary(crate::adversary::Adversary::BoundedDelay {
-                max_delay: 2,
-            }),
+            flood_cfg(16, 12, 9)
+                .with_adversary(crate::adversary::Adversary::BoundedDelay { max_delay: 2 }),
         ] {
             assert_eq!(run(&t, &cfg, mk), run(&g, &cfg, mk));
         }
@@ -1386,7 +1396,11 @@ mod tests {
             "every node's lazy draws must match its pristine stream"
         );
         // And the whole thing is thread-count invariant.
-        let par = run(&g, &cfg.clone().with_parallelism(Parallelism::Threads(3)), mk);
+        let par = run(
+            &g,
+            &cfg.clone().with_parallelism(Parallelism::Threads(3)),
+            mk,
+        );
         assert_eq!(par, out);
     }
 

@@ -607,7 +607,8 @@ impl<M: Message> InboxArena<M> {
         let start = out.len();
         let mut j = self.cur_slot[v];
         while j != NO_SLOT {
-            let e = &self.blocks[(j >> ARENA_CHUNK_BITS) as usize][(j as usize) & (ARENA_CHUNK - 1)];
+            let e =
+                &self.blocks[(j >> ARENA_CHUNK_BITS) as usize][(j as usize) & (ARENA_CHUNK - 1)];
             out.push((e.port as usize, e.msg.clone()));
             j = e.prev;
         }
@@ -864,28 +865,25 @@ pub(crate) struct RunFacts {
     /// [`crate::SimConfig::edge_stats`]).
     edge_stats: bool,
     schedule: Box<dyn Schedule>,
-    /// Precomputed fail-stop round per node.
-    pub(crate) crash_round: Vec<Option<u64>>,
+    /// Precomputed fail-stop round per node; empty when the schedule
+    /// crashes nobody (the common case — at 16 B/node a dense column would
+    /// be 1.6 GB at 10⁸ nodes). Read through [`RunFacts::crash_round`].
+    crash_rounds: Vec<Option<u64>>,
     /// Normalized watched edge → positions in `SimConfig::watch_edges`
     /// (reversed and duplicate entries all resolve: one crossing fills
     /// every position).
     watch_index: BTreeMap<(NodeId, NodeId), Vec<usize>>,
     watch_len: usize,
-    /// Latest crash round that suppressed a spontaneous wakeup at set-up.
-    setup_horizon: u64,
 }
 
 impl RunFacts {
     /// The one run set-up: validates the wakeup set, builds the adversary
     /// schedule, precomputes crash rounds, normalizes and indexes the
-    /// watched edges, and hands every spontaneous wakeup the run grants
-    /// to `arm(node, round)` in ascending node order — the wakeup
-    /// discipline stacked with the adversary (a node wakes only if both
-    /// allow it, at the later round; hand-inlined rather than routed
-    /// through `adversary::Compose` because the wakeup half only ever
-    /// constrains `wake_round`), crash-filtered: a node that crashes at or
-    /// before its wakeup round never participates at all. The wakeups are
-    /// streamed, not returned as a list — at 10⁸ nodes a list is 1.6 GB.
+    /// watched edges, and hands every node `config.wakeup` wakes at round
+    /// 0 — all of them, or the listed ones — to `arm` in ascending node
+    /// order, crash-filtered: a node that crashes at round 0 never
+    /// participates at all. The wakeups are streamed, not returned as a
+    /// list — at 10⁸ nodes a list is 0.8 GB.
     ///
     /// # Panics
     ///
@@ -896,29 +894,17 @@ impl RunFacts {
     pub(crate) fn new<T: Topology>(
         topo: &T,
         config: &SimConfig,
-        mut arm: impl FnMut(NodeId, u64),
+        mut arm: impl FnMut(NodeId),
     ) -> Self {
         let n = topo.n();
-        if let Wakeup::Adversarial(set) = &config.wakeup {
-            assert!(!set.is_empty(), "at least one node must wake initially");
-            for &v in set {
-                assert!(
-                    v < n,
-                    "Wakeup::Adversarial names node {v}, but the graph has only {n} nodes"
-                );
-            }
-        }
         let mut schedule = config.adversary.build(config.seed, topo);
-        let crash_round: Vec<Option<u64>> = (0..n).map(|v| schedule.crash_round(v)).collect();
-        let mut wakeup_schedule = config.wakeup.as_schedule();
-        let mut setup_horizon = 0u64;
-        for (v, &crash) in crash_round.iter().enumerate() {
-            if let (Some(a), Some(b)) = (wakeup_schedule.wake_round(v), schedule.wake_round(v)) {
-                let w = a.max(b);
-                match crash {
-                    Some(c) if c <= w => setup_horizon = setup_horizon.max(c),
-                    _ => arm(v, w),
+        let mut crash_rounds = Vec::new();
+        for v in 0..n {
+            if let Some(c) = schedule.crash_round(v) {
+                if crash_rounds.is_empty() {
+                    crash_rounds = vec![None; n];
                 }
+                crash_rounds[v] = Some(c);
             }
         }
         let mut watch_index: BTreeMap<(NodeId, NodeId), Vec<usize>> = BTreeMap::new();
@@ -930,16 +916,40 @@ impl RunFacts {
             );
             watch_index.entry((a, b)).or_default().push(i);
         }
-        RunFacts {
+        let facts = RunFacts {
             budget: config.model.bit_budget(n),
             synchronous: config.adversary == Adversary::Lockstep,
             edge_stats: config.edge_stats,
             schedule,
-            crash_round,
+            crash_rounds,
             watch_index,
             watch_len: config.watch_edges.len(),
-            setup_horizon,
+        };
+        let wake = |v| {
+            if facts.crash_round(v) != Some(0) {
+                arm(v);
+            }
+        };
+        match &config.wakeup {
+            Wakeup::Simultaneous => (0..n).for_each(wake),
+            Wakeup::Adversarial(set) => {
+                assert!(!set.is_empty(), "at least one node must wake initially");
+                let mut set = set.clone();
+                set.sort_unstable();
+                set.dedup();
+                if let Some(&v) = set.last().filter(|&&v| v >= n) {
+                    panic!("Wakeup::Adversarial names node {v}, but the graph has only {n} nodes");
+                }
+                set.into_iter().for_each(wake);
+            }
         }
+        facts
+    }
+
+    /// Round at whose start node `v` fail-stops, if it ever does.
+    #[inline]
+    pub(crate) fn crash_round(&self, v: NodeId) -> Option<u64> {
+        self.crash_rounds.get(v).copied().flatten()
     }
 
     /// The fate of one send: `Ok(delivery round)`, or `Err(h)` when the
@@ -966,7 +976,7 @@ impl RunFacts {
                     "Schedule bug: message sent in round {} scheduled for delivery at round {at}",
                     send.round
                 );
-                match self.crash_round[send.dest] {
+                match self.crash_round(send.dest) {
                     Some(c) if c <= at => Err(c),
                     _ => Ok(at),
                 }
@@ -1141,7 +1151,7 @@ impl LedgerPart {
     /// horizon — so every armed timer outlives its owner's crash on every
     /// runtime. Returns whether the timer stands.
     pub(crate) fn rearm(&mut self, facts: &RunFacts, v: NodeId, w: u64, slot: &mut u64) -> bool {
-        match facts.crash_round[v] {
+        match facts.crash_round(v) {
             Some(c) if c <= w => {
                 self.crash_horizon = self.crash_horizon.max(c);
                 *slot = NO_WAKE;
@@ -1194,9 +1204,9 @@ impl LedgerPart {
         round_totals: Vec<(u64, u64)>,
     ) -> RunOutcome {
         let n = statuses.len();
-        let end = end_round.max(self.crash_horizon).max(facts.setup_horizon);
-        let crashed: Vec<NodeId> = (0..n)
-            .filter(|&v| facts.crash_round[v].is_some_and(|c| c <= end))
+        let end = end_round.max(self.crash_horizon);
+        let crashed: Vec<NodeId> = (0..facts.crash_rounds.len())
+            .filter(|&v| facts.crash_round(v).is_some_and(|c| c <= end))
             .collect();
         if termination == Termination::Quiescent && crashed.len() == n && n > 0 {
             termination = Termination::AllCrashed;
@@ -1304,6 +1314,47 @@ mod tests {
         }
     }
 
+    #[test]
+    fn crash_column_is_allocated_only_when_some_node_crashes() {
+        let g = gen::cycle(6).unwrap();
+        let facts = |adversary: Adversary| {
+            RunFacts::new(&g, &SimConfig::seeded(1).with_adversary(adversary), |_| {})
+        };
+        for quiet in [
+            Adversary::Lockstep,
+            Adversary::BoundedDelay { max_delay: 2 },
+            Adversary::Compose(vec![Adversary::CrashStop { schedule: vec![] }]),
+        ] {
+            let f = facts(quiet.clone());
+            assert!(f.crash_rounds.is_empty(), "{quiet:?}");
+            assert_eq!(f.crash_round(3), None, "{quiet:?}");
+        }
+        let f = facts(Adversary::CrashStop {
+            schedule: vec![(4, 7)],
+        });
+        assert_eq!(f.crash_rounds.len(), 6);
+        assert_eq!((f.crash_round(3), f.crash_round(4)), (None, Some(7)));
+    }
+
+    #[test]
+    fn wakeups_arm_in_ascending_order_once_each_and_skip_round_zero_crashes() {
+        let g = gen::cycle(6).unwrap();
+        let armed = |wakeup: Wakeup, crashes: Vec<(NodeId, u64)>| {
+            let config = SimConfig::seeded(1)
+                .with_wakeup(wakeup)
+                .with_adversary(Adversary::CrashStop { schedule: crashes });
+            let mut armed = Vec::new();
+            RunFacts::new(&g, &config, |v| armed.push(v));
+            armed
+        };
+        assert_eq!(armed(Wakeup::Adversarial(vec![3, 0, 3]), vec![]), [0, 3]);
+        assert_eq!(armed(Wakeup::Adversarial(vec![3, 0, 3]), vec![(3, 0)]), [0]);
+        assert_eq!(
+            armed(Wakeup::Simultaneous, vec![(2, 0), (4, 1)]),
+            [0, 1, 3, 4, 5]
+        );
+    }
+
     /// The property sharded accounting leans on: accounting a send
     /// sequence on range-owned parts split by sender and merging them — in
     /// either grouping — yields the part a single accountant builds.
@@ -1340,7 +1391,7 @@ mod tests {
                     .with_model(Model::Congest { factor: 3 })
                     .with_adversary(adversary.clone());
                 config.edge_stats = edge_stats;
-                let facts = RunFacts::new(&g, &config, |_, _| {});
+                let facts = RunFacts::new(&g, &config, |_| {});
                 // Parts owning the senders `bounds[i]..bounds[i + 1]`.
                 let account = |bounds: &[NodeId]| -> Vec<LedgerPart> {
                     let mut parts: Vec<LedgerPart> = bounds

@@ -95,7 +95,7 @@ pub mod transport;
 
 pub use adversary::{Adversary, Fate, Schedule, SendView};
 pub use calendar::CalendarQueue;
-pub use config::{IdMode, Model, Parallelism, SimConfig, SimConfigBuilder, Wakeup};
+pub use config::{IdMode, Model, Parallelism, SimConfig, Wakeup};
 pub use exec::{node_rng_seed, RunOutcome, Termination, WatchHit};
 pub use outbox::PortOutbox;
 pub use protocol::{Context, Knowledge, NodeSetup, Protocol, Status};

@@ -205,7 +205,7 @@ impl AsyncRuntime {
         store.densify_rngs(config.seed);
         // The shared run set-up; fate queries are pure, so the workers
         // share the facts by reference.
-        let facts = RunFacts::new(graph, config, |v, w| store.wake[v] = w);
+        let facts = RunFacts::new(graph, config, |v| store.wake[v] = 0);
         if n == 0 {
             let quiescent = (Termination::Quiescent, 0);
             return assemble(graph, &facts, Vec::new(), &store.statuses, quiescent, false);
@@ -345,7 +345,7 @@ where
     let cap = config.max_rounds;
     let mut store = init_store(graph, config, factory);
     store.densify_rngs(config.seed);
-    let facts = RunFacts::new(graph, config, |v, w| store.wake[v] = w);
+    let facts = RunFacts::new(graph, config, |v| store.wake[v] = 0);
     let dcount = graph.directed_edge_count();
     let mut books = vec![(LedgerPart::new(&facts, 0..dcount), WorkerStats::new(dcount))];
     // A replay is one worker that owns every node and has no channels:
@@ -762,7 +762,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     fn execute(&mut self, i: usize, e: u64) {
         let v = self.lo + i;
         debug_assert!(
-            !self.facts.crash_round[v].is_some_and(|c| c <= e),
+            !self.facts.crash_round(v).is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
         let mut due = self.rt[i].pending.take_at(e);
@@ -1112,7 +1112,9 @@ mod tests {
             .with_max_rounds(10_000);
         let reference = run(&g, &c, mk(400));
         for workers in [1, 3] {
-            let a = AsyncRuntime::new().with_workers(workers).run(&g, &c, mk(400));
+            let a = AsyncRuntime::new()
+                .with_workers(workers)
+                .run(&g, &c, mk(400));
             assert_eq!(a.outcome, reference, "workers = {workers}");
         }
     }
@@ -1134,13 +1136,16 @@ mod tests {
         ] {
             // A reversed and a duplicated entry ride along: watch edges are
             // normalized once, in the shared set-up, for both runtimes.
-            let c = cfg(9, 7)
-                .with_adversary(adv.clone())
-                .watching(&[(0, 1), (4, 5), (5, 4), (0, 1)]);
+            let c =
+                cfg(9, 7)
+                    .with_adversary(adv.clone())
+                    .watching(&[(0, 1), (4, 5), (5, 4), (0, 1)]);
             let reference = run(&g, &c, mk(12));
             assert!(reference.watch_hits.iter().any(|h| h.is_some()));
             for workers in [1, 2] {
-                let a = AsyncRuntime::new().with_workers(workers).run(&g, &c, mk(12));
+                let a = AsyncRuntime::new()
+                    .with_workers(workers)
+                    .run(&g, &c, mk(12));
                 assert_eq!(a.outcome, reference, "{adv:?}, workers = {workers}");
             }
             // Reconstruction must also work when the public trace is off.

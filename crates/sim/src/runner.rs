@@ -173,7 +173,9 @@ mod tests {
         let g = gen::path(3).unwrap();
         let delayed = SimConfig::seeded(0).with_adversary(Adversary::BoundedDelay { max_delay: 2 });
         let sim = Runner::new(&g, &delayed).run(mk);
-        let asy = Runner::new(&g, &delayed).runtime(RuntimeKind::Async).run(mk);
+        let asy = Runner::new(&g, &delayed)
+            .runtime(RuntimeKind::Async)
+            .run(mk);
         assert_eq!(sim, asy);
     }
 
@@ -184,5 +186,32 @@ mod tests {
         let sim = Runner::new(&g, &cfg).run(mk);
         let asy = Runner::new(&g, &cfg).runtime(RuntimeKind::Async).run(mk);
         assert_eq!(sim, asy);
+    }
+
+    #[test]
+    fn adversarial_wakeup_is_a_set_and_a_round_zero_crash_never_steps() {
+        // Order and repeats in the wakeup list are immaterial; a listed
+        // node that fail-stops at round 0 never steps, yet the outcome
+        // reports it crashed — on both runtimes.
+        let g = gen::path(5).unwrap();
+        let crash = Adversary::CrashStop {
+            schedule: vec![(3, 0)],
+        };
+        for kind in [RuntimeKind::Sim, RuntimeKind::Async] {
+            let run = |set: Vec<NodeId>, adversary: &Adversary| {
+                let cfg = SimConfig::seeded(2)
+                    .with_wakeup(Wakeup::Adversarial(set))
+                    .with_adversary(adversary.clone());
+                Runner::new(&g, &cfg).runtime(kind).run(mk)
+            };
+            let listed = run(vec![3, 0, 3], &Adversary::Lockstep);
+            assert_eq!(listed, run(vec![0, 3], &Adversary::Lockstep), "{kind:?}");
+            assert_ne!(listed, run(vec![0], &Adversary::Lockstep), "{kind:?}");
+
+            let out = run(vec![3, 0, 3], &crash);
+            assert_eq!(out, run(vec![0], &crash), "{kind:?}: node 3 never woke");
+            assert_eq!(out.crashed, vec![3], "{kind:?}");
+            assert_eq!(out.statuses[3], Status::Undecided, "{kind:?}");
+        }
     }
 }

@@ -6,26 +6,17 @@
 //! ([`LinkGate`]), making the per-edge FIFO guarantee of the execution
 //! model an enforced invariant rather than an assumption.
 
-use crate::message::{uint_bits, Message, TAG_BITS};
 use ule_graph::Port;
 
-/// One chunk of a multi-round payload transfer.
+/// One delivery on the wire: its link sequence number and header words.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame {
     /// Position of this frame on its link (0-based). `u64`: the
     /// historical `u32` field silently truncated the sequence number
     /// beyond 2³² frames, so a wrapped frame passed for a fresh one.
     pub seq: u64,
-    /// Whether this is the final frame of the payload.
-    pub last: bool,
     /// The words carried by this frame.
     pub words: Vec<u64>,
-}
-
-impl Message for Frame {
-    fn size_bits(&self) -> u64 {
-        TAG_BITS + uint_bits(self.seq) + 1 + self.words.iter().map(|&w| uint_bits(w)).sum::<u64>()
-    }
 }
 
 /// Sender side of a FIFO link discipline: stamps each outgoing [`Frame`]
@@ -51,11 +42,7 @@ impl LinkSeq {
     pub fn stamp(&mut self, words: Vec<u64>) -> Frame {
         let seq = self.next;
         self.next += 1;
-        Frame {
-            seq,
-            last: true,
-            words,
-        }
+        Frame { seq, words }
     }
 }
 
@@ -110,7 +97,6 @@ mod tests {
         for i in 0..5u64 {
             let f = seq.stamp(vec![i, 100 + i]);
             assert_eq!(f.seq, i);
-            assert!(f.last);
             assert_eq!(gate.accept(1, &f), &[i, 100 + i]);
         }
         // The other port has its own, independent expectation.
@@ -145,38 +131,23 @@ mod tests {
         gate.accept(0, &late);
         let stale = Frame {
             seq: 0,
-            last: true,
             words: vec![9],
         };
         gate.accept(0, &stale);
     }
 
     #[test]
-    #[allow(clippy::int_plus_one)] // the sum spells out header + payload + flag bits
-    fn frame_sizes_accounted() {
-        let f = Frame {
-            seq: 3,
-            last: false,
-            words: vec![0xFF, 1],
-        };
-        assert!(f.size_bits() >= 4 + 2 + 1 + 8 + 1);
-    }
-
-    #[test]
     fn sequence_numbers_do_not_truncate_at_the_u32_boundary() {
         // The historical `i as u32` cast wrapped the 2³²-th frame back to
-        // sequence 0. The field is now the full payload index space: a
-        // frame just past the old boundary keeps a distinct, ordered
-        // sequence number and honest size accounting.
-        let beyond = Frame {
-            seq: u64::from(u32::MAX) + 1,
-            last: false,
+        // sequence 0, which a gate that had seen frame 2³² − 1 would
+        // reject as a regression. The field is now the full index space:
+        // the frame just past the old boundary is in order.
+        let frame = |seq| Frame {
+            seq,
             words: vec![1],
         };
-        assert_eq!(beyond.seq, 1 << 32);
-        assert!(
-            beyond.size_bits() > TAG_BITS + 32,
-            "a 33-bit sequence number must be accounted as such"
-        );
+        let mut gate = LinkGate::new(1);
+        gate.accept(0, &frame(u64::from(u32::MAX)));
+        assert_eq!(gate.accept(0, &frame(1 << 32)), &[1]);
     }
 }

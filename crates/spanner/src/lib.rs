@@ -388,8 +388,7 @@ impl Protocol for SpannerElect {
 
 /// Runs the Corollary 4.2 election (requires knowledge of `n`).
 pub fn elect(graph: &Graph, sim: &SimConfig, cfg: &SpannerConfig) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim)
-        .run(|v, setup, _| SpannerElect::new(*cfg, v, setup.degree))
+    ule_sim::Runner::new(graph, sim).run(|v, setup, _| SpannerElect::new(*cfg, v, setup.degree))
 }
 
 /// Runs the election with a probe attached and returns the outcome plus

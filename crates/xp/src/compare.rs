@@ -867,11 +867,7 @@ mod tests {
         assert_eq!(report.verdict(), Verdict::Warn);
         assert_eq!(
             report.runtime_mismatches,
-            vec![(
-                "a @ w".to_string(),
-                "sim".to_string(),
-                "async".to_string()
-            )]
+            vec![("a @ w".to_string(), "sim".to_string(), "async".to_string())]
         );
         assert!(report.render(false).contains("runtime differs"));
         // An absent runtime means sim: legacy baseline vs an explicit sim

@@ -12,9 +12,13 @@
 //! and reports pass / warn / fail, which the `ule-xp compare` subcommand
 //! maps to exit codes for the perf gate.
 //!
-//! The legacy `table1`, `fig_tradeoff`, and `scale` binaries in `ule-bench`
-//! are thin wrappers over the built-in campaigns here ([`spec::builtin`]),
-//! so the printed tables and the machine-readable JSON always agree.
+//! This is the one campaign runner: `ule-bench`'s `table1` and
+//! `fig_tradeoff` binaries execute the built-in campaigns here
+//! ([`spec::builtin`]) and print through [`report`] (`table1` appends the
+//! Corollary 4.2 spanner rows, which are not a registry algorithm), so the
+//! printed tables and the machine-readable JSON always agree; the
+//! engine-throughput baseline `BENCH_engine.json` is `ule-xp run
+//! --campaign engine-scale`.
 //!
 //! | Module | Role |
 //! |---|---|

@@ -3,6 +3,7 @@
 
 use crate::run::{CampaignResult, CellResult};
 use ule_core::Algorithm;
+use ule_sim::harness::Summary;
 
 /// The Table 1-style column header; timed campaigns get two extra columns.
 pub fn row_header(timed: bool) -> String {
@@ -26,23 +27,32 @@ pub fn row_header(timed: bool) -> String {
     h
 }
 
-/// One formatted row under [`row_header`].
-pub fn format_row(c: &CellResult) -> String {
+/// One formatted row under [`row_header`], from the row's fields (so rows
+/// that are not campaign cells — the `table1` binary's spanner section —
+/// share the format): the `(n, m, D)` instance, the `(t/shape, msg/shape)`
+/// ratios, and `(elapsed seconds, msgs/s)` for timed rows.
+pub fn format_row(
+    workload: &str,
+    (n, m, d): (usize, usize, usize),
+    summary: &Summary,
+    (time_ratio, msg_ratio): (f64, f64),
+    timing: Option<(f64, f64)>,
+) -> String {
     let mut r = format!(
         "{:<16} {:>7} {:>8} {:>6} {:>10.1} {:>12.1} {:>13.1} {:>6}b {:>7.0}% {:>9.2} {:>9.2}",
-        c.workload,
-        c.n,
-        c.m,
-        c.d,
-        c.summary.mean_rounds,
-        c.summary.mean_messages,
-        c.summary.mean_bits,
-        c.summary.max_message_bits,
-        100.0 * c.summary.success_rate(),
-        c.time_ratio,
-        c.msg_ratio
+        workload,
+        n,
+        m,
+        d,
+        summary.mean_rounds,
+        summary.mean_messages,
+        summary.mean_bits,
+        summary.max_message_bits,
+        100.0 * summary.success_rate(),
+        time_ratio,
+        msg_ratio
     );
-    if let (Some(elapsed), Some(tput)) = (c.elapsed_s, c.msgs_per_s) {
+    if let Some((elapsed, tput)) = timing {
         r.push_str(&format!(" {elapsed:>8.3}s {tput:>12.0}"));
     }
     r
@@ -68,8 +78,14 @@ pub fn render(result: &CampaignResult) -> String {
         ));
         out.push_str(&row_header(timed));
         out.push('\n');
-        for cell in cells {
-            out.push_str(&format_row(cell));
+        for c in cells {
+            out.push_str(&format_row(
+                &c.workload,
+                (c.n, c.m, c.d),
+                &c.summary,
+                (c.time_ratio, c.msg_ratio),
+                c.elapsed_s.zip(c.msgs_per_s),
+            ));
             out.push('\n');
         }
         out.push('\n');

@@ -12,7 +12,7 @@ use crate::XpError;
 use std::time::Instant;
 use ule_core::Algorithm;
 use ule_graph::gen::{workload_graph, Family};
-use ule_graph::{analysis, Graph, IdAssignment, IdSpace, ImplicitTopology, Topology};
+use ule_graph::{analysis, Graph, ImplicitTopology, Topology};
 use ule_sim::harness::{parallel_trials, Summary};
 use ule_sim::{Knowledge, Parallelism, RuntimeKind, SimConfig, Wakeup};
 
@@ -75,10 +75,9 @@ impl RunMeta {
     }
 
     /// Prints the loud dirty-tree banner to stderr when
-    /// [`RunMeta::is_dirty`]. Every baseline-producing entry point
-    /// (`ule-xp run` *and* the legacy `scale` wrapper) calls this, so no
-    /// documented regeneration path can silently mint an unreproducible
-    /// baseline again.
+    /// [`RunMeta::is_dirty`]. `ule-xp run` — the one baseline-producing
+    /// entry point — calls this, so no documented regeneration path can
+    /// silently mint an unreproducible baseline again.
     pub fn warn_if_dirty(&self) {
         if self.is_dirty() {
             eprintln!(
@@ -171,50 +170,25 @@ pub struct CampaignResult {
     pub cells: Vec<CellResult>,
 }
 
-/// Builds the [`SimConfig`] for one trial of one cell.
-///
-/// In the default regime (`Exact` diameter + `AlgorithmDefault` knowledge)
-/// this reproduces [`Algorithm::config_for`] field-for-field — except that
-/// the per-cell diameter is computed once by [`execute`] and reused across
-/// trials instead of re-running all-pairs BFS inside every trial, so
-/// campaign cells reproduce `Algorithm::run` byte-for-byte (the Table 1
-/// parity the legacy binaries rely on) without the redundant `O(n·m)`
-/// work. Other regimes mirror the legacy `scale` binary's hand-built
-/// configs (sampled ids from `seed ^ 0x1D5`, permissive round cap).
+/// Builds the [`SimConfig`] for one trial of one cell: the registry's rule
+/// ([`Algorithm::config`], fed the per-cell diameter [`execute`] computed
+/// once instead of an all-pairs BFS inside every trial — so default-regime
+/// cells reproduce `Algorithm::run` byte-for-byte), overlaid with the
+/// group's regime.
 fn cell_config(job: &Job<'_>, n: usize, d: usize, trial: u64) -> SimConfig {
     let group = job.group;
-    let alg = job.algorithm;
-    let spec = alg.spec();
-    let mut cfg = SimConfig::seeded(trial);
+    let mut cfg = job.algorithm.config(n, Some(d), trial);
     // Implicit groups run the memory diet end to end: no adjacency arrays
     // (the topology side) and no O(m) per-edge outcome arrays either.
     if group.implicit {
         cfg.edge_stats = false;
     }
-    // `config_for` parity: only the DFS agent needs an effectively
-    // unbounded budget; upper-bound (engine-scale) regimes keep the legacy
-    // scale binary's permissive cap everywhere.
-    if alg == Algorithm::DfsAgent || group.diameter == DiameterMode::UpperBound {
-        cfg = cfg.with_max_rounds(u64::MAX / 4);
+    // Upper-bound (engine-scale) regimes run under a permissive cap.
+    if group.diameter == DiameterMode::UpperBound {
+        cfg.max_rounds = u64::MAX / 4;
     }
-    cfg.knowledge = match group.knowledge {
-        KnowledgeMode::NAndDiameter => Knowledge::n_and_diameter(n, d),
-        KnowledgeMode::AlgorithmDefault => Knowledge {
-            n: spec.needs_n.then_some(n),
-            m: None,
-            diameter: spec.needs_diameter.then_some(d),
-        },
-    };
-    if spec.needs_ids {
-        let ids = if alg == Algorithm::DfsAgent {
-            IdAssignment::sequential(n)
-        } else {
-            use rand::rngs::StdRng;
-            use rand::SeedableRng;
-            let mut rng = StdRng::seed_from_u64(trial ^ 0x1D5_u64);
-            IdSpace::standard(n).sample(n, &mut rng)
-        };
-        cfg = cfg.with_ids(ids);
+    if group.knowledge == KnowledgeMode::NAndDiameter {
+        cfg.knowledge = Knowledge::n_and_diameter(n, d);
     }
     if group.wakeup == WakeupMode::SingleSource {
         cfg.wakeup = Wakeup::Adversarial(vec![0]);
@@ -635,7 +609,13 @@ mod tests {
         let sim = adversarial(RuntimeKind::Sim);
         let asynch = adversarial(RuntimeKind::Async);
         for (s, a) in sim.cells.iter().zip(&asynch.cells) {
-            assert_eq!(s.summary, a.summary, "{} ({})", s.workload, s.adversary.name());
+            assert_eq!(
+                s.summary,
+                a.summary,
+                "{} ({})",
+                s.workload,
+                s.adversary.name()
+            );
         }
     }
 
@@ -707,7 +687,10 @@ mod tests {
             assert_eq!((m.n, m.m), (i.n, i.m), "{}", m.workload);
             assert!(!m.implicit && i.implicit);
             assert!(m.to_json().get("implicit").is_none());
-            assert_eq!(i.to_json().get("implicit").and_then(Json::as_bool), Some(true));
+            assert_eq!(
+                i.to_json().get("implicit").and_then(Json::as_bool),
+                Some(true)
+            );
         }
     }
 
@@ -752,6 +735,35 @@ mod tests {
             .cells
             .iter()
             .all(|c| c.summary.successes == c.summary.trials));
+    }
+
+    #[test]
+    fn least_el_msg_ratio_stays_flat_as_n_grows() {
+        // Table 1's "shape holds" check in miniature: measured ÷ claimed
+        // messages must not grow with n (generous slack for constants).
+        let mut spec = tiny_spec();
+        let group = &mut spec.groups[0];
+        group.algorithms = vec![Algorithm::LeastElAll];
+        group.families = vec![
+            Family::Cycle,
+            Family::Torus,
+            Family::SparseRandom,
+            Family::DenseRandom,
+        ];
+        group.sizes = vec![32, 128];
+        group.trials = 3;
+        let result = execute(&spec, RunMeta::fixed(), false).unwrap();
+        assert!(result.cells.iter().all(|c| c.summary.success_rate() > 0.9));
+        // Grid order is family-major: each family's small cell, then large.
+        let mean_ratio = |size: usize| {
+            let cells = result.cells.iter().skip(size).step_by(2);
+            cells.map(|c| c.msg_ratio).sum::<f64>() / 4.0
+        };
+        let (small, large) = (mean_ratio(0), mean_ratio(1));
+        assert!(
+            large < 3.0 * small + 1.0,
+            "message ratio must stay flat: {small} → {large}"
+        );
     }
 
     #[test]

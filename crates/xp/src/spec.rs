@@ -793,11 +793,7 @@ pub fn builtin(name: &str, quick: bool) -> Option<CampaignSpec> {
                 .into_iter()
                 .map(|p| group(p, RuntimeKind::Sim))
                 .collect();
-            groups.extend(
-                profiles()
-                    .into_iter()
-                    .map(|p| group(p, RuntimeKind::Async)),
-            );
+            groups.extend(profiles().into_iter().map(|p| group(p, RuntimeKind::Async)));
             CampaignSpec {
                 name: "resilience".into(),
                 graph_seed: WORKLOAD_BASE_SEED,

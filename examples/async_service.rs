@@ -42,8 +42,7 @@ fn main() {
     let factory = |_: usize, setup: &NodeSetup, _: &mut StdRng| {
         ule_core::size_estimate::SizeEstimateElect::new(setup.degree)
     };
-    let service = AsyncRuntime::new()
-        .run(&g, &cfg, factory);
+    let service = AsyncRuntime::new().run(&g, &cfg, factory);
     let leader = service
         .outcome
         .leader()
@@ -73,8 +72,7 @@ fn main() {
 
     // And the channel execution reproduces the synchronous simulator
     // exactly — the cross-runtime conformance contract.
-    let reference = alg
-        .run_on(RuntimeKind::Sim, &g, &cfg);
+    let reference = alg.run_on(RuntimeKind::Sim, &g, &cfg);
     assert_eq!(service.outcome, reference);
     println!("conformance: outcome equals the synchronous simulator's, field for field");
 }

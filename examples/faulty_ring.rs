@@ -21,7 +21,7 @@
 //! Everything here is seeded and deterministic: rerunning prints the same
 //! table, and so does replaying under any `Parallelism` setting.
 
-use ule_core::baseline::flood_max_on;
+use ule_core::Algorithm;
 use ule_graph::{analysis, gen, IdAssignment};
 use ule_sim::{Adversary, Knowledge, RunOutcome, RuntimeKind, SimConfig, Termination};
 
@@ -93,9 +93,9 @@ fn main() {
     // Each model runs on the selected runtime and is cross-checked
     // against the other one: the table must not depend on the runtime.
     let run = |label: &str, cfg: &SimConfig| -> RunOutcome {
-        let out = flood_max_on(kind, &g, cfg);
+        let out = Algorithm::FloodMax.run_on(kind, &g, cfg);
         assert_eq!(
-            flood_max_on(other_kind, &g, cfg),
+            Algorithm::FloodMax.run_on(other_kind, &g, cfg),
             out,
             "{label}: the two runtimes disagree"
         );

@@ -1,7 +1,7 @@
 //! A guided tour of both lower-bound constructions.
 //!
 //! ```text
-//! cargo run --release -p ule-core --example lower_bound_tour
+//! cargo run --release --example lower_bound_tour
 //! ```
 //!
 //! Part 1 (Theorem 3.1, messages): builds dumbbell graphs of growing

@@ -2,7 +2,7 @@
 //! spanner election.
 //!
 //! ```text
-//! cargo run --release -p ule-core --example p2p_overlay
+//! cargo run --release --example p2p_overlay
 //! ```
 //!
 //! Overlay networks (the paper cites Akamai's) are *dense*: every peer

@@ -1,7 +1,7 @@
 //! Quickstart: elect a leader on a random network with every algorithm.
 //!
 //! ```text
-//! cargo run --release -p ule-core --example quickstart
+//! cargo run --release --example quickstart
 //! ```
 //!
 //! Builds a random connected graph, runs each of the paper's election

@@ -1,7 +1,7 @@
 //! Sensor-network scenario: message count is battery life.
 //!
 //! ```text
-//! cargo run --release -p ule-core --example sensor_network
+//! cargo run --release --example sensor_network
 //! ```
 //!
 //! The paper's introduction motivates message-frugal election with ad hoc

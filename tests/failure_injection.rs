@@ -2,12 +2,21 @@
 //! and placement, fail-stop crashes, and link failures — the ways a run is
 //! *supposed* to degrade, observed.
 
-use ule_core::las_vegas::{elect as lv_elect, LasVegasConfig};
-use ule_core::least_el::{elect as le_elect, LeastElConfig};
+use ule_core::dfs_agent::DfsAgent;
+use ule_core::las_vegas::{LasVegasConfig, LasVegasElect};
+use ule_core::least_el::{LeastEl, LeastElConfig};
 use ule_core::Algorithm;
-use ule_graph::{analysis, dumbbell, gen, IdAssignment};
+use ule_graph::{analysis, dumbbell, gen, Graph, IdAssignment};
 use ule_sim::harness::{parallel_trials, Summary};
-use ule_sim::{Adversary, Knowledge, SimConfig, Status, Termination, Wakeup};
+use ule_sim::{Adversary, Knowledge, RunOutcome, Runner, SimConfig, Status, Termination, Wakeup};
+
+fn le_elect(g: &Graph, sim: &SimConfig, cfg: &LeastElConfig) -> RunOutcome {
+    Runner::new(g, sim).run(|_, s, _| LeastEl::new(cfg.clone(), s.degree))
+}
+
+fn lv_elect(g: &Graph, sim: &SimConfig, cfg: &LasVegasConfig) -> RunOutcome {
+    Runner::new(g, sim).run(|_, s, _| LasVegasElect::new(*cfg, s.degree))
+}
 
 #[test]
 fn truncated_runs_report_round_limit_and_partial_state() {
@@ -81,7 +90,7 @@ fn dfs_agents_with_adversarial_wakeup_and_min_far_away() {
         .with_ids(IdAssignment::new(ids))
         .with_wakeup(Wakeup::Adversarial(vec![0]))
         .with_max_rounds(u64::MAX / 4);
-    let out = ule_core::dfs_agent::elect(&g, &cfg, true);
+    let out = Runner::new(&g, &cfg).run(|_, s, _| DfsAgent::new(s.id.unwrap(), s.degree, true));
     assert!(out.election_succeeded());
     assert_eq!(out.leader(), Some(19));
     // Wakeup flood (2m) + walk (≤ 4m + 2n) + pre-wakeup drift (≤ 2D).
@@ -215,7 +224,7 @@ fn partitioned_dumbbell_elects_per_component() {
         .with_adversary(Adversary::LinkFailure {
             schedule: d.bridges.iter().map(|&e| (e, 0)).collect(),
         });
-    let out = ule_core::baseline::flood_max(g, &cfg);
+    let out = Algorithm::FloodMax.run_with(g, &cfg);
     assert_eq!(out.termination, Termination::Quiescent);
     assert_eq!(out.leader_count(), 2, "one leader per component");
     assert!(!out.election_succeeded());
@@ -252,11 +261,11 @@ fn bridges_that_die_after_the_crossing_change_nothing() {
         .with_ids(IdAssignment::sequential(n))
         .with_knowledge(Knowledge::n_and_diameter(n, diam))
         .watching(&d.bridges);
-    let healthy = ule_core::baseline::flood_max(g, &base);
+    let healthy = Algorithm::FloodMax.run_with(g, &base);
     let late_failure = base.clone().with_adversary(Adversary::LinkFailure {
         schedule: d.bridges.iter().map(|&e| (e, 100_000)).collect(),
     });
-    let out = ule_core::baseline::flood_max(g, &late_failure);
+    let out = Algorithm::FloodMax.run_with(g, &late_failure);
     assert_eq!(out, healthy);
     assert!(out.election_succeeded());
     assert!(

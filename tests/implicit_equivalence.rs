@@ -12,7 +12,7 @@
 
 use ule_core::Algorithm;
 use ule_graph::gen::Family;
-use ule_graph::{Graph, ImplicitTopology};
+use ule_graph::{Graph, ImplicitTopology, Topology};
 use ule_sim::{Adversary, Parallelism, RunOutcome, SimConfig};
 
 /// The two structured shapes the acceptance contract names: a cycle and a
@@ -48,7 +48,11 @@ fn run_outcomes_are_identical_implicit_vs_materialized() {
                 // other (representation × parallelism) combination must
                 // reproduce it field for field.
                 let reference = alg.run_with(&g, &cfg);
-                for par in [Parallelism::Off, Parallelism::Threads(2), Parallelism::Threads(4)] {
+                for par in [
+                    Parallelism::Off,
+                    Parallelism::Threads(2),
+                    Parallelism::Threads(4),
+                ] {
                     let mut c = cfg.clone();
                     c.parallelism = par;
                     let mat = alg.run_with(&g, &c);
@@ -68,15 +72,14 @@ fn run_outcomes_are_identical_implicit_vs_materialized() {
 }
 
 #[test]
-fn config_for_topo_agrees_with_materialized_config() {
+fn config_from_diameter_hint_agrees_with_materialized_config() {
     // The closed-form diameter (`Topology::diameter_hint`) feeds the same
     // knowledge into configs as the BFS on the materialized graph.
     for (shape, topo, g) in shapes() {
         for alg in Algorithm::ALL {
             let a = alg.config_for(&g, 9);
-            let b = alg.config_for_topo(&topo, 9);
-            assert_eq!(a.knowledge, b.knowledge, "{alg} on {shape}");
-            assert_eq!(a.max_rounds, b.max_rounds, "{alg} on {shape}");
+            let b = alg.config(topo.n(), topo.diameter_hint(), 9);
+            assert_eq!(a, b, "{alg} on {shape}");
         }
     }
 }
@@ -118,8 +121,8 @@ fn watch_edges_still_work_without_edge_stats() {
     cfg.watch_edges = vec![(0, 1)];
     let mut diet = cfg.clone();
     diet.edge_stats = false;
-    let full = ule_core::baseline::flood_max(&g, &cfg);
-    let lean = ule_core::baseline::flood_max(&topo, &diet);
+    let full = Algorithm::FloodMax.run_with(&g, &cfg);
+    let lean = Algorithm::FloodMax.run_with(&topo, &diet);
     assert_eq!(full.watch_hits, lean.watch_hits);
     assert!(full.watch_hits[0].is_some());
 }

@@ -9,7 +9,7 @@
 //! it corrupts any result.
 
 use std::time::{Duration, Instant};
-use ule_core::{baseline, dfs_agent};
+use ule_core::Algorithm;
 use ule_graph::{gen, IdAssignment, IdSpace};
 use ule_sim::{Knowledge, Parallelism, SimConfig, Termination};
 
@@ -46,7 +46,7 @@ fn floodmax_on_a_million_node_cycle() {
         .with_knowledge(Knowledge::n_and_diameter(n, n / 2))
         .with_max_rounds(u64::MAX / 4);
     let start = Instant::now();
-    let out = baseline::flood_max(&g, &cfg);
+    let out = Algorithm::FloodMax.run_with(&g, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "FloodMax on the 10^6 cycle took {:?} — scheduler regression",
@@ -79,7 +79,7 @@ fn floodmax_on_a_ten_million_node_cycle() {
     cfg.edge_stats = false;
     let pre_rss = peak_rss_bytes();
     let start = Instant::now();
-    let out = baseline::flood_max(&topo, &cfg);
+    let out = Algorithm::FloodMax.run_with(&topo, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "FloodMax on the 10^7 cycle took {:?} — scheduler regression",
@@ -139,7 +139,7 @@ fn floodmax_on_a_hundred_million_node_cycle() {
 
     // Headline run: implicit topology, inside the 900 s / 24 GB budget.
     let start = Instant::now();
-    let reference = baseline::flood_max(&topo, &cfg);
+    let reference = Algorithm::FloodMax.run_with(&topo, &cfg);
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_secs(900),
@@ -161,14 +161,14 @@ fn floodmax_on_a_hundred_million_node_cycle() {
         let mut c = cfg.clone();
         c.parallelism = Parallelism::Threads(threads);
         assert_eq!(
-            baseline::flood_max(&topo, &c),
+            Algorithm::FloodMax.run_with(&topo, &c),
             reference,
             "implicit outcome drifted at {threads} threads"
         );
     }
     let g = topo.materialize();
     assert_eq!(
-        baseline::flood_max(&g, &cfg),
+        Algorithm::FloodMax.run_with(&g, &cfg),
         reference,
         "materialized outcome differs from implicit"
     );
@@ -183,7 +183,7 @@ fn dfs_agent_on_a_ten_thousand_node_path() {
         .with_ids(IdAssignment::sequential(n))
         .with_max_rounds(u64::MAX / 4);
     let start = Instant::now();
-    let out = dfs_agent::elect(&g, &cfg, false);
+    let out = Algorithm::DfsAgent.run_with(&g, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "DfsAgent on the 10^4 path took {:?} — scheduler regression",
@@ -214,7 +214,7 @@ fn kingdom_doubling_on_a_large_torus() {
         .with_ids(IdSpace::standard(n).sample(n, &mut rng))
         .with_max_rounds(u64::MAX / 4);
     let start = Instant::now();
-    let out = ule_core::kingdom::elect_doubling(&g, &cfg);
+    let out = Algorithm::KingdomDoubling.run_with(&g, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "kingdom(2^p) on the {side}x{side} torus took {:?}",
