@@ -24,7 +24,6 @@
 //! algorithms in this paper also apply for anonymous networks").
 
 use crate::wave::{Key, WaveCore, WaveMsg, WaveOutcome};
-use rand::rngs::StdRng;
 use rand::Rng;
 use ule_sim::{Context, PortOutbox, Protocol, Status};
 
@@ -208,19 +207,10 @@ impl Protocol for LeastEl {
     }
 }
 
-/// Convenience used by tests and harnesses: draw a fresh key outside a
-/// protocol (e.g. for the clustering overlay election).
-pub fn random_key(n: usize, tie: Option<u64>, rng: &mut StdRng) -> Key {
-    let space = crate::wave::rank_space(n);
-    Key {
-        rank: rng.gen_range(1..=space),
-        tie: tie.unwrap_or_else(|| rng.gen_range(1..=space)),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
     use rand::SeedableRng;
     use ule_graph::{gen, Graph, IdAssignment, IdSpace};
     use ule_sim::harness::{parallel_trials, Summary};
@@ -452,14 +442,6 @@ mod tests {
         assert!(rates[0] < rates[1], "rates {rates:?}");
         assert!(rates[1] < rates[2], "rates {rates:?}");
         assert!(rates[2] > 0.95, "f=8 should almost always succeed");
-    }
-
-    #[test]
-    fn random_key_helper_in_range() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let k = random_key(10, Some(3), &mut rng);
-        assert!(k.rank >= 1 && k.rank <= 10_000);
-        assert_eq!(k.tie, 3);
     }
 
     #[test]

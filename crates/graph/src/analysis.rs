@@ -38,24 +38,6 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     dist
 }
 
-/// BFS parents from `src` (parent of `src` is itself); unreachable nodes map
-/// to `usize::MAX`.
-pub fn bfs_tree(g: &Graph, src: NodeId) -> Vec<NodeId> {
-    let mut parent = vec![usize::MAX; g.len()];
-    let mut queue = VecDeque::new();
-    parent[src] = src;
-    queue.push_back(src);
-    while let Some(v) = queue.pop_front() {
-        for &u in g.neighbors_of(v) {
-            if parent[u] == usize::MAX {
-                parent[u] = v;
-                queue.push_back(u);
-            }
-        }
-    }
-    parent
-}
-
 /// Eccentricity of `src`: the maximum BFS distance to any node.
 ///
 /// Returns `None` if some node is unreachable.
@@ -149,16 +131,6 @@ mod tests {
         assert_eq!(d, vec![0, 1, 2, 3, 4, 5]);
         let d2 = bfs_distances(&g, 3);
         assert_eq!(d2, vec![3, 2, 1, 0, 1, 2]);
-    }
-
-    #[test]
-    fn bfs_tree_parents() {
-        let g = gen::star(5).unwrap();
-        let p = bfs_tree(&g, 0);
-        assert_eq!(p[0], 0);
-        for &parent in &p[1..5] {
-            assert_eq!(parent, 0);
-        }
     }
 
     #[test]

@@ -105,11 +105,6 @@ impl CliqueCycle {
         (clique / per_arc, clique % per_arc, k)
     }
 
-    /// The arc index (`0..4`) of node `v`.
-    pub fn arc_of(&self, v: NodeId) -> usize {
-        self.coords(v).0
-    }
-
     /// The rotation automorphism `φ(v_{i,j,k}) = v_{(i+1 mod 4), j, k}`
     /// used by the proof of Claim 3.14.
     pub fn rotate(&self, v: NodeId) -> NodeId {

@@ -58,22 +58,6 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
     Graph::from_edges(n, &edges)
 }
 
-/// Complete bipartite graph `K_{a,b}`; diameter 2.
-pub fn complete_bipartite(a: usize, b: usize) -> Result<Graph, GraphError> {
-    if a == 0 || b == 0 {
-        return Err(GraphError::InvalidParameters(
-            "both sides must be non-empty".into(),
-        ));
-    }
-    let mut edges = Vec::with_capacity(a * b);
-    for u in 0..a {
-        for v in 0..b {
-            edges.push((u, a + v));
-        }
-    }
-    Graph::from_edges(a + b, &edges)
-}
-
 /// `rows × cols` grid; diameter `rows + cols - 2`. A stand-in for planar
 /// sensor deployments.
 pub fn grid(rows: usize, cols: usize) -> Result<Graph, GraphError> {
@@ -144,9 +128,25 @@ pub fn complete_binary_tree(n: usize) -> Result<Graph, GraphError> {
     if n == 0 {
         return Err(GraphError::Empty);
     }
-    // Pick the depth whose size 2^{d+1} - 1 is nearest to n.
-    let depth = ((n as f64 + 1.0).log2().round() as usize).max(1) - 1;
-    balanced_tree(2, depth)
+    balanced_tree(2, bintree_depth(n))
+}
+
+/// The one size-rounding rule of each rigid family, shared by
+/// [`Family::build`] and [`crate::topo::ImplicitTopology::from_family`]:
+/// the side of the square grid / torus nearest to `n` nodes (at least
+/// `min`), …
+pub(crate) fn square_side(n: usize, min: usize) -> usize {
+    ((n as f64).sqrt().round() as usize).max(min)
+}
+
+/// … the hypercube dimension `⌊log2 n⌋` (at least 1), …
+pub(crate) fn hypercube_dim(n: usize) -> u32 {
+    (n.max(2) as f64).log2().floor() as u32
+}
+
+/// … and the binary-tree depth whose size `2^{d+1} - 1` is nearest to `n`.
+pub(crate) fn bintree_depth(n: usize) -> usize {
+    ((n as f64 + 1.0).log2().round() as usize).max(1) - 1
 }
 
 /// Balanced `arity`-ary tree of the given `depth` (root at 0);
@@ -193,30 +193,6 @@ pub fn lollipop(clique: usize, tail: usize) -> Result<Graph, GraphError> {
         edges.push((a, clique + i));
     }
     Graph::from_edges(clique + tail, &edges)
-}
-
-/// Barbell: two cliques of size `k` joined by a path of `bridge` nodes
-/// (`bridge = 0` joins them by a single edge).
-pub fn barbell(k: usize, bridge: usize) -> Result<Graph, GraphError> {
-    if k < 2 {
-        return Err(GraphError::InvalidParameters("barbell needs k >= 2".into()));
-    }
-    let mut edges = Vec::new();
-    for u in 0..k {
-        for v in (u + 1)..k {
-            edges.push((u, v));
-            edges.push((k + u, k + v));
-        }
-    }
-    // Chain: clique A node 0 — path — clique B node 0.
-    let mut prev = 0usize;
-    for i in 0..bridge {
-        let node = 2 * k + i;
-        edges.push((prev, node));
-        prev = node;
-    }
-    edges.push((prev, k));
-    Graph::from_edges(2 * k + bridge, &edges)
 }
 
 /// Connected Erdős–Rényi-style `G(n, m)`: a uniform random spanning tree
@@ -404,17 +380,14 @@ impl Family {
             Family::Star => star(n),
             Family::Complete => complete(n),
             Family::Grid => {
-                let side = (n as f64).sqrt().round().max(1.0) as usize;
+                let side = square_side(n, 1);
                 grid(side, side)
             }
             Family::Torus => {
-                let side = ((n as f64).sqrt().round() as usize).max(3);
+                let side = square_side(n, 3);
                 torus(side, side)
             }
-            Family::Hypercube => {
-                let d = (n.max(2) as f64).log2().floor() as u32;
-                hypercube(d.max(1))
-            }
+            Family::Hypercube => hypercube(hypercube_dim(n)),
             Family::SparseRandom => {
                 let m = (3 * n)
                     .min(n * n.saturating_sub(1) / 2)
@@ -426,7 +399,13 @@ impl Family {
                 let n = if n % 2 == 1 { n + 1 } else { n };
                 random_regular(n, 4, rng)
             }
-            Family::Lollipop => lollipop((n / 2).max(2), n - (n / 2).max(2)),
+            Family::Lollipop => {
+                let clique = (n / 2).max(2);
+                let tail = n.checked_sub(clique).ok_or_else(|| {
+                    GraphError::InvalidParameters(format!("lollipop needs n >= 2, got {n}"))
+                })?;
+                lollipop(clique, tail)
+            }
             Family::CompleteBinaryTree => complete_binary_tree(n),
         }
     }
@@ -551,15 +530,6 @@ mod tests {
     }
 
     #[test]
-    fn bipartite_shape() {
-        let g = complete_bipartite(3, 4).unwrap();
-        assert_eq!(g.len(), 7);
-        assert_eq!(g.edge_count(), 12);
-        assert_eq!(diameter_exact(&g), Some(2));
-        assert!(complete_bipartite(0, 3).is_err());
-    }
-
-    #[test]
     fn grid_torus_shapes() {
         let g = grid(3, 4).unwrap();
         assert_eq!(g.len(), 12);
@@ -591,15 +561,21 @@ mod tests {
     }
 
     #[test]
-    fn lollipop_and_barbell_shapes() {
+    fn lollipop_shape() {
         let l = lollipop(4, 3).unwrap();
         assert_eq!(l.len(), 7);
         assert_eq!(l.edge_count(), 6 + 3);
         assert_eq!(diameter_exact(&l), Some(4));
-        let b = barbell(3, 2).unwrap();
-        assert_eq!(b.len(), 8);
-        assert_eq!(b.edge_count(), 3 + 3 + 3);
-        assert!(b.is_connected());
+        // The family's smallest instance is a single edge; below that
+        // `n - clique` has no value and the build must say so.
+        let mut rng = StdRng::seed_from_u64(0);
+        assert_eq!(Family::Lollipop.build(2, &mut rng).unwrap().len(), 2);
+        for n in [0, 1] {
+            assert!(matches!(
+                Family::Lollipop.build(n, &mut rng),
+                Err(GraphError::InvalidParameters(_))
+            ));
+        }
     }
 
     #[test]

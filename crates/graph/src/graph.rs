@@ -327,23 +327,6 @@ impl Graph {
         self.neighbors.len()
     }
 
-    /// Inverse of [`Graph::directed_index`]: the `(node, port)` pair of a
-    /// flat directed-edge index.
-    pub fn directed_endpoints(&self, idx: usize) -> (NodeId, Port) {
-        debug_assert!(idx < self.neighbors.len());
-        let v = match self.offsets.binary_search(&idx) {
-            Ok(mut pos) => {
-                // Skip degree-0 nodes sharing the same offset.
-                while pos + 1 < self.offsets.len() && self.offsets[pos + 1] == idx {
-                    pos += 1;
-                }
-                pos
-            }
-            Err(pos) => pos - 1,
-        };
-        (v, idx - self.offsets[v])
-    }
-
     /// The port of `v` that leads to `u`, if the edge exists.
     ///
     /// Scans the *sparser* endpoint's neighbour list and resolves through
@@ -619,13 +602,16 @@ mod tests {
     #[test]
     fn directed_index_round_trip() {
         let g = Graph::from_edges(5, &[(0, 1), (0, 2), (1, 2), (3, 4), (2, 3)]).unwrap();
-        assert_eq!(g.directed_edge_count(), 10);
+        // Indices enumerate the `(node, port)` pairs in order, densely.
+        let mut next = 0;
         for v in g.nodes() {
             for p in 0..g.degree(v) {
-                let idx = g.directed_index(v, p);
-                assert_eq!(g.directed_endpoints(idx), (v, p));
+                assert_eq!(g.directed_index(v, p), next);
+                next += 1;
             }
         }
+        assert_eq!(next, g.directed_edge_count());
+        assert_eq!(next, 10);
     }
 
     #[test]

@@ -211,36 +211,6 @@ impl IdSpace {
         }
         IdAssignment::new(ids)
     }
-
-    /// Samples two assignments with *disjoint* identifier sets, as required
-    /// for the two halves of a dumbbell graph
-    /// (`ID(G'[e']) ∩ ID(G''[e'']) = ∅`, Section 3.1).
-    pub fn sample_disjoint_pair<R: Rng>(
-        &self,
-        n: usize,
-        rng: &mut R,
-    ) -> (IdAssignment, IdAssignment) {
-        assert!(
-            self.size() >= 2 * n as u64,
-            "identifier space too small for two disjoint assignments"
-        );
-        let mut seen = HashSet::with_capacity(2 * n);
-        let mut ids = Vec::with_capacity(2 * n);
-        if self.size() <= 8 * n as u64 {
-            let mut all: Vec<Id> = (self.lo..=self.hi).collect();
-            all.shuffle(rng);
-            ids.extend(all.into_iter().take(2 * n));
-        } else {
-            while ids.len() < 2 * n {
-                let id = rng.gen_range(self.lo..=self.hi);
-                if seen.insert(id) {
-                    ids.push(id);
-                }
-            }
-        }
-        let right = ids.split_off(n);
-        (IdAssignment::new(ids), IdAssignment::new(right))
-    }
 }
 
 #[cfg(test)]
@@ -299,15 +269,6 @@ mod tests {
     #[should_panic(expected = "reserved")]
     fn zero_id_rejected() {
         IdAssignment::new(vec![0, 1]);
-    }
-
-    #[test]
-    fn disjoint_pair_is_disjoint() {
-        let mut rng = StdRng::seed_from_u64(6);
-        let s = IdSpace::standard(20);
-        let (a, b) = s.sample_disjoint_pair(20, &mut rng);
-        let sa: HashSet<_> = a.iter().copied().collect();
-        assert!(b.iter().all(|id| !sa.contains(id)));
     }
 
     #[test]

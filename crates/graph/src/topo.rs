@@ -18,7 +18,7 @@
 //! That makes `RunOutcome`s byte-identical between the two representations,
 //! including adversarial message fates keyed by directed-edge index.
 
-use crate::gen::Family;
+use crate::gen::{self, Family};
 use crate::graph::{Graph, NodeId, Port};
 
 /// The topology lookups the execution core performs, abstracted over the
@@ -203,27 +203,25 @@ impl ImplicitTopology {
             Family::Star if n >= 2 => Some(ImplicitTopology::Star { n }),
             Family::Complete if n >= 1 => Some(ImplicitTopology::Complete { n }),
             Family::Grid => {
-                let side = (n as f64).sqrt().round().max(1.0) as usize;
+                let side = gen::square_side(n, 1);
                 Some(ImplicitTopology::Grid {
                     rows: side,
                     cols: side,
                 })
             }
             Family::Torus => {
-                let side = ((n as f64).sqrt().round() as usize).max(3);
+                let side = gen::square_side(n, 3);
                 Some(ImplicitTopology::Torus {
                     rows: side,
                     cols: side,
                 })
             }
-            Family::Hypercube => {
-                let d = (n.max(2) as f64).log2().floor() as u32;
-                Some(ImplicitTopology::Hypercube { dim: d.max(1) })
-            }
-            Family::CompleteBinaryTree if n >= 1 => {
-                let depth = ((n as f64 + 1.0).log2().round() as usize).max(1) - 1;
-                Some(ImplicitTopology::CompleteBinaryTree { depth })
-            }
+            Family::Hypercube => Some(ImplicitTopology::Hypercube {
+                dim: gen::hypercube_dim(n),
+            }),
+            Family::CompleteBinaryTree if n >= 1 => Some(ImplicitTopology::CompleteBinaryTree {
+                depth: gen::bintree_depth(n),
+            }),
             _ => None,
         }
     }
@@ -254,7 +252,6 @@ impl ImplicitTopology {
     /// Panics if the generator rejects the stored parameters — impossible
     /// for values produced by the constructors.
     pub fn materialize(&self) -> Graph {
-        use crate::gen;
         match *self {
             ImplicitTopology::Cycle { n } => gen::cycle(n),
             ImplicitTopology::Path { n } => gen::path(n),

@@ -1,7 +1,5 @@
-//! A calendar (ring-buffer) delivery queue: the flat-memory replacement
-//! for the `BTreeMap<u64, Vec<…>>` delayed-delivery queues that used to
-//! live in [`crate::exec`] (the engine's global ledger queue) and
-//! `crate::rt` (the per-node async queues).
+//! A calendar (ring-buffer) delivery queue: the flat-memory
+//! delayed-delivery queue of the engine's ledger ([`crate::exec`]).
 //!
 //! # Layout
 //!

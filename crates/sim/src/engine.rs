@@ -8,12 +8,16 @@
 //! Theorem 3.13 experiment).
 //!
 //! The split of responsibilities: node-state storage, protocol stepping,
-//! run set-up, message accounting and outcome finishing live in
-//! [`crate::exec`] and are shared with the async threads+channels runtime
-//! ([`crate::rt`]). What
-//! lives *here* is the scheduling policy — the decision of when each node
-//! steps and how staged sends reach their destination inboxes: the active
-//! set, the wakeup heap, fast-forward, and the shard/merge machinery.
+//! run set-up, message accounting, **delivery** and outcome finishing live
+//! in [`crate::exec`] — the first four shared with the async
+//! threads+channels runtime ([`crate::rt`]), delivery in the engine's
+//! `Ledger`, which owns the inbox arena and the delayed-delivery calendar
+//! and is the only code that knows where a send lands. What lives *here*
+//! is the scheduling policy and nothing else — the decision of **when**
+//! each node steps: the active set, the wakeup heap, fast-forward, and the
+//! shard split. A round is `Ledger::open_round` (who hears something),
+//! the wakeup admission, `Ledger::stage` of the round after, then one
+//! `step_node` per active node whose sends go to `Ledger::route`.
 //!
 //! The engine is generic over [`Topology`], so the structured families run
 //! off `O(1)`-memory procedural topologies ([`ule_graph::ImplicitTopology`])
@@ -65,9 +69,9 @@
 //!   `Option<u64>`), started bits live in an engine-owned bitmap (one
 //!   bit per node), statuses are one byte per node, and the RNG column
 //!   starts lazy — materialized only if some node actually draws;
-//! * the sharded path's per-shard outboxes and scratch buffers are arenas
-//!   owned by the engine and reused across rounds — a steady-state round
-//!   allocates nothing per message.
+//! * every stepping thread owns one `Lane` — its step buffers and, on the
+//!   sharded path, its outbox — reused across rounds, so a steady-state
+//!   round allocates nothing per message.
 //!
 //! # Round counting under fast-forward
 //!
@@ -83,9 +87,9 @@
 //! active sets are stepped by several threads. The sorted active list is
 //! partitioned into **contiguous shards** (so concatenating shard outputs
 //! in shard order reproduces the sequential ascending-node-index order);
-//! each shard steps its nodes into a *shard-local* outbox arena — protocol
-//! execution, coin flips, and message construction all run off the main
-//! thread, reading the round's deliveries from the shared inbox arena —
+//! each shard steps its nodes onto its own lane — protocol execution,
+//! coin flips, and message construction all run off the main thread,
+//! reading the round's deliveries from the ledger's shared inbox arena —
 //! and then a sequential **merge phase** walks the shards in stable shard
 //! order, performing every piece of global accounting (message/bit totals,
 //! CONGEST checks, watch-edge crossings with their `messages_before`
@@ -98,17 +102,25 @@
 //! `tests/scheduler_equivalence.rs` pins the parallel engine against it.
 //! Rounds whose active set is too small to amortize thread coordination
 //! are stepped inline on the main thread (same code as `Off`).
+//!
+//! Both stepping paths stay, on measurements: the inline path routes every
+//! send the moment it is staged, with no intermediate buffer, and is
+//! faster and smaller than `Threads(k)` on every workload of the repo
+//! benchmark (`benchmark/`); `Threads(k)` is the determinism lever — what
+//! the scheduler-equivalence matrix and the `sharded-torus` workload
+//! exercise. They share `step_node`, `Ledger::route` and the one `settle`
+//! that reacts to an activation's effects.
 
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, InboxArena, Ledger, LedgerSink, RngCol, RunCtx, RunFacts, RunOutcome,
-    SendSink, ShardOut, StepScratch, StoreSliceMut, Termination,
+    init_store, step_node, InboxArena, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StagedSend,
+    StepScratch, StoreSliceMut, Termination,
 };
 use crate::protocol::{NodeSetup, Protocol};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
-use ule_graph::{NodeId, Port, Topology};
+use ule_graph::{NodeId, Topology};
 
 /// One bit per node: has this node ever been activated? Replaces the
 /// byte-per-node `started` column (a `Vec<bool>`), and — because within a
@@ -136,14 +148,44 @@ impl Bitmap {
     }
 }
 
+/// Everything one stepping thread owns, reused across rounds so a
+/// steady-state round allocates nothing per message: the step buffers
+/// and, for a shard, what its activations leave for the merge. The inline
+/// path steps on lane 0's `scratch` and leaves the rest empty — its sends
+/// go straight through [`Ledger::route`] and each activation's effects are
+/// settled on the spot.
+struct Lane<M> {
+    scratch: StepScratch<M>,
+    /// Sends in sequential order (ascending node, then emission order).
+    sends: Vec<StagedSend<M>>,
+    /// `(round, node)` timers re-armed by this lane's nodes.
+    wakes: Vec<(u64, NodeId)>,
+    /// Nodes that drew from a lazily-derived RNG stream, with the drawn
+    /// state.
+    drawn: Vec<(NodeId, StdRng)>,
+    /// Whether any of this lane's nodes changed status.
+    status_changed: bool,
+}
+
+impl<M> Lane<M> {
+    fn new() -> Self {
+        Lane {
+            scratch: StepScratch::default(),
+            sends: Vec::new(),
+            wakes: Vec::new(),
+            drawn: Vec::new(),
+            status_changed: false,
+        }
+    }
+}
+
 /// Steps the active nodes of one shard for one round.
 ///
 /// `store` is the contiguous store view covering this shard's node-index
 /// range, offset by `base` (`nodes` are ascending global indices, all
-/// within `base..base + store len`). Mirrors the sequential stepping loop
-/// exactly, except that global accounting is deferred to the merge phase
-/// via `out`. `scratch`, `inbox_buf` and `out` are per-shard arenas owned
-/// by the caller, reused across rounds; `arena` and `started` are the
+/// within `base..base + store len`). Mirrors the inline stepping loop
+/// exactly, except that the sends wait on the shard's `lane` for the merge
+/// instead of being routed on the spot; `arena` and `started` are the
 /// round's shared read-only delivery and first-activation state.
 #[allow(clippy::too_many_arguments)] // engine-internal; mirrors the inline loop's locals
 fn step_shard<T: Topology, P: Protocol>(
@@ -154,13 +196,11 @@ fn step_shard<T: Topology, P: Protocol>(
     nodes: &[NodeId],
     arena: &InboxArena<P::Msg>,
     started: &Bitmap,
-    inbox_buf: &mut Vec<(Port, P::Msg)>,
-    scratch: &mut StepScratch<P::Msg>,
-    out: &mut ShardOut<P::Msg>,
+    lane: &mut Lane<P::Msg>,
 ) {
     for &v in nodes {
-        inbox_buf.clear();
-        arena.fill(v, inbox_buf);
+        arena.fill(v, &mut lane.scratch.inbox);
+        let sends = &mut lane.sends;
         let effects = step_node(
             rc,
             round,
@@ -168,17 +208,12 @@ fn step_shard<T: Topology, P: Protocol>(
             &mut store,
             v - base,
             !started.get(v),
-            inbox_buf,
-            scratch,
-            &mut out.sends,
+            &mut lane.scratch,
+            |s| sends.push(s),
         );
-        if let Some(w) = effects.rearmed {
-            out.wakes.push((w, v));
-        }
-        if let Some(rng) = effects.drew {
-            out.drawn.push((v, rng));
-        }
-        out.status_changed |= effects.status_changed;
+        lane.wakes.extend(effects.rearmed.map(|w| (w, v)));
+        lane.drawn.extend(effects.drew.map(|rng| (v, rng)));
+        lane.status_changed |= effects.status_changed;
     }
 }
 
@@ -237,31 +272,14 @@ where
         active.push(v);
     });
     // Every send — and with it every adversary fate decision — is
-    // accounted here, on this sequential control thread.
+    // accounted and delivered here, on this sequential control thread.
     let mut ledger: Ledger<P::Msg> = Ledger::new(topo, &facts);
 
     let mut last_status_change: Option<u64> = None;
     let mut round_totals: Vec<(u64, u64)> = Vec::new();
-
-    let mut scratch: StepScratch<P::Msg> = StepScratch::default();
-    let mut inbox_buf: Vec<(Port, P::Msg)> = Vec::new();
-    // Per-shard arenas for the parallel path, reused across rounds: a
-    // steady-state sharded round reuses each shard's send/wake capacity
-    // and scratch/inbox buffers instead of allocating fresh ones.
-    let mut outs: Vec<ShardOut<P::Msg>> = (0..threads).map(|_| ShardOut::new()).collect();
-    let mut scratches: Vec<StepScratch<P::Msg>> =
-        (0..threads).map(|_| StepScratch::default()).collect();
-    let mut bufs: Vec<Vec<(Port, P::Msg)>> = (0..threads).map(|_| Vec::new()).collect();
-    // The shared two-round delivery arena and the ever-started bitmap.
-    // `prepared` is the round whose calendar bucket was pre-drained into
-    // the arena's *next* side (`u64::MAX` = none): it is set just before
-    // a round steps and consumed by the rotation at the top of the next
-    // iteration, so at the loop head it is either `MAX` or `== round`.
-    let mut arena: InboxArena<P::Msg> = InboxArena::new(n);
-    let mut prepared: u64 = u64::MAX;
+    // One lane per stepping thread; the inline path steps on lane 0.
+    let mut lanes: Vec<Lane<P::Msg>> = (0..threads.max(1)).map(|_| Lane::new()).collect();
     let mut started = Bitmap::new(n);
-    // Lazy-RNG draws observed this round (empty once the column is dense).
-    let mut drawn: Vec<(NodeId, StdRng)> = Vec::new();
 
     let mut round: u64 = 0;
     let mut rounds_used: u64 = 0;
@@ -273,32 +291,8 @@ where
             break;
         }
 
-        // Deliver every message due this round and schedule the
-        // recipients. The common case was staged while the previous round
-        // stepped: its bucket was pre-drained into the arena's *next*
-        // side and the synchronous sends appended directly behind it
-        // (`prepared == round`), so this round's bucket is already empty.
-        // Only after a fast-forward jump does the bucket still hold the
-        // round's deliveries — drain it into *next* here, in global send
-        // order (deliveries into crashed nodes were already discarded at
-        // fate time). Either way one rotation promotes *next* to the
-        // round being stepped, and the arena chains preserve send order
-        // per destination.
-        ledger.queue.advance_to(round);
-        if ledger.queue.next_event_round() == Some(round) {
-            debug_assert!(
-                prepared != round,
-                "a prepared round's bucket must have been pre-drained"
-            );
-            let mut batch = ledger.queue.take_at(round);
-            for (dest, port, msg) in batch.drain(..) {
-                arena.deliver_next(dest as usize, port, msg);
-            }
-            ledger.queue.recycle(batch);
-        }
-        prepared = u64::MAX;
-        arena.rotate();
-        for &d in arena.recipients() {
+        // Everything due this round is heard now; schedule the recipients.
+        for &d in ledger.open_round(round) {
             let d = d as usize;
             if !in_active[d] {
                 in_active[d] = true;
@@ -324,28 +318,22 @@ where
         if active.is_empty() {
             // Fast-forward to the next event: the earliest pending
             // delivery or the next genuine wakeup, whichever comes first.
-            let next_delivery = ledger.queue.next_event_round();
-            let mut next_wake = None;
+            let mut next = ledger.next_delivery();
             while let Some(&Reverse((w, v))) = wake_heap.peek() {
                 if store.wake[v] != w {
                     wake_heap.pop();
                     continue;
                 }
-                next_wake = Some(w);
+                next = Some(next.map_or(w, |d| d.min(w)));
                 break;
             }
-            match (next_delivery, next_wake) {
-                (Some(d), Some(w)) => {
-                    debug_assert!(d.min(w) > round);
-                    round = d.min(w);
-                    continue 'rounds;
-                }
-                (Some(r), None) | (None, Some(r)) => {
+            match next {
+                Some(r) => {
                     debug_assert!(r > round);
                     round = r;
                     continue 'rounds;
                 }
-                (None, None) => {
+                None => {
                     termination = Termination::Quiescent;
                     break 'rounds;
                 }
@@ -369,164 +357,126 @@ where
             1
         };
 
-        // Stage the next round before stepping: messages already queued
-        // for `round + 1` (delayed fates decided in earlier rounds) go
-        // into the arena's *next* side first, in push order; the stepping
-        // below appends its synchronous sends directly behind them —
-        // reproducing exactly the order the calendar bucket used to hold.
-        // Synchronous sends thereby skip the queue entirely, so at burst
-        // scale no round's messages are ever held twice.
-        prepared = round + 1;
-        if ledger.queue.next_event_round() == Some(round + 1) {
-            let mut batch = ledger.queue.take_at(round + 1);
-            for (dest, port, msg) in batch.drain(..) {
-                arena.deliver_next(dest as usize, port, msg);
+        // The control thread's reaction to what a batch of activations
+        // changed — one node's on the inline path, a lane's in the shard
+        // merge: a changed timer needs a heap entry unless its owner's
+        // crash outlives it (the stale entry for the previously armed
+        // round, if any, stays in the heap; the async runtime makes the
+        // same arm-time decision, so the reported crash horizons agree
+        // across runtimes), and a first draw on the lazy RNG column
+        // materializes it (every other node is still pristine, so fresh
+        // streams are exact) and persists the drawn state.
+        let mut settle = |wakes: &[(u64, NodeId)],
+                          drawn: &[(NodeId, StdRng)],
+                          status_changed: bool,
+                          ledger: &mut Ledger<P::Msg>,
+                          store: &mut NodeStore<P>| {
+            for &(w, v) in wakes {
+                if ledger.part.rearm(&facts, v, w, &mut store.wake[v]) {
+                    wake_heap.push(Reverse((w, v)));
+                }
             }
-            ledger.queue.recycle(batch);
-        }
+            for (v, rng) in drawn {
+                store.densify_rngs(config.seed)[*v] = rng.clone();
+            }
+            if status_changed {
+                last_status_change = Some(round);
+            }
+        };
 
+        // What earlier rounds delayed into the next round is heard before
+        // what this round sends into it.
+        ledger.stage(round + 1);
         if shards > 1 {
             // Contiguous chunks of the sorted active list: shard s covers
             // an ascending, disjoint node-index range, so handing each
             // shard the matching sub-range of the store view is a plain
-            // split and concatenating shard outputs in shard order
-            // reproduces the sequential execution order.
+            // split and settling the lanes in shard order reproduces the
+            // sequential execution order.
             let chunk = active.len().div_ceil(shards);
             let used = active.len().div_ceil(chunk);
             std::thread::scope(|scope| {
                 let mut rest = store.as_mut();
                 let mut base: NodeId = 0;
-                let rc_ref = &rc;
-                let arena_ref = &arena;
-                let started_ref = &started;
-                for (((nodes, out), scratch), buf) in active
-                    .chunks(chunk)
-                    .zip(outs.iter_mut())
-                    .zip(scratches.iter_mut())
-                    .zip(bufs.iter_mut())
-                {
+                let (rc, arena, started) = (&rc, &ledger.arena, &started);
+                for (nodes, lane) in active.chunks(chunk).zip(lanes.iter_mut()) {
                     let hi = nodes[nodes.len() - 1] + 1;
                     let (mine, rem) = rest.split_at_mut(hi - base);
                     rest = rem;
                     let lo = base;
                     base = hi;
                     scope.spawn(move || {
-                        step_shard(
-                            rc_ref,
-                            round,
-                            lo,
-                            mine,
-                            nodes,
-                            arena_ref,
-                            started_ref,
-                            buf,
-                            scratch,
-                            out,
-                        )
+                        step_shard(rc, round, lo, mine, nodes, arena, started, lane)
                     });
                 }
             });
-            // Every inbox was cloned into a shard buffer during the
-            // scope, so the round's chains are dead: return them to the
-            // pool before the merge routes this round's sends, letting
-            // the entries be reused in place.
+            // Every inbox was cloned into a lane during the scope, so the
+            // round's chains are dead: return them to the pool before the
+            // merge routes this round's sends, letting the entries be
+            // reused in place.
             for &v in &active {
-                arena.free(v);
+                ledger.arena.free(v);
             }
             // Deterministic merge, stable shard order: all global
             // accounting — including every adversary fate decision —
             // happens here, in exactly the order the sequential engine
-            // interleaves it. Each shard report is cleared (capacity
-            // kept) for the next round.
-            for out in &mut outs[..used] {
-                if out.status_changed {
-                    last_status_change = Some(round);
+            // interleaves it.
+            for lane in &mut lanes[..used] {
+                settle(
+                    &lane.wakes,
+                    &lane.drawn,
+                    lane.status_changed,
+                    &mut ledger,
+                    &mut store,
+                );
+                lane.wakes.clear();
+                lane.drawn.clear();
+                lane.status_changed = false;
+                for s in lane.sends.drain(..) {
+                    ledger.route(&facts, round, s);
                 }
-                // A timer its owner's crash outlives is never armed
-                // (the async runtime makes the same arm-time decision,
-                // so the reported crash horizons agree across runtimes).
-                for &(w, v) in &out.wakes {
-                    if ledger.part.rearm(&facts, v, w, &mut store.wake[v]) {
-                        wake_heap.push(Reverse((w, v)));
-                    }
-                }
-                let mut sink = LedgerSink {
-                    ledger: &mut ledger,
-                    facts: &facts,
-                    round,
-                    arena: &mut arena,
-                };
-                for s in out.sends.drain(..) {
-                    sink.accept(s);
-                }
-                drawn.append(&mut out.drawn);
-                out.clear();
             }
         } else {
-            let mut view = store.as_mut();
+            let scratch = &mut lanes[0].scratch;
             for &v in &active {
-                inbox_buf.clear();
-                arena.fill(v, &mut inbox_buf);
+                ledger.arena.fill(v, &mut scratch.inbox);
                 // The inbox is cloned out; free the chain now so the
                 // node's own sends (and every later node's) reuse the
                 // entries in place.
-                arena.free(v);
-                let first = !started.get(v);
-                let effects = {
-                    let mut sink = LedgerSink {
-                        ledger: &mut ledger,
-                        facts: &facts,
-                        round,
-                        arena: &mut arena,
-                    };
-                    step_node(
-                        &rc,
-                        round,
-                        v,
-                        &mut view,
-                        v,
-                        first,
-                        &inbox_buf,
-                        &mut scratch,
-                        &mut sink,
-                    )
-                };
-                // A changed timer needs a heap entry; the stale entry for
-                // the previously armed round (if any) stays in the heap.
-                if let Some(w) = effects.rearmed {
-                    if ledger.part.rearm(&facts, v, w, &mut view.wake[v]) {
-                        wake_heap.push(Reverse((w, v)));
-                    }
-                }
-                if effects.status_changed {
-                    last_status_change = Some(round);
-                }
-                if let Some(rng) = effects.drew {
-                    drawn.push((v, rng));
+                ledger.arena.free(v);
+                let effects = step_node(
+                    &rc,
+                    round,
+                    v,
+                    &mut store.as_mut(),
+                    v,
+                    !started.get(v),
+                    scratch,
+                    |s| ledger.route(&facts, round, s),
+                );
+                // Most activations change nothing the control thread
+                // has to react to; skip the call for those.
+                if effects.rearmed.is_some() || effects.status_changed || effects.drew.is_some() {
+                    settle(
+                        effects.rearmed.map(|w| (w, v)).as_slice(),
+                        effects.drew.map(|rng| (v, rng)).as_slice(),
+                        effects.status_changed,
+                        &mut ledger,
+                        &mut store,
+                    );
                 }
             }
         }
 
         // Everyone active this round has now run once: set their started
         // bits and release their dedup flags. (The round's inbox chains
-        // were already freed at fill time; the rotation at the top of the
-        // next iteration promotes the staged side.)
+        // were already freed at fill time; opening the next round promotes
+        // the staged side.)
         for &v in &active {
             started.set(v);
             in_active[v] = false;
         }
         active.clear();
-        // First draws observed on a lazy RNG column: materialize it (all
-        // other nodes are still pristine, so fresh streams are exact) and
-        // persist the drawn states.
-        if !drawn.is_empty() {
-            store.densify_rngs(config.seed);
-            if let RngCol::Dense(dense) = &mut store.rngs {
-                for (v, rng) in drawn.drain(..) {
-                    dense[v] = rng;
-                }
-            }
-        }
 
         round_totals.push((round, ledger.part.messages));
         round += 1;

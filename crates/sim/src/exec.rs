@@ -1,9 +1,10 @@
 //! The runtime-independent execution core.
 //!
-//! Everything in this module is shared verbatim by every runtime that can
-//! drive a [`Protocol`]: the lockstep round engine ([`crate::Runner`] on
-//! the sim runtime, a *scheduler policy* layered on this core) and the
-//! async threads+channels runtime ([`crate::rt`]). It owns:
+//! Everything in this module but the `Ledger` is shared verbatim by every
+//! runtime that can drive a [`Protocol`]: the lockstep round engine
+//! ([`crate::Runner`] on the sim runtime, a *scheduler policy* layered on
+//! this core) and the async threads+channels runtime ([`crate::rt`]). It
+//! owns:
 //!
 //! * **node-state storage** — `NodeStore`: struct-of-arrays bookkeeping
 //!   for every node (protocol instances, private RNG streams seeded by
@@ -18,9 +19,10 @@
 //! * **protocol stepping** — `step_node`: the one activation sequence
 //!   (clear a due timer, hand the caller-gathered inbox to the protocol,
 //!   run `on_round`, report re-armed timers and status changes, stage
-//!   sends), parameterized over a `SendSink` so each runtime decides where
-//!   staged sends go without re-implementing the stepping rules, and over
-//!   a [`Topology`] so implicit (procedural) graphs never materialize;
+//!   sends), handing each staged send to a caller-supplied `FnMut` so each
+//!   runtime decides where it goes without re-implementing the stepping
+//!   rules, and generic over a [`Topology`] so implicit (procedural) graphs
+//!   never materialize;
 //! * **run set-up** — `RunFacts`: the one constructor that validates the
 //!   wakeup set, builds the adversary schedule, precomputes crash rounds,
 //!   normalizes and indexes the watched edges and arms the spontaneous
@@ -33,25 +35,29 @@
 //!   fate, drops, late deliveries, crash horizon). Every column is
 //!   commutative and the per-edge columns are owned by sender range, so
 //!   parts built on different threads `merge` associatively into the part
-//!   one sequential accountant would have built. The engine's `Ledger` is
-//!   one such part plus the *ordered residue* that needs the global send
-//!   order: watch-edge crossings and delivery queueing through a flat
-//!   [`CalendarQueue`]; the async runtime keeps one part per worker;
+//!   one sequential accountant would have built; the async runtime keeps
+//!   one part per worker;
+//! * **lockstep delivery** — `Ledger`: the engine's one part plus
+//!   everything that needs the global send order — watch-edge crossings,
+//!   the delayed-delivery [`CalendarQueue`] and the two-round `InboxArena`.
+//!   `Ledger::route` is the whole life of a send (account → watch crossing
+//!   → arena *next* side or calendar), and opening a round / staging the
+//!   next one are `Ledger` methods over one drain loop (`Ledger::stage`),
+//!   so no other module knows where a delivery lands;
 //! * **outcome finishing** — [`RunOutcome`] and the final crash/termination
 //!   bookkeeping (`LedgerPart::finish`), fed the merged part by every
 //!   runtime.
 //!
 //! What is *not* here is exactly what distinguishes runtimes: the decision
-//! of **when** a node steps (the lockstep engine's active set, wakeup heap
-//! and fast-forward live in `engine`; the async runtime's per-edge clocks
-//! and quiescence arbiter live in `rt`), and the transport that moves a
-//! staged send to its destination inbox (the engine delivers through the
-//! inbox arena and the ledger's calendar queue; the async runtime ships
-//! frames over `std::sync::mpsc` channels, and keeps what only it has: the
-//! delivery trace, `round_totals` rebuilt from per-worker round sets, and
-//! watch hits reconstructed from the trace). Both scheduling policies
-//! execute the same core in the same order, which is why their outcomes
-//! agree exactly (pinned by `tests/async_conformance.rs`).
+//! of **when** a node steps (the lockstep engine's active set, wakeup heap,
+//! fast-forward and shard split live in `engine`; the async runtime's
+//! per-edge clocks and quiescence arbiter live in `rt`) — and, for the
+//! async runtime, its transport (frames over `std::sync::mpsc` channels)
+//! and what only it has: the delivery trace, `round_totals` rebuilt from
+//! per-worker round sets, and watch hits reconstructed from the trace.
+//! Both scheduling policies execute the same core in the same order, which
+//! is why their outcomes agree exactly (pinned by
+//! `tests/async_conformance.rs`).
 
 use crate::adversary::{Adversary, Fate, Schedule, SendView};
 use crate::calendar::CalendarQueue;
@@ -328,7 +334,7 @@ impl<'a> RngSliceMut<'a> {
 /// ([`RngCol`]). Per-node setups and inboxes deliberately do **not** live
 /// here: setups are rebuilt on the stack from [`RunCtx`] and inboxes are
 /// gathered per round by the runtime (the engine's inbox arena, the async
-/// runtime's per-worker calendar), so idle nodes cost 0 bytes of either.
+/// runtime's per-node pending lists), so idle nodes cost 0 bytes of either.
 /// Runtime-independent: both the lockstep engine and the async runtime
 /// drive a `NodeStore<P>` built by [`init_store`].
 pub(crate) struct NodeStore<P: Protocol> {
@@ -355,10 +361,10 @@ impl<P: Protocol> NodeStore<P> {
     /// Materializes the lazy RNG column: every node gets the fresh stream
     /// [`node_rng_seed`] derives for it. Correct exactly when no node has
     /// drawn yet (fresh streams *are* their current state); callers that
-    /// observed a draw write the drawn state back afterwards. No-op on an
-    /// already-dense column.
-    pub(crate) fn densify_rngs(&mut self, seed: u64) {
-        if matches!(self.rngs, RngCol::Lazy) {
+    /// observed a draw write the drawn state back into the returned
+    /// column. Materializes nothing on an already-dense column.
+    pub(crate) fn densify_rngs(&mut self, seed: u64) -> &mut [StdRng] {
+        if let RngCol::Lazy = self.rngs {
             let n = self.statuses.len();
             self.rngs = RngCol::Dense(
                 (0..n)
@@ -366,6 +372,10 @@ impl<P: Protocol> NodeStore<P> {
                     .collect(),
             );
         }
+        let RngCol::Dense(dense) = &mut self.rngs else {
+            unreachable!("the column was just materialized")
+        };
+        dense
     }
 }
 
@@ -422,58 +432,6 @@ pub(crate) struct StagedSend<M> {
     pub(crate) msg: M,
 }
 
-/// Everything a shard reports back to the lockstep engine's merge phase.
-/// Instances live in a per-shard arena owned by the engine and are reused
-/// across rounds (capacity-retaining [`ShardOut::clear`]), so steady-state
-/// rounds allocate nothing per message.
-pub(crate) struct ShardOut<M> {
-    /// Sends in sequential order (ascending node, then send order).
-    pub(crate) sends: Vec<StagedSend<M>>,
-    /// `(round, node)` wakeup-heap entries armed by this shard's nodes.
-    pub(crate) wakes: Vec<(u64, NodeId)>,
-    /// Nodes that drew from a lazily-derived RNG stream this round, with
-    /// the drawn state (triggers densification at the merge).
-    pub(crate) drawn: Vec<(NodeId, StdRng)>,
-    /// Whether any node in the shard changed status this round.
-    pub(crate) status_changed: bool,
-}
-
-impl<M> ShardOut<M> {
-    pub(crate) fn new() -> Self {
-        ShardOut {
-            sends: Vec::new(),
-            wakes: Vec::new(),
-            drawn: Vec::new(),
-            status_changed: false,
-        }
-    }
-
-    /// Empties the shard report for the next round, keeping capacity.
-    pub(crate) fn clear(&mut self) {
-        self.sends.clear();
-        self.wakes.clear();
-        self.drawn.clear();
-        self.status_changed = false;
-    }
-}
-
-/// Where [`step_node`] delivers the sends a node stages: the lockstep
-/// engine's shard path collects them into a `Vec` for the merge phase, its
-/// inline path routes them straight through the [`Ledger`] (no intermediate
-/// buffer — the reference code path stays allocation-free), and the async
-/// runtime ships them into `mpsc` channels. Monomorphized: the stepping
-/// loop pays no dispatch cost.
-pub(crate) trait SendSink<M> {
-    /// Accepts one staged send, in the node's emission order.
-    fn accept(&mut self, send: StagedSend<M>);
-}
-
-impl<M> SendSink<M> for Vec<StagedSend<M>> {
-    fn accept(&mut self, send: StagedSend<M>) {
-        self.push(send);
-    }
-}
-
 /// "No entry" sentinel for [`InboxArena`] chain links and slot heads.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
@@ -511,9 +469,10 @@ struct InboxEntry<M> {
 /// Chain order per inbox is insertion order, i.e. exactly the historical
 /// per-inbox push order (deliveries happen on the sequential control
 /// thread in global send order). Stepping threads read *cur* immutably
-/// ([`InboxArena::fill`] clones each message once into the shard's
-/// reusable inbox buffer); *next* is written only from the control thread
-/// (the inline sink, the shard merge, and the calendar drains).
+/// ([`InboxArena::fill`] clones each message once into the lane's
+/// reusable inbox buffer); *next* is written, and the sides rotated, only
+/// by the [`Ledger`] that owns the arena — the engine sees `fill`, `free`
+/// and nothing else.
 pub(crate) struct InboxArena<M> {
     /// Fixed-size pool blocks; entry `j` lives at
     /// `blocks[j >> CHUNK_BITS][j & (CHUNK - 1)]`.
@@ -531,7 +490,7 @@ pub(crate) struct InboxArena<M> {
 }
 
 impl<M: Message> InboxArena<M> {
-    pub(crate) fn new(n: usize) -> Self {
+    fn new(n: usize) -> Self {
         InboxArena {
             blocks: Vec::new(),
             free: NO_SLOT,
@@ -567,7 +526,7 @@ impl<M: Message> InboxArena<M> {
     }
 
     /// Appends one delivery to `dest`'s *next*-round chain.
-    pub(crate) fn deliver_next(&mut self, dest: usize, port: u32, msg: M) {
+    fn deliver_next(&mut self, dest: usize, port: u32, msg: M) {
         let head = self.next_slot[dest];
         if head == NO_SLOT {
             self.next_recipients.push(dest as u32);
@@ -583,7 +542,7 @@ impl<M: Message> InboxArena<M> {
     /// Promotes *next* to *cur*. The outgoing *cur* must already be fully
     /// consumed (every chain freed); its recipient list is recycled as the
     /// new staging list.
-    pub(crate) fn rotate(&mut self) {
+    fn rotate(&mut self) {
         #[cfg(debug_assertions)]
         for &v in &self.cur_recipients {
             debug_assert!(
@@ -596,15 +555,10 @@ impl<M: Message> InboxArena<M> {
         self.next_recipients.clear();
     }
 
-    /// The nodes with deliveries this round, in first-delivery order.
-    pub(crate) fn recipients(&self) -> &[u32] {
-        &self.cur_recipients
-    }
-
-    /// Clones `v`'s current-round chain into `out` in insertion order
-    /// (no-op for nodes without deliveries this round).
+    /// Replaces `out` with `v`'s current-round chain, cloned in insertion
+    /// order (empty for nodes without deliveries this round).
     pub(crate) fn fill(&self, v: usize, out: &mut Vec<(Port, M)>) {
-        let start = out.len();
+        out.clear();
         let mut j = self.cur_slot[v];
         while j != NO_SLOT {
             let e =
@@ -612,7 +566,7 @@ impl<M: Message> InboxArena<M> {
             out.push((e.port as usize, e.msg.clone()));
             j = e.prev;
         }
-        out[start..].reverse();
+        out.reverse();
     }
 
     /// Returns `v`'s current-round chain to the free list (no-op when
@@ -632,51 +586,27 @@ impl<M: Message> InboxArena<M> {
     }
 }
 
-/// The engine's sink: every send is routed straight through
-/// [`Ledger::route`] — synchronous fates (`at == round + 1`, the
-/// overwhelmingly common case) into the arena's *next* side, delayed fates
-/// into the calendar — exactly as the historical sequential engine
-/// interleaved its accounting. The inline path hands it to [`step_node`]
-/// directly (no intermediate buffer); the shard merge feeds it each
-/// shard's staged sends in shard order.
-pub(crate) struct LedgerSink<'a, M> {
-    pub(crate) ledger: &'a mut Ledger<M>,
-    pub(crate) facts: &'a RunFacts,
-    pub(crate) round: u64,
-    pub(crate) arena: &'a mut InboxArena<M>,
-}
-
-impl<M: Message> SendSink<M> for LedgerSink<'_, M> {
-    fn accept(&mut self, send: StagedSend<M>) {
-        if let Some((at, dest, port, msg)) = self.ledger.route(self.facts, self.round, send) {
-            if at == self.round + 1 {
-                self.arena.deliver_next(dest as usize, port, msg);
-            } else {
-                self.ledger.queue.push(at, (dest, port, msg));
-            }
-        }
-    }
-}
-
 /// Reusable per-step buffers, so stepping a node allocates nothing in the
-/// steady state. (The inbox is a separate caller-owned buffer, filled per
-/// activation and handed to [`step_node`] by shared reference.)
+/// steady state: the caller gathers the node's inbox into `inbox` before
+/// each [`step_node`]; the other two are the protocol's outbox staging.
 pub(crate) struct StepScratch<M> {
-    pub(crate) outbox: Vec<(Port, M)>,
-    pub(crate) sent_on: Vec<bool>,
+    pub(crate) inbox: Vec<(Port, M)>,
+    outbox: Vec<(Port, M)>,
+    sent_on: Vec<bool>,
 }
 
 impl<M> Default for StepScratch<M> {
     fn default() -> Self {
         StepScratch {
+            inbox: Vec::new(),
             outbox: Vec::new(),
             sent_on: Vec::new(),
         }
     }
 }
 
-/// What one activation changed, beyond the sends (which went to the sink):
-/// the scheduling facts a runtime must react to.
+/// What one activation changed, beyond the sends (which went to the
+/// caller's `send`): the scheduling facts a runtime must react to.
 pub(crate) struct StepEffects {
     /// `Some(w)` iff the node's timer changed to `w` during this step — the
     /// runtime must (re-)schedule the wakeup. A timer that survives
@@ -694,23 +624,25 @@ pub(crate) struct StepEffects {
 /// Executes one activation of node `v` at `round`: the single stepping
 /// sequence every runtime shares. `i` indexes `v` within `store` (a view
 /// that may cover a sub-range of the nodes); `first_activation` and the
-/// gathered `inbox` are caller-provided (the runtime owns the started
-/// bitmap and the per-round inbox staging). Clears a due timer, rebuilds
-/// the node's setup on the stack from `rc`, runs the protocol, reports
-/// re-armed timers, status changes and lazy RNG draws, and stages each
-/// send (with its destination endpoint and wire size resolved through the
-/// topology) into `sink`, in emission order.
+/// inbox gathered into `scratch.inbox` are caller-provided (the runtime
+/// owns the started bitmap and the per-round inbox staging). Clears a due
+/// timer, rebuilds the node's setup on the stack from `rc`, runs the
+/// protocol, reports re-armed timers, status changes and lazy RNG draws,
+/// and hands each staged send (with its destination endpoint and wire size
+/// resolved through the topology) to `send`, in emission order. `send` is
+/// where the runtimes differ: the inline engine routes straight through
+/// [`Ledger::route`] (no intermediate buffer), a shard pushes onto its
+/// lane for the merge, an async worker accounts and ships a frame.
 #[allow(clippy::too_many_arguments)] // crate-internal; the args are the runtime's per-activation state
-pub(crate) fn step_node<T: Topology, P: Protocol, S: SendSink<P::Msg>>(
+pub(crate) fn step_node<T: Topology, P: Protocol>(
     rc: &RunCtx<'_, T>,
     round: u64,
     v: NodeId,
     store: &mut StoreSliceMut<'_, P>,
     i: usize,
     first_activation: bool,
-    inbox: &[(Port, P::Msg)],
     scratch: &mut StepScratch<P::Msg>,
-    sink: &mut S,
+    mut send: impl FnMut(StagedSend<P::Msg>),
 ) -> StepEffects {
     if store.wake[i] != NO_WAKE && store.wake[i] <= round {
         store.wake[i] = NO_WAKE;
@@ -752,7 +684,7 @@ pub(crate) fn step_node<T: Topology, P: Protocol, S: SendSink<P::Msg>>(
             sent_on: &mut scratch.sent_on,
             wake: &mut wake,
         };
-        store.protos[i].on_round(&mut ctx, inbox);
+        store.protos[i].on_round(&mut ctx, &scratch.inbox);
     }
     // `wake_at(u64::MAX)` means "never": normalize to a disarmed timer so
     // the sentinel column cannot alias a genuine wakeup.
@@ -774,7 +706,7 @@ pub(crate) fn step_node<T: Topology, P: Protocol, S: SendSink<P::Msg>>(
 
     for (port, msg) in scratch.outbox.drain(..) {
         let (dest, dest_port, didx) = rc.topo.endpoint_indexed(v, port);
-        sink.accept(StagedSend {
+        send(StagedSend {
             src: v,
             dest,
             dest_port,
@@ -1235,28 +1167,34 @@ impl LedgerPart {
     }
 }
 
-/// The engine's ledger: the one [`LedgerPart`] its control thread accounts
-/// every send into — inline or in the shard merge, always in the stable
-/// sequential order — plus the ordered residue that needs that order: the
-/// watch-edge crossings (`messages_before` is a global-interleaving
-/// quantity) and the delayed-delivery queue.
+/// The engine's ledger — the one delivery pipeline of the lockstep
+/// runtime. It owns the one [`LedgerPart`] the control thread accounts
+/// every send into (inline or in the shard merge, always in the stable
+/// sequential order) plus everything that needs that order: the watch-edge
+/// crossings (`messages_before` is a global-interleaving quantity), the
+/// delayed-delivery calendar and the two-round [`InboxArena`]. The engine
+/// decides *when* a node steps; where a send lands is decided here
+/// ([`Ledger::route`]) and nowhere else.
 pub(crate) struct Ledger<M> {
     pub(crate) part: LedgerPart,
     pub(crate) watch_hits: Vec<Option<WatchHit>>,
     /// The *delayed*-delivery queue: a flat calendar (ring + overflow
     /// tier) keyed by delivery round. Only fates beyond `round + 1` land
-    /// here — the synchronous common case goes straight into the
-    /// [`InboxArena`]'s *next* side, so at burst scale the queue never
-    /// holds a full round of messages. Within a round, item order is push
-    /// order, and pushes happen on the sequential control thread in
-    /// global send order; the engine drains a round's bucket into the
-    /// arena *before* stepping the round that feeds it, so per inbox the
+    /// here — the synchronous common case goes straight into the arena's
+    /// *next* side, so at burst scale the queue never holds a full round
+    /// of messages. Within a round, item order is push order, and pushes
+    /// happen on the sequential control thread in global send order; a
+    /// round's bucket is drained into the arena *before* the round that
+    /// feeds it steps ([`Ledger::stage`]), so per inbox the
     /// historical order is reproduced exactly: messages delayed into the
     /// round from earlier rounds first, then the preceding round's
     /// synchronous batch, each in send order. Destination and port are
     /// compacted to `u32` — half the queue footprint at graph scale (the
     /// node count is asserted to fit at ledger construction).
-    pub(crate) queue: CalendarQueue<(u32, u32, M)>,
+    queue: CalendarQueue<(u32, u32, M)>,
+    /// The round being stepped (read by the stepping threads through
+    /// `fill`, released through `free`) and the round being staged.
+    pub(crate) arena: InboxArena<M>,
 }
 
 impl<M: Message> Ledger<M> {
@@ -1276,22 +1214,67 @@ impl<M: Message> Ledger<M> {
             part: LedgerPart::new(facts, 0..topo.directed_edge_count()),
             watch_hits: facts.no_watch_hits(),
             queue: CalendarQueue::new(),
+            arena: InboxArena::new(n),
         }
     }
 
-    /// Accounts one send and decides its fate: `Some((at, dest, port,
-    /// msg))` for a delivery at round `at`, `None` for a dropped message
-    /// (never a watch-edge crossing). The caller routes the delivery.
-    pub(crate) fn route(
-        &mut self,
-        facts: &RunFacts,
-        round: u64,
-        s: StagedSend<M>,
-    ) -> Option<(u64, u32, u32, M)> {
-        let at = self.part.account(facts, round, &s)?;
-        let before = self.part.messages - 1;
-        facts.note_crossing(&mut self.watch_hits, (s.src, s.dest), round, before);
-        Some((at, s.dest as u32, s.dest_port as u32, s.msg))
+    /// The whole life of one send at `round`: accounted, its fate decided,
+    /// a delivered crossing of a watched edge noted (a dropped message
+    /// never crosses), and the message placed where its delivery round
+    /// will find it — the arena's *next* side for the synchronous
+    /// `round + 1`, the calendar for anything later.
+    #[inline]
+    pub(crate) fn route(&mut self, facts: &RunFacts, round: u64, s: StagedSend<M>) {
+        let Some(at) = self.part.account(facts, round, &s) else {
+            return;
+        };
+        facts.note_crossing(
+            &mut self.watch_hits,
+            (s.src, s.dest),
+            round,
+            self.part.messages - 1,
+        );
+        if at == round + 1 {
+            self.arena.deliver_next(s.dest, s.dest_port as u32, s.msg);
+        } else {
+            self.queue
+                .push(at, (s.dest as u32, s.dest_port as u32, s.msg));
+        }
+    }
+
+    /// Stages `round`: moves everything the calendar holds for it onto the
+    /// arena's *next* side, in push order — the one place a bucket is
+    /// drained. The engine stages `round + 1` before `round` steps, so
+    /// messages delayed into it by earlier rounds come first and
+    /// [`Ledger::route`] appends the stepping round's synchronous sends
+    /// directly behind them; those skip the queue, and no round's messages
+    /// are ever held twice.
+    pub(crate) fn stage(&mut self, round: u64) {
+        if self.queue.next_event_round() == Some(round) {
+            let mut batch = self.queue.take_at(round);
+            for (dest, port, msg) in batch.drain(..) {
+                self.arena.deliver_next(dest as usize, port, msg);
+            }
+            self.queue.recycle(batch);
+        }
+    }
+
+    /// Opens `round`: promotes the staged side to the round being stepped
+    /// and returns the nodes that hear something, in first-delivery order.
+    /// In the common case the round was staged while its predecessor
+    /// stepped and its bucket is already empty; only after a fast-forward
+    /// does the bucket still hold the round's deliveries, staged here
+    /// (deliveries into crashed nodes were already discarded at fate time).
+    pub(crate) fn open_round(&mut self, round: u64) -> &[u32] {
+        self.queue.advance_to(round);
+        self.stage(round);
+        self.arena.rotate();
+        &self.arena.cur_recipients
+    }
+
+    /// The earliest round the calendar still holds a delivery for.
+    pub(crate) fn next_delivery(&mut self) -> Option<u64> {
+        self.queue.next_event_round()
     }
 }
 
@@ -1301,8 +1284,8 @@ mod tests {
     use crate::config::Model;
     use ule_graph::gen;
 
-    /// Builds the send `(v, port)` of `bits` bits on `topo`.
-    fn send<T: Topology>(topo: &T, v: NodeId, port: Port, bits: u64) -> StagedSend<()> {
+    /// Builds the send `(v, port)` of `bits` bits carrying `msg` on `topo`.
+    fn send<T: Topology, M>(topo: &T, v: NodeId, port: Port, bits: u64, msg: M) -> StagedSend<M> {
         let (dest, dest_port, didx) = topo.endpoint_indexed(v, port);
         StagedSend {
             src: v,
@@ -1310,7 +1293,7 @@ mod tests {
             dest_port,
             didx,
             bits,
-            msg: (),
+            msg,
         }
     }
 
@@ -1400,7 +1383,7 @@ mod tests {
                         .collect();
                     for &(round, v, port, bits) in &script {
                         let owner = bounds.iter().rposition(|&lo| lo <= v).unwrap();
-                        parts[owner].account(&facts, round, &send(&g, v, port, bits));
+                        parts[owner].account(&facts, round, &send(&g, v, port, bits, ()));
                     }
                     // A timer node 1 re-arms past its crash round joins the
                     // owner's crash horizon.
@@ -1449,5 +1432,98 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A message that only carries its global send index.
+    #[derive(Debug, Clone, PartialEq)]
+    struct Tag(u64);
+    impl Message for Tag {
+        fn size_bits(&self) -> u64 {
+            8
+        }
+    }
+
+    /// Drives a [`Ledger`] the way the engine does — open the round, stage
+    /// the next, route the round's sends, and jump to the next delivery
+    /// when a round hears and sends nothing — and checks every inbox
+    /// against the model's rule: what a node hears at round `r` is every
+    /// surviving send whose fate named `r`, in global send order. Messages
+    /// delayed into `r` from earlier rounds are therefore heard before
+    /// round `r - 1`'s synchronous batch, whether `r` was staged while
+    /// `r - 1` stepped or reached by a fast-forward.
+    #[test]
+    fn inboxes_hear_delayed_messages_first_each_in_send_order() {
+        let g = gen::cycle(4).unwrap();
+        // (stepping rounds in which every node sends on both ports, delay)
+        let mut saw = (false, false);
+        for (bursts, max_delay) in [(0..6u64, 2u64), (0..3, 40)] {
+            let config =
+                SimConfig::seeded(11).with_adversary(Adversary::BoundedDelay { max_delay });
+            let facts = RunFacts::new(&g, &config, |_| {});
+            let mut ledger: Ledger<Tag> = Ledger::new(&g, &facts);
+            // (delivery round, dest) -> [(port, tag, send round)], in send order.
+            type Heard = Vec<(Port, Tag, u64)>;
+            let mut expect: BTreeMap<(u64, NodeId), Heard> = BTreeMap::new();
+            let (mut round, mut tag, mut jumped) = (0u64, 0u64, false);
+            loop {
+                let heard = ledger.open_round(round).len();
+                let mut inbox = Vec::new();
+                for v in 0..g.len() {
+                    ledger.arena.fill(v, &mut inbox);
+                    ledger.arena.free(v);
+                    let want = expect.remove(&(round, v)).unwrap_or_default();
+                    let sent_in: Vec<u64> = want.iter().map(|w| w.2).collect();
+                    assert!(sent_in.windows(2).all(|w| w[0] <= w[1]), "{sent_in:?}");
+                    let late_then_sync =
+                        sent_in.first() < sent_in.last() && sent_in.last() == Some(&(round - 1));
+                    saw.0 |= !jumped && late_then_sync;
+                    saw.1 |= jumped && sent_in.first() < sent_in.last();
+                    let want: Vec<(Port, Tag)> = want.into_iter().map(|w| (w.0, w.1)).collect();
+                    assert_eq!(inbox, want, "round {round}, node {v}, delay {max_delay}");
+                }
+                jumped = false;
+                if heard == 0 && !bursts.contains(&round) {
+                    match ledger.next_delivery() {
+                        Some(r) => {
+                            assert!(r > round);
+                            (round, jumped) = (r, true);
+                            continue;
+                        }
+                        None => break,
+                    }
+                }
+                ledger.stage(round + 1);
+                for v in (0..g.len()).filter(|_| bursts.contains(&round)) {
+                    for port in 0..2 {
+                        let s = send(&g, v, port, 8, Tag(tag));
+                        // Every burst round uses every directed edge once,
+                        // so an edge's send index is the round.
+                        let view = SendView {
+                            round,
+                            edge_seq: round,
+                            src: v,
+                            dest: s.dest,
+                            didx: s.didx,
+                        };
+                        let at = facts.fate(&view).expect("delays never drop");
+                        let heard = (s.dest_port, Tag(tag), round);
+                        expect.entry((at, s.dest)).or_default().push(heard);
+                        ledger.route(&facts, round, s);
+                        tag += 1;
+                    }
+                }
+                round += 1;
+            }
+            assert!(expect.is_empty(), "undelivered: {expect:?}");
+            assert_eq!(ledger.part.messages, tag);
+        }
+        assert!(
+            saw.0,
+            "no inbox mixed a delayed message with the synchronous batch"
+        );
+        assert!(
+            saw.1,
+            "no fast-forward landed on deliveries from two send rounds"
+        );
     }
 }

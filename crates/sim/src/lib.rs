@@ -25,7 +25,12 @@
 //! designated "bridge" edges (Theorem 3.1). Runs can be truncated at a
 //! round cap to reproduce the time-lower-bound experiment (Theorem 3.13).
 //!
-//! Scheduling is **event-driven**: per simulated round the engine touches
+//! A runtime is a **scheduling policy** over one execution core
+//! ([`exec`]): it decides when a node steps and hands the core's
+//! `step_node` a `send` closure; what a send costs, what becomes of it
+//! and — on the round engine — where it lands (`Ledger::route`: inbox
+//! arena or delay calendar) is the core's, written once. The round
+//! engine's policy is **event-driven**: per simulated round it touches
 //! only the nodes that receive a message or whose wakeup timer fires
 //! (active set + wakeup min-heap + dedup bitmap — see the `engine` module
 //! docs), so sparsely active executions at `n = 10⁶` are cheap and idle
@@ -34,8 +39,9 @@
 //!
 //! Execution is additionally **sharded-parallel** under [`Parallelism`]
 //! (the default `Auto` engages on large runs): message-dense rounds are
-//! stepped by several threads over contiguous shards of the active set and
-//! merged deterministically, so a run's [`RunOutcome`] is byte-for-byte
+//! stepped by several threads over contiguous shards of the active set
+//! (one lane of buffers per thread) and merged deterministically through
+//! the same `Ledger::route`, so a run's [`RunOutcome`] is byte-for-byte
 //! identical at any thread count — see the `engine` module docs for the
 //! merge-phase contract.
 //!

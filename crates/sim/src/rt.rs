@@ -43,7 +43,12 @@
 //! # One accounting path, no sequential bottleneck
 //!
 //! This module owns *how a staged send travels* and *when a node steps*;
-//! what a send costs and what becomes of it is [`crate::exec`]'s. Each
+//! what a send costs and what becomes of it is [`crate::exec`]'s. The
+//! `send` closure a worker hands `step_node` is the whole transport:
+//! account, stamp a [`Frame`] on the link, then queue the delivery on the
+//! destination's pending list — a plain per-node `Vec`, sorted into inbox
+//! order when the node takes what is due — or ship it over the owning
+//! worker's channel. Each
 //! worker feeds its sends to its own `LedgerPart` — the same
 //! `LedgerPart::account` the engine's control thread calls — covering only
 //! the out-edges of the nodes it owns, and after the pool joins the parts
@@ -78,11 +83,10 @@
 //! byte.
 
 use crate::adversary::SendView;
-use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, LedgerPart, RunCtx, RunFacts, RunOutcome, SendSink, StagedSend,
-    StepScratch, StoreSliceMut, Termination, WatchHit,
+    init_store, step_node, LedgerPart, RunCtx, RunFacts, RunOutcome, StagedSend, StepScratch,
+    StoreSliceMut, Termination, WatchHit,
 };
 use crate::protocol::{NodeSetup, Protocol, Status};
 use crate::transport::{Frame, LinkGate, LinkSeq};
@@ -200,8 +204,8 @@ impl AsyncRuntime {
         let n = graph.n();
         let mut store = init_store(graph, config, factory);
         // The lazy RNG column is an engine-side diet: its first-draw
-        // write-back protocol lives in the engine's merge phase, so this
-        // runtime materializes the identical streams up front instead.
+        // write-back lives on the engine's control thread, so this runtime
+        // materializes the identical streams up front instead.
         store.densify_rngs(config.seed);
         // The shared run set-up; fate queries are pure, so the workers
         // share the facts by reference.
@@ -237,28 +241,22 @@ impl AsyncRuntime {
         let record_trace = !self.no_trace || facts.watching();
         std::thread::scope(|scope| {
             let mut rest = store.as_mut();
-            for ((w, (part, stats)), rx) in books.iter_mut().enumerate().zip(receivers) {
+            for ((w, book), rx) in books.iter_mut().enumerate().zip(receivers) {
                 let lo = w * chunk;
                 let hi = ((w + 1) * chunk).min(n);
                 let (mine, rem) = rest.split_at_mut(hi - lo);
                 rest = rem;
-                let worker = Worker {
-                    w,
-                    lo,
-                    chunk,
-                    cap: config.max_rounds,
+                let worker = Worker::new(
+                    graph,
+                    config,
+                    &facts,
+                    &coord,
+                    (w, chunk),
                     record_trace,
-                    rc: RunCtx::new(graph, config),
-                    facts: &facts,
-                    store: mine,
-                    rt: (lo..hi).map(|v| NodeRt::new(graph.degree(v))).collect(),
-                    inbox: Vec::new(),
-                    part,
-                    stats,
-                    senders: senders.clone(),
-                    coord: &coord,
-                    scratch: StepScratch::default(),
-                };
+                    mine,
+                    book,
+                    senders.clone(),
+                );
                 scope.spawn(move || worker.run(rx));
             }
         });
@@ -352,24 +350,17 @@ where
     // every delivery is local, so the (empty) sender list and the arbiter
     // state are never touched.
     let coord = Mutex::new(Coord::new(0));
-    let (part, stats) = &mut books[0];
-    let mut worker = Worker {
-        w: 0,
-        lo: 0,
-        chunk: n,
-        cap,
-        record_trace: true,
-        rc: RunCtx::new(graph, config),
-        facts: &facts,
-        store: store.as_mut(),
-        rt: (0..n).map(|v| NodeRt::new(graph.degree(v))).collect(),
-        inbox: Vec::new(),
-        part,
-        stats,
-        senders: Vec::new(),
-        coord: &coord,
-        scratch: StepScratch::default(),
-    };
+    let mut worker = Worker::new(
+        graph,
+        config,
+        &facts,
+        &coord,
+        (0, n),
+        true,
+        store.as_mut(),
+        &mut books[0],
+        Vec::new(),
+    );
     for ev in &trace.events {
         let (v, e) = (ev.node, ev.round);
         assert!(
@@ -504,19 +495,18 @@ fn verdict(r_star: u64, last_exec: Option<u64>, cap: u64) -> Option<(Termination
     }
 }
 
-/// Horizon of each node's delivery calendar: under the lockstep model
-/// every delivery lands one round ahead, so a tiny ring suffices — and at
-/// `n = 10⁶+` nodes a per-node ring must stay small (delay adversaries
-/// past the horizon land in the overflow tier).
-const NODE_CALENDAR_HORIZON: usize = 8;
+/// One queued delivery: `(delivery round, send round, sender, emission
+/// index, port, message)` — the first four fields sort a node's due
+/// deliveries into the engine's inbox order.
+type Due<M> = (u64, u64, NodeId, u64, Port, M);
 
 /// Per-node runtime state beyond the [`crate::exec::NodeStore`] entry.
 struct NodeRt<M> {
-    /// Deliveries by round, in a flat calendar ring (the node's base round
-    /// advances as it executes); entries are `(send round, sender,
-    /// emission index, port, message)`, sorted at activation into the
-    /// engine's inbox order.
-    pending: CalendarQueue<(u64, NodeId, u64, Port, M)>,
+    /// Deliveries not yet consumed, in arrival order. A plain `Vec`: a
+    /// port carries one send per round and every send is due within
+    /// `max_delay + 1` rounds, so it holds about `degree × (max_delay + 1)`
+    /// entries at most, and an activation sorts what it takes anyway.
+    pending: Vec<Due<M>>,
     /// Per in-port clock: no delivery at or below this round is still in
     /// flight on that port.
     in_clock: Vec<u64>,
@@ -529,7 +519,7 @@ struct NodeRt<M> {
 impl<M> NodeRt<M> {
     fn new(degree: usize) -> Self {
         NodeRt {
-            pending: CalendarQueue::with_horizon(NODE_CALENDAR_HORIZON),
+            pending: Vec::new(),
             in_clock: vec![0; degree],
             gate: LinkGate::new(degree),
             started: false,
@@ -554,7 +544,7 @@ fn deliver_frame<M>(dest: &mut NodeRt<M>, port: Port, frame: &Frame, msg: M) {
     );
     let (send_round, at, src, emit) = (words[0], words[1], words[2] as NodeId, words[3]);
     dest.in_clock[port] = dest.in_clock[port].max(send_round + 1);
-    dest.pending.push(at, (send_round, src, emit, port, msg));
+    dest.pending.push((at, send_round, src, emit, port, msg));
 }
 
 /// What a worker keeps beside its [`LedgerPart`]: the transport state of
@@ -587,75 +577,6 @@ impl WorkerStats {
     }
 }
 
-/// The [`SendSink`] of the async runtime: accounts each send into the
-/// worker's [`LedgerPart`], stamps it into a [`Frame`] on its link, and
-/// either queues it locally (the destination shares this worker) or ships
-/// it over the destination worker's channel.
-struct ChannelSink<'a, M> {
-    round: u64,
-    /// This worker's first node; `rt` is indexed by `v - lo`.
-    lo: NodeId,
-    chunk: usize,
-    facts: &'a RunFacts,
-    rt: &'a mut [NodeRt<M>],
-    part: &'a mut LedgerPart,
-    link_seq: &'a mut [LinkSeq],
-    senders: &'a [Sender<Packet<M>>],
-    coord: &'a Mutex<Coord>,
-    /// Sends so far in the current activation (the next emission index).
-    emit: u64,
-    /// `(directed-edge index, frame seq)` log of the current activation —
-    /// lost sends included (the fate derivation recovers them).
-    sent_log: Vec<(usize, u64)>,
-    record_trace: bool,
-}
-
-impl<M> SendSink<M> for ChannelSink<'_, M> {
-    fn accept(&mut self, send: StagedSend<M>) {
-        let emit = self.emit;
-        self.emit += 1;
-        let fate = self.part.account(self.facts, self.round, &send);
-        // Every send consumes its link's next sequence number — lost ones
-        // too (an empty frame that never ships), so the receiving gate
-        // sees a gap, never a regression. The number equals the per-edge
-        // send index the part just fed the fate stream.
-        let words = match fate {
-            Some(at) => vec![self.round, at, send.src as u64, emit],
-            None => Vec::new(),
-        };
-        let frame = self.link_seq[send.didx - self.part.edges.start].stamp(words);
-        if self.record_trace {
-            self.sent_log.push((send.didx, frame.seq));
-        }
-        if fate.is_none() {
-            return;
-        }
-        // `dest - lo` indexes the owned range; a destination below `lo`
-        // wraps past its end, like one above it.
-        if let Some(local) = self.rt.get_mut(send.dest.wrapping_sub(self.lo)) {
-            // The destination shares this worker: queue it directly —
-            // through the same gate the channel path uses.
-            deliver_frame(local, send.dest_port, &frame, send.msg);
-        } else {
-            lock(self.coord).in_flight += 1;
-            self.senders[send.dest / self.chunk]
-                .send(Packet::Payload {
-                    dest: send.dest,
-                    port: send.dest_port,
-                    frame,
-                    msg: send.msg,
-                })
-                .expect("a worker channel closed mid-run");
-        }
-    }
-}
-
-/// What the arbiter decided at a global block.
-enum Decision {
-    Advance(u64),
-    Stop,
-}
-
 /// One pool worker: owns the contiguous node range starting at `lo` (one
 /// [`NodeRt`] per owned node).
 struct Worker<'env, T: Topology, P: Protocol> {
@@ -668,8 +589,6 @@ struct Worker<'env, T: Topology, P: Protocol> {
     facts: &'env RunFacts,
     store: StoreSliceMut<'env, P>,
     rt: Vec<NodeRt<P::Msg>>,
-    /// Reusable inbox buffer for the node currently stepping.
-    inbox: Vec<(Port, P::Msg)>,
     part: &'env mut LedgerPart,
     stats: &'env mut WorkerStats,
     senders: Vec<Sender<Packet<P::Msg>>>,
@@ -677,7 +596,44 @@ struct Worker<'env, T: Topology, P: Protocol> {
     scratch: StepScratch<P::Msg>,
 }
 
-impl<T: Topology, P: Protocol> Worker<'_, T, P> {
+impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
+    /// Worker `w` of a pool cut into `chunk`-node ranges: owns the nodes of
+    /// `store` (the `w`-th range) and keeps the books `book` (the part
+    /// over those nodes' out-edges). The one constructor behind a live
+    /// pool and a replay.
+    #[allow(clippy::too_many_arguments)] // the pool's shared state, then what this worker alone owns
+    fn new(
+        graph: &'env T,
+        config: &'env SimConfig,
+        facts: &'env RunFacts,
+        coord: &'env Mutex<Coord>,
+        (w, chunk): (usize, usize),
+        record_trace: bool,
+        store: StoreSliceMut<'env, P>,
+        (part, stats): &'env mut (LedgerPart, WorkerStats),
+        senders: Vec<Sender<Packet<P::Msg>>>,
+    ) -> Self {
+        let lo = w * chunk;
+        Worker {
+            w,
+            lo,
+            chunk,
+            cap: config.max_rounds,
+            record_trace,
+            rc: RunCtx::new(graph, config),
+            facts,
+            rt: (lo..lo + store.wake.len())
+                .map(|v| NodeRt::new(graph.degree(v)))
+                .collect(),
+            store,
+            part,
+            stats,
+            senders,
+            coord,
+            scratch: StepScratch::default(),
+        }
+    }
+
     fn run(mut self, rx: Receiver<Packet<P::Msg>>) {
         // A protocol panic must not strand the peers in `recv` forever:
         // broadcast Stop, then let the panic propagate through the scope.
@@ -736,13 +692,13 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     /// The earliest round node `lo + i` has any reason to run: its timer
     /// (`NO_WAKE == u64::MAX` meaning none) or its earliest queued
     /// delivery.
-    fn next_event(&mut self, i: usize) -> u64 {
-        let delivery = self.rt[i].pending.next_event_round();
+    fn next_event(&self, i: usize) -> u64 {
+        let delivery = self.rt[i].pending.iter().map(|d| d.0).min();
         self.store.wake[i].min(delivery.unwrap_or(u64::MAX))
     }
 
     /// The earliest pending event over every owned node.
-    fn earliest_event(&mut self) -> u64 {
+    fn earliest_event(&self) -> u64 {
         (0..self.rt.len())
             .map(|i| self.next_event(i))
             .min()
@@ -752,7 +708,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     /// The round node `lo + i` can execute now, if any: its next event,
     /// provided every in-port clock has reached it and it is below the
     /// round cap.
-    fn executable(&mut self, i: usize) -> Option<u64> {
+    fn executable(&self, i: usize) -> Option<u64> {
         let e = self.next_event(i);
         (e < self.cap && self.rt[i].in_clock.iter().all(|&c| c >= e)).then_some(e)
     }
@@ -765,35 +721,65 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
             !self.facts.crash_round(v).is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
-        let mut due = self.rt[i].pending.take_at(e);
-        // The engine's inbox order — the global send order: ascending send
+        let node = &mut self.rt[i];
+        // Everything due at `e` (nothing pending is due earlier), in the
+        // engine's inbox order — the global send order: ascending send
         // round, then sender, then the sender's emission order.
-        due.sort_by_key(|a| (a.0, a.1, a.2));
-        let delivered: Vec<(Port, NodeId, u64)> = if self.record_trace {
-            due.iter()
-                .map(|&(_, src, emit, port, _)| (port, src, emit))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        self.inbox.clear();
-        self.inbox
-            .extend(due.drain(..).map(|(_, _, _, port, msg)| (port, msg)));
-        self.rt[i].pending.recycle(due);
-        let first = !std::mem::replace(&mut self.rt[i].started, true);
-        let mut sink = ChannelSink {
-            round: e,
-            lo: self.lo,
-            chunk: self.chunk,
-            facts: self.facts,
-            rt: &mut self.rt,
-            part: self.part,
-            link_seq: &mut self.stats.link_seq,
-            senders: &self.senders,
-            coord: self.coord,
-            emit: 0,
-            sent_log: Vec::new(),
-            record_trace: self.record_trace,
+        node.pending.sort_unstable_by_key(|d| (d.0, d.1, d.2, d.3));
+        let due = node.pending.partition_point(|d| d.0 <= e);
+        let mut delivered = Vec::new();
+        self.scratch.inbox.clear();
+        for (_, _, src, emit, port, msg) in node.pending.drain(..due) {
+            if self.record_trace {
+                delivered.push((port, src, emit));
+            }
+            self.scratch.inbox.push((port, msg));
+        }
+        let first = !std::mem::replace(&mut node.started, true);
+        // Sends so far in this activation (the next emission index) and
+        // their `(directed-edge index, frame seq)` log — lost sends
+        // included (the fate derivation recovers them).
+        let mut sends = 0u64;
+        let mut sent = Vec::new();
+        // The closure borrows the books, the link sequencers and the
+        // peers' queues; `step_node` holds the store and the scratch.
+        let send = |s: StagedSend<P::Msg>| {
+            let emit = sends;
+            sends += 1;
+            let fate = self.part.account(self.facts, e, &s);
+            // Every send consumes its link's next sequence number — lost
+            // ones too (an empty frame that never ships), so the
+            // receiving gate sees a gap, never a regression. The number
+            // equals the per-edge send index the part just fed the fate
+            // stream.
+            let words = match fate {
+                Some(at) => vec![e, at, s.src as u64, emit],
+                None => Vec::new(),
+            };
+            let frame = self.stats.link_seq[s.didx - self.part.edges.start].stamp(words);
+            if self.record_trace {
+                sent.push((s.didx, frame.seq));
+            }
+            if fate.is_none() {
+                return;
+            }
+            // `dest - lo` indexes the owned range; a destination below
+            // `lo` wraps past its end, like one above it.
+            if let Some(local) = self.rt.get_mut(s.dest.wrapping_sub(self.lo)) {
+                // The destination shares this worker: queue it directly —
+                // through the same gate the channel path uses.
+                deliver_frame(local, s.dest_port, &frame, s.msg);
+            } else {
+                lock(self.coord).in_flight += 1;
+                self.senders[s.dest / self.chunk]
+                    .send(Packet::Payload {
+                        dest: s.dest,
+                        port: s.dest_port,
+                        frame,
+                        msg: s.msg,
+                    })
+                    .expect("a worker channel closed mid-run");
+            }
         };
         let effects = step_node(
             &self.rc,
@@ -802,23 +788,21 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
             &mut self.store,
             i,
             first,
-            &self.inbox,
             &mut self.scratch,
-            &mut sink,
+            send,
         );
-        let (sends, sent) = (sink.emit, sink.sent_log);
         if let Some(w) = effects.rearmed {
             self.part.rearm(self.facts, v, w, &mut self.store.wake[i]);
         }
-        let st = &mut *self.stats;
-        st.executed.insert(e);
-        *st.sends_per_round.entry(e).or_insert(0) += sends;
-        st.last_exec = st.last_exec.max(Some(e));
+        let stats = &mut *self.stats;
+        stats.executed.insert(e);
+        *stats.sends_per_round.entry(e).or_insert(0) += sends;
+        stats.last_exec = stats.last_exec.max(Some(e));
         if effects.status_changed {
-            st.last_status_change = st.last_status_change.max(Some(e));
+            stats.last_status_change = stats.last_status_change.max(Some(e));
         }
         if self.record_trace {
-            st.events.push(TraceEvent {
+            stats.events.push(TraceEvent {
                 round: e,
                 node: v,
                 delivered,
@@ -832,7 +816,7 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
     /// when the run is over.
     fn block(&mut self, rx: &Receiver<Packet<P::Msg>>) -> bool {
         let earliest = self.earliest_event();
-        let decision = {
+        {
             let mut c = lock(self.coord);
             c.blocked += 1;
             c.next_event[self.w] = earliest;
@@ -842,21 +826,14 @@ impl<T: Topology, P: Protocol> Worker<'_, T, P> {
                 let last_exec = c.last_exec.iter().copied().max().flatten();
                 c.verdict = verdict(r_star, last_exec, self.cap);
                 c.in_flight += self.senders.len() as u64;
-                Some(match c.verdict {
-                    Some(_) => Decision::Stop,
-                    None => Decision::Advance(r_star),
-                })
-            } else {
-                None
-            }
-        };
-        if let Some(d) = decision {
-            for s in &self.senders {
-                let pkt = match d {
-                    Decision::Advance(upto) => Packet::Advance { upto },
-                    Decision::Stop => Packet::Stop,
-                };
-                s.send(pkt).expect("a worker channel closed mid-run");
+                // Broadcast under the lock: an `mpsc` send never blocks.
+                for s in &self.senders {
+                    let pkt = match c.verdict {
+                        Some(_) => Packet::Stop,
+                        None => Packet::Advance { upto: r_star },
+                    };
+                    s.send(pkt).expect("a worker channel closed mid-run");
+                }
             }
         }
         match rx.recv() {
@@ -1102,20 +1079,27 @@ mod tests {
         }
     }
 
-    /// Delays past the per-node calendar horizon exercise the overflow
-    /// tier and the send-round-aware inbox sort.
+    /// Long delays — far more rounds than any node has ports — pile many
+    /// deliveries from many send rounds onto each node's pending `Vec`,
+    /// exercising its take-what-is-due split and the send-round-aware
+    /// inbox sort.
     #[test]
-    fn long_delays_past_the_calendar_horizon_conform() {
+    fn long_delays_on_the_pending_vec_conform() {
         let g = gen::cycle(8).unwrap();
-        let c = cfg(8, 9)
-            .with_adversary(Adversary::BoundedDelay { max_delay: 40 })
-            .with_max_rounds(10_000);
-        let reference = run(&g, &c, mk(400));
-        for workers in [1, 3] {
-            let a = AsyncRuntime::new()
-                .with_workers(workers)
-                .run(&g, &c, mk(400));
-            assert_eq!(a.outcome, reference, "workers = {workers}");
+        for max_delay in [40, 1_000] {
+            let c = cfg(8, 9)
+                .with_adversary(Adversary::BoundedDelay { max_delay })
+                .with_max_rounds(10_000);
+            let reference = run(&g, &c, mk(400));
+            for workers in [1, 3] {
+                let a = AsyncRuntime::new()
+                    .with_workers(workers)
+                    .run(&g, &c, mk(400));
+                assert_eq!(
+                    a.outcome, reference,
+                    "max_delay = {max_delay}, workers = {workers}"
+                );
+            }
         }
     }
 

@@ -82,11 +82,6 @@ impl<'a, T: Topology> Runner<'a, T> {
         self
     }
 
-    /// The selected runtime.
-    pub fn runtime_kind(&self) -> RuntimeKind {
-        self.kind
-    }
-
     /// Runs `factory`-created protocol instances on the selected runtime.
     ///
     /// `factory` is called once per node, in index order, with the node's
@@ -161,11 +156,8 @@ mod tests {
         let g = gen::path(2).unwrap();
         let cfg = SimConfig::seeded(0);
         let r = Runner::new(&g, &cfg);
-        assert_eq!(r.runtime_kind(), RuntimeKind::Sim);
-        assert_eq!(
-            r.runtime(RuntimeKind::Async).runtime_kind(),
-            RuntimeKind::Async
-        );
+        assert_eq!(r.kind, RuntimeKind::Sim);
+        assert_eq!(r.runtime(RuntimeKind::Async).kind, RuntimeKind::Async);
     }
 
     #[test]

@@ -32,8 +32,7 @@
 //!   baselines recorded without the feature carry no value to grow from.
 //! * **success rate**: a drop of more than 0.1 warns.
 //!
-//! Inputs may be campaign records ([`crate::run::CampaignResult`] JSON) or
-//! the legacy `BENCH_engine.json` array format, in either position.
+//! Both inputs are campaign records ([`crate::run::CampaignResult`] JSON).
 
 use crate::json::Json;
 use crate::XpError;
@@ -225,13 +224,12 @@ impl Report {
     }
 }
 
-/// The metrics `compare` extracts from one cell, whichever input format it
-/// came from.
+/// The metrics `compare` extracts from one cell.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellMetrics {
-    /// Mean rounds (plain `rounds` in the legacy format).
+    /// Mean rounds.
     pub mean_rounds: f64,
-    /// Mean messages (plain `messages` in the legacy format).
+    /// Mean messages.
     pub mean_messages: f64,
     /// Throughput, when the cell was timed.
     pub msgs_per_s: Option<f64>,
@@ -248,12 +246,11 @@ pub struct CellMetrics {
     /// Empirical success rate, when trial counts are known.
     pub success_rate: Option<f64>,
     /// Execution-model profile name the cell was recorded under. `None`
-    /// (schema-1 / legacy files, which predate adversaries) is treated as
+    /// (schema-1 files, which predate adversaries) is treated as
     /// `"lockstep"` — the only model those files could have run.
     pub adversary: Option<String>,
-    /// Runtime name the cell was recorded on. `None` (legacy files, and
-    /// every sim cell — the field is omitted for byte-stability) is
-    /// treated as `"sim"`.
+    /// Runtime name the cell was recorded on. `None` (every sim cell — the
+    /// field is omitted for byte-stability) is treated as `"sim"`.
     pub runtime: Option<String>,
 }
 
@@ -269,33 +266,28 @@ impl CellMetrics {
     }
 }
 
-/// Parses either supported result format into `(algorithm @ workload) →`
-/// metrics.
+/// Parses a campaign result into `(algorithm @ workload) →` metrics.
 ///
 /// # Errors
 ///
 /// Rejects unknown schema versions and structurally malformed inputs.
 pub fn parse_cells(v: &Json) -> Result<BTreeMap<String, CellMetrics>, XpError> {
-    let cells: &[Json] = if let Some(arr) = v.as_arr() {
-        // Legacy `BENCH_engine.json`: a bare array of flat records.
-        arr
-    } else {
-        let version = v
-            .get("schema_version")
-            .and_then(Json::as_u64)
-            .ok_or_else(|| XpError::new("result: missing `schema_version`"))?;
-        // Version 1 files lack the per-cell `adversary` field; they remain
-        // comparable (their cells implicitly ran under lockstep).
-        if !(1..=crate::run::SCHEMA_VERSION).contains(&version) {
-            return Err(XpError::new(format!(
-                "result: schema_version {version} unsupported (expected <= {})",
-                crate::run::SCHEMA_VERSION
-            )));
-        }
-        v.get("cells")
-            .and_then(Json::as_arr)
-            .ok_or_else(|| XpError::new("result: missing `cells` array"))?
-    };
+    let version = v
+        .get("schema_version")
+        .and_then(Json::as_u64)
+        .ok_or_else(|| XpError::new("result: missing `schema_version`"))?;
+    // Version 1 files lack the per-cell `adversary` field; they remain
+    // comparable (their cells implicitly ran under lockstep).
+    if !(1..=crate::run::SCHEMA_VERSION).contains(&version) {
+        return Err(XpError::new(format!(
+            "result: schema_version {version} unsupported (expected <= {})",
+            crate::run::SCHEMA_VERSION
+        )));
+    }
+    let cells = v
+        .get("cells")
+        .and_then(Json::as_arr)
+        .ok_or_else(|| XpError::new("result: missing `cells` array"))?;
     let mut out = BTreeMap::new();
     for cell in cells {
         let algorithm = cell
@@ -306,25 +298,15 @@ pub fn parse_cells(v: &Json) -> Result<BTreeMap<String, CellMetrics>, XpError> {
             .get("workload")
             .and_then(Json::as_str)
             .ok_or_else(|| XpError::new("cell: missing `workload`"))?;
-        let num = |modern: &str, legacy: &str| {
-            cell.get(modern)
-                .or_else(|| cell.get(legacy))
-                .and_then(Json::as_f64)
-        };
-        let mean_rounds = num("mean_rounds", "rounds")
+        let num = |key: &str| cell.get(key).and_then(Json::as_f64);
+        let mean_rounds = num("mean_rounds")
             .ok_or_else(|| XpError::new(format!("cell {algorithm}@{workload}: missing rounds")))?;
-        let mean_messages = num("mean_messages", "messages").ok_or_else(|| {
+        let mean_messages = num("mean_messages").ok_or_else(|| {
             XpError::new(format!("cell {algorithm}@{workload}: missing messages"))
         })?;
-        let success_rate = match (
-            cell.get("successes").and_then(Json::as_f64),
-            cell.get("trials").and_then(Json::as_f64),
-        ) {
+        let success_rate = match (num("successes"), num("trials")) {
             (Some(s), Some(t)) if t > 0.0 => Some(s / t),
-            _ => cell
-                .get("elected")
-                .and_then(Json::as_bool)
-                .map(|ok| if ok { 1.0 } else { 0.0 }),
+            _ => None,
         };
         // A grid may legitimately contain several cells with the same
         // (algorithm, workload) — e.g. two groups differing only in
@@ -345,10 +327,10 @@ pub fn parse_cells(v: &Json) -> Result<BTreeMap<String, CellMetrics>, XpError> {
             CellMetrics {
                 mean_rounds,
                 mean_messages,
-                msgs_per_s: cell.get("msgs_per_s").and_then(Json::as_f64),
-                peak_rss_bytes: cell.get("peak_rss_bytes").and_then(Json::as_f64),
-                bytes_per_node: cell.get("bytes_per_node").and_then(Json::as_f64),
-                allocs_per_message: cell.get("allocs_per_message").and_then(Json::as_f64),
+                msgs_per_s: num("msgs_per_s"),
+                peak_rss_bytes: num("peak_rss_bytes"),
+                bytes_per_node: num("bytes_per_node"),
+                allocs_per_message: num("allocs_per_message"),
                 success_rate,
                 adversary: cell
                     .get("adversary")
@@ -365,8 +347,7 @@ pub fn parse_cells(v: &Json) -> Result<BTreeMap<String, CellMetrics>, XpError> {
 }
 
 /// Returns the result file's `git_describe` when it records a dirty work
-/// tree (see [`crate::RunMeta::is_dirty`]); `None` for clean provenance or
-/// for formats without provenance (the legacy array format).
+/// tree (see [`crate::RunMeta::is_dirty`]); `None` for clean provenance.
 ///
 /// A dirty baseline is a gate anchored to unreproducible numbers — the
 /// `compare` subcommand surfaces this as a warning on stderr.
@@ -767,29 +748,14 @@ mod tests {
     }
 
     #[test]
-    fn parses_legacy_array_format() {
-        let legacy = r#"[
-          {"workload": "cycle/10", "algorithm": "floodmax", "n": 10, "m": 10,
-           "elapsed_s": 0.5, "messages": 2000, "rounds": 11, "bits": 9,
-           "elected": true, "msgs_per_s": 4000}
-        ]"#;
-        let cells = parse_cells(&Json::parse(legacy).unwrap()).unwrap();
-        let c = &cells["floodmax @ cycle/10"];
-        assert_eq!(c.mean_messages, 2000.0);
-        assert_eq!(c.mean_rounds, 11.0);
-        assert_eq!(c.msgs_per_s, Some(4000.0));
-        assert_eq!(c.success_rate, Some(1.0));
-    }
-
-    #[test]
     fn duplicate_cell_keys_are_disambiguated_not_dropped() {
         // Two cells with the same (algorithm, workload) — e.g. two groups
         // differing only in knowledge mode — must both survive parsing so
         // a regression in either one still trips the gate.
-        let doubled = r#"[
-          {"workload": "cycle/10", "algorithm": "floodmax", "messages": 100, "rounds": 5},
-          {"workload": "cycle/10", "algorithm": "floodmax", "messages": 900, "rounds": 7}
-        ]"#;
+        let doubled = r#"{"schema_version": 3, "cells": [
+          {"workload": "cycle/10", "algorithm": "floodmax", "mean_messages": 100, "mean_rounds": 5},
+          {"workload": "cycle/10", "algorithm": "floodmax", "mean_messages": 900, "mean_rounds": 7}
+        ]}"#;
         let cells = parse_cells(&Json::parse(doubled).unwrap()).unwrap();
         assert_eq!(cells.len(), 2);
         assert_eq!(cells["floodmax @ cycle/10"].mean_messages, 100.0);
@@ -809,6 +775,10 @@ mod tests {
     fn rejects_unknown_schema_version() {
         let v = Json::parse(r#"{"schema_version": 99, "cells": []}"#).unwrap();
         assert!(parse_cells(&v).is_err());
+        // A bare array (the pre-campaign `BENCH_engine.json` format) has
+        // no version to check.
+        let bare = parse_cells(&Json::parse("[]").unwrap()).unwrap_err();
+        assert!(bare.to_string().contains("missing `schema_version`"));
         // Version 1 (pre-adversary) files still parse: their cells are
         // implicitly lockstep.
         let v1 = Json::parse(
@@ -885,8 +855,5 @@ mod tests {
         assert_eq!(dirty_provenance(&dirty), Some("2718ebb-dirty".into()));
         let clean = Json::parse(r#"{"git_describe": "2718ebb", "cells": []}"#).unwrap();
         assert_eq!(dirty_provenance(&clean), None);
-        // The legacy array format carries no provenance at all.
-        let legacy = Json::parse("[]").unwrap();
-        assert_eq!(dirty_provenance(&legacy), None);
     }
 }

@@ -7,8 +7,8 @@
 //! out across threads, and the result serializes to versioned JSON —
 //! per-cell rounds/messages/bits statistics plus provenance (git describe,
 //! timestamp, spec hash) — that CI can diff. [`compare::compare`] is that
-//! diff: it matches cells between two result files (or against the legacy
-//! `BENCH_engine.json` array format) under configurable tolerance bands
+//! diff: it matches cells between two result files under configurable
+//! tolerance bands
 //! and reports pass / warn / fail, which the `ule-xp compare` subcommand
 //! maps to exit codes for the perf gate.
 //!

@@ -40,7 +40,7 @@ USAGE:
                           the conformance contract)
 
   ule-xp compare BASELINE.json NEW.json [OPTIONS]
-      Diff two result files (campaign format or legacy BENCH array).
+      Diff two campaign result files.
         --fail-throughput F   fail when throughput drops more than F x (default 2.0)
         --warn-throughput F   warn when throughput drops more than F x (default 1.25)
         --warn-cost R         warn when rounds/messages drift more than R rel. (default 0.10)

@@ -768,11 +768,17 @@ mod tests {
 
     #[test]
     fn bad_cell_reports_coordinates() {
-        let mut spec = tiny_spec();
-        spec.groups[0].families = vec![Family::Cycle];
-        spec.groups[0].sizes = vec![2]; // cycle needs n >= 3
-        let err = execute(&spec, RunMeta::fixed(), false).unwrap_err();
-        assert!(err.to_string().contains("cycle/2"), "{err}");
+        // cycle needs n >= 3, lollipop n >= 2.
+        for (family, n, cell) in [
+            (Family::Cycle, 2, "cycle/2"),
+            (Family::Lollipop, 1, "lollipop/1"),
+        ] {
+            let mut spec = tiny_spec();
+            spec.groups[0].families = vec![family];
+            spec.groups[0].sizes = vec![n];
+            let err = execute(&spec, RunMeta::fixed(), false).unwrap_err();
+            assert!(err.to_string().contains(cell), "{err}");
+        }
     }
 
     #[test]

@@ -59,32 +59,3 @@ fn fixture_parses_back_as_comparable_cells() {
     assert_eq!(c.success_rate, Some(1.0));
     assert_eq!(c.msgs_per_s, None);
 }
-
-#[test]
-fn legacy_bench_fixture_parses_and_self_compares_clean() {
-    // The checked-in BENCH_engine.json format (a bare array) must keep
-    // working as a `compare` baseline.
-    let legacy = include_str!("fixtures/legacy_scale.json");
-    let cells = parse_cells(&Json::parse(legacy).unwrap()).unwrap();
-    assert!(cells.len() >= 6);
-    assert!(cells.values().all(|c| c.msgs_per_s.is_some()));
-    let report = ule_xp::compare(&cells, &cells, &ule_xp::Tolerances::default());
-    assert_eq!(report.verdict(), ule_xp::Verdict::Pass);
-    assert_eq!(report.matched, cells.len());
-}
-
-#[test]
-fn injected_regression_fails_compare() {
-    // The acceptance check for the CI gate: a >2× throughput regression
-    // in an otherwise identical result must flip the verdict to Fail.
-    let legacy = include_str!("fixtures/legacy_scale.json");
-    let baseline = parse_cells(&Json::parse(legacy).unwrap()).unwrap();
-    let mut regressed = baseline.clone();
-    for cell in regressed.values_mut() {
-        if let Some(tput) = cell.msgs_per_s.as_mut() {
-            *tput /= 2.5;
-        }
-    }
-    let report = ule_xp::compare(&baseline, &regressed, &ule_xp::Tolerances::default());
-    assert_eq!(report.verdict(), ule_xp::Verdict::Fail);
-}

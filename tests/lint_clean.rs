@@ -1,9 +1,29 @@
 //! The determinism lint, enforced by plain `cargo test`: scans every
 //! `.rs` file under `crates/` and `src/` (plus `tests/` and `examples/`)
 //! and fails on any unsuppressed finding. CI runs the same pass via
-//! `cargo run -p ule-lint -- check`; this test makes the gate local.
+//! `cargo run -p ule-lint -- check`; this test makes the gate local — and
+//! with it the size ratchet over `ule-lint stats`.
 
-use ule_lint::{scan_tree, unsuppressed};
+use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
+
+/// ROADMAP aim 2's tracked numbers: the workspace's non-test code lines
+/// and `pub` items (`ule-lint stats`, the `total` row) as of the last PR
+/// that moved them.
+const MAX_CODE_LINES: usize = 10_314;
+const MAX_PUB_ITEMS: usize = 478;
+
+#[test]
+fn workspace_size_only_ratchets_down() {
+    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
+    let rows = crate_stats(root).expect("workspace scan failed");
+    let (_, lines, pubs) = rows.last().expect("the `total` row closes the table");
+    assert!(
+        *lines <= MAX_CODE_LINES && *pubs <= MAX_PUB_ITEMS,
+        "`ule-lint stats` reads {lines} code lines / {pubs} pub items, over the ratchet of \
+         {MAX_CODE_LINES} / {MAX_PUB_ITEMS} in tests/lint_clean.rs. Lower the constants when the \
+         tree shrinks; raise one only with the reason stated in the PR that does."
+    );
+}
 
 #[test]
 fn workspace_has_no_unsuppressed_findings() {
