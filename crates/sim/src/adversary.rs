@@ -15,7 +15,7 @@
 //! [`crate::SimConfig`], and [`Adversary`], every decision is a pure
 //! function of the run seed and the decision's coordinates. Message fates
 //! in particular are a pure function of `(run_seed, directed edge,
-//! per-edge send index)` — **never** of global merge order — so any
+//! per-edge send index)` — **never** of a global send order — so any
 //! runtime that tracks per-edge send counters (the engine's `Ledger`, the
 //! async runtime's per-edge `LinkSeq` stampers) reproduces the exact same
 //! decisions locally, with no sequential bottleneck. A run's

@@ -55,14 +55,16 @@ pub enum IdMode {
 
 /// Intra-run parallelism of the engine.
 ///
-/// A single simulated round can be stepped by several threads: the round's
-/// active set is partitioned into contiguous shards, each shard steps its
-/// nodes into a shard-local outbox, and a deterministic merge phase (stable
-/// shard order) delivers messages and accumulates counters exactly as the
-/// sequential engine would. The determinism contract is therefore
-/// **byte-for-byte**: for a fixed graph and [`SimConfig`], the
-/// [`crate::RunOutcome`] is identical at *any* thread count (enforced by
-/// `tests/scheduler_equivalence.rs` and a property test).
+/// A run can be executed by several threads: the nodes are divided into
+/// contiguous ranges, each owned by one shard thread for the whole run —
+/// node state, accounting of the nodes' sends, their inboxes and timers —
+/// and a round is a step phase followed by a deliver phase in which every
+/// shard takes in what the others sent to its nodes, in sender order, so
+/// every inbox reads exactly as the sequential engine would have filled
+/// it. The determinism contract is therefore **byte-for-byte**: for a
+/// fixed graph and [`SimConfig`], the [`crate::RunOutcome`] is identical at
+/// *any* thread count (enforced by `tests/scheduler_equivalence.rs` and a
+/// property test).
 ///
 /// This knob only changes wall-clock, never semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -76,11 +78,12 @@ pub enum Parallelism {
     /// oversubscribe quadratically.
     #[default]
     Auto,
-    /// Single-threaded: the engine's reference code path, bit-identical to
-    /// the historical sequential engine.
+    /// Single-threaded: one shard owns every node and sends are delivered
+    /// the moment they are made; bit-identical to the historical
+    /// sequential engine.
     Off,
-    /// Exactly this many shard threads (must be nonzero). Values above the
-    /// active-set size degrade gracefully — shards are never empty.
+    /// Exactly this many shard threads (must be nonzero), clamped to the
+    /// node count — a shard's range is never empty.
     Threads(usize),
 }
 
@@ -90,11 +93,18 @@ impl Parallelism {
     pub const AUTO_MIN_NODES: usize = 65_536;
 
     /// Under [`Parallelism::Auto`], the minimum active nodes per shard
-    /// before a round is stepped in parallel. Spawning a shard thread
-    /// costs on the order of 10 µs while stepping one cheap protocol node
-    /// costs ~0.1 µs, so a shard needs a few hundred nodes before the
-    /// thread pays for itself; sparser rounds step inline (the sequential
-    /// code path, so the choice never shows in the outcome).
+    /// before a round runs on the shard threads: a round needs two such
+    /// shards' worth. The threads are spawned once per run; what a
+    /// parallel round costs is its four channel hand-offs per worker
+    /// (step, done, deliver, done), measured on the 2-vCPU reference box
+    /// at 25 – 75 µs a round — a step/done pair is ≈ 12 µs when the
+    /// worker's answer is already waiting and ≈ 35 µs when both sides had
+    /// to park — against ~0.1 – 0.3 µs to step one cheap protocol node and
+    /// route its sends. A round of 512 active nodes is therefore about
+    /// where splitting it in two starts to pay, which is the value the
+    /// spawn-per-round engine had settled on for its ~10 µs spawns;
+    /// sparser rounds are run by the control thread alone (same code, so
+    /// the choice never shows in the outcome).
     pub const AUTO_MIN_SHARD_NODES: usize = 256;
 
     /// Resolves the knob to a concrete shard-thread count for a run on `n`
@@ -122,12 +132,12 @@ impl Parallelism {
         }
     }
 
-    /// Minimum active nodes per shard for a round to be stepped in
-    /// parallel. `Auto` applies the economic threshold
-    /// ([`Parallelism::AUTO_MIN_SHARD_NODES`]); an explicit
-    /// [`Parallelism::Threads`] request shards eagerly — every round with
-    /// at least one node per shard — so determinism tests on small graphs
-    /// genuinely exercise the shard + merge machinery. Either way the
+    /// Minimum active nodes per shard for a round to run on the shard
+    /// threads (a round needs twice this many). `Auto` applies the
+    /// economic threshold ([`Parallelism::AUTO_MIN_SHARD_NODES`]); an
+    /// explicit [`Parallelism::Threads`] request goes parallel eagerly —
+    /// every round with at least two active nodes — so determinism tests
+    /// on small graphs genuinely exercise the hand-offs. Either way the
     /// outcome is identical; this only moves wall-clock.
     pub fn min_shard_nodes(self) -> usize {
         match self {

@@ -12,12 +12,13 @@
 //! in [`crate::exec`] — the first four shared with the async
 //! threads+channels runtime ([`crate::rt`]), delivery in the engine's
 //! `Ledger`, which owns the inbox arena and the delayed-delivery calendar
-//! and is the only code that knows where a send lands. What lives *here*
-//! is the scheduling policy and nothing else — the decision of **when**
-//! each node steps: the active set, the wakeup heap, fast-forward, and the
-//! shard split. A round is `Ledger::open_round` (who hears something),
-//! the wakeup admission, `Ledger::stage` of the round after, then one
-//! `step_node` per active node whose sends go to `Ledger::route`.
+//! of a node range and is the only code that knows where a send lands.
+//! What lives *here* is the scheduling policy and nothing else — the
+//! decision of **when** each node steps: the active set, the wakeup heap,
+//! fast-forward, and which thread runs which range. A round is, per range,
+//! `Ledger::open_round` (who hears something), the wakeup admission,
+//! `Ledger::stage` of the round after, then one `step_node` per active
+//! node — `Shard::step`, the one round body of every run.
 //!
 //! The engine is generic over [`Topology`], so the structured families run
 //! off `O(1)`-memory procedural topologies ([`ule_graph::ImplicitTopology`])
@@ -69,9 +70,9 @@
 //!   `Option<u64>`), started bits live in an engine-owned bitmap (one
 //!   bit per node), statuses are one byte per node, and the RNG column
 //!   starts lazy — materialized only if some node actually draws;
-//! * every stepping thread owns one `Lane` — its step buffers and, on the
-//!   sharded path, its outbox — reused across rounds, so a steady-state
-//!   round allocates nothing per message.
+//! * every range owns its step buffers and the mail slots it posts to
+//!   are drained in place, so a steady-state round allocates nothing per
+//!   message.
 //!
 //! # Round counting under fast-forward
 //!
@@ -81,51 +82,95 @@
 //! no work. [`RunOutcome::round_totals`] records one entry per *active*
 //! round only.
 //!
-//! # Sharded-parallel stepping
+//! # Range ownership: shards, two phases, persistent workers
 //!
-//! Under [`crate::Parallelism`] settings other than `Off`, rounds with large
-//! active sets are stepped by several threads. The sorted active list is
-//! partitioned into **contiguous shards** (so concatenating shard outputs
-//! in shard order reproduces the sequential ascending-node-index order);
-//! each shard steps its nodes onto its own lane — protocol execution,
-//! coin flips, and message construction all run off the main thread,
-//! reading the round's deliveries from the ledger's shared inbox arena —
-//! and then a sequential **merge phase** walks the shards in stable shard
-//! order, performing every piece of global accounting (message/bit totals,
-//! CONGEST checks, watch-edge crossings with their `messages_before`
-//! counts, per-directed-edge statistics, wakeup-heap pushes, inbox
-//! delivery, next-round activation) exactly as the sequential engine
-//! interleaves it. Because node state (including each node's private RNG)
-//! is owned by its shard and the merge order equals the sequential order,
-//! a run is **byte-for-byte identical at any thread count** —
-//! `Parallelism::Off` remains the reference code path, and
-//! `tests/scheduler_equivalence.rs` pins the parallel engine against it.
-//! Rounds whose active set is too small to amortize thread coordination
-//! are stepped inline on the main thread (same code as `Off`).
+//! The nodes are divided into contiguous ranges, one **shard** each
+//! (`Owners::split`: at most [`crate::Parallelism`]'s thread count, never
+//! an empty range; `Off`, `Auto` below its node threshold and `n = 1` give
+//! one shard). A shard owns its range for the whole run: the nodes' slice
+//! of the store, the `Ledger` of their out-edges and inboxes (accounting
+//! part, inbox arena, calendar), their wakeup heap, active list, dedup
+//! flags and started bits. Nothing per-node is shared, so nothing
+//! per-node is locked.
 //!
-//! Both stepping paths stay, on measurements: the inline path routes every
-//! send the moment it is staged, with no intermediate buffer, and is
-//! faster and smaller than `Threads(k)` on every workload of the repo
-//! benchmark (`benchmark/`); `Threads(k)` is the determinism lever — what
-//! the scheduler-equivalence matrix and the `sharded-torus` workload
-//! exercise. They share `step_node`, `Ledger::route` and the one `settle`
-//! that reacts to an activation's effects.
+//! A round is two phases over the shards:
+//!
+//! * **step** — each shard opens the round, admits its due wakeups, sorts
+//!   its active list, stages the round after, and steps its active nodes
+//!   in ascending order. Every send is accounted on the spot, on the
+//!   sender's ledger (fates are a pure function of `(seed, directed edge,
+//!   per-edge send index)`, so no global order is needed for that). With
+//!   one shard a surviving send then goes straight into the destination's
+//!   inbox (`Ledger::deliver`, no intermediate buffer); with several it is
+//!   parked as a compact `(at, dest, port, msg)` in the mail slot
+//!   `mail[source shard][destination shard]`.
+//! * **deliver** — each shard drains the slots addressed to it, in
+//!   source-shard order, into its own arena or calendar.
+//!
+//! **Why every inbox is in the inline order.** The inline engine delivers
+//! in global send order: ascending sender, then emission order. Ranges
+//! are contiguous and ascending, so that order is "shard 0's sends, then
+//! shard 1's, …", each shard's in its own stepping order — and a slot
+//! holds exactly one shard's sends into one range, in that order. Draining
+//! the slots in source-shard order therefore replays the global send
+//! order restricted to the range's inboxes, which is all an inbox (or a
+//! calendar bucket) can observe. What earlier rounds delayed into round
+//! `r + 1` must precede all of that; it does because every shard stages
+//! `r + 1` in its step phase — even a shard with nobody to step — and
+//! every deliver phase comes after every step phase.
+//!
+//! The control thread keeps only the **ordered residue**, read off the
+//! shards between rounds: the running message total (`round_totals`), the
+//! last status change, the next round (the minimum over the shards' next
+//! events, so idle stretches are skipped exactly as before), and watch
+//! hits — a shard records the rare send over a watched edge with its index
+//! among the shard's sends, and the control thread adds the total before
+//! the round and the earlier shards' counts of this round to obtain the
+//! `messages_before` a single accountant would have seen.
+//!
+//! The phases run on **worker threads spawned once per run**, one per
+//! shard but the first, which the control thread runs itself. A round is
+//! four hand-offs per worker over two one-slot channels (step, done,
+//! deliver, done); between rounds the control thread holds every shard's
+//! lock, during a phase each thread holds its own — the locks are never
+//! contended, they are how safe Rust moves a `&mut Shard` between threads.
+//! Rounds with too few active nodes to pay for the hand-offs
+//! (`Parallelism::min_shard_nodes`) are run by the control thread over all
+//! shards, same two phases, without waking anyone. A panic in a phase —
+//! protocol API misuse — closes that thread's channels: the control thread
+//! sees the hang-up, releases the other workers and re-raises the original
+//! panic; if the control thread itself panics, its channel ends drop and
+//! the workers leave. Either way the run ends in the panic `Off` would
+//! have raised, never parked at a hand-off.
+//!
+//! Because the stepping order within a shard, the accounting and the
+//! per-inbox delivery order are those of the inline engine, a run is
+//! **byte-for-byte identical at any thread count** —
+//! `tests/scheduler_equivalence.rs` pins `Threads(2)` / `Threads(4)`
+//! against `Off`, and an order-sensitive probe in this module's tests
+//! pins the inbox order itself. On the 2-vCPU reference box `Threads(2)`
+//! runs the repo benchmark's torus in about 0.65× the inline engine's time
+//! (`sim.engine.shard_ratio`, `benchmark/`).
 
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, InboxArena, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StagedSend,
-    StepScratch, StoreSliceMut, Termination,
+    init_store, step_node, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StepScratch,
+    Termination,
 };
+use crate::message::Message;
 use crate::protocol::{NodeSetup, Protocol};
 use rand::rngs::StdRng;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{Scope, ScopedJoinHandle};
 use ule_graph::{NodeId, Topology};
 
 /// One bit per node: has this node ever been activated? Replaces the
-/// byte-per-node `started` column (a `Vec<bool>`), and — because within a
-/// round every active node steps exactly once — can be updated *after*
-/// the stepping loop, which is what lets shard threads share it immutably.
+/// byte-per-node `started` column (a `Vec<bool>`).
 struct Bitmap {
     words: Vec<u64>,
 }
@@ -148,73 +193,371 @@ impl Bitmap {
     }
 }
 
-/// Everything one stepping thread owns, reused across rounds so a
-/// steady-state round allocates nothing per message: the step buffers
-/// and, for a shard, what its activations leave for the merge. The inline
-/// path steps on lane 0's `scratch` and leaves the rest empty — its sends
-/// go straight through [`Ledger::route`] and each activation's effects are
-/// settled on the spot.
-struct Lane<M> {
-    scratch: StepScratch<M>,
-    /// Sends in sequential order (ascending node, then emission order).
-    sends: Vec<StagedSend<M>>,
-    /// `(round, node)` timers re-armed by this lane's nodes.
-    wakes: Vec<(u64, NodeId)>,
-    /// Nodes that drew from a lazily-derived RNG stream, with the drawn
-    /// state.
-    drawn: Vec<(NodeId, StdRng)>,
-    /// Whether any of this lane's nodes changed status.
-    status_changed: bool,
+/// Which shard owns a node. Ranges are cut at multiples of `1 << shift`,
+/// so the owner is one load from a table of at most 1024 entries — every
+/// send of a sharded run asks once, and a division by the range length
+/// cost a measurable share of the step phase.
+struct Owners {
+    shift: u32,
+    table: Vec<u32>,
 }
 
-impl<M> Lane<M> {
-    fn new() -> Self {
-        Lane {
+impl Owners {
+    /// Splits `0..n` into at most `threads` contiguous, non-empty ranges of
+    /// near-equal length (one empty range when `n == 0`).
+    fn split(n: usize, threads: usize) -> (Vec<Range<NodeId>>, Owners) {
+        let shift = (usize::BITS - n.leading_zeros()).saturating_sub(10);
+        let grain = 1usize << shift;
+        let chunk = n
+            .div_ceil(threads.min(n).max(1))
+            .next_multiple_of(grain)
+            .max(1);
+        let ranges = (0..n.div_ceil(chunk).max(1))
+            .map(|s| s * chunk..((s + 1) * chunk).min(n))
+            .collect();
+        let table = (0..n.div_ceil(grain))
+            .map(|g| ((g << shift) / chunk) as u32)
+            .collect();
+        (ranges, Owners { shift, table })
+    }
+
+    #[inline]
+    fn of(&self, v: NodeId) -> usize {
+        self.table[v >> self.shift] as usize
+    }
+}
+
+/// A surviving delivery on its way to the shard that owns its
+/// destination: `(delivery round, dest, port at dest, message)`.
+type Parcel<M> = (u64, u32, u32, M);
+
+/// What one shard sent into another's nodes this round, in send order —
+/// filled by the source in its step phase, drained by the destination in
+/// its deliver phase. The phases never overlap, so the lock is never
+/// contended.
+type Slot<M> = Mutex<Vec<Parcel<M>>>;
+
+/// Where a shard's surviving sends wait when another shard may own their
+/// destination: its row of mail slots, locked for the step phase, and the
+/// table that picks the slot.
+struct Outbox<'a, M> {
+    owners: &'a Owners,
+    to: Vec<MutexGuard<'a, Vec<Parcel<M>>>>,
+}
+
+/// A delivered send over a watched edge, `(src, dest, index among its
+/// shard's sends)`: `messages_before` needs the other shards' counts, so
+/// the control thread resolves it.
+type Crossing = (NodeId, NodeId, u64);
+
+/// A contiguous node range and everything the run keeps about it, owned
+/// from set-up to the outcome: the nodes' state, the ledger of their
+/// out-edges and inboxes, and their share of the scheduler. Columns are
+/// indexed by offset into the range. Aligned so that two shards stepped by
+/// different threads never share a cache line (false sharing between the
+/// hot fields of adjacent per-thread structs was measured at half the
+/// stepping time).
+#[repr(align(128))]
+struct Shard<P: Protocol> {
+    store: NodeStore<P>,
+    ledger: Ledger<P::Msg>,
+    /// Pending wakeups `(round, offset)`, min-first. Entries are lazily
+    /// invalidated: an entry is genuine iff `store.wake[offset] == round`
+    /// when popped (a node that re-arms its timer leaves the superseded
+    /// entry behind).
+    wake_heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// The round's active set (small for sparse protocols) and the dedup
+    /// flags guarding it.
+    active: Vec<usize>,
+    in_active: Vec<bool>,
+    /// Whether `active` already holds the coming round's deliveries and
+    /// wakeups.
+    opened: bool,
+    started: Bitmap,
+    scratch: StepScratch<P::Msg>,
+    /// The round's crossings, left for the control thread.
+    crossings: Vec<Crossing>,
+    /// Whether a node changed status in the round just stepped.
+    status_changed: bool,
+    /// This shard's sends already in the control thread's running total.
+    counted: u64,
+}
+
+impl<P: Protocol> Shard<P> {
+    /// The shard of `store`'s nodes, whose out-edges are `edges`. The
+    /// spontaneous round-0 wakeups (armed as `wake == 0` by the run set-up)
+    /// seed the active set directly: routing them through the heap would
+    /// be wasted work (under simultaneous wakeup that is n pushes + n
+    /// pops), and the round-0 execution clears the markers before any heap
+    /// lookup could expect entries for them.
+    fn new(facts: &RunFacts, store: NodeStore<P>, edges: Range<usize>) -> Self {
+        let len = store.wake.len();
+        let active: Vec<usize> = (0..len).filter(|&i| store.wake[i] == 0).collect();
+        let mut in_active = vec![false; len];
+        for &i in &active {
+            in_active[i] = true;
+        }
+        Shard {
+            ledger: Ledger::new(facts, store.base..store.base + len, edges),
+            store,
+            wake_heap: BinaryHeap::new(),
+            active,
+            in_active,
+            opened: false,
+            started: Bitmap::new(len),
             scratch: StepScratch::default(),
-            sends: Vec::new(),
-            wakes: Vec::new(),
-            drawn: Vec::new(),
+            crossings: Vec::new(),
             status_changed: false,
+            counted: 0,
+        }
+    }
+
+    /// The earliest round `>= round` in which a node of this range has
+    /// something to do — a staged delivery (those are for `round`: staging
+    /// is one round ahead), else the calendar's next delivery or the next
+    /// genuine wakeup. Crashed owners need no check: wakeups are
+    /// crash-filtered *at arm time* (the shared set-up and
+    /// `LedgerPart::rearm`), so every genuine heap entry outlives its
+    /// owner's crash round.
+    fn next_event(&mut self, round: u64) -> Option<u64> {
+        if !self.active.is_empty() || self.ledger.staged() > 0 {
+            return Some(round);
+        }
+        let mut next = self.ledger.next_delivery();
+        while let Some(&Reverse((w, i))) = self.wake_heap.peek() {
+            if self.store.wake[i] != w {
+                self.wake_heap.pop();
+                continue;
+            }
+            next = Some(next.map_or(w, |d| d.min(w)));
+            break;
+        }
+        next
+    }
+
+    /// Gathers who steps in `round`: everything due is heard now, and
+    /// every wakeup due is admitted (superseded entries dropped).
+    fn open(&mut self, round: u64) {
+        if std::mem::replace(&mut self.opened, true) {
+            return;
+        }
+        for &d in self.ledger.open_round(round) {
+            let d = d as usize;
+            if !self.in_active[d] {
+                self.in_active[d] = true;
+                self.active.push(d);
+            }
+        }
+        while let Some(&Reverse((w, i))) = self.wake_heap.peek() {
+            if w > round {
+                break;
+            }
+            self.wake_heap.pop();
+            if self.store.wake[i] == w && !self.in_active[i] {
+                self.in_active[i] = true;
+                self.active.push(i);
+            }
+        }
+    }
+
+    /// The step phase of `round`, the one round body of every run: opens
+    /// the round, stages the next, and steps the range's active nodes in
+    /// ascending order. Every send is accounted here, on its source's
+    /// ledger; a surviving one then goes straight into the destination's
+    /// inbox when this shard owns every node (`outbox` is `None`: no
+    /// intermediate buffer), and otherwise waits in `outbox` for the owner
+    /// of its destination (a shard of several that steps nobody this
+    /// round needs no outbox either).
+    fn step<T: Topology>(
+        &mut self,
+        rc: &RunCtx<'_, T>,
+        facts: &RunFacts,
+        round: u64,
+        mut outbox: Option<Outbox<'_, P::Msg>>,
+    ) {
+        self.open(round);
+        self.opened = false;
+        // Ascending node order keeps execution byte-for-byte identical to
+        // the historical full scan; the set is small, so the sort is cheap.
+        self.active.sort_unstable();
+        // What earlier rounds delayed into the next round is heard before
+        // what this round sends into it — staged here even if nobody in
+        // the range steps, because another shard's sends may land behind it.
+        self.ledger.stage(round + 1);
+        let Shard {
+            store,
+            ledger,
+            wake_heap,
+            active,
+            in_active,
+            started,
+            scratch,
+            crossings,
+            status_changed,
+            ..
+        } = self;
+        for i in active.drain(..) {
+            let v = store.base + i;
+            ledger.arena.fill(i, &mut scratch.inbox);
+            // The inbox is cloned out; free the chain now so the
+            // deliveries of this round reuse the entries in place.
+            ledger.arena.free(i);
+            let effects = step_node(
+                rc,
+                round,
+                v,
+                &mut store.as_mut(),
+                i,
+                !started.get(i),
+                scratch,
+                |s| {
+                    let Some(at) = ledger.part.account(facts, round, &s) else {
+                        return;
+                    };
+                    if facts.watches(s.src, s.dest) {
+                        crossings.push((s.src, s.dest, ledger.part.messages - 1));
+                    }
+                    let port = s.dest_port as u32;
+                    match &mut outbox {
+                        None => ledger.deliver(round, at, s.dest, port, s.msg),
+                        Some(Outbox { owners, to }) => {
+                            to[owners.of(s.dest)].push((at, s.dest as u32, port, s.msg))
+                        }
+                    }
+                },
+            );
+            // A changed timer needs a heap entry unless its owner's crash
+            // outlives it (the stale entry for the previously armed round,
+            // if any, stays in the heap; the async runtime makes the same
+            // arm-time decision, so the reported crash horizons agree
+            // across runtimes).
+            if let Some(w) = effects.rearmed {
+                if ledger.part.rearm(facts, v, w, &mut store.wake[i]) {
+                    wake_heap.push(Reverse((w, i)));
+                }
+            }
+            // A first draw on the lazy RNG column materializes it (every
+            // other node of the range is still pristine, so fresh streams
+            // are exact) and persists the drawn state.
+            if let Some(rng) = effects.drew {
+                store.densify_rngs(rc.seed)[i] = rng;
+            }
+            *status_changed |= effects.status_changed;
+            started.set(i);
+            in_active[i] = false;
         }
     }
 }
 
-/// Steps the active nodes of one shard for one round.
-///
-/// `store` is the contiguous store view covering this shard's node-index
-/// range, offset by `base` (`nodes` are ascending global indices, all
-/// within `base..base + store len`). Mirrors the inline stepping loop
-/// exactly, except that the sends wait on the shard's `lane` for the merge
-/// instead of being routed on the spot; `arena` and `started` are the
-/// round's shared read-only delivery and first-activation state.
-#[allow(clippy::too_many_arguments)] // engine-internal; mirrors the inline loop's locals
-fn step_shard<T: Topology, P: Protocol>(
-    rc: &RunCtx<'_, T>,
-    round: u64,
-    base: NodeId,
-    mut store: StoreSliceMut<'_, P>,
-    nodes: &[NodeId],
-    arena: &InboxArena<P::Msg>,
-    started: &Bitmap,
-    lane: &mut Lane<P::Msg>,
-) {
-    for &v in nodes {
-        arena.fill(v, &mut lane.scratch.inbox);
-        let sends = &mut lane.sends;
-        let effects = step_node(
-            rc,
-            round,
-            v,
-            &mut store,
-            v - base,
-            !started.get(v),
-            &mut lane.scratch,
-            |s| sends.push(s),
-        );
-        lane.wakes.extend(effects.rearmed.map(|w| (w, v)));
-        lane.drawn.extend(effects.drew.map(|rng| (v, rng)));
-        lane.status_changed |= effects.status_changed;
+/// One half of a round on a run with several shards.
+#[derive(Clone, Copy)]
+enum Phase {
+    /// Step the range's active nodes and post their sends.
+    Step(u64),
+    /// Take in what every shard posted for this range.
+    Deliver(u64),
+}
+
+/// What the threads of a run with several shards share, read-only.
+struct Shared<'a, T, M> {
+    rc: RunCtx<'a, T>,
+    facts: &'a RunFacts,
+    owners: Owners,
+    /// `mail[src][dst]`.
+    mail: Vec<Vec<Slot<M>>>,
+    /// `posted[src]`: whether shard `src` stepped anyone this round. If
+    /// not, its row of `mail` is empty and nobody has to lock it to find
+    /// out — a sparse round then costs a few locks, not `shards²`. (The
+    /// hand-offs order the accesses; the flag publishes nothing itself.)
+    posted: Vec<AtomicBool>,
+}
+
+impl<T: Topology, M: Message> Shared<'_, T, M> {
+    /// Runs `phase` on shard number `s`. A round is every shard's step
+    /// phase, then every shard's deliver phase; within a phase the shards
+    /// touch disjoint state, so they may run on different threads.
+    fn run<P: Protocol<Msg = M>>(&self, s: usize, shard: &mut Shard<P>, phase: Phase) {
+        match phase {
+            Phase::Step(round) => {
+                shard.open(round);
+                let stepping = !shard.active.is_empty();
+                self.posted[s].store(stepping, Ordering::SeqCst);
+                let outbox = stepping.then(|| Outbox {
+                    owners: &self.owners,
+                    to: self.mail[s].iter().map(lock).collect(),
+                });
+                shard.step(&self.rc, self.facts, round, outbox);
+            }
+            // Source-shard order, each slot in send order: the global
+            // send order restricted to this range's inboxes.
+            Phase::Deliver(round) => {
+                for (row, posted) in self.mail.iter().zip(&self.posted) {
+                    if !posted.load(Ordering::SeqCst) {
+                        continue;
+                    }
+                    for (at, dest, port, msg) in lock(&row[s]).drain(..) {
+                        shard.ledger.deliver(round, at, dest as usize, port, msg);
+                    }
+                }
+            }
+        }
     }
+}
+
+/// A persistent worker thread: the control thread's ends of its two
+/// hand-off channels, and its handle.
+struct Worker<'scope> {
+    todo: SyncSender<Phase>,
+    done: Receiver<()>,
+    thread: ScopedJoinHandle<'scope, ()>,
+}
+
+impl<'scope> Worker<'scope> {
+    /// Spawns a thread that runs `run` on every phase handed to it and
+    /// answers each, until its `todo` channel closes — at the end of the
+    /// run, or when the control thread unwinds — so a panic anywhere ends
+    /// the run instead of parking the other threads at a hand-off forever.
+    /// (Boxed so that the thread and channel code is compiled once, not
+    /// per protocol and topology type.)
+    fn spawn(
+        scope: &'scope Scope<'scope, '_>,
+        mut run: Box<dyn FnMut(Phase) + Send + 'scope>,
+    ) -> Self {
+        let (todo, phases) = sync_channel::<Phase>(1);
+        let (finished, done) = sync_channel::<()>(1);
+        let thread = scope.spawn(move || {
+            for phase in phases {
+                run(phase);
+                if finished.send(()).is_err() {
+                    break;
+                }
+            }
+        });
+        Worker { todo, done, thread }
+    }
+}
+
+/// Takes a shard or a mail slot. No lock of the run is ever contended —
+/// the hand-off channels order every access — and each is held only while
+/// a phase runs, so poison means the run is already ending in that
+/// phase's panic.
+fn lock<S>(cell: &Mutex<S>) -> MutexGuard<'_, S> {
+    cell.lock()
+        .expect("a panic in a phase ends the run before anyone locks its state again")
+}
+
+/// A worker hung up mid-round, which it only does by panicking (protocol
+/// API misuse at one of its nodes): lets every worker go and re-raises
+/// the panic of the lowest shard as the run's own, as the inline engine
+/// would have raised it.
+fn reraise(workers: Vec<Worker<'_>>) -> ! {
+    for worker in workers {
+        drop(worker.todo);
+        if let Err(panic) = worker.thread.join() {
+            std::panic::resume_unwind(panic);
+        }
+    }
+    unreachable!("a worker hangs up only by panicking")
 }
 
 /// Runs `factory`-created protocol instances on `topo` under `config`.
@@ -224,11 +567,11 @@ fn step_shard<T: Topology, P: Protocol>(
 /// contract. `factory` is called once per node, in index order, with the
 /// node's index, its [`NodeSetup`], and its private RNG (already seeded).
 ///
-/// Under [`crate::Parallelism`] settings other than `Off`, rounds with enough
-/// active nodes are stepped by several shard threads and merged
-/// deterministically (see the module docs); the outcome is byte-for-byte
-/// identical at any thread count — and identical between a materialized
-/// [`ule_graph::Graph`] and the equivalent implicit topology.
+/// Under [`crate::Parallelism`] settings other than `Off` the nodes are
+/// divided among shards, and rounds with enough active nodes run their two
+/// phases on the shards' threads (see the module docs); the outcome is
+/// byte-for-byte identical at any thread count — and identical between a
+/// materialized [`ule_graph::Graph`] and the equivalent implicit topology.
 ///
 /// # Panics
 ///
@@ -237,255 +580,176 @@ fn step_shard<T: Topology, P: Protocol>(
 /// node `>= n`, a watched edge that is not an edge of the graph, or an
 /// [`crate::Adversary`] schedule naming an out-of-range node or a
 /// non-edge), or on protocol API misuse (double-send on a port, past
-/// wakeups).
-pub(crate) fn run_sim<T, P, F>(topo: &T, config: &SimConfig, factory: F) -> RunOutcome
+/// wakeups) — with the same message whichever thread stepped the node.
+pub(crate) fn run_sim<T, P, F>(topo: &T, config: &SimConfig, mut factory: F) -> RunOutcome
 where
     T: Topology,
     P: Protocol,
     F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
 {
     let n = topo.n();
-    let threads = config.parallelism.effective_threads(n);
-    let min_shard_nodes = config.parallelism.min_shard_nodes();
+    let (ranges, owners) = Owners::split(n, config.parallelism.effective_threads(n));
+    // A round runs on the shards' threads when it has two economic shards'
+    // worth of active nodes (the policy lives on
+    // `Parallelism::min_shard_nodes`: `Auto` demands an economic shard
+    // size, explicit `Threads(k)` shards eagerly); otherwise — and always
+    // when one shard owns every node — the control thread runs it alone.
+    let parallel_floor = 2 * config.parallelism.min_shard_nodes();
 
-    let mut store = init_store(topo, config, factory);
+    let mut stores: Vec<NodeStore<P>> = ranges
+        .iter()
+        .map(|nodes| init_store(topo, config, nodes.clone(), &mut factory))
+        .collect();
     let rc = RunCtx::new(topo, config);
-
-    // Pending wakeups, min-first. Entries are lazily invalidated: an entry
-    // `(w, v)` is genuine iff `store.wake[v] == w` when popped (a node
-    // that re-arms its timer leaves the superseded entry behind).
-    let mut wake_heap: BinaryHeap<Reverse<(u64, NodeId)>> = BinaryHeap::new();
-    // The round's active set (small for sparse protocols) and the dedup
-    // bitmap guarding it; due deliveries and wakeups join at the top of
-    // the loop.
-    let mut active: Vec<NodeId> = Vec::new();
-    let mut in_active: Vec<bool> = vec![false; n];
-
-    // The shared run set-up arms the spontaneous round-0 wakeups. They
-    // seed the active set directly: routing them through the heap would be
-    // wasted work (under simultaneous wakeup that is n pushes + n pops),
-    // and the round-0 execution clears the `wake = 0` markers before any
-    // heap lookup could expect entries for them.
+    // The shared run set-up arms the spontaneous round-0 wakeups.
     let facts = RunFacts::new(topo, config, |v| {
-        store.wake[v] = 0;
-        in_active[v] = true;
-        active.push(v);
+        let store = &mut stores[owners.of(v)];
+        store.wake[v - store.base] = 0;
     });
-    // Every send — and with it every adversary fate decision — is
-    // accounted and delivered here, on this sequential control thread.
-    let mut ledger: Ledger<P::Msg> = Ledger::new(topo, &facts);
+    // Each shard's ledger covers the out-edges of its nodes: directed-edge
+    // indices are degree prefix sums, so consecutive node ranges own
+    // consecutive edge ranges.
+    let mut edge_lo = 0;
+    let shards: Vec<Mutex<Shard<P>>> = stores
+        .into_iter()
+        .zip(&ranges)
+        .map(|(store, nodes)| {
+            let edge_hi = if nodes.end == n {
+                topo.directed_edge_count()
+            } else {
+                edge_lo + nodes.clone().map(|v| topo.degree(v)).sum::<usize>()
+            };
+            let edges = edge_lo..edge_hi;
+            edge_lo = edge_hi;
+            Mutex::new(Shard::new(&facts, store, edges))
+        })
+        .collect();
+    let shared = Shared {
+        rc,
+        facts: &facts,
+        owners,
+        mail: (0..shards.len())
+            .map(|_| (0..shards.len()).map(|_| Slot::default()).collect())
+            .collect(),
+        posted: (0..shards.len()).map(|_| AtomicBool::new(false)).collect(),
+    };
+    let solo = shards.len() == 1;
 
+    // The ordered residue the control thread keeps: everything else about
+    // a round is a shard's own business.
+    let mut watch_hits = facts.no_watch_hits();
     let mut last_status_change: Option<u64> = None;
     let mut round_totals: Vec<(u64, u64)> = Vec::new();
-    // One lane per stepping thread; the inline path steps on lane 0.
-    let mut lanes: Vec<Lane<P::Msg>> = (0..threads.max(1)).map(|_| Lane::new()).collect();
-    let mut started = Bitmap::new(n);
-
+    let mut messages: u64 = 0;
     let mut round: u64 = 0;
     let mut rounds_used: u64 = 0;
-    let termination;
 
-    'rounds: loop {
-        if round >= config.max_rounds {
-            termination = Termination::RoundLimit;
-            break;
+    let termination = std::thread::scope(|scope| {
+        // One persistent worker per shard but the first, which the control
+        // thread steps itself.
+        let mut workers: Vec<Worker<'_>> = (1..shards.len())
+            .map(|s| {
+                let (shared, shard) = (&shared, &shards[s]);
+                let run = move |phase| shared.run(s, &mut lock(shard), phase);
+                Worker::spawn(scope, Box::new(run))
+            })
+            .collect();
+        // The control thread holds every shard except while a parallel
+        // phase is out on the workers.
+        let mut held: Vec<MutexGuard<'_, Shard<P>>> = shards.iter().map(lock).collect();
+
+        loop {
+            if round >= config.max_rounds {
+                break Termination::RoundLimit;
+            }
+            let Some(next) = held.iter_mut().filter_map(|s| s.next_event(round)).min() else {
+                break Termination::Quiescent;
+            };
+            if next > round {
+                // Fast-forward to the next event: idle rounds count, but
+                // cost no work.
+                round = next;
+                if round >= config.max_rounds {
+                    break Termination::RoundLimit;
+                }
+            }
+            rounds_used = round + 1;
+
+            if solo {
+                held[0].step(&shared.rc, &facts, round, None);
+            } else {
+                let phases = [Phase::Step(round), Phase::Deliver(round)];
+                // Deliveries already staged are a lower bound on the
+                // active set; only when they do not settle the question
+                // does the control thread open the round itself to count.
+                let mut due: usize = held
+                    .iter()
+                    .map(|s| s.active.len() + s.ledger.staged())
+                    .sum();
+                if due < parallel_floor {
+                    due = held
+                        .iter_mut()
+                        .map(|s| {
+                            s.open(round);
+                            s.active.len()
+                        })
+                        .sum();
+                }
+                if due >= parallel_floor {
+                    held.truncate(1);
+                    for phase in phases {
+                        for worker in &workers {
+                            // A worker that is gone shows at `recv` below.
+                            let _ = worker.todo.send(phase);
+                        }
+                        shared.run(0, &mut held[0], phase);
+                        if !workers.iter().all(|w| w.done.recv().is_ok()) {
+                            reraise(std::mem::take(&mut workers));
+                        }
+                    }
+                    held.extend(shards[1..].iter().map(lock));
+                } else {
+                    for phase in phases {
+                        for (s, shard) in held.iter_mut().enumerate() {
+                            shared.run(s, shard, phase);
+                        }
+                    }
+                }
+            }
+
+            // Shard order is send order: a crossing's `messages_before`
+            // is the total before the round, plus the earlier shards'
+            // sends this round, plus its index within its shard's.
+            for shard in held.iter_mut() {
+                let shard = &mut **shard;
+                for (src, dest, i) in shard.crossings.drain(..) {
+                    let before = messages + (i - shard.counted);
+                    facts.note_crossing(&mut watch_hits, (src, dest), round, before);
+                }
+                messages += shard.ledger.part.messages - shard.counted;
+                shard.counted = shard.ledger.part.messages;
+                if std::mem::take(&mut shard.status_changed) {
+                    last_status_change = Some(round);
+                }
+            }
+            round_totals.push((round, messages));
+            round += 1;
         }
+    });
 
-        // Everything due this round is heard now; schedule the recipients.
-        for &d in ledger.open_round(round) {
-            let d = d as usize;
-            if !in_active[d] {
-                in_active[d] = true;
-                active.push(d);
-            }
-        }
-
-        // Admit every wakeup due this round; drop superseded entries.
-        // Crashed owners need no check here: wakeups are crash-filtered
-        // *at arm time* (the shared set-up and `LedgerPart::rearm`), so
-        // every genuine heap entry outlives its owner's crash round.
-        while let Some(&Reverse((w, v))) = wake_heap.peek() {
-            if w > round {
-                break;
-            }
-            wake_heap.pop();
-            if store.wake[v] == w && !in_active[v] {
-                in_active[v] = true;
-                active.push(v);
-            }
-        }
-
-        if active.is_empty() {
-            // Fast-forward to the next event: the earliest pending
-            // delivery or the next genuine wakeup, whichever comes first.
-            let mut next = ledger.next_delivery();
-            while let Some(&Reverse((w, v))) = wake_heap.peek() {
-                if store.wake[v] != w {
-                    wake_heap.pop();
-                    continue;
-                }
-                next = Some(next.map_or(w, |d| d.min(w)));
-                break;
-            }
-            match next {
-                Some(r) => {
-                    debug_assert!(r > round);
-                    round = r;
-                    continue 'rounds;
-                }
-                None => {
-                    termination = Termination::Quiescent;
-                    break 'rounds;
-                }
-            }
-        }
-
-        // Ascending node order keeps execution byte-for-byte identical to
-        // the historical full scan; the set is small, so the sort is cheap.
-        active.sort_unstable();
-        rounds_used = round + 1;
-
-        // Shard the round when the active set is large enough to amortize
-        // per-round thread coordination (the policy lives on
-        // `Parallelism::min_shard_nodes`: `Auto` demands an economic shard
-        // size, explicit `Threads(k)` shards eagerly); otherwise — and
-        // always under `Parallelism::Off` — step inline, the reference
-        // code path.
-        let shards = if threads > 1 {
-            (active.len() / min_shard_nodes).min(threads).max(1)
-        } else {
-            1
-        };
-
-        // The control thread's reaction to what a batch of activations
-        // changed — one node's on the inline path, a lane's in the shard
-        // merge: a changed timer needs a heap entry unless its owner's
-        // crash outlives it (the stale entry for the previously armed
-        // round, if any, stays in the heap; the async runtime makes the
-        // same arm-time decision, so the reported crash horizons agree
-        // across runtimes), and a first draw on the lazy RNG column
-        // materializes it (every other node is still pristine, so fresh
-        // streams are exact) and persists the drawn state.
-        let mut settle = |wakes: &[(u64, NodeId)],
-                          drawn: &[(NodeId, StdRng)],
-                          status_changed: bool,
-                          ledger: &mut Ledger<P::Msg>,
-                          store: &mut NodeStore<P>| {
-            for &(w, v) in wakes {
-                if ledger.part.rearm(&facts, v, w, &mut store.wake[v]) {
-                    wake_heap.push(Reverse((w, v)));
-                }
-            }
-            for (v, rng) in drawn {
-                store.densify_rngs(config.seed)[*v] = rng.clone();
-            }
-            if status_changed {
-                last_status_change = Some(round);
-            }
-        };
-
-        // What earlier rounds delayed into the next round is heard before
-        // what this round sends into it.
-        ledger.stage(round + 1);
-        if shards > 1 {
-            // Contiguous chunks of the sorted active list: shard s covers
-            // an ascending, disjoint node-index range, so handing each
-            // shard the matching sub-range of the store view is a plain
-            // split and settling the lanes in shard order reproduces the
-            // sequential execution order.
-            let chunk = active.len().div_ceil(shards);
-            let used = active.len().div_ceil(chunk);
-            std::thread::scope(|scope| {
-                let mut rest = store.as_mut();
-                let mut base: NodeId = 0;
-                let (rc, arena, started) = (&rc, &ledger.arena, &started);
-                for (nodes, lane) in active.chunks(chunk).zip(lanes.iter_mut()) {
-                    let hi = nodes[nodes.len() - 1] + 1;
-                    let (mine, rem) = rest.split_at_mut(hi - base);
-                    rest = rem;
-                    let lo = base;
-                    base = hi;
-                    scope.spawn(move || {
-                        step_shard(rc, round, lo, mine, nodes, arena, started, lane)
-                    });
-                }
-            });
-            // Every inbox was cloned into a lane during the scope, so the
-            // round's chains are dead: return them to the pool before the
-            // merge routes this round's sends, letting the entries be
-            // reused in place.
-            for &v in &active {
-                ledger.arena.free(v);
-            }
-            // Deterministic merge, stable shard order: all global
-            // accounting — including every adversary fate decision —
-            // happens here, in exactly the order the sequential engine
-            // interleaves it.
-            for lane in &mut lanes[..used] {
-                settle(
-                    &lane.wakes,
-                    &lane.drawn,
-                    lane.status_changed,
-                    &mut ledger,
-                    &mut store,
-                );
-                lane.wakes.clear();
-                lane.drawn.clear();
-                lane.status_changed = false;
-                for s in lane.sends.drain(..) {
-                    ledger.route(&facts, round, s);
-                }
-            }
-        } else {
-            let scratch = &mut lanes[0].scratch;
-            for &v in &active {
-                ledger.arena.fill(v, &mut scratch.inbox);
-                // The inbox is cloned out; free the chain now so the
-                // node's own sends (and every later node's) reuse the
-                // entries in place.
-                ledger.arena.free(v);
-                let effects = step_node(
-                    &rc,
-                    round,
-                    v,
-                    &mut store.as_mut(),
-                    v,
-                    !started.get(v),
-                    scratch,
-                    |s| ledger.route(&facts, round, s),
-                );
-                // Most activations change nothing the control thread
-                // has to react to; skip the call for those.
-                if effects.rearmed.is_some() || effects.status_changed || effects.drew.is_some() {
-                    settle(
-                        effects.rearmed.map(|w| (w, v)).as_slice(),
-                        effects.drew.map(|rng| (v, rng)).as_slice(),
-                        effects.status_changed,
-                        &mut ledger,
-                        &mut store,
-                    );
-                }
-            }
-        }
-
-        // Everyone active this round has now run once: set their started
-        // bits and release their dedup flags. (The round's inbox chains
-        // were already freed at fill time; opening the next round promotes
-        // the staged side.)
-        for &v in &active {
-            started.set(v);
-            in_active[v] = false;
-        }
-        active.clear();
-
-        round_totals.push((round, ledger.part.messages));
-        round += 1;
+    let mut shards = shards
+        .into_iter()
+        .map(|shard| shard.into_inner().expect("the run ended without a panic"));
+    let first = shards.next().expect("a run has at least one shard");
+    let (mut part, mut statuses) = (first.ledger.part, first.store.statuses);
+    for shard in shards {
+        part.merge(shard.ledger.part);
+        statuses.extend(shard.store.statuses);
     }
-
-    ledger.part.finish(
+    part.finish(
         &facts,
-        ledger.watch_hits,
-        &store.statuses,
+        watch_hits,
+        &statuses,
         rounds_used,
         round,
         termination,
@@ -525,9 +789,8 @@ mod tests {
         fn on_round(&mut self, ctx: &mut Context<'_, IdMsg>, inbox: &[(usize, IdMsg)]) {
             if ctx.first_activation() {
                 self.best = ctx.require_id();
-                ctx.broadcast(IdMsg(self.best));
             }
-            let mut improved = false;
+            let mut improved = ctx.first_activation();
             for (_, IdMsg(x)) in inbox {
                 if *x > self.best {
                     self.best = *x;
@@ -929,9 +1192,281 @@ mod tests {
     }
 
     #[test]
+    fn shard_ranges_are_contiguous_nonempty_and_clamped_to_the_node_count() {
+        // (n, threads) -> the range lengths.
+        for (n, threads, lens) in [
+            (16usize, 7usize, vec![3, 3, 3, 3, 3, 1]),
+            (16, 2, vec![8, 8]),
+            (1, 4, vec![1]),
+            (2, 4, vec![1, 1]),
+            (5, 1, vec![5]),
+            // Above 1024 nodes ranges are cut at multiples of the table's
+            // grain (here 2), never inside one.
+            (1_500, 4, vec![376, 376, 376, 372]),
+        ] {
+            let (ranges, owners) = Owners::split(n, threads);
+            let got: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
+            assert_eq!(got, lens, "n = {n}, threads = {threads}");
+            assert!(owners.table.len() <= 1024);
+            for (s, range) in ranges.iter().enumerate() {
+                assert_eq!(
+                    range.start,
+                    ranges[..s].iter().map(|r| r.len()).sum::<usize>()
+                );
+                assert!(range.clone().all(|v| owners.of(v) == s), "shard {s}");
+            }
+        }
+    }
+
+    #[test]
+    fn more_threads_than_nodes_runs_like_the_inline_engine() {
+        let mk = |_: NodeId, _: &NodeSetup, _: &mut StdRng| MiniFloodMax {
+            best: 0,
+            deadline: 4,
+            decided: Status::Undecided,
+        };
+        for n in [1usize, 2, 3] {
+            let g = gen::path(n).unwrap();
+            let reference = run(&g, &flood_cfg(n, 4, 1), mk);
+            let par = flood_cfg(n, 4, 1).with_parallelism(Parallelism::Threads(4));
+            assert_eq!(run(&g, &par, mk), reference, "n = {n}");
+        }
+    }
+
+    #[test]
+    fn a_range_idle_for_many_rounds_joins_in_when_the_wave_arrives() {
+        // Only node 0 wakes: it keeps ticking (MiniFloodMax re-arms every
+        // round) while the wake wave walks the path one hop per round, so
+        // for the first rounds every active node sits in the first range
+        // and the last range does nothing but open, stage and deliver.
+        let g = gen::path(12).unwrap();
+        let mk = |_: NodeId, _: &NodeSetup, _: &mut StdRng| MiniFloodMax {
+            best: 0,
+            deadline: 16,
+            decided: Status::Undecided,
+        };
+        let base = flood_cfg(12, 16, 3).with_wakeup(Wakeup::Adversarial(vec![0]));
+        let reference = run(&g, &base.clone().with_parallelism(Parallelism::Off), mk);
+        assert!(reference.election_succeeded());
+        for t in [2usize, 3, 7] {
+            let par = base.clone().with_parallelism(Parallelism::Threads(t));
+            assert_eq!(run(&g, &par, mk), reference, "threads = {t}");
+        }
+    }
+
+    /// Broadcasts once; the culprit then misuses the API in `round`: a
+    /// second send on port 0, or — with `past_wake` — a wakeup in the past.
+    struct Misuser {
+        culprit: bool,
+        round: u64,
+        past_wake: bool,
+    }
+    impl Protocol for Misuser {
+        type Msg = Signal;
+        fn on_round(&mut self, ctx: &mut Context<'_, Signal>, _inbox: &[(usize, Signal)]) {
+            if ctx.round() < self.round {
+                ctx.wake_next();
+            }
+            ctx.broadcast(Signal);
+            if self.culprit && ctx.round() == self.round {
+                if self.past_wake {
+                    ctx.wake_at(ctx.round());
+                } else {
+                    ctx.send(0, Signal);
+                }
+            }
+        }
+        fn status(&self) -> Status {
+            Status::Undecided
+        }
+    }
+
+    /// Runs `Misuser` on a 9-cycle (`Threads(3)`: ranges of 3 nodes).
+    fn misuse(culprit: NodeId, round: u64, past_wake: bool, cfg: SimConfig) {
+        let g = gen::cycle(9).unwrap();
+        run(&g, &cfg.with_max_rounds(10), |v, _, _| Misuser {
+            culprit: v == culprit,
+            round,
+            past_wake,
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "two messages on port 0 in one round (protocol bug)")]
+    fn double_send_panics_inline() {
+        misuse(
+            8,
+            2,
+            false,
+            SimConfig::seeded(0).with_parallelism(Parallelism::Off),
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "two messages on port 0 in one round (protocol bug)")]
+    fn double_send_on_the_last_shard_panics_the_run_with_the_inline_message() {
+        let cfg = SimConfig::seeded(0).with_parallelism(Parallelism::Threads(3));
+        misuse(8, 2, false, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "two messages on port 0 in one round (protocol bug)")]
+    fn double_send_on_the_first_shard_panics_the_run_with_the_inline_message() {
+        let cfg = SimConfig::seeded(0).with_parallelism(Parallelism::Threads(3));
+        misuse(1, 2, false, cfg);
+    }
+
+    #[test]
+    #[should_panic(expected = "wake_at(0) is not in the future")]
+    fn misuse_in_a_round_the_control_thread_runs_alone_does_not_strand_the_workers() {
+        // One node awake: round 0 is below the parallel floor, so the
+        // control thread steps it while the workers wait for a hand-off.
+        let cfg = SimConfig::seeded(0)
+            .with_parallelism(Parallelism::Threads(3))
+            .with_wakeup(Wakeup::Adversarial(vec![7]));
+        misuse(7, 0, true, cfg);
+    }
+
+    /// An order-sensitive probe: every node folds the `(port, payload)`
+    /// sequence of each inbox into a rolling hash and broadcasts the hash
+    /// `budget` times. The message size is derived from the hash, so
+    /// hearing the same messages in another order moves `RunOutcome::bits`
+    /// — which FloodMax, taking a maximum, can never show.
+    struct OrderProbe {
+        hash: u64,
+        budget: u32,
+    }
+    #[derive(Debug, Clone)]
+    struct HashMsg(u64);
+    impl Message for HashMsg {
+        fn size_bits(&self) -> u64 {
+            1 + self.0 % 61
+        }
+    }
+    impl Protocol for OrderProbe {
+        type Msg = HashMsg;
+        fn on_round(&mut self, ctx: &mut Context<'_, HashMsg>, inbox: &[(usize, HashMsg)]) {
+            if ctx.first_activation() {
+                self.hash = splitmix64(ctx.require_id());
+            }
+            for (port, HashMsg(x)) in inbox {
+                self.hash = splitmix64(self.hash ^ x.wrapping_add(*port as u64));
+            }
+            if self.budget > 0 {
+                self.budget -= 1;
+                ctx.broadcast(HashMsg(self.hash));
+            }
+        }
+        fn status(&self) -> Status {
+            Status::Undecided
+        }
+    }
+
+    #[test]
+    fn inbox_order_across_shards_is_the_inline_order() {
+        use crate::adversary::Adversary;
+        // One waker and small ranges, so that rounds in which a whole
+        // range steps nobody while a neighbour sends into it are common —
+        // the round in which a shard that skipped staging would hear the
+        // neighbour's message before what earlier rounds delayed. (With
+        // the stage skipped, 5 – 15 of the 27 runs per graph differ.)
+        let mk = |_: NodeId, _: &NodeSetup, _: &mut StdRng| OrderProbe { hash: 0, budget: 6 };
+        for g in [gen::cycle(6).unwrap(), gen::torus(4, 5).unwrap()] {
+            for run_seed in 0..9 {
+                let base = flood_cfg(g.len(), 0, run_seed)
+                    .with_wakeup(Wakeup::Adversarial(vec![0]))
+                    .with_adversary(Adversary::BoundedDelay { max_delay: 3 });
+                let reference = run(&g, &base.clone().with_parallelism(Parallelism::Off), mk);
+                assert!(!reference.late_deliveries.is_empty());
+                for t in [2usize, 3, 5] {
+                    let par = base.clone().with_parallelism(Parallelism::Threads(t));
+                    let n = g.len();
+                    assert_eq!(
+                        run(&g, &par, mk),
+                        reference,
+                        "n {n}, seed {run_seed}, threads {t}"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn watch_hits_from_a_non_first_shard_match_the_inline_engine() {
+        use crate::adversary::Adversary;
+        use ule_graph::dumbbell::{BridgeOrientation, Dumbbell};
+        let mk = |_: NodeId, _: &NodeSetup, _: &mut StdRng| MiniFloodMax {
+            best: 0,
+            deadline: 14,
+            decided: Status::Undecided,
+        };
+        // Two 6-cycles joined by the bridges (0, 10) and (1, 11): the
+        // right ends sit in the last range at 2 and at 3 threads.
+        let ring = gen::cycle(6).unwrap();
+        let bell =
+            Dumbbell::build(&ring, (0, 1), &ring, (4, 5), BridgeOrientation::Straight).unwrap();
+        assert_eq!(bell.bridges, [(0, 10), (1, 11)]);
+        let path = gen::path(6).unwrap();
+        let cases = [
+            // Everyone wakes: the first crossing is the lower endpoint's.
+            (
+                &path,
+                flood_cfg(6, 14, 0).watching(&[(4, 5), (5, 4), (4, 5), (2, 3)]),
+            ),
+            // The wave starts at the far end, so it crosses from the last
+            // range into its neighbour.
+            (
+                &path,
+                flood_cfg(6, 14, 0)
+                    .watching(&[(4, 5), (5, 4), (4, 3)])
+                    .with_wakeup(Wakeup::Adversarial(vec![5])),
+            ),
+            // The first send over (4, 5) is dropped and never counts; the
+            // crossings around it still do, dropped sends included in
+            // their `messages_before`.
+            (
+                &path,
+                flood_cfg(6, 14, 0)
+                    .watching(&[(5, 4), (3, 4), (4, 5)])
+                    .with_wakeup(Wakeup::Adversarial(vec![0]))
+                    .with_adversary(Adversary::LinkFailure {
+                        schedule: vec![((4, 5), 2)],
+                    }),
+            ),
+            (
+                &bell.graph,
+                flood_cfg(12, 14, 0)
+                    .watching(&[(10, 0), (1, 11), (0, 10), (11, 1)])
+                    .with_wakeup(Wakeup::Adversarial(vec![11])),
+            ),
+        ];
+        for (i, (g, cfg)) in cases.iter().enumerate() {
+            let reference = run(*g, &cfg.clone().with_parallelism(Parallelism::Off), mk);
+            let dropped = reference.messages_dropped > 0;
+            assert_eq!(
+                reference.watch_hits.iter().any(Option::is_none),
+                dropped,
+                "case {i}"
+            );
+            for t in [2usize, 3] {
+                let par = run(
+                    *g,
+                    &cfg.clone().with_parallelism(Parallelism::Threads(t)),
+                    mk,
+                );
+                assert_eq!(
+                    par.watch_hits, reference.watch_hits,
+                    "case {i}, threads = {t}"
+                );
+                assert_eq!(par, reference, "case {i}, threads = {t}");
+            }
+        }
+    }
+
+    #[test]
     fn sharded_run_matches_sequential_byte_for_byte() {
-        // Small graphs with Threads(k) exercise the shard + merge path on
-        // every message-dense round (16 active ≥ 4 nodes/shard × 4).
+        // Small graphs with Threads(k) run both phases on the shards'
+        // threads in every round with at least two active nodes.
         let g = gen::cycle(16).unwrap();
         let seq_cfg = flood_cfg(16, 12, 9).with_parallelism(Parallelism::Off);
         let mk = |_: NodeId, _: &NodeSetup, _: &mut StdRng| MiniFloodMax {

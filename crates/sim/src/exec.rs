@@ -9,8 +9,9 @@
 //! * **node-state storage** — `NodeStore`: struct-of-arrays bookkeeping
 //!   for every node (protocol instances, private RNG streams seeded by
 //!   [`node_rng_seed`], wakeup timers and statuses as parallel flat
-//!   arrays), constructed identically by every runtime (`init_store`) and
-//!   sliced contiguously across shard/worker threads (`StoreSliceMut`).
+//!   arrays), constructed identically by every runtime (`init_store`, one
+//!   store per engine shard or one sliced contiguously across the async
+//!   workers — `StoreSliceMut`).
 //!   The store is on a memory diet for graph-scale runs: per-node setups
 //!   are rebuilt on the stack from a shared `RunCtx` at each activation,
 //!   timers are a dense `u64` column with a `NO_WAKE` sentinel, and the
@@ -35,13 +36,17 @@
 //!   fate, drops, late deliveries, crash horizon). Every column is
 //!   commutative and the per-edge columns are owned by sender range, so
 //!   parts built on different threads `merge` associatively into the part
-//!   one sequential accountant would have built; the async runtime keeps
-//!   one part per worker;
-//! * **lockstep delivery** — `Ledger`: the engine's one part plus
-//!   everything that needs the global send order — watch-edge crossings,
-//!   the delayed-delivery [`CalendarQueue`] and the two-round `InboxArena`.
-//!   `Ledger::route` is the whole life of a send (account → watch crossing
-//!   → arena *next* side or calendar), and opening a round / staging the
+//!   one sequential accountant would have built; the engine keeps one part
+//!   per shard, the async runtime one per worker;
+//! * **lockstep delivery** — `Ledger`: the delivery pipeline of one
+//!   contiguous node range of the engine — the `LedgerPart` of the
+//!   range's out-edges plus the range's inboxes, i.e. the delayed-delivery
+//!   [`CalendarQueue`] and the two-round `InboxArena`. A send is
+//!   accounted by the ledger of its source (`LedgerPart::account`) and
+//!   placed by the ledger of its destination (`Ledger::deliver`: arena
+//!   *next* side or calendar) — one and the same when a single ledger
+//!   covers every node, the inline engine; with several ranges the engine
+//!   arranges the deliveries to arrive in the global send order per inbox. Opening a round / staging the
 //!   next one are `Ledger` methods over one drain loop (`Ledger::stage`),
 //!   so no other module knows where a delivery lands;
 //! * **outcome finishing** — [`RunOutcome`] and the final crash/termination
@@ -49,8 +54,8 @@
 //!   runtime.
 //!
 //! What is *not* here is exactly what distinguishes runtimes: the decision
-//! of **when** a node steps (the lockstep engine's active set, wakeup heap,
-//! fast-forward and shard split live in `engine`; the async runtime's
+//! of **when** a node steps (the lockstep engine's active sets, wakeup heaps,
+//! fast-forward and shard threads live in `engine`; the async runtime's
 //! per-edge clocks and quiescence arbiter live in `rt`) — and, for the
 //! async runtime, its transport (frames over `std::sync::mpsc` channels)
 //! and what only it has: the delivery trace, `round_totals` rebuilt from
@@ -338,6 +343,9 @@ impl<'a> RngSliceMut<'a> {
 /// Runtime-independent: both the lockstep engine and the async runtime
 /// drive a `NodeStore<P>` built by [`init_store`].
 pub(crate) struct NodeStore<P: Protocol> {
+    /// The first node of the contiguous range this store covers; every
+    /// column is indexed by `v - base`.
+    pub(crate) base: NodeId,
     pub(crate) protos: Vec<P>,
     pub(crate) rngs: RngCol,
     pub(crate) wake: Vec<u64>,
@@ -365,9 +373,9 @@ impl<P: Protocol> NodeStore<P> {
     /// column. Materializes nothing on an already-dense column.
     pub(crate) fn densify_rngs(&mut self, seed: u64) -> &mut [StdRng] {
         if let RngCol::Lazy = self.rngs {
-            let n = self.statuses.len();
+            let nodes = self.base..self.base + self.statuses.len();
             self.rngs = RngCol::Dense(
-                (0..n)
+                nodes
                     .map(|v| StdRng::seed_from_u64(node_rng_seed(seed, v)))
                     .collect(),
             );
@@ -379,10 +387,10 @@ impl<P: Protocol> NodeStore<P> {
     }
 }
 
-/// A mutable view over a contiguous node range of a [`NodeStore`]. The
-/// sharded engine and the async worker pool hand each thread a disjoint
-/// slice via [`StoreSliceMut::split_at_mut`] — the SoA equivalent of
-/// splitting a `&mut [NodeSlot]`.
+/// A mutable view over a contiguous node range of a [`NodeStore`]: what
+/// [`step_node`] steps on. The async worker pool hands each thread a
+/// disjoint slice via [`StoreSliceMut::split_at_mut`] — the SoA equivalent
+/// of splitting a `&mut [NodeSlot]` (an engine shard owns a whole store).
 pub(crate) struct StoreSliceMut<'a, P: Protocol> {
     pub(crate) protos: &'a mut [P],
     pub(crate) rngs: RngSliceMut<'a>,
@@ -438,7 +446,11 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 /// Entries per pool block: 64 Ki keeps blocks ≈1 MiB for an 8-byte
 /// message, so the pool grows in flat increments with no realloc copy —
 /// at burst scale (10⁷ nodes all sending at once) a doubling `Vec` would
-/// briefly hold ~1.5× the pool in live memory.
+/// briefly hold ~1.5× the pool in live memory. Only the first block of an
+/// arena starts smaller — four entries per node, growing on demand — when
+/// that is less: an arena covers a node range, and a small range (or a
+/// small run — a campaign runs thousands) must not reserve, and scatter
+/// its few live entries over, a megabyte it never fills.
 const ARENA_CHUNK_BITS: u32 = 16;
 const ARENA_CHUNK: usize = 1 << ARENA_CHUNK_BITS;
 
@@ -458,21 +470,22 @@ struct InboxEntry<M> {
 /// node plus a heap block per non-empty inbox — with one `u32` head per
 /// node per side plus a pool sized by the round's message count.
 ///
-/// The pool is chunked (fixed ~1 MiB blocks, never reallocated) and
-/// free-listed: the engine frees a node's chain as soon as its inbox is
-/// cloned out, so entries consumed from *cur* are immediately reused for
-/// deliveries into *next* and the pool's footprint stays at roughly one
-/// round's messages even though two rounds are addressable. A freed
+/// The pool is chunked (fixed ~1 MiB blocks, reallocated only while the
+/// first one grows to size) and free-listed: the engine frees a node's
+/// chain as soon as its inbox is cloned out, so entries consumed from
+/// *cur* are immediately reused for deliveries into *next* and the pool's
+/// footprint stays at roughly one round's messages even though two rounds
+/// are addressable. A freed
 /// entry's message is dropped only on slot reuse — fine for the plain-data
 /// message types protocols send.
 ///
 /// Chain order per inbox is insertion order, i.e. exactly the historical
-/// per-inbox push order (deliveries happen on the sequential control
-/// thread in global send order). Stepping threads read *cur* immutably
-/// ([`InboxArena::fill`] clones each message once into the lane's
-/// reusable inbox buffer); *next* is written, and the sides rotated, only
-/// by the [`Ledger`] that owns the arena — the engine sees `fill`, `free`
-/// and nothing else.
+/// per-inbox push order (the engine delivers into each inbox in global
+/// send order). [`InboxArena::fill`] clones each message of *cur* once
+/// into the stepping thread's reusable inbox buffer; *next* is written,
+/// and the sides rotated, only by the [`Ledger`] that owns the arena — the
+/// engine sees `fill`, `free` and nothing else. An arena covers the node
+/// range of its ledger and is indexed by offset into it.
 pub(crate) struct InboxArena<M> {
     /// Fixed-size pool blocks; entry `j` lives at
     /// `blocks[j >> CHUNK_BITS][j & (CHUNK - 1)]`.
@@ -516,7 +529,12 @@ impl<M: Message> InboxArena<M> {
                 self.blocks.len() < (NO_SLOT as usize >> ARENA_CHUNK_BITS),
                 "inbox arena exhausted its u32 index space"
             );
-            self.blocks.push(Vec::with_capacity(ARENA_CHUNK));
+            let reserve = if self.blocks.is_empty() {
+                (4 * self.cur_slot.len()).min(ARENA_CHUNK)
+            } else {
+                ARENA_CHUNK
+            };
+            self.blocks.push(Vec::with_capacity(reserve));
         }
         let b = self.blocks.len() - 1;
         let block = &mut self.blocks[b];
@@ -630,9 +648,10 @@ pub(crate) struct StepEffects {
 /// protocol, reports re-armed timers, status changes and lazy RNG draws,
 /// and hands each staged send (with its destination endpoint and wire size
 /// resolved through the topology) to `send`, in emission order. `send` is
-/// where the runtimes differ: the inline engine routes straight through
-/// [`Ledger::route`] (no intermediate buffer), a shard pushes onto its
-/// lane for the merge, an async worker accounts and ships a frame.
+/// where the runtimes differ: an engine shard accounts the send and puts
+/// it straight into the destination's inbox ([`Ledger::deliver`], no
+/// intermediate buffer) — or, when another shard owns the destination,
+/// parks it for that shard; an async worker accounts and ships a frame.
 #[allow(clippy::too_many_arguments)] // crate-internal; the args are the runtime's per-activation state
 pub(crate) fn step_node<T: Topology, P: Protocol>(
     rc: &RunCtx<'_, T>,
@@ -723,27 +742,33 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
     }
 }
 
-/// Builds the node store for a run: resolves identifiers and calls
-/// `factory` once per node **in index order** — the order is part of the
-/// determinism contract, shared by every runtime, so a protocol's coin
-/// flips are identical wherever it runs. The RNG column starts lazy; a
-/// factory that draws densifies it on the spot (every stream up to that
-/// node is still pristine, so fresh derivation reproduces them exactly).
+/// Builds the node store for the contiguous range `nodes` of a run:
+/// resolves identifiers and calls `factory` once per node **in index
+/// order** — the order is part of the determinism contract, shared by
+/// every runtime, so a protocol's coin flips are identical wherever it
+/// runs (a caller that builds one store per range builds them in range
+/// order). The RNG column starts lazy; a factory that draws densifies it
+/// on the spot (every stream of the range up to that node is still
+/// pristine, so fresh derivation reproduces them exactly).
 ///
 /// # Panics
 ///
 /// Panics if an explicit [`IdMode`] assignment does not cover the graph.
-pub(crate) fn init_store<T, P, F>(topo: &T, config: &SimConfig, mut factory: F) -> NodeStore<P>
+pub(crate) fn init_store<T, P, F>(
+    topo: &T,
+    config: &SimConfig,
+    nodes: Range<NodeId>,
+    mut factory: F,
+) -> NodeStore<P>
 where
     T: Topology,
     P: Protocol,
     F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
 {
-    let n = topo.n();
-    let ids = ids_slice(config, n);
-    let mut protos = Vec::with_capacity(n);
+    let ids = ids_slice(config, topo.n());
+    let mut protos = Vec::with_capacity(nodes.len());
     let mut rngs = RngCol::Lazy;
-    for v in 0..n {
+    for v in nodes.clone() {
         let setup = NodeSetup {
             degree: topo.degree(v),
             id: ids.map(|ids| ids[v]),
@@ -757,7 +782,7 @@ where
                 if rng != pristine {
                     // The factory draws: materialize the column. Nodes
                     // before `v` never drew, so fresh streams are exact.
-                    let mut dense: Vec<StdRng> = (0..v)
+                    let mut dense: Vec<StdRng> = (nodes.start..v)
                         .map(|u| StdRng::seed_from_u64(node_rng_seed(config.seed, u)))
                         .collect();
                     dense.push(rng);
@@ -771,16 +796,17 @@ where
         }
     }
     NodeStore {
+        base: nodes.start,
         protos,
         rngs,
-        wake: vec![NO_WAKE; n],
-        statuses: vec![Status::Undecided; n],
+        wake: vec![NO_WAKE; nodes.len()],
+        statuses: vec![Status::Undecided; nodes.len()],
     }
 }
 
 /// The shared, immutable facts of one run: everything every runtime must
 /// agree on before the first node steps. Built by the one run set-up
-/// ([`RunFacts::new`]) and then only read — the engine's control thread
+/// ([`RunFacts::new`]) and then only read — the engine's shard threads
 /// and the async runtime's workers share it by reference (fate queries are
 /// pure, see [`Schedule::message_fate`]).
 pub(crate) struct RunFacts {
@@ -921,6 +947,15 @@ impl RunFacts {
         self.watch_len > 0
     }
 
+    /// Whether `(src, dest)` is a watched edge, in either orientation.
+    #[inline]
+    pub(crate) fn watches(&self, src: NodeId, dest: NodeId) -> bool {
+        self.watching()
+            && self
+                .watch_index
+                .contains_key(&(src.min(dest), src.max(dest)))
+    }
+
     /// One unresolved entry per configured watch edge.
     pub(crate) fn no_watch_hits(&self) -> Vec<Option<WatchHit>> {
         vec![None; self.watch_len]
@@ -957,9 +992,8 @@ impl RunFacts {
 /// global send order: whoever owns a range of *senders* (a node's
 /// out-edges are contiguous) accounts their sends locally with
 /// [`LedgerPart::account`], and adjacent parts [`LedgerPart::merge`] into
-/// the part a single accountant would have built. The engine's control
-/// thread owns one part over every edge; each async worker owns the part
-/// of its node range.
+/// the part a single accountant would have built. Each engine shard and
+/// each async worker owns the part of its node range.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) struct LedgerPart {
     pub(crate) messages: u64,
@@ -1167,88 +1201,82 @@ impl LedgerPart {
     }
 }
 
-/// The engine's ledger — the one delivery pipeline of the lockstep
-/// runtime. It owns the one [`LedgerPart`] the control thread accounts
-/// every send into (inline or in the shard merge, always in the stable
-/// sequential order) plus everything that needs that order: the watch-edge
-/// crossings (`messages_before` is a global-interleaving quantity), the
+/// The engine's ledger over one contiguous node range — the delivery
+/// pipeline of the lockstep runtime. It owns the [`LedgerPart`] of the
+/// range's out-edges (every send of an owned node is accounted here, by
+/// the thread that stepped it) and the inboxes of the range's nodes: the
 /// delayed-delivery calendar and the two-round [`InboxArena`]. The engine
-/// decides *when* a node steps; where a send lands is decided here
-/// ([`Ledger::route`]) and nowhere else.
+/// decides *when* a node steps; where a send lands is decided here and
+/// nowhere else. A send is accounted by its source's ledger
+/// ([`LedgerPart::account`]) and placed by its destination's
+/// ([`Ledger::deliver`]); one ledger over every node, doing both on the
+/// spot, is the inline engine.
 pub(crate) struct Ledger<M> {
     pub(crate) part: LedgerPart,
-    pub(crate) watch_hits: Vec<Option<WatchHit>>,
+    /// First node of the range; inboxes are indexed by `dest - lo`.
+    lo: NodeId,
     /// The *delayed*-delivery queue: a flat calendar (ring + overflow
     /// tier) keyed by delivery round. Only fates beyond `round + 1` land
     /// here — the synchronous common case goes straight into the arena's
     /// *next* side, so at burst scale the queue never holds a full round
     /// of messages. Within a round, item order is push order, and pushes
-    /// happen on the sequential control thread in global send order; a
+    /// arrive in global send order restricted to this range's inboxes; a
     /// round's bucket is drained into the arena *before* the round that
-    /// feeds it steps ([`Ledger::stage`]), so per inbox the
+    /// feeds it delivers ([`Ledger::stage`]), so per inbox the
     /// historical order is reproduced exactly: messages delayed into the
     /// round from earlier rounds first, then the preceding round's
     /// synchronous batch, each in send order. Destination and port are
     /// compacted to `u32` — half the queue footprint at graph scale (the
     /// node count is asserted to fit at ledger construction).
     queue: CalendarQueue<(u32, u32, M)>,
-    /// The round being stepped (read by the stepping threads through
-    /// `fill`, released through `free`) and the round being staged.
+    /// The round being stepped (read through `fill`, released through
+    /// `free`) and the round being staged.
     pub(crate) arena: InboxArena<M>,
 }
 
 impl<M: Message> Ledger<M> {
-    /// A fresh ledger for a run on `topo`.
+    /// A fresh ledger for the node range `nodes`, whose out-edges are the
+    /// directed edges `edges`.
     ///
     /// # Panics
     ///
-    /// Panics if the node count exceeds `u32` (the delivery queue
-    /// compacts node indices).
-    pub(crate) fn new<T: Topology>(topo: &T, facts: &RunFacts) -> Self {
-        let n = topo.n();
+    /// Panics if the node count exceeds `u32` (deliveries compact node
+    /// indices).
+    pub(crate) fn new(facts: &RunFacts, nodes: Range<NodeId>, edges: Range<usize>) -> Self {
         assert!(
-            n as u64 <= u32::MAX as u64,
-            "the engine's delivery queue addresses nodes as u32; {n} nodes exceed that"
+            nodes.end as u64 <= u32::MAX as u64,
+            "the engine's delivery queue addresses nodes as u32; {} nodes exceed that",
+            nodes.end
         );
         Ledger {
-            part: LedgerPart::new(facts, 0..topo.directed_edge_count()),
-            watch_hits: facts.no_watch_hits(),
+            part: LedgerPart::new(facts, edges),
+            lo: nodes.start,
             queue: CalendarQueue::new(),
-            arena: InboxArena::new(n),
+            arena: InboxArena::new(nodes.len()),
         }
     }
 
-    /// The whole life of one send at `round`: accounted, its fate decided,
-    /// a delivered crossing of a watched edge noted (a dropped message
-    /// never crosses), and the message placed where its delivery round
-    /// will find it — the arena's *next* side for the synchronous
-    /// `round + 1`, the calendar for anything later.
+    /// Places a message sent at `round` (by any range's node) into an
+    /// owned node's inbox where its delivery round `at` will find it —
+    /// the arena's *next* side for the synchronous `round + 1`, the
+    /// calendar for anything later.
     #[inline]
-    pub(crate) fn route(&mut self, facts: &RunFacts, round: u64, s: StagedSend<M>) {
-        let Some(at) = self.part.account(facts, round, &s) else {
-            return;
-        };
-        facts.note_crossing(
-            &mut self.watch_hits,
-            (s.src, s.dest),
-            round,
-            self.part.messages - 1,
-        );
+    pub(crate) fn deliver(&mut self, round: u64, at: u64, dest: NodeId, port: u32, msg: M) {
+        let dest = dest - self.lo;
         if at == round + 1 {
-            self.arena.deliver_next(s.dest, s.dest_port as u32, s.msg);
+            self.arena.deliver_next(dest, port, msg);
         } else {
-            self.queue
-                .push(at, (s.dest as u32, s.dest_port as u32, s.msg));
+            self.queue.push(at, (dest as u32, port, msg));
         }
     }
 
     /// Stages `round`: moves everything the calendar holds for it onto the
     /// arena's *next* side, in push order — the one place a bucket is
-    /// drained. The engine stages `round + 1` before `round` steps, so
-    /// messages delayed into it by earlier rounds come first and
-    /// [`Ledger::route`] appends the stepping round's synchronous sends
-    /// directly behind them; those skip the queue, and no round's messages
-    /// are ever held twice.
+    /// drained. The engine stages `round + 1` before `round`'s sends are
+    /// delivered, so messages delayed into it by earlier rounds come first
+    /// and [`Ledger::deliver`] appends the stepping round's synchronous
+    /// sends directly behind them; those skip the queue, and no round's
+    /// messages are ever held twice.
     pub(crate) fn stage(&mut self, round: u64) {
         if self.queue.next_event_round() == Some(round) {
             let mut batch = self.queue.take_at(round);
@@ -1260,16 +1288,22 @@ impl<M: Message> Ledger<M> {
     }
 
     /// Opens `round`: promotes the staged side to the round being stepped
-    /// and returns the nodes that hear something, in first-delivery order.
-    /// In the common case the round was staged while its predecessor
-    /// stepped and its bucket is already empty; only after a fast-forward
-    /// does the bucket still hold the round's deliveries, staged here
-    /// (deliveries into crashed nodes were already discarded at fate time).
+    /// and returns the nodes (as offsets into the range) that hear
+    /// something, in first-delivery order. In the common case the round
+    /// was staged while its predecessor stepped and its bucket is already
+    /// empty; only after a fast-forward does the bucket still hold the
+    /// round's deliveries, staged here (deliveries into crashed nodes were
+    /// already discarded at fate time).
     pub(crate) fn open_round(&mut self, round: u64) -> &[u32] {
         self.queue.advance_to(round);
         self.stage(round);
         self.arena.rotate();
         &self.arena.cur_recipients
+    }
+
+    /// How many of the range's nodes already have a staged delivery.
+    pub(crate) fn staged(&self) -> usize {
+        self.arena.next_recipients.len()
     }
 
     /// The earliest round the calendar still holds a delivery for.
@@ -1444,13 +1478,13 @@ mod tests {
     }
 
     /// Drives a [`Ledger`] the way the engine does — open the round, stage
-    /// the next, route the round's sends, and jump to the next delivery
-    /// when a round hears and sends nothing — and checks every inbox
-    /// against the model's rule: what a node hears at round `r` is every
-    /// surviving send whose fate named `r`, in global send order. Messages
-    /// delayed into `r` from earlier rounds are therefore heard before
-    /// round `r - 1`'s synchronous batch, whether `r` was staged while
-    /// `r - 1` stepped or reached by a fast-forward.
+    /// the next, account and deliver the round's sends, and jump to the
+    /// next delivery when a round hears and sends nothing — and checks
+    /// every inbox against the model's rule: what a node hears at round
+    /// `r` is every surviving send whose fate named `r`, in global send
+    /// order. Messages delayed into `r` from earlier rounds are therefore
+    /// heard before round `r - 1`'s synchronous batch, whether `r` was
+    /// staged while `r - 1` stepped or reached by a fast-forward.
     #[test]
     fn inboxes_hear_delayed_messages_first_each_in_send_order() {
         let g = gen::cycle(4).unwrap();
@@ -1460,7 +1494,8 @@ mod tests {
             let config =
                 SimConfig::seeded(11).with_adversary(Adversary::BoundedDelay { max_delay });
             let facts = RunFacts::new(&g, &config, |_| {});
-            let mut ledger: Ledger<Tag> = Ledger::new(&g, &facts);
+            let mut ledger: Ledger<Tag> =
+                Ledger::new(&facts, 0..g.len(), 0..g.directed_edge_count());
             // (delivery round, dest) -> [(port, tag, send round)], in send order.
             type Heard = Vec<(Port, Tag, u64)>;
             let mut expect: BTreeMap<(u64, NodeId), Heard> = BTreeMap::new();
@@ -1508,7 +1543,9 @@ mod tests {
                         let at = facts.fate(&view).expect("delays never drop");
                         let heard = (s.dest_port, Tag(tag), round);
                         expect.entry((at, s.dest)).or_default().push(heard);
-                        ledger.route(&facts, round, s);
+                        let at = ledger.part.account(&facts, round, &s);
+                        let at = at.expect("delays never drop");
+                        ledger.deliver(round, at, s.dest, s.dest_port as u32, s.msg);
                         tag += 1;
                     }
                 }
@@ -1525,5 +1562,42 @@ mod tests {
             saw.1,
             "no fast-forward landed on deliveries from two send rounds"
         );
+    }
+
+    /// The round the order argument of a multi-range run rests on, driven
+    /// by hand: two ledgers split a 4-cycle, nobody in the second range
+    /// steps in round 1, and node 1 (first range) sends into node 2
+    /// (second range) a message delayed from round 0 to round 2 and, in
+    /// round 1, a synchronous one. The second range stages round 2 in
+    /// round 1 *although it steps nobody*, so node 2 hears the delayed
+    /// message first — the inline order. A range that skipped the stage
+    /// hears them swapped.
+    #[test]
+    fn an_idle_range_stages_before_its_neighbours_sends_are_delivered() {
+        let g = gen::cycle(4).unwrap();
+        let facts = RunFacts::new(&g, &SimConfig::seeded(1), |_| {});
+        let heard_at_round_2 = |idle_range_stages: bool| {
+            let mut first: Ledger<Tag> = Ledger::new(&facts, 0..2, 0..4);
+            let mut second: Ledger<Tag> = Ledger::new(&facts, 2..4, 4..8);
+            let (_, port, _) = g.endpoint_indexed(1, 1);
+            // Round 0: the send's fate is round 2.
+            second.deliver(0, 2, 2, port as u32, Tag(0));
+            // Round 1, step phase of every range, then the deliver phase.
+            for ledger in [&mut first, &mut second] {
+                assert!(ledger.open_round(1).is_empty());
+            }
+            first.stage(2);
+            if idle_range_stages {
+                second.stage(2);
+            }
+            second.deliver(1, 2, 2, port as u32, Tag(1));
+            // Round 2.
+            assert_eq!(second.open_round(2), [0]);
+            let mut inbox = Vec::new();
+            second.arena.fill(0, &mut inbox);
+            inbox
+        };
+        assert_eq!(heard_at_round_2(true), [(0, Tag(0)), (0, Tag(1))]);
+        assert_eq!(heard_at_round_2(false), [(0, Tag(1)), (0, Tag(0))]);
     }
 }

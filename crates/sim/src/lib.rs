@@ -28,7 +28,7 @@
 //! A runtime is a **scheduling policy** over one execution core
 //! ([`exec`]): it decides when a node steps and hands the core's
 //! `step_node` a `send` closure; what a send costs, what becomes of it
-//! and — on the round engine — where it lands (`Ledger::route`: inbox
+//! and — on the round engine — where it lands (`Ledger::deliver`: inbox
 //! arena or delay calendar) is the core's, written once. The round
 //! engine's policy is **event-driven**: per simulated round it touches
 //! only the nodes that receive a message or whose wakeup timer fires
@@ -38,12 +38,12 @@
 //! [`RunOutcome::rounds`]; they just cost no work.
 //!
 //! Execution is additionally **sharded-parallel** under [`Parallelism`]
-//! (the default `Auto` engages on large runs): message-dense rounds are
-//! stepped by several threads over contiguous shards of the active set
-//! (one lane of buffers per thread) and merged deterministically through
-//! the same `Ledger::route`, so a run's [`RunOutcome`] is byte-for-byte
-//! identical at any thread count — see the `engine` module docs for the
-//! merge-phase contract.
+//! (the default `Auto` engages on large runs): each shard thread owns a
+//! contiguous node range for the whole run — state, accounting, inboxes,
+//! timers — and message-dense rounds run as a step phase and a deliver
+//! phase that fills every inbox in the sequential send order, so a run's
+//! [`RunOutcome`] is byte-for-byte identical at any thread count — see
+//! the `engine` module docs for the order argument.
 //!
 //! The **execution model itself is pluggable** ([`SimConfig::adversary`],
 //! module [`adversary`]): seeded, deterministic [`Schedule`] adversaries

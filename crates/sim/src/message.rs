@@ -9,11 +9,12 @@
 
 /// A protocol message. Cloned on fan-out, sized for CONGEST accounting.
 ///
-/// Messages must be [`Send`]: the sharded-parallel engine stages them in
-/// shard-local outboxes on worker threads before the merge phase delivers
-/// them (see [`crate::Parallelism`]). They must also be [`Sync`]: shard
-/// threads read the round's deliveries out of one shared inbox arena by
-/// reference. Plain-data message types get both for free.
+/// Messages must be [`Send`]: on a sharded run a message is built by the
+/// thread that owns its sender and taken into the inbox by the thread
+/// that owns its destination (see [`crate::Parallelism`]); the async
+/// runtime ships it through a channel. They must also be [`Sync`], so a
+/// runtime may share queued messages between threads by reference.
+/// Plain-data message types get both for free.
 pub trait Message: Clone + std::fmt::Debug + Send + Sync {
     /// The wire size of this message in bits.
     ///

@@ -202,7 +202,7 @@ impl AsyncRuntime {
         F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
     {
         let n = graph.n();
-        let mut store = init_store(graph, config, factory);
+        let mut store = init_store(graph, config, 0..n, factory);
         // The lazy RNG column is an engine-side diet: its first-draw
         // write-back lives on the engine's control thread, so this runtime
         // materializes the identical streams up front instead.
@@ -341,7 +341,7 @@ where
 {
     let n = graph.n();
     let cap = config.max_rounds;
-    let mut store = init_store(graph, config, factory);
+    let mut store = init_store(graph, config, 0..n, factory);
     store.densify_rngs(config.seed);
     let facts = RunFacts::new(graph, config, |v| store.wake[v] = 0);
     let dcount = graph.directed_edge_count();
