@@ -1,5 +1,6 @@
-//! A calendar (ring-buffer) delivery queue: the flat-memory
-//! delayed-delivery queue of the engine's ledger ([`crate::exec`]).
+//! A calendar (ring-buffer) queue keyed by round: the flat-memory
+//! delayed-delivery queue of the engine's ledger ([`crate::exec`]) and the
+//! engine's wakeup queue.
 //!
 //! # Layout
 //!
@@ -220,6 +221,34 @@ impl<T> CalendarQueue<T> {
         self.min_round = r;
         Some(r)
     }
+
+    /// The earliest round holding any item, with its items in push order
+    /// (`None` when empty). Unlike [`CalendarQueue::take_at`] this leaves
+    /// the window where it is.
+    pub(crate) fn peek_first(&mut self) -> Option<(u64, &[T])> {
+        let r = self.next_event_round()?;
+        let bucket = if r - self.base <= self.mask {
+            &self.ring[(r & self.mask) as usize]
+        } else {
+            &self.overflow[&r]
+        };
+        Some((r, bucket))
+    }
+
+    /// Drops every item of the earliest round holding any, without moving
+    /// the window: pushes for rounds before it stay legal.
+    pub(crate) fn discard_first(&mut self) {
+        if let Some(r) = self.next_event_round() {
+            let bucket = if r - self.base <= self.mask {
+                std::mem::take(&mut self.ring[(r & self.mask) as usize])
+            } else {
+                self.overflow.remove(&r).expect("the earliest round")
+            };
+            self.len -= bucket.len();
+            self.recycle(bucket);
+            self.min_round = u64::MAX; // recomputed on demand
+        }
+    }
 }
 
 #[cfg(test)]
@@ -316,6 +345,36 @@ mod tests {
         q.take_at(1);
         q.push(6, 2);
         assert_eq!(q.next_event_round(), Some(3));
+    }
+
+    #[test]
+    fn discard_first_drops_the_earliest_round_of_either_tier_and_never_moves_the_window() {
+        let mut q: CalendarQueue<u32> = CalendarQueue::with_horizon(8);
+        q.push(5, 50);
+        q.push(5, 51);
+        q.push(6, 60);
+        q.push(40, 400); // overflow tier
+        q.push(41, 410);
+        assert_eq!(q.peek_first(), Some((5, &[50, 51][..])));
+        q.discard_first();
+        assert_eq!(q.len(), 3);
+        // Round 5 was the cached minimum: recomputed, never reported stale.
+        assert_eq!(q.peek_first(), Some((6, &[60][..])));
+        q.discard_first();
+        assert_eq!(q.peek_first(), Some((40, &[400][..])));
+        q.discard_first();
+        assert_eq!((q.len(), q.next_event_round()), (1, Some(41)));
+        // The window never moved: rounds before every discarded one still
+        // take pushes, into the ring, and come back at their own round.
+        q.push(1, 10);
+        q.push(5, 52);
+        assert_eq!(q.peek_first(), Some((1, &[10][..])));
+        assert_eq!(q.take_at(1), vec![10]);
+        assert_eq!(q.take_at(5), vec![52]);
+        assert_eq!(q.take_at(41), vec![410]);
+        assert!(q.is_empty());
+        q.discard_first();
+        assert_eq!(q.peek_first(), None);
     }
 
     #[test]

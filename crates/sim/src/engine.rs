@@ -14,8 +14,8 @@
 //! `Ledger`, which owns the inbox arena and the delayed-delivery calendar
 //! of a node range and is the only code that knows where a send lands.
 //! What lives *here* is the scheduling policy and nothing else — the
-//! decision of **when** each node steps: the active set, the wakeup heap,
-//! fast-forward, and which thread runs which range. A round is, per range,
+//! decision of **when** each node steps: the active set, the wakeup
+//! calendar, fast-forward, and which thread runs which range. A round is, per range,
 //! `Ledger::open_round` (who hears something), the wakeup admission,
 //! `Ledger::stage` of the round after, then one `step_node` per active
 //! node — `Shard::step`, the one round body of every run.
@@ -36,20 +36,29 @@
 //! * an explicit **active set** for the upcoming round: a node enters it
 //!   when a staged message is delivered to it, or when its scheduled wakeup
 //!   fires;
-//! * a **min-heap of pending wakeups** (`BinaryHeap<Reverse<(round,
-//!   node)>>`, lazily invalidated), so discovering the wakeups due in a
-//!   round — and fast-forwarding across a fully idle stretch — costs
-//!   `O(log n)` per event instead of an `O(n)` scan;
+//! * a **calendar of pending wakeups** — the same ring-plus-overflow
+//!   [`crate::calendar::CalendarQueue`] the ledger queues delayed
+//!   deliveries in, keyed by round, 4 bytes per entry — lazily invalidated:
+//!   an entry whose node re-armed since is skipped when its round is
+//!   opened, and a round holding only such entries is dropped when
+//!   fast-forward looks past it (without moving the window, which other
+//!   ranges' earlier rounds may still need). Admitting the wakeups due in a
+//!   round takes one bucket, and fast-forwarding across a fully idle
+//!   stretch reads the earliest bucket instead of scanning `n` timers;
 //! * a **dedup bitmap** so a node that both receives a message and has a
 //!   wakeup due runs exactly once in the round.
 //!
-//! Per simulated round the engine therefore pays `O(a log a + w log n)`
-//! where `a` is the number of active nodes and `w` the number of wakeup
-//! events — independent of `n`. The `a log a` term is the sort that keeps
-//! execution order identical to the historical full scan: active nodes run
-//! in ascending node-index order, so every run is byte-for-byte
-//! deterministic and `RunOutcome`s are reproducible across engine versions
-//! (see `tests/scheduler_equivalence.rs`).
+//! Per simulated round a range of `len` nodes therefore pays
+//! `O(min(a log a, len / 64) + w)` where `a` is the number of active nodes
+//! and `w` the number of wakeup entries due — independent of `n` on sparse
+//! rounds. The first term orders the active set, which keeps execution
+//! identical to the historical full scan: active nodes run in ascending
+//! node-index order, so every run is byte-for-byte deterministic and
+//! `RunOutcome`s are reproducible across engine versions (see
+//! `tests/scheduler_equivalence.rs`). A sparse round sorts its list; once
+//! there is an active node per 64 nodes of the range — a word of the dedup
+//! bitmap — the list is read off the bitmap's words in ascending order
+//! instead, which costs `len / 64` whatever `a` is.
 //!
 //! # Flat-memory hot path, on a diet
 //!
@@ -67,9 +76,14 @@
 //!   node of pointer triple, plus per-node heap blocks);
 //! * node bookkeeping is struct-of-arrays ([`crate::exec::NodeStore`]):
 //!   timers are a dense `u64` column (`NO_WAKE` sentinel, not
-//!   `Option<u64>`), started bits live in an engine-owned bitmap (one
-//!   bit per node), statuses are one byte per node, and the RNG column
-//!   starts lazy — materialized only if some node actually draws;
+//!   `Option<u64>`), started and dedup bits live in engine-owned bitmaps
+//!   (one bit per node each), statuses are one byte per node, and the RNG
+//!   column starts lazy — materialized only if some node actually draws,
+//!   and until then a stream is derived only by an activation that asks
+//!   for it ([`crate::Context::rng`]);
+//! * pending wakeups are `u32` offsets in a calendar bucket per round, and
+//!   a stepped node's inbox chain is cloned out and returned to the
+//!   arena's free list in one walk;
 //! * every range owns its step buffers and the mail slots it posts to
 //!   are drained in place, so a steady-state round allocates nothing per
 //!   message.
@@ -89,13 +103,13 @@
 //! an empty range; `Off`, `Auto` below its node threshold and `n = 1` give
 //! one shard). A shard owns its range for the whole run: the nodes' slice
 //! of the store, the `Ledger` of their out-edges and inboxes (accounting
-//! part, inbox arena, calendar), their wakeup heap, active list, dedup
-//! flags and started bits. Nothing per-node is shared, so nothing
+//! part, inbox arena, calendar), their wakeup calendar, active list, dedup
+//! and started bitmaps. Nothing per-node is shared, so nothing
 //! per-node is locked.
 //!
 //! A round is two phases over the shards:
 //!
-//! * **step** — each shard opens the round, admits its due wakeups, sorts
+//! * **step** — each shard opens the round, admits its due wakeups, orders
 //!   its active list, stages the round after, and steps its active nodes
 //!   in ascending order. Every send is accounted on the spot, on the
 //!   sender's ledger (fates are a pure function of `(seed, directed edge,
@@ -152,6 +166,7 @@
 //! runs the repo benchmark's torus in about 0.65× the inline engine's time
 //! (`sim.engine.shard_ratio`, `benchmark/`).
 
+use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
     init_store, step_node, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StepScratch,
@@ -160,8 +175,6 @@ use crate::exec::{
 use crate::message::Message;
 use crate::protocol::{NodeSetup, Protocol};
 use rand::rngs::StdRng;
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
@@ -169,8 +182,8 @@ use std::sync::{Mutex, MutexGuard};
 use std::thread::{Scope, ScopedJoinHandle};
 use ule_graph::{NodeId, Topology};
 
-/// One bit per node: has this node ever been activated? Replaces the
-/// byte-per-node `started` column (a `Vec<bool>`).
+/// One bit per node of a range: the started flags, and the dedup flags of
+/// the active list — which, read in word order, is also that list sorted.
 struct Bitmap {
     words: Vec<u64>,
 }
@@ -187,9 +200,28 @@ impl Bitmap {
         (self.words[i / 64] >> (i % 64)) & 1 == 1
     }
 
+    /// Sets bit `i`; true iff it was clear.
     #[inline]
-    fn set(&mut self, i: usize) {
+    fn set(&mut self, i: usize) -> bool {
+        let fresh = !self.get(i);
         self.words[i / 64] |= 1 << (i % 64);
+        fresh
+    }
+
+    #[inline]
+    fn clear(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Appends the set bits to `out`, ascending: one pass over the words.
+    fn ones(&self, out: &mut Vec<usize>) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
     }
 }
 
@@ -261,15 +293,15 @@ type Crossing = (NodeId, NodeId, u64);
 struct Shard<P: Protocol> {
     store: NodeStore<P>,
     ledger: Ledger<P::Msg>,
-    /// Pending wakeups `(round, offset)`, min-first. Entries are lazily
-    /// invalidated: an entry is genuine iff `store.wake[offset] == round`
-    /// when popped (a node that re-arms its timer leaves the superseded
-    /// entry behind).
-    wake_heap: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Pending wakeups: offsets into the range, queued under their round.
+    /// Entries are lazily invalidated: an entry is genuine iff
+    /// `store.wake[offset]` still names its round (a node that re-arms its
+    /// timer leaves the superseded entry behind).
+    wakes: CalendarQueue<u32>,
     /// The round's active set (small for sparse protocols) and the dedup
     /// flags guarding it.
     active: Vec<usize>,
-    in_active: Vec<bool>,
+    queued: Bitmap,
     /// Whether `active` already holds the coming round's deliveries and
     /// wakeups.
     opened: bool,
@@ -286,23 +318,22 @@ struct Shard<P: Protocol> {
 impl<P: Protocol> Shard<P> {
     /// The shard of `store`'s nodes, whose out-edges are `edges`. The
     /// spontaneous round-0 wakeups (armed as `wake == 0` by the run set-up)
-    /// seed the active set directly: routing them through the heap would
-    /// be wasted work (under simultaneous wakeup that is n pushes + n
-    /// pops), and the round-0 execution clears the markers before any heap
-    /// lookup could expect entries for them.
+    /// seed the active set directly: queueing them would be wasted work
+    /// (under simultaneous wakeup, n entries), and the round-0 execution
+    /// clears the markers before any lookup could expect entries for them.
     fn new(facts: &RunFacts, store: NodeStore<P>, edges: Range<usize>) -> Self {
         let len = store.wake.len();
         let active: Vec<usize> = (0..len).filter(|&i| store.wake[i] == 0).collect();
-        let mut in_active = vec![false; len];
+        let mut queued = Bitmap::new(len);
         for &i in &active {
-            in_active[i] = true;
+            queued.set(i);
         }
         Shard {
             ledger: Ledger::new(facts, store.base..store.base + len, edges),
             store,
-            wake_heap: BinaryHeap::new(),
+            wakes: CalendarQueue::new(),
             active,
-            in_active,
+            queued,
             opened: false,
             started: Bitmap::new(len),
             scratch: StepScratch::default(),
@@ -317,20 +348,21 @@ impl<P: Protocol> Shard<P> {
     /// is one round ahead), else the calendar's next delivery or the next
     /// genuine wakeup. Crashed owners need no check: wakeups are
     /// crash-filtered *at arm time* (the shared set-up and
-    /// `LedgerPart::rearm`), so every genuine heap entry outlives its
+    /// `LedgerPart::rearm`), so every genuine wakeup entry outlives its
     /// owner's crash round.
     fn next_event(&mut self, round: u64) -> Option<u64> {
         if !self.active.is_empty() || self.ledger.staged() > 0 {
             return Some(round);
         }
-        let mut next = self.ledger.next_delivery();
-        while let Some(&Reverse((w, i))) = self.wake_heap.peek() {
-            if self.store.wake[i] != w {
-                self.wake_heap.pop();
-                continue;
+        let next = self.ledger.next_delivery();
+        // A round whose entries are all superseded is dropped — without
+        // moving the window, since this range may still have to open any
+        // earlier round another range has an event in.
+        while let Some((w, due)) = self.wakes.peek_first() {
+            if due.iter().any(|&i| self.store.wake[i as usize] == w) {
+                return Some(next.map_or(w, |d| d.min(w)));
             }
-            next = Some(next.map_or(w, |d| d.min(w)));
-            break;
+            self.wakes.discard_first();
         }
         next
     }
@@ -342,22 +374,18 @@ impl<P: Protocol> Shard<P> {
             return;
         }
         for &d in self.ledger.open_round(round) {
-            let d = d as usize;
-            if !self.in_active[d] {
-                self.in_active[d] = true;
-                self.active.push(d);
+            if self.queued.set(d as usize) {
+                self.active.push(d as usize);
             }
         }
-        while let Some(&Reverse((w, i))) = self.wake_heap.peek() {
-            if w > round {
-                break;
-            }
-            self.wake_heap.pop();
-            if self.store.wake[i] == w && !self.in_active[i] {
-                self.in_active[i] = true;
+        let due = self.wakes.take_at(round);
+        for &i in &due {
+            let i = i as usize;
+            if self.store.wake[i] == round && self.queued.set(i) {
                 self.active.push(i);
             }
         }
+        self.wakes.recycle(due);
     }
 
     /// The step phase of `round`, the one round body of every run: opens
@@ -378,8 +406,15 @@ impl<P: Protocol> Shard<P> {
         self.open(round);
         self.opened = false;
         // Ascending node order keeps execution byte-for-byte identical to
-        // the historical full scan; the set is small, so the sort is cheap.
-        self.active.sort_unstable();
+        // the historical full scan. A small set is sorted; once a word of
+        // the dedup bitmap holds an active node on average, reading the
+        // bitmap in word order is cheaper than sorting.
+        if self.active.len() * 64 >= self.store.wake.len() {
+            self.active.clear();
+            self.queued.ones(&mut self.active);
+        } else {
+            self.active.sort_unstable();
+        }
         // What earlier rounds delayed into the next round is heard before
         // what this round sends into it — staged here even if nobody in
         // the range steps, because another shard's sends may land behind it.
@@ -387,9 +422,9 @@ impl<P: Protocol> Shard<P> {
         let Shard {
             store,
             ledger,
-            wake_heap,
+            wakes,
             active,
-            in_active,
+            queued,
             started,
             scratch,
             crossings,
@@ -398,10 +433,9 @@ impl<P: Protocol> Shard<P> {
         } = self;
         for i in active.drain(..) {
             let v = store.base + i;
-            ledger.arena.fill(i, &mut scratch.inbox);
-            // The inbox is cloned out; free the chain now so the
-            // deliveries of this round reuse the entries in place.
-            ledger.arena.free(i);
+            // Cloning the inbox out frees its chain, so the deliveries of
+            // this round reuse the entries in place.
+            ledger.arena.take(i, &mut scratch.inbox);
             let effects = step_node(
                 rc,
                 round,
@@ -426,14 +460,14 @@ impl<P: Protocol> Shard<P> {
                     }
                 },
             );
-            // A changed timer needs a heap entry unless its owner's crash
+            // A changed timer needs a wakeup entry unless its owner's crash
             // outlives it (the stale entry for the previously armed round,
-            // if any, stays in the heap; the async runtime makes the same
+            // if any, stays queued; the async runtime makes the same
             // arm-time decision, so the reported crash horizons agree
             // across runtimes).
             if let Some(w) = effects.rearmed {
                 if ledger.part.rearm(facts, v, w, &mut store.wake[i]) {
-                    wake_heap.push(Reverse((w, i)));
+                    wakes.push(w, i as u32);
                 }
             }
             // A first draw on the lazy RNG column materializes it (every
@@ -444,7 +478,7 @@ impl<P: Protocol> Shard<P> {
             }
             *status_changed |= effects.status_changed;
             started.set(i);
-            in_active[i] = false;
+            queued.clear(i);
         }
     }
 }
@@ -581,12 +615,23 @@ fn reraise(workers: Vec<Worker<'_>>) -> ! {
 /// [`crate::Adversary`] schedule naming an out-of-range node or a
 /// non-edge), or on protocol API misuse (double-send on a port, past
 /// wakeups) — with the same message whichever thread stepped the node.
-pub(crate) fn run_sim<T, P, F>(topo: &T, config: &SimConfig, mut factory: F) -> RunOutcome
+pub(crate) fn run_sim<T, P, F>(topo: &T, config: &SimConfig, factory: F) -> RunOutcome
 where
     T: Topology,
     P: Protocol,
     F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
 {
+    run_inspecting(topo, config, factory, |_| {})
+}
+
+/// [`run_sim`], handing the shards as the run left them to `inspect`
+/// before the outcome is assembled: how tests see per-range state.
+fn run_inspecting<T: Topology, P: Protocol>(
+    topo: &T,
+    config: &SimConfig,
+    mut factory: impl FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
+    inspect: impl FnOnce(&[Shard<P>]),
+) -> RunOutcome {
     let n = topo.n();
     let (ranges, owners) = Owners::split(n, config.parallelism.effective_threads(n));
     // A round runs on the shards' threads when it has two economic shards'
@@ -737,9 +782,12 @@ where
         }
     });
 
-    let mut shards = shards
+    let shards: Vec<Shard<P>> = shards
         .into_iter()
-        .map(|shard| shard.into_inner().expect("the run ended without a panic"));
+        .map(|shard| shard.into_inner().expect("the run ended without a panic"))
+        .collect();
+    inspect(&shards);
+    let mut shards = shards.into_iter();
     let first = shards.next().expect("a run has at least one shard");
     let (mut part, mut statuses) = (first.ledger.part, first.store.statuses);
     for shard in shards {
@@ -1094,7 +1142,7 @@ mod tests {
         }
     }
 
-    /// Nodes re-arming timers across activations leave stale heap entries
+    /// Nodes re-arming timers across activations leave stale wakeup entries
     /// behind; the lazy invalidation must neither double-activate nor lose
     /// wakeups. (Re-arming must span *separate* activations: within one
     /// `on_round`, `wake_at` collapses to the minimum before the engine
@@ -1112,7 +1160,7 @@ mod tests {
                     ctx.broadcast(Signal);
                     ctx.wake_at(1_000);
                 }
-                // Re-arm earlier: the (1000, v) heap entry goes stale.
+                // Re-arm earlier: the (1000, v) entry goes stale.
                 1 => {
                     ctx.broadcast(Signal);
                     ctx.wake_at(6);
@@ -1152,6 +1200,112 @@ mod tests {
         // round-1000 entries must not extend the run past quiescence.
         let active_rounds: Vec<u64> = out.round_totals.iter().map(|&(r, _)| r).collect();
         assert_eq!(active_rounds, vec![0, 1, 2, 5, 7]);
+    }
+
+    /// On a 6-cycle: node 5 arms a timer for round `stale`, lowers it to
+    /// round 10 when node 4's round-0 message arrives, fires, and leaves the
+    /// entry for `stale` behind. Node 0 ticks through round 5, then sleeps
+    /// until round 13 — so idle stretches are fast-forwarded on both sides
+    /// of the probe's wakeup, and meanwhile another range steps while the
+    /// probe's holds nothing but the stale entry — and at 13 it pings node
+    /// 5, which then arms a timer for round 16: the probe's range still
+    /// opens and arms rounds before `stale` after passing over it.
+    struct Superseded {
+        v: NodeId,
+        stale: u64,
+        fired: u32,
+    }
+    impl Protocol for Superseded {
+        type Msg = Signal;
+        fn on_round(&mut self, ctx: &mut Context<'_, Signal>, inbox: &[(usize, Signal)]) {
+            match (self.v, ctx.round()) {
+                (0, r) if r < 5 => ctx.wake_next(),
+                (0, 5) => ctx.wake_at(13),
+                (0, 13) | (4, 0) => ctx.broadcast(Signal),
+                (5, 0) => ctx.wake_at(self.stale),
+                (5, 1) => {
+                    assert_eq!(inbox.len(), 1);
+                    ctx.wake_at(10);
+                }
+                (5, 14) => {
+                    assert_eq!(inbox.len(), 1);
+                    ctx.wake_at(16);
+                }
+                (5, 10) | (5, 16) => self.fired += 1,
+                (5, r) => panic!("the probe stepped at round {r}"),
+                _ => {}
+            }
+        }
+        fn status(&self) -> Status {
+            if self.v == 5 && self.fired < 2 {
+                Status::Undecided
+            } else {
+                Status::NonLeader
+            }
+        }
+    }
+
+    #[test]
+    fn superseded_wakeups_decide_no_round_count_fast_forward_or_termination() {
+        let g = gen::cycle(6).unwrap();
+        // The probe sits in the last range at 2 and 3 threads; its stale
+        // entry is in the ring (50) or in the overflow tier (1 000), and
+        // the cap is past the run but before the stale round, at it, or
+        // beyond it.
+        for stale in [50u64, 1_000] {
+            for cap in [30, stale, 10_000] {
+                let cfg = SimConfig::seeded(3).with_max_rounds(cap);
+                let mk =
+                    |v: NodeId, _: &NodeSetup, _: &mut StdRng| Superseded { v, stale, fired: 0 };
+                let out = run(&g, &cfg, mk);
+                assert_eq!(out.termination, Termination::Quiescent, "cap {cap}");
+                assert_eq!(out.rounds, 17, "last activity at round 16");
+                assert_eq!(out.undecided_count(), 0);
+                let totals: Vec<(u64, u64)> = [0, 1, 2, 3, 4, 5, 10, 13, 14, 16]
+                    .map(|r| (r, if r < 13 { 2 } else { 4 }))
+                    .to_vec();
+                assert_eq!(out.round_totals, totals);
+                for t in [2usize, 3] {
+                    let par = cfg.clone().with_parallelism(Parallelism::Threads(t));
+                    assert_eq!(
+                        run(&g, &par, mk),
+                        out,
+                        "stale {stale}, cap {cap}, threads {t}"
+                    );
+                }
+                let asy = crate::Runner::new(&g, &cfg)
+                    .runtime(crate::RuntimeKind::Async)
+                    .run(mk);
+                assert_eq!(asy, out, "stale {stale}, cap {cap}, async");
+            }
+        }
+    }
+
+    #[test]
+    fn bitmap_scan_is_the_sorted_set_across_word_boundaries() {
+        // Bits on both sides of every word boundary, and lengths that end
+        // on one (64), just before (63) or after (65) it, or mid-word.
+        for len in [63usize, 64, 65, 130, 200] {
+            let mut set: Vec<usize> = [0, 1, 62, 63, 64, 65, 127, 128, 129, len - 1]
+                .into_iter()
+                .filter(|&i| i < len)
+                .collect();
+            set.sort_unstable();
+            set.dedup();
+            let mut bits = Bitmap::new(len);
+            for &i in set.iter().rev() {
+                assert!(bits.set(i) && !bits.set(i), "bit {i} set once");
+            }
+            let mut scanned = Vec::new();
+            bits.ones(&mut scanned);
+            assert_eq!(scanned, set, "len {len}");
+            for &i in &set {
+                bits.clear(i);
+            }
+            scanned.clear();
+            bits.ones(&mut scanned);
+            assert!(scanned.is_empty(), "len {len}");
+        }
     }
 
     #[test]
@@ -1387,6 +1541,75 @@ mod tests {
                         "n {n}, seed {run_seed}, threads {t}"
                     );
                 }
+            }
+        }
+    }
+
+    /// Logs `(round, node)` of every activation in stepping order, then
+    /// runs the inner protocol.
+    struct Logged<P> {
+        v: NodeId,
+        log: std::sync::Arc<Mutex<Vec<(u64, NodeId)>>>,
+        inner: P,
+    }
+    impl<P: Protocol> Protocol for Logged<P> {
+        type Msg = P::Msg;
+        fn on_round(&mut self, ctx: &mut Context<'_, P::Msg>, inbox: &[(usize, P::Msg)]) {
+            lock(&self.log).push((ctx.round(), self.v));
+            self.inner.on_round(ctx, inbox);
+        }
+        fn status(&self) -> Status {
+            self.inner.status()
+        }
+    }
+
+    #[test]
+    fn sorted_and_bitmap_ordered_rounds_both_step_a_range_in_ascending_order() {
+        use std::collections::BTreeMap;
+        // A 40 × 40 torus woken at node 0: the wave's first and last rounds
+        // step a few nodes of a range, its middle ones hundreds, so every
+        // range crosses from sorted rounds (fewer active nodes than words
+        // in its dedup bitmap) to bitmap-ordered ones and back — at other
+        // rounds for other range lengths.
+        let g = gen::torus(40, 40).unwrap();
+        let base = flood_cfg(g.len(), 0, 5).with_wakeup(Wakeup::Adversarial(vec![0]));
+        let mut reference: Option<RunOutcome> = None;
+        for t in [1usize, 2, 3, 5] {
+            let log = std::sync::Arc::default();
+            let mk = |v: NodeId, _: &NodeSetup, _: &mut StdRng| Logged {
+                v,
+                log: std::sync::Arc::clone(&log),
+                inner: OrderProbe { hash: 0, budget: 6 },
+            };
+            let p = match t {
+                1 => Parallelism::Off,
+                t => Parallelism::Threads(t),
+            };
+            let out = run(&g, &base.clone().with_parallelism(p), mk);
+            let (ranges, owners) = Owners::split(g.len(), t);
+            assert_eq!(ranges.len(), t);
+            // (range, round) -> the nodes stepped, in stepping order.
+            let mut stepped: BTreeMap<(usize, u64), Vec<NodeId>> = BTreeMap::new();
+            for &(round, v) in lock(&log).iter() {
+                stepped.entry((owners.of(v), round)).or_default().push(v);
+            }
+            for (s, range) in ranges.iter().enumerate() {
+                let dense: Vec<bool> = stepped
+                    .range((s, 0)..(s + 1, 0))
+                    .map(|(&(_, round), nodes)| {
+                        let ascending = nodes.windows(2).all(|w| w[0] < w[1]);
+                        assert!(ascending, "threads {t}, round {round}: {nodes:?}");
+                        nodes.len() * 64 >= range.len()
+                    })
+                    .collect();
+                let crossing = dense.first() == Some(&false)
+                    && dense.contains(&true)
+                    && dense.last() == Some(&false);
+                assert!(crossing, "threads {t}, range {range:?}: {dense:?}");
+            }
+            match &reference {
+                None => reference = Some(out),
+                Some(reference) => assert_eq!(&out, reference, "threads {t}"),
             }
         }
     }
@@ -1819,12 +2042,15 @@ mod tests {
         assert_eq!(doff, blank(don));
     }
 
-    /// Draws from the node RNG only from round 2 on, so the lazy column
-    /// densifies mid-run; each draw is checked against the values a
-    /// pristine stream yields, pinning that lazy derivation plus the
-    /// densify write-back reproduce a dense column's streams exactly.
+    /// Ticks through round 5 calling `ctx.rng()` in every activation
+    /// without drawing — except a drawer, which draws a `u64` at round 3 and
+    /// flips a `coin()` at round 4, so a lazy column densifies mid-run. Each
+    /// draw is checked against the stream's next values as the factory saw
+    /// them, pinning that on-demand derivation plus the densify write-back
+    /// reproduce a dense column's streams exactly.
     struct LateCoin {
-        expect: [u64; 2],
+        draws: bool,
+        expect: (u64, bool),
         got: u64,
         done: bool,
     }
@@ -1832,25 +2058,20 @@ mod tests {
         type Msg = Signal;
         fn on_round(&mut self, ctx: &mut Context<'_, Signal>, _inbox: &[(usize, Signal)]) {
             use rand::Rng;
+            let _ = ctx.rng();
             match ctx.round() {
-                0 | 1 => ctx.wake_next(),
-                2 => {
-                    if ctx.rng().gen::<u64>() == self.expect[0] {
-                        self.got += 1;
-                    }
-                    ctx.wake_next();
-                }
-                3 => {
-                    if ctx.rng().gen::<u64>() == self.expect[1] {
-                        self.got += 1;
-                    }
+                3 if self.draws => self.got += u64::from(ctx.rng().gen::<u64>() == self.expect.0),
+                4 if self.draws => self.got += u64::from(ctx.coin() == self.expect.1),
+                5 => {
                     self.done = true;
+                    return;
                 }
-                r => panic!("unexpected activation at round {r}"),
+                _ => {}
             }
+            ctx.wake_next();
         }
         fn status(&self) -> Status {
-            if self.done && self.got == 2 {
+            if self.done && self.got == if self.draws { 2 } else { 0 } {
                 Status::NonLeader
             } else {
                 Status::Undecided
@@ -1858,35 +2079,65 @@ mod tests {
         }
     }
 
+    /// A `LateCoin` that draws iff `draws`. It snapshots the stream's next
+    /// values *without* drawing from the real RNG (a clone draws instead),
+    /// so the store stays lazy until the protocol draws.
+    fn late_coin(draws: bool, rng: &StdRng) -> LateCoin {
+        use rand::Rng;
+        let mut probe = rng.clone();
+        LateCoin {
+            draws,
+            expect: (probe.gen(), probe.gen()),
+            got: 0,
+            done: false,
+        }
+    }
+
+    /// Whether each range of a finished run ended with a dense RNG column.
+    fn dense_ranges<P: Protocol>(shards: &[Shard<P>]) -> Vec<bool> {
+        let dense = |s: &Shard<P>| matches!(s.store.rngs, crate::exec::RngCol::Dense(_));
+        shards.iter().map(dense).collect()
+    }
+
     #[test]
     fn lazy_rng_column_densifies_with_exact_streams() {
-        use rand::Rng;
         let g = gen::cycle(8).unwrap();
         let cfg = SimConfig::seeded(77).with_max_rounds(100);
-        // The factory snapshots the stream's first two values *without*
-        // drawing from the real RNG (a clone draws instead), so the store
-        // stays lazy until the protocols draw at rounds 2 and 3.
-        let mk = |_: NodeId, _: &NodeSetup, rng: &mut StdRng| {
-            let mut probe = rng.clone();
-            LateCoin {
-                expect: [probe.gen(), probe.gen()],
-                got: 0,
-                done: false,
+        // (who draws, which ranges end dense under Off / Threads(2) /
+        // Threads(3), whose ranges are [0, 8) / [0, 4), [4, 8) / [0, 3),
+        // [3, 6), [6, 8)): calls that never draw leave every range lazy,
+        // node 7's late draws densify its range alone, everybody's all.
+        type Case = (fn(NodeId) -> bool, [&'static [bool]; 3]);
+        let cases: [Case; 3] = [
+            (|_| false, [&[false], &[false; 2], &[false; 3]]),
+            (|v| v == 7, [&[true], &[false, true], &[false, false, true]]),
+            (|_| true, [&[true], &[true; 2], &[true; 3]]),
+        ];
+        for (drawer, dense) in cases {
+            let mk = |v: NodeId, _: &NodeSetup, rng: &mut StdRng| late_coin(drawer(v), rng);
+            let reference = run(&g, &cfg, mk);
+            assert_eq!(
+                reference.undecided_count(),
+                0,
+                "every node's on-demand draws must match its pristine stream"
+            );
+            for (p, dense) in [
+                Parallelism::Off,
+                Parallelism::Threads(2),
+                Parallelism::Threads(3),
+            ]
+            .into_iter()
+            .zip(dense)
+            {
+                let check = |shards: &[Shard<LateCoin>]| assert_eq!(dense_ranges(shards), dense);
+                let out = run_inspecting(&g, &cfg.clone().with_parallelism(p), mk, check);
+                assert_eq!(out, reference, "{p:?}");
             }
-        };
-        let out = run(&g, &cfg, mk);
-        assert_eq!(
-            out.undecided_count(),
-            0,
-            "every node's lazy draws must match its pristine stream"
-        );
-        // And the whole thing is thread-count invariant.
-        let par = run(
-            &g,
-            &cfg.clone().with_parallelism(Parallelism::Threads(3)),
-            mk,
-        );
-        assert_eq!(par, out);
+            let asy = crate::Runner::new(&g, &cfg)
+                .runtime(crate::RuntimeKind::Async)
+                .run(mk);
+            assert_eq!(asy, reference, "async");
+        }
     }
 
     /// Factories that draw densify the column at init time.
@@ -1901,14 +2152,11 @@ mod tests {
             if v >= 3 {
                 let _burn: u64 = rng.gen();
             }
-            let mut probe = rng.clone();
-            LateCoin {
-                expect: [probe.gen(), probe.gen()],
-                got: 0,
-                done: false,
-            }
+            late_coin(true, rng)
         };
-        let out = run(&g, &cfg, mk);
+        let out = run_inspecting(&g, &cfg, mk, |shards| {
+            assert_eq!(dense_ranges(shards), [true]);
+        });
         assert_eq!(out.undecided_count(), 0);
     }
 }

@@ -54,9 +54,9 @@
 //!   runtime.
 //!
 //! What is *not* here is exactly what distinguishes runtimes: the decision
-//! of **when** a node steps (the lockstep engine's active sets, wakeup heaps,
-//! fast-forward and shard threads live in `engine`; the async runtime's
-//! per-edge clocks and quiescence arbiter live in `rt`) — and, for the
+//! of **when** a node steps (the lockstep engine's active sets, wakeup
+//! calendars, fast-forward and shard threads live in `engine`; the async
+//! runtime's per-edge clocks and quiescence arbiter live in `rt`) — and, for the
 //! async runtime, its transport (frames over `std::sync::mpsc` channels)
 //! and what only it has: the delivery trace, `round_totals` rebuilt from
 //! per-worker round sets, and watch hits reconstructed from the trace.
@@ -68,7 +68,7 @@ use crate::adversary::{Adversary, Fate, Schedule, SendView};
 use crate::calendar::CalendarQueue;
 use crate::config::{IdMode, SimConfig, Wakeup};
 use crate::message::Message;
-use crate::protocol::{Context, Knowledge, NodeSetup, Protocol, Status};
+use crate::protocol::{Context, Knowledge, NodeRng, NodeSetup, Protocol, Status};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use std::collections::BTreeMap;
@@ -240,6 +240,11 @@ pub fn node_rng_seed(seed: u64, node: NodeId) -> u64 {
     splitmix64(splitmix64(seed).wrapping_add(node as u64))
 }
 
+/// Node `node`'s private RNG stream in a run seeded with `seed`, pristine.
+pub(crate) fn node_rng(seed: u64, node: NodeId) -> StdRng {
+    StdRng::seed_from_u64(node_rng_seed(seed, node))
+}
+
 /// Sentinel in the dense wakeup column meaning "no timer armed". A
 /// protocol calling `wake_at(u64::MAX)` is asking never to be woken, which
 /// is exactly what the sentinel encodes, so [`step_node`] normalizes that
@@ -298,14 +303,15 @@ fn ids_slice(config: &SimConfig, n: usize) -> Option<&[Id]> {
     }
 }
 
-/// The per-node RNG column. Starts `Lazy` — no allocation, streams derived
-/// on the fly from [`node_rng_seed`] at each activation — and densifies to
-/// one materialized `StdRng` per node the moment any node actually draws
-/// (a drawn stream has state that must persist across activations).
-/// Deterministic protocols like FloodMax never draw, so graph-scale runs
-/// never pay the `32n`-byte column.
+/// The per-node RNG column. Starts `Lazy` — no allocation; a stream is
+/// derived from [`node_rng_seed`] only when an activation calls
+/// [`Context::rng`] — and densifies to one materialized `StdRng` per node
+/// the moment any node actually draws (a drawn stream has state that must
+/// persist across activations). Deterministic protocols like FloodMax
+/// never draw, so graph-scale runs never pay the `32n`-byte column, nor a
+/// derivation per step.
 pub(crate) enum RngCol {
-    /// No node has drawn yet; streams are derived per activation.
+    /// No node has drawn yet; streams are derived on first use.
     Lazy,
     /// Materialized streams, one per node.
     Dense(Vec<StdRng>),
@@ -374,11 +380,7 @@ impl<P: Protocol> NodeStore<P> {
     pub(crate) fn densify_rngs(&mut self, seed: u64) -> &mut [StdRng] {
         if let RngCol::Lazy = self.rngs {
             let nodes = self.base..self.base + self.statuses.len();
-            self.rngs = RngCol::Dense(
-                nodes
-                    .map(|v| StdRng::seed_from_u64(node_rng_seed(seed, v)))
-                    .collect(),
-            );
+            self.rngs = RngCol::Dense(nodes.map(|v| node_rng(seed, v)).collect());
         }
         let RngCol::Dense(dense) = &mut self.rngs else {
             unreachable!("the column was just materialized")
@@ -455,7 +457,7 @@ const ARENA_CHUNK_BITS: u32 = 16;
 const ARENA_CHUNK: usize = 1 << ARENA_CHUNK_BITS;
 
 /// One queued delivery: the hearing port, the previous entry in the same
-/// inbox's chain (chains grow at the head; [`InboxArena::fill`] restores
+/// inbox's chain (chains grow at the head; [`InboxArena::take`] restores
 /// insertion order), and the message.
 struct InboxEntry<M> {
     port: u32,
@@ -471,8 +473,8 @@ struct InboxEntry<M> {
 /// node per side plus a pool sized by the round's message count.
 ///
 /// The pool is chunked (fixed ~1 MiB blocks, reallocated only while the
-/// first one grows to size) and free-listed: the engine frees a node's
-/// chain as soon as its inbox is cloned out, so entries consumed from
+/// first one grows to size) and free-listed: a node's chain is freed in
+/// the walk that clones its inbox out, so entries consumed from
 /// *cur* are immediately reused for deliveries into *next* and the pool's
 /// footprint stays at roughly one round's messages even though two rounds
 /// are addressable. A freed
@@ -481,10 +483,10 @@ struct InboxEntry<M> {
 ///
 /// Chain order per inbox is insertion order, i.e. exactly the historical
 /// per-inbox push order (the engine delivers into each inbox in global
-/// send order). [`InboxArena::fill`] clones each message of *cur* once
+/// send order). [`InboxArena::take`] clones each message of *cur* once
 /// into the stepping thread's reusable inbox buffer; *next* is written,
 /// and the sides rotated, only by the [`Ledger`] that owns the arena — the
-/// engine sees `fill`, `free` and nothing else. An arena covers the node
+/// engine sees `take` and nothing else. An arena covers the node
 /// range of its ledger and is indexed by offset into it.
 pub(crate) struct InboxArena<M> {
     /// Fixed-size pool blocks; entry `j` lives at
@@ -574,33 +576,21 @@ impl<M: Message> InboxArena<M> {
     }
 
     /// Replaces `out` with `v`'s current-round chain, cloned in insertion
-    /// order (empty for nodes without deliveries this round).
-    pub(crate) fn fill(&self, v: usize, out: &mut Vec<(Port, M)>) {
+    /// order (empty for nodes without deliveries this round), and returns
+    /// the chain's entries to the free list in the same walk — from this
+    /// moment they feed deliveries into *next*.
+    pub(crate) fn take(&mut self, v: usize, out: &mut Vec<(Port, M)>) {
         out.clear();
-        let mut j = self.cur_slot[v];
+        let mut j = std::mem::replace(&mut self.cur_slot[v], NO_SLOT);
         while j != NO_SLOT {
-            let e =
-                &self.blocks[(j >> ARENA_CHUNK_BITS) as usize][(j as usize) & (ARENA_CHUNK - 1)];
+            let e = &mut self.blocks[(j >> ARENA_CHUNK_BITS) as usize]
+                [(j as usize) & (ARENA_CHUNK - 1)];
             out.push((e.port as usize, e.msg.clone()));
-            j = e.prev;
-        }
-        out.reverse();
-    }
-
-    /// Returns `v`'s current-round chain to the free list (no-op when
-    /// empty). Call once the inbox has been cloned out — from this moment
-    /// the slots feed deliveries into *next*.
-    pub(crate) fn free(&mut self, v: usize) {
-        let mut j = self.cur_slot[v];
-        self.cur_slot[v] = NO_SLOT;
-        while j != NO_SLOT {
-            let b = (j >> ARENA_CHUNK_BITS) as usize;
-            let o = (j as usize) & (ARENA_CHUNK - 1);
-            let after = self.blocks[b][o].prev;
-            self.blocks[b][o].prev = self.free;
+            let after = std::mem::replace(&mut e.prev, self.free);
             self.free = j;
             j = after;
         }
+        out.reverse();
     }
 }
 
@@ -628,14 +618,15 @@ impl<M> Default for StepScratch<M> {
 pub(crate) struct StepEffects {
     /// `Some(w)` iff the node's timer changed to `w` during this step — the
     /// runtime must (re-)schedule the wakeup. A timer that survives
-    /// unchanged needs nothing (the engine's heap entry is still there).
+    /// unchanged needs nothing (the engine's wakeup entry is still there).
     pub(crate) rearmed: Option<u64>,
     /// Whether the node's status changed this round.
     pub(crate) status_changed: bool,
     /// `Some(state)` iff the store's RNG column is lazy and this node drew
-    /// from its stream — the runtime must densify the column and persist
-    /// `state` before the node's next activation. Always `None` on a dense
-    /// column (the stream mutates in place).
+    /// from its stream (merely calling [`Context::rng`] is not a draw) —
+    /// the runtime must densify the column and persist `state` before the
+    /// node's next activation. Always `None` on a dense column (the stream
+    /// mutates in place).
     pub(crate) drew: Option<StdRng>,
 }
 
@@ -681,30 +672,27 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
     } else {
         Some(armed_wake)
     };
-    // With a lazy RNG column the stream is derived fresh; a pristine twin
-    // detects whether the protocol drew (in which case the worked state
-    // must be persisted by the runtime — see `StepEffects::drew`).
-    let mut lazy_rng: Option<(StdRng, StdRng)> = None;
-    {
-        let rng: &mut StdRng = match &mut store.rngs {
-            RngSliceMut::Dense(s) => &mut s[i],
-            RngSliceMut::Lazy => {
-                let fresh = StdRng::seed_from_u64(node_rng_seed(rc.seed, v));
-                let slot = lazy_rng.insert((fresh.clone(), fresh));
-                &mut slot.0
-            }
-        };
-        let mut ctx = Context {
-            round,
-            setup: &setup,
-            first_activation,
-            rng,
-            outbox: &mut scratch.outbox,
-            sent_on: &mut scratch.sent_on,
-            wake: &mut wake,
-        };
-        store.protos[i].on_round(&mut ctx, &scratch.inbox);
-    }
+    // With a lazy RNG column the stream is derived only if the protocol
+    // asks for it, and persisted only if it drew (`StepEffects::drew`).
+    let rng = match &mut store.rngs {
+        RngSliceMut::Dense(s) => NodeRng::Dense(&mut s[i]),
+        RngSliceMut::Lazy => NodeRng::Lazy {
+            seed: rc.seed,
+            node: v,
+            slot: None,
+        },
+    };
+    let mut ctx = Context {
+        round,
+        setup: &setup,
+        first_activation,
+        rng,
+        outbox: &mut scratch.outbox,
+        sent_on: &mut scratch.sent_on,
+        wake: &mut wake,
+    };
+    store.protos[i].on_round(&mut ctx, &scratch.inbox);
+    let drew = ctx.rng.drawn();
     // `wake_at(u64::MAX)` means "never": normalize to a disarmed timer so
     // the sentinel column cannot alias a genuine wakeup.
     if wake == Some(u64::MAX) {
@@ -715,7 +703,6 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
         Some(w) if armed_wake != w => Some(w),
         _ => None,
     };
-    let drew = lazy_rng.and_then(|(worked, pristine)| (worked != pristine).then_some(worked));
 
     let new_status = store.protos[i].status();
     let status_changed = new_status != store.statuses[i];
@@ -774,7 +761,7 @@ where
             id: ids.map(|ids| ids[v]),
             knowledge: config.knowledge,
         };
-        let mut rng = StdRng::seed_from_u64(node_rng_seed(config.seed, v));
+        let mut rng = node_rng(config.seed, v);
         match &mut rngs {
             RngCol::Lazy => {
                 let pristine = rng.clone();
@@ -782,9 +769,8 @@ where
                 if rng != pristine {
                     // The factory draws: materialize the column. Nodes
                     // before `v` never drew, so fresh streams are exact.
-                    let mut dense: Vec<StdRng> = (nodes.start..v)
-                        .map(|u| StdRng::seed_from_u64(node_rng_seed(config.seed, u)))
-                        .collect();
+                    let mut dense: Vec<StdRng> =
+                        (nodes.start..v).map(|u| node_rng(config.seed, u)).collect();
                     dense.push(rng);
                     rngs = RngCol::Dense(dense);
                 }
@@ -1229,8 +1215,8 @@ pub(crate) struct Ledger<M> {
     /// compacted to `u32` — half the queue footprint at graph scale (the
     /// node count is asserted to fit at ledger construction).
     queue: CalendarQueue<(u32, u32, M)>,
-    /// The round being stepped (read through `fill`, released through
-    /// `free`) and the round being staged.
+    /// The round being stepped (read and released through `take`) and the
+    /// round being staged.
     pub(crate) arena: InboxArena<M>,
 }
 
@@ -1504,8 +1490,7 @@ mod tests {
                 let heard = ledger.open_round(round).len();
                 let mut inbox = Vec::new();
                 for v in 0..g.len() {
-                    ledger.arena.fill(v, &mut inbox);
-                    ledger.arena.free(v);
+                    ledger.arena.take(v, &mut inbox);
                     let want = expect.remove(&(round, v)).unwrap_or_default();
                     let sent_in: Vec<u64> = want.iter().map(|w| w.2).collect();
                     assert!(sent_in.windows(2).all(|w| w[0] <= w[1]), "{sent_in:?}");
@@ -1594,7 +1579,7 @@ mod tests {
             // Round 2.
             assert_eq!(second.open_round(2), [0]);
             let mut inbox = Vec::new();
-            second.arena.fill(0, &mut inbox);
+            second.arena.take(0, &mut inbox);
             inbox
         };
         assert_eq!(heard_at_round_2(true), [(0, Tag(0)), (0, Tag(1))]);

@@ -32,10 +32,11 @@
 //! arena or delay calendar) is the core's, written once. The round
 //! engine's policy is **event-driven**: per simulated round it touches
 //! only the nodes that receive a message or whose wakeup timer fires
-//! (active set + wakeup min-heap + dedup bitmap — see the `engine` module
+//! (active set + wakeup calendar + dedup bitmap — see the `engine` module
 //! docs), so sparsely active executions at `n = 10⁶` are cheap and idle
-//! stretches fast-forward in `O(log n)`. Idle rounds still count toward
-//! [`RunOutcome::rounds`]; they just cost no work.
+//! stretches fast-forward to the next queued event in one step. Idle
+//! rounds still count toward [`RunOutcome::rounds`]; they just cost no
+//! work.
 //!
 //! Execution is additionally **sharded-parallel** under [`Parallelism`]
 //! (the default `Auto` engages on large runs): each shard thread owns a

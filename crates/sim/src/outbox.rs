@@ -90,7 +90,7 @@ impl<M: Message> PortOutbox<M> {
 mod tests {
     use super::*;
     use crate::message::Signal;
-    use crate::protocol::{Knowledge, NodeSetup};
+    use crate::protocol::{Knowledge, NodeRng, NodeSetup};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -120,7 +120,7 @@ mod tests {
             round: 0,
             setup: &setup,
             first_activation: false,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,

@@ -7,10 +7,11 @@
 //! arriving on its ports. The [`Context`] enforces exactly this interface —
 //! protocols never touch the graph or other nodes.
 
+use crate::exec::node_rng;
 use crate::message::Message;
 use rand::rngs::StdRng;
 use rand::Rng;
-use ule_graph::{Id, Port};
+use ule_graph::{Id, NodeId, Port};
 
 /// Election status of a node: the paper's `status_u ∈ {⊥, elected,
 /// non-elected}`.
@@ -92,10 +93,38 @@ pub struct Context<'a, M> {
     pub(crate) round: u64,
     pub(crate) setup: &'a NodeSetup,
     pub(crate) first_activation: bool,
-    pub(crate) rng: &'a mut StdRng,
+    pub(crate) rng: NodeRng<'a>,
     pub(crate) outbox: &'a mut Vec<(Port, M)>,
     pub(crate) sent_on: &'a mut [bool],
     pub(crate) wake: &'a mut Option<u64>,
+}
+
+/// A node's private RNG as its [`Context`] holds it: the stream itself, or
+/// — on a lazy RNG column — what derives it, followed only on the first
+/// [`Context::rng`] call, so an activation that draws nothing costs no
+/// derivation.
+#[derive(Debug)]
+pub(crate) enum NodeRng<'a> {
+    /// The materialized stream, drawn from in place.
+    Dense(&'a mut StdRng),
+    /// Node `node`'s stream in a run seeded with `seed`; `slot` holds it
+    /// once derived.
+    Lazy {
+        seed: u64,
+        node: NodeId,
+        slot: Option<StdRng>,
+    },
+}
+
+impl NodeRng<'_> {
+    /// The state a lazy stream must persist: `Some` iff it was derived and
+    /// then drawn from (it no longer equals the pristine stream).
+    pub(crate) fn drawn(self) -> Option<StdRng> {
+        let NodeRng::Lazy { seed, node, slot } = self else {
+            return None;
+        };
+        slot.filter(|worked| *worked != node_rng(seed, node))
+    }
 }
 
 impl<'a, M: Message> Context<'a, M> {
@@ -169,14 +198,22 @@ impl<'a, M: Message> Context<'a, M> {
         self.first_activation
     }
 
-    /// This node's private coin flips.
+    /// This node's private coin flips: one deterministic stream per node
+    /// and run seed, continuing where the node's earlier draws left it.
+    /// Until some node draws, the stream is derived on the first call of an
+    /// activation, so activations that never call this pay nothing for it.
     pub fn rng(&mut self) -> &mut StdRng {
-        self.rng
+        match &mut self.rng {
+            NodeRng::Dense(rng) => rng,
+            NodeRng::Lazy { seed, node, slot } => {
+                slot.get_or_insert_with(|| node_rng(*seed, *node))
+            }
+        }
     }
 
     /// A fair coin.
     pub fn coin(&mut self) -> bool {
-        self.rng.gen::<bool>()
+        self.rng().gen::<bool>()
     }
 
     /// Sends `msg` through `port`, to arrive next round.
@@ -295,7 +332,7 @@ mod tests {
             round: 5,
             setup: &setup,
             first_activation: true,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,
@@ -318,7 +355,7 @@ mod tests {
             round: 0,
             setup: &setup,
             first_activation: false,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,
@@ -334,7 +371,7 @@ mod tests {
             round: 0,
             setup: &setup,
             first_activation: false,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,
@@ -352,7 +389,7 @@ mod tests {
             round: 0,
             setup: &setup,
             first_activation: false,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,
@@ -369,7 +406,7 @@ mod tests {
             round: 9,
             setup: &setup,
             first_activation: false,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,
@@ -384,7 +421,7 @@ mod tests {
             round: 0,
             setup: &setup,
             first_activation: false,
-            rng: &mut rng,
+            rng: NodeRng::Dense(&mut rng),
             outbox: &mut outbox,
             sent_on: &mut sent,
             wake: &mut wake,
@@ -393,5 +430,36 @@ mod tests {
         ctx.wake_at(50);
         ctx.wake_at(80);
         assert_eq!(wake, Some(50));
+    }
+
+    #[test]
+    fn a_lazy_stream_is_derived_on_first_use_and_persisted_only_after_a_draw() {
+        let (setup, _, mut outbox, mut sent, mut wake) = ctx_parts();
+        let pristine = node_rng(9, 4);
+        let mut activation = |draws: usize, calls: usize| {
+            let mut ctx = Context {
+                round: 0,
+                setup: &setup,
+                first_activation: false,
+                rng: NodeRng::Lazy {
+                    seed: 9,
+                    node: 4,
+                    slot: None,
+                },
+                outbox: &mut outbox,
+                sent_on: &mut sent,
+                wake: &mut wake,
+            };
+            for _ in 0..calls {
+                assert_eq!(ctx.rng().clone(), pristine, "derived, not drawn yet");
+            }
+            let flips: Vec<bool> = (0..draws).map(|_| ctx.coin()).collect();
+            (flips, ctx.rng.drawn())
+        };
+        assert_eq!(activation(0, 0), (vec![], None));
+        assert_eq!(activation(0, 2), (vec![], None), "a call is not a draw");
+        let mut twin = pristine.clone();
+        let want: Vec<bool> = (0..3).map(|_| twin.gen()).collect();
+        assert_eq!(activation(3, 1), (want, Some(twin)));
     }
 }
