@@ -168,9 +168,7 @@ impl<T> CalendarQueue<T> {
                 "overflow migration into a non-empty bucket (round {r})"
             );
             let old = std::mem::replace(&mut self.ring[idx], bucket);
-            if old.capacity() > 0 {
-                self.spare.push(old);
-            }
+            self.recycle(old);
         }
     }
 
@@ -189,10 +187,14 @@ impl<T> CalendarQueue<T> {
         bucket
     }
 
-    /// Returns a drained bucket's allocation to the spare pool.
+    /// Returns a drained bucket's allocation to the spare pool. The pool
+    /// never holds more buckets than the ring: a bucket beyond that (or one
+    /// that never allocated) is dropped.
     pub fn recycle(&mut self, mut bucket: Vec<T>) {
-        bucket.clear();
-        self.spare.push(bucket);
+        if bucket.capacity() > 0 && self.spare.len() < self.ring.len() {
+            bucket.clear();
+            self.spare.push(bucket);
+        }
     }
 
     /// The earliest round holding any item, or `None` when empty. Amortized
@@ -240,7 +242,8 @@ impl<T> CalendarQueue<T> {
     pub(crate) fn discard_first(&mut self) {
         if let Some(r) = self.next_event_round() {
             let bucket = if r - self.base <= self.mask {
-                std::mem::take(&mut self.ring[(r & self.mask) as usize])
+                let replacement = self.spare.pop().unwrap_or_default();
+                std::mem::replace(&mut self.ring[(r & self.mask) as usize], replacement)
             } else {
                 self.overflow.remove(&r).expect("the earliest round")
             };
@@ -375,6 +378,35 @@ mod tests {
         assert!(q.is_empty());
         q.discard_first();
         assert_eq!(q.peek_first(), None);
+    }
+
+    #[test]
+    fn spare_pool_stays_within_the_ring_across_discards_on_both_tiers() {
+        let h = 8u64;
+        let mut q: CalendarQueue<u32> = CalendarQueue::with_horizon(h as usize);
+        for round in 0..1_000u64 {
+            q.push(round, 1); // ring tier
+            q.push(round + 3 * h, 2); // overflow tier
+            q.discard_first();
+            assert!(
+                q.spare.len() <= h as usize,
+                "round {round}: {}",
+                q.spare.len()
+            );
+        }
+        // Every ring bucket and overflow round is drained the other way
+        // too: migrated into the ring, then taken and recycled.
+        while let Some(r) = q.next_event_round() {
+            let bucket = q.take_at(r);
+            q.recycle(bucket);
+            q.discard_first();
+            assert!(
+                q.spare.len() <= h as usize,
+                "take at {r}: {}",
+                q.spare.len()
+            );
+        }
+        assert!(q.is_empty());
     }
 
     #[test]

@@ -169,7 +169,7 @@
 use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StepScratch,
+    init_store, step_node, Bitmap, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StepScratch,
     Termination,
 };
 use crate::message::Message;
@@ -181,49 +181,6 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::{Scope, ScopedJoinHandle};
 use ule_graph::{NodeId, Topology};
-
-/// One bit per node of a range: the started flags, and the dedup flags of
-/// the active list — which, read in word order, is also that list sorted.
-struct Bitmap {
-    words: Vec<u64>,
-}
-
-impl Bitmap {
-    fn new(n: usize) -> Self {
-        Bitmap {
-            words: vec![0u64; n.div_ceil(64)],
-        }
-    }
-
-    #[inline]
-    fn get(&self, i: usize) -> bool {
-        (self.words[i / 64] >> (i % 64)) & 1 == 1
-    }
-
-    /// Sets bit `i`; true iff it was clear.
-    #[inline]
-    fn set(&mut self, i: usize) -> bool {
-        let fresh = !self.get(i);
-        self.words[i / 64] |= 1 << (i % 64);
-        fresh
-    }
-
-    #[inline]
-    fn clear(&mut self, i: usize) {
-        self.words[i / 64] &= !(1 << (i % 64));
-    }
-
-    /// Appends the set bits to `out`, ascending: one pass over the words.
-    fn ones(&self, out: &mut Vec<usize>) {
-        for (w, &word) in self.words.iter().enumerate() {
-            let mut bits = word;
-            while bits != 0 {
-                out.push(w * 64 + bits.trailing_zeros() as usize);
-                bits &= bits - 1;
-            }
-        }
-    }
-}
 
 /// Which shard owns a node. Ranges are cut at multiples of `1 << shift`,
 /// so the owner is one load from a table of at most 1024 entries — every

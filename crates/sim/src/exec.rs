@@ -613,6 +613,50 @@ impl<M> Default for StepScratch<M> {
     }
 }
 
+/// One bit per node of a range: the engine's started flags and the dedup
+/// flags of its active list — which, read in word order, is also that list
+/// sorted — and the async workers' started and list flags.
+pub(crate) struct Bitmap {
+    words: Vec<u64>,
+}
+
+impl Bitmap {
+    pub(crate) fn new(n: usize) -> Self {
+        Bitmap {
+            words: vec![0u64; n.div_ceil(64)],
+        }
+    }
+
+    #[inline]
+    pub(crate) fn get(&self, i: usize) -> bool {
+        (self.words[i / 64] >> (i % 64)) & 1 == 1
+    }
+
+    /// Sets bit `i`; true iff it was clear.
+    #[inline]
+    pub(crate) fn set(&mut self, i: usize) -> bool {
+        let fresh = !self.get(i);
+        self.words[i / 64] |= 1 << (i % 64);
+        fresh
+    }
+
+    #[inline]
+    pub(crate) fn clear(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    /// Appends the set bits to `out`, ascending: one pass over the words.
+    pub(crate) fn ones(&self, out: &mut Vec<usize>) {
+        for (w, &word) in self.words.iter().enumerate() {
+            let mut bits = word;
+            while bits != 0 {
+                out.push(w * 64 + bits.trailing_zeros() as usize);
+                bits &= bits - 1;
+            }
+        }
+    }
+}
+
 /// What one activation changed, beyond the sends (which went to the
 /// caller's `send`): the scheduling facts a runtime must react to.
 pub(crate) struct StepEffects {

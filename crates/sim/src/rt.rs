@@ -14,8 +14,8 @@
 //!
 //! This is a conservative parallel discrete-event simulation in the
 //! Chandy–Misra tradition, with the engine's round numbers as virtual
-//! time. Each node tracks a per-port **clock**: one past the latest *send*
-//! round it has seen on that port (per-edge FIFO delivery — enforced by
+//! time. Each in-port has a **clock**: one past the latest *send*
+//! round seen on it (per-edge FIFO delivery — enforced by
 //! the frame gates — makes that a lower bound on anything still in
 //! flight, because a sender's send rounds strictly increase, so every
 //! later frame on the port is delivered after its own send round). A node
@@ -40,12 +40,42 @@
 //! stronger than "message totals within tolerance": agreement validates
 //! the simulator's accounting against real concurrent execution.
 //!
+//! # Scheduling cost
+//!
+//! A worker does work per event, not per node. Its in-port clocks and
+//! frame gate are flat columns over its in-port slots, and four
+//! structures decide who is looked at:
+//!
+//! * the **ready** list (a stack with a dedup bit per node) holds the
+//!   nodes that may have become executable: a frame landed on them,
+//!   they were released by an advance, or they are the round-0 wakeups.
+//!   A popped node runs for as long as it is executable;
+//! * the **waiting** list holds, once each, the nodes that ended their
+//!   turn with deliveries still pending;
+//! * the **wake calendar** (a [`CalendarQueue`] keyed by round, as the
+//!   engine's) holds one entry per standing timer, pushed when the timer
+//!   is armed; an entry is genuine iff the node's timer still names its
+//!   round;
+//! * the **floor** is the last advance: no frame due at or below it is in
+//!   flight anywhere, so it raises every clock without writing one.
+//!
+//! An advance to `r*` sets the floor, moves `waiting` onto `ready`, drops
+//! the calendar's rounds below `r*` (none is genuine: `r*` is the global
+//! minimum) and readies the genuine entries of round `r*`. A blocking
+//! worker's earliest event is its first genuine wakeup or the earliest
+//! delivery of a node on `waiting` or `ready` — every node with a
+//! delivery pending is on one of them (`ready` is empty when a live
+//! worker blocks; in a [`replay`] it holds every node that ever had
+//! one). A barrier therefore costs O(woken) instead of the O(n · deg)
+//! of sweeping every node and writing every clock, and an activation
+//! allocates no frame: the header is a fixed `[u64; 4]`.
+//!
 //! # One accounting path, no sequential bottleneck
 //!
 //! This module owns *how a staged send travels* and *when a node steps*;
 //! what a send costs and what becomes of it is [`crate::exec`]'s. The
 //! `send` closure a worker hands `step_node` is the whole transport:
-//! account, stamp a [`Frame`] on the link, then queue the delivery on the
+//! account, stamp a [`Frame`] on the link, then land the delivery on the
 //! destination's pending list — a plain per-node `Vec`, sorted into inbox
 //! order when the node takes what is due — or ship it over the owning
 //! worker's channel. Each
@@ -63,8 +93,9 @@
 //! crash round are discarded at the sender.
 //!
 //! What stays here is what only this runtime has: the delivery trace and
-//! its [`replay`]; `round_totals`, rebuilt from per-worker active-round
-//! sets because there is no global round loop to push them from; and
+//! its [`replay`]; `round_totals`, rebuilt from per-worker send tallies
+//! of the active rounds because there is no global round loop to push
+//! them from; and
 //! watch-edge accounting, whose `messages_before` field *is* a
 //! global-interleaving quantity and is reconstructed post-hoc from the
 //! trace: events sorted by `(round, node)` are the engine's execution
@@ -83,15 +114,16 @@
 //! byte.
 
 use crate::adversary::SendView;
+use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, LedgerPart, RunCtx, RunFacts, RunOutcome, StagedSend, StepScratch,
-    StoreSliceMut, Termination, WatchHit,
+    init_store, step_node, Bitmap, LedgerPart, RunCtx, RunFacts, RunOutcome, StagedSend,
+    StepScratch, StoreSliceMut, Termination, WatchHit,
 };
 use crate::protocol::{NodeSetup, Protocol, Status};
 use crate::transport::{Frame, LinkGate, LinkSeq};
 use rand::rngs::StdRng;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 use ule_graph::{NodeId, Port, Topology};
@@ -435,11 +467,12 @@ enum Packet<M> {
     Payload {
         dest: NodeId,
         port: Port,
-        frame: Frame,
+        frame: Frame<Header>,
         msg: M,
     },
     /// Arbiter broadcast: no frame below round `upto` is outstanding
-    /// anywhere — every in-port clock may advance to it.
+    /// anywhere — every in-port clock may advance to it (the worker's
+    /// floor).
     Advance { upto: u64 },
     /// Arbiter broadcast: the run is over.
     Stop,
@@ -500,51 +533,100 @@ fn verdict(r_star: u64, last_exec: Option<u64>, cap: u64) -> Option<(Termination
 /// deliveries into the engine's inbox order.
 type Due<M> = (u64, u64, NodeId, u64, Port, M);
 
-/// Per-node runtime state beyond the [`crate::exec::NodeStore`] entry.
-struct NodeRt<M> {
-    /// Deliveries not yet consumed, in arrival order. A plain `Vec`: a
-    /// port carries one send per round and every send is due within
-    /// `max_delay + 1` rounds, so it holds about `degree × (max_delay + 1)`
-    /// entries at most, and an activation sorts what it takes anyway.
-    pending: Vec<Due<M>>,
-    /// Per in-port clock: no delivery at or below this round is still in
-    /// flight on that port.
-    in_clock: Vec<u64>,
-    /// Frame-sequence gate over the in-ports.
-    gate: LinkGate,
-    /// Whether the node has ever been activated.
-    started: bool,
+/// The wire header of a delivery: `[send round, delivery round, sender,
+/// emission index]`, inline in its [`Frame`].
+type Header = [u64; 4];
+
+/// A stack of node offsets, each on it at most once (one dedup bit per
+/// node of the range).
+struct NodeList {
+    stack: Vec<usize>,
+    on: Bitmap,
 }
 
-impl<M> NodeRt<M> {
-    fn new(degree: usize) -> Self {
-        NodeRt {
-            pending: Vec::new(),
-            in_clock: vec![0; degree],
-            gate: LinkGate::new(degree),
-            started: false,
+impl NodeList {
+    fn new(len: usize) -> Self {
+        NodeList {
+            stack: Vec::new(),
+            on: Bitmap::new(len),
         }
+    }
+
+    fn push(&mut self, i: usize) {
+        if self.on.set(i) {
+            self.stack.push(i);
+        }
+    }
+
+    fn pop(&mut self) -> Option<usize> {
+        let i = self.stack.pop()?;
+        self.on.clear(i);
+        Some(i)
     }
 }
 
-/// Gates, decodes and queues one frame at its destination.
-///
-/// The port clock advances to `send round + 1`, not to the delivery
-/// round: per-directed-edge send rounds strictly increase (a node sends
-/// at most once per port per round), so after a frame sent at round `s`
-/// arrives, nothing still in flight on this port can be due at or before
-/// `s + 1` — even when a delay adversary scatters delivery rounds out of
-/// order.
-fn deliver_frame<M>(dest: &mut NodeRt<M>, port: Port, frame: &Frame, msg: M) {
-    let words = dest.gate.accept(port, frame);
-    debug_assert_eq!(
-        words.len(),
-        4,
-        "delivery frame carries [send round, deliver at, src, emit]"
-    );
-    let (send_round, at, src, emit) = (words[0], words[1], words[2] as NodeId, words[3]);
-    dest.in_clock[port] = dest.in_clock[port].max(send_round + 1);
-    dest.pending.push((at, send_round, src, emit, port, msg));
+/// Where frames land in a worker: the owned nodes' queued deliveries, the
+/// in-port clocks and the frame gate — flat columns over the worker's
+/// in-port slots — and the ready list a landing frame puts its
+/// destination on. In-port `(dest, port)` is slot `directed_index(dest,
+/// port) − first`: directed indices are degree prefix sums, so the
+/// reverse edges of the owned nodes' in-ports are exactly the worker's
+/// own out-edge range.
+struct Inbox<M> {
+    /// The first owned node.
+    lo: NodeId,
+    /// The directed index of slot 0 (the ledger part's `edges.start`).
+    first: usize,
+    /// Per owned node: deliveries not yet consumed, in arrival order. A
+    /// plain `Vec`: a port carries one send per round and every send is
+    /// due within `max_delay + 1` rounds, so it holds about `degree ×
+    /// (max_delay + 1)` entries at most, and an activation sorts what it
+    /// takes anyway.
+    pending: Vec<Vec<Due<M>>>,
+    /// Per in-port slot: one past the latest send round seen on it.
+    clock: Vec<u64>,
+    gate: LinkGate,
+    /// Nodes to look at: a frame landed on them, or an `Advance` may
+    /// have released them.
+    ready: NodeList,
+}
+
+impl<M> Inbox<M> {
+    /// The in-port slots of node `v`.
+    fn slots<T: Topology>(&self, topo: &T, v: NodeId) -> std::ops::Range<usize> {
+        match topo.degree(v) {
+            0 => 0..0,
+            d => {
+                let s = topo.directed_index(v, 0) - self.first;
+                s..s + d
+            }
+        }
+    }
+
+    /// Gates, decodes and queues one frame at its destination, and readies
+    /// the destination.
+    ///
+    /// The port clock advances to `send round + 1`, not to the delivery
+    /// round: per-directed-edge send rounds strictly increase (a node sends
+    /// at most once per port per round), so after a frame sent at round `s`
+    /// arrives, nothing still in flight on this port can be due at or
+    /// before `s + 1` — even when a delay adversary scatters delivery
+    /// rounds out of order.
+    fn land<T: Topology>(
+        &mut self,
+        topo: &T,
+        dest: NodeId,
+        port: Port,
+        frame: &Frame<Header>,
+        msg: M,
+    ) {
+        let slot = topo.directed_index(dest, port) - self.first;
+        let &[send_round, at, src, emit] = self.gate.accept(slot, frame);
+        self.clock[slot] = self.clock[slot].max(send_round + 1);
+        let i = dest - self.lo;
+        self.pending[i].push((at, send_round, src as NodeId, emit, port, msg));
+        self.ready.push(i);
+    }
 }
 
 /// What a worker keeps beside its [`LedgerPart`]: the transport state of
@@ -554,11 +636,14 @@ struct WorkerStats {
     /// Outgoing link sequencers of the owned directed-edge range (indexed
     /// relative to the part's `edges.start`).
     link_seq: Vec<LinkSeq>,
-    /// Messages sent per round (for the cumulative `round_totals`); lost
-    /// sends count, exactly as in the ledger.
+    /// Messages sent per round in which any owned node ran — the keys are
+    /// the active rounds of the cumulative `round_totals`; lost sends
+    /// count, exactly as in the ledger.
     sends_per_round: BTreeMap<u64, u64>,
-    /// Rounds in which any owned node ran (the active rounds).
-    executed: BTreeSet<u64>,
+    /// The run of same-round activations in progress, `(round, sends)`:
+    /// folded into `sends_per_round` when another round starts (and by
+    /// `assemble`), so the map is touched once per run, not per activation.
+    run: Option<(u64, u64)>,
     last_status_change: Option<u64>,
     last_exec: Option<u64>,
     events: Vec<TraceEvent>,
@@ -569,26 +654,49 @@ impl WorkerStats {
         WorkerStats {
             link_seq: (0..edges).map(|_| LinkSeq::new()).collect(),
             sends_per_round: BTreeMap::new(),
-            executed: BTreeSet::new(),
+            run: None,
             last_status_change: None,
             last_exec: None,
             events: Vec::new(),
         }
     }
+
+    /// Counts an activation at `round` that sent `sends` messages.
+    fn tally(&mut self, round: u64, sends: u64) {
+        match &mut self.run {
+            Some((r, c)) if *r == round => *c += sends,
+            run => {
+                if let Some((r, c)) = run.replace((round, sends)) {
+                    *self.sends_per_round.entry(r).or_insert(0) += c;
+                }
+            }
+        }
+        self.last_exec = self.last_exec.max(Some(round));
+    }
 }
 
-/// One pool worker: owns the contiguous node range starting at `lo` (one
-/// [`NodeRt`] per owned node).
+/// One pool worker: owns the contiguous node range starting at
+/// `inbox.lo` and schedules it from events (see the module docs).
 struct Worker<'env, T: Topology, P: Protocol> {
     w: usize,
-    lo: NodeId,
     chunk: usize,
     cap: u64,
     record_trace: bool,
     rc: RunCtx<'env, T>,
     facts: &'env RunFacts,
     store: StoreSliceMut<'env, P>,
-    rt: Vec<NodeRt<P::Msg>>,
+    inbox: Inbox<P::Msg>,
+    /// Nodes that ended their turn with deliveries still pending: the
+    /// next `Advance` readies them again.
+    waiting: NodeList,
+    /// Pending wakeups: offsets into the range, queued under their round.
+    /// An entry is genuine iff `store.wake[offset]` still names its round
+    /// (a re-armed timer leaves the superseded entry behind).
+    wakes: CalendarQueue<u32>,
+    /// The last `Advance`: no frame due at or below it is in flight
+    /// anywhere, so it raises every in-port clock without writing one.
+    floor: u64,
+    started: Bitmap,
     part: &'env mut LedgerPart,
     stats: &'env mut WorkerStats,
     senders: Vec<Sender<Packet<P::Msg>>>,
@@ -600,7 +708,8 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     /// Worker `w` of a pool cut into `chunk`-node ranges: owns the nodes of
     /// `store` (the `w`-th range) and keeps the books `book` (the part
     /// over those nodes' out-edges). The one constructor behind a live
-    /// pool and a replay.
+    /// pool and a replay. The spontaneous round-0 wakeups (armed as
+    /// `wake == 0` by the run set-up) start on the ready list.
     #[allow(clippy::too_many_arguments)] // the pool's shared state, then what this worker alone owns
     fn new(
         graph: &'env T,
@@ -613,18 +722,30 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         (part, stats): &'env mut (LedgerPart, WorkerStats),
         senders: Vec<Sender<Packet<P::Msg>>>,
     ) -> Self {
-        let lo = w * chunk;
+        let len = store.wake.len();
+        let mut ready = NodeList::new(len);
+        for i in (0..len).rev().filter(|&i| store.wake[i] == 0) {
+            ready.push(i);
+        }
         Worker {
             w,
-            lo,
             chunk,
             cap: config.max_rounds,
             record_trace,
             rc: RunCtx::new(graph, config),
             facts,
-            rt: (lo..lo + store.wake.len())
-                .map(|v| NodeRt::new(graph.degree(v)))
-                .collect(),
+            inbox: Inbox {
+                lo: w * chunk,
+                first: part.edges.start,
+                pending: (0..len).map(|_| Vec::new()).collect(),
+                clock: vec![0; part.edges.len()],
+                gate: LinkGate::new(part.edges.len()),
+                ready,
+            },
+            waiting: NodeList::new(len),
+            wakes: CalendarQueue::new(),
+            floor: 0,
+            started: Bitmap::new(len),
             store,
             part,
             stats,
@@ -649,43 +770,32 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
 
     fn drive(&mut self, rx: &Receiver<Packet<P::Msg>>) {
         loop {
-            // Drain the channel without blocking.
-            let mut got = false;
-            loop {
-                match rx.try_recv() {
-                    Ok(pkt) => {
-                        got = true;
-                        if self.handle(pkt) {
-                            return;
-                        }
-                    }
-                    Err(TryRecvError::Empty) => break,
-                    Err(TryRecvError::Disconnected) => return,
-                }
+            while let Some(i) = self.inbox.ready.pop() {
+                self.turn(i);
             }
-            // Execute everything executable; local deliveries can unlock
-            // earlier nodes, so sweep until a full pass does nothing.
-            let mut ran = false;
-            loop {
-                let mut pass = false;
-                for i in 0..self.rt.len() {
-                    while let Some(e) = self.executable(i) {
-                        self.execute(i, e);
-                        pass = true;
-                    }
-                }
-                if !pass {
-                    break;
-                }
-                ran = true;
-            }
-            if got || ran {
-                continue;
-            }
-            // Nothing to do: report, maybe arbitrate, then block.
-            if self.block(rx) {
+            let pkt = match rx.try_recv() {
+                Ok(pkt) => pkt,
+                Err(TryRecvError::Empty) => match self.block(rx) {
+                    Some(pkt) => pkt,
+                    None => return,
+                },
+                Err(TryRecvError::Disconnected) => return,
+            };
+            if self.handle(pkt) {
                 return;
             }
+        }
+    }
+
+    /// Runs node `lo + i` for as long as it is executable — its next event
+    /// may already have complete inputs — then parks it on `waiting` if
+    /// it still has deliveries pending.
+    fn turn(&mut self, i: usize) {
+        while let Some(e) = self.executable(i) {
+            self.execute(i, e);
+        }
+        if !self.inbox.pending[i].is_empty() {
+            self.waiting.push(i);
         }
     }
 
@@ -693,70 +803,80 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     /// (`NO_WAKE == u64::MAX` meaning none) or its earliest queued
     /// delivery.
     fn next_event(&self, i: usize) -> u64 {
-        let delivery = self.rt[i].pending.iter().map(|d| d.0).min();
+        let delivery = self.inbox.pending[i].iter().map(|d| d.0).min();
         self.store.wake[i].min(delivery.unwrap_or(u64::MAX))
     }
 
-    /// The earliest pending event over every owned node.
-    fn earliest_event(&self) -> u64 {
-        (0..self.rt.len())
-            .map(|i| self.next_event(i))
-            .min()
-            .unwrap_or(u64::MAX)
+    /// The earliest pending event of this worker: the first genuine
+    /// wakeup, or a delivery of a node on `waiting` or `ready` — every
+    /// node with deliveries pending is on one of them. Superseded wakeup
+    /// rounds met on the way are dropped (without moving the calendar's
+    /// window).
+    fn earliest_event(&mut self) -> u64 {
+        let mut earliest = u64::MAX;
+        while let Some((w, due)) = self.wakes.peek_first() {
+            if due.iter().any(|&i| self.store.wake[i as usize] == w) {
+                earliest = w;
+                break;
+            }
+            self.wakes.discard_first();
+        }
+        let listed = self.waiting.stack.iter().chain(&self.inbox.ready.stack);
+        listed.fold(earliest, |m, &i| m.min(self.next_event(i)))
     }
 
     /// The round node `lo + i` can execute now, if any: its next event,
-    /// provided every in-port clock has reached it and it is below the
-    /// round cap.
+    /// provided it is below the round cap and no earlier input can still
+    /// arrive — the floor or every in-port clock has reached it.
     fn executable(&self, i: usize) -> Option<u64> {
         let e = self.next_event(i);
-        (e < self.cap && self.rt[i].in_clock.iter().all(|&c| c >= e)).then_some(e)
+        let slots = self.inbox.slots(self.rc.topo, self.inbox.lo + i);
+        let complete = e <= self.floor || self.inbox.clock[slots].iter().all(|&c| c >= e);
+        (e < self.cap && complete).then_some(e)
     }
 
     /// Executes node `lo + i` at round `e` — the one activation sequence
     /// of this runtime, live or replayed.
     fn execute(&mut self, i: usize, e: u64) {
-        let v = self.lo + i;
+        let (lo, topo) = (self.inbox.lo, self.rc.topo);
+        let v = lo + i;
         debug_assert!(
             !self.facts.crash_round(v).is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
-        let node = &mut self.rt[i];
+        let pending = &mut self.inbox.pending[i];
         // Everything due at `e` (nothing pending is due earlier), in the
         // engine's inbox order — the global send order: ascending send
         // round, then sender, then the sender's emission order.
-        node.pending.sort_unstable_by_key(|d| (d.0, d.1, d.2, d.3));
-        let due = node.pending.partition_point(|d| d.0 <= e);
+        pending.sort_unstable_by_key(|d| (d.0, d.1, d.2, d.3));
+        let due = pending.partition_point(|d| d.0 <= e);
         let mut delivered = Vec::new();
         self.scratch.inbox.clear();
-        for (_, _, src, emit, port, msg) in node.pending.drain(..due) {
+        for (_, _, src, emit, port, msg) in pending.drain(..due) {
             if self.record_trace {
                 delivered.push((port, src, emit));
             }
             self.scratch.inbox.push((port, msg));
         }
-        let first = !std::mem::replace(&mut node.started, true);
+        let first = self.started.set(i);
         // Sends so far in this activation (the next emission index) and
         // their `(directed-edge index, frame seq)` log — lost sends
         // included (the fate derivation recovers them).
         let mut sends = 0u64;
         let mut sent = Vec::new();
-        // The closure borrows the books, the link sequencers and the
-        // peers' queues; `step_node` holds the store and the scratch.
+        // The closure borrows the books, the link sequencers, this
+        // worker's inbox and the peers' queues; `step_node` holds the
+        // store and the scratch.
         let send = |s: StagedSend<P::Msg>| {
             let emit = sends;
             sends += 1;
             let fate = self.part.account(self.facts, e, &s);
             // Every send consumes its link's next sequence number — lost
-            // ones too (an empty frame that never ships), so the
-            // receiving gate sees a gap, never a regression. The number
-            // equals the per-edge send index the part just fed the fate
-            // stream.
-            let words = match fate {
-                Some(at) => vec![e, at, s.src as u64, emit],
-                None => Vec::new(),
-            };
-            let frame = self.stats.link_seq[s.didx - self.part.edges.start].stamp(words);
+            // ones too (a frame that never ships), so the receiving gate
+            // sees a gap, never a regression. The number equals the
+            // per-edge send index the part just fed the fate stream.
+            let header = [e, fate.unwrap_or(u64::MAX), s.src as u64, emit];
+            let frame = self.stats.link_seq[s.didx - self.part.edges.start].stamp(header);
             if self.record_trace {
                 sent.push((s.didx, frame.seq));
             }
@@ -765,10 +885,10 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             }
             // `dest - lo` indexes the owned range; a destination below
             // `lo` wraps past its end, like one above it.
-            if let Some(local) = self.rt.get_mut(s.dest.wrapping_sub(self.lo)) {
-                // The destination shares this worker: queue it directly —
+            if s.dest.wrapping_sub(lo) < self.inbox.pending.len() {
+                // The destination shares this worker: land it directly —
                 // through the same gate the channel path uses.
-                deliver_frame(local, s.dest_port, &frame, s.msg);
+                self.inbox.land(topo, s.dest, s.dest_port, &frame, s.msg);
             } else {
                 lock(self.coord).in_flight += 1;
                 self.senders[s.dest / self.chunk]
@@ -791,13 +911,15 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             &mut self.scratch,
             send,
         );
+        // A standing re-armed timer gets a wakeup entry (the superseded
+        // one, if any, stays queued), as on the engine.
         if let Some(w) = effects.rearmed {
-            self.part.rearm(self.facts, v, w, &mut self.store.wake[i]);
+            if self.part.rearm(self.facts, v, w, &mut self.store.wake[i]) {
+                self.wakes.push(w, i as u32);
+            }
         }
         let stats = &mut *self.stats;
-        stats.executed.insert(e);
-        *stats.sends_per_round.entry(e).or_insert(0) += sends;
-        stats.last_exec = stats.last_exec.max(Some(e));
+        stats.tally(e, sends);
         if effects.status_changed {
             stats.last_status_change = stats.last_status_change.max(Some(e));
         }
@@ -812,9 +934,9 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     }
 
     /// Reports this worker idle and blocks on the channel; the last
-    /// worker to block (with nothing in flight) arbitrates. Returns true
-    /// when the run is over.
-    fn block(&mut self, rx: &Receiver<Packet<P::Msg>>) -> bool {
+    /// worker to block (with nothing in flight) arbitrates. Returns the
+    /// packet that woke it, or `None` when every channel closed.
+    fn block(&mut self, rx: &Receiver<Packet<P::Msg>>) -> Option<Packet<P::Msg>> {
         let earliest = self.earliest_event();
         {
             let mut c = lock(self.coord);
@@ -836,13 +958,9 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
                 }
             }
         }
-        match rx.recv() {
-            Ok(pkt) => {
-                lock(self.coord).blocked -= 1;
-                self.handle(pkt)
-            }
-            Err(_) => true,
-        }
+        let pkt = rx.recv().ok()?;
+        lock(self.coord).blocked -= 1;
+        Some(pkt)
     }
 
     /// Processes one packet; returns true on Stop.
@@ -853,13 +971,25 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
                 port,
                 frame,
                 msg,
-            } => deliver_frame(&mut self.rt[dest - self.lo], port, &frame, msg),
+            } => self.inbox.land(self.rc.topo, dest, port, &frame, msg),
             Packet::Advance { upto } => {
-                for node in self.rt.iter_mut() {
-                    for clock in node.in_clock.iter_mut() {
-                        *clock = (*clock).max(upto);
+                // `upto` is the global minimum event: what it releases is
+                // a parked node or a wakeup due at it — and no wakeup
+                // below it is genuine.
+                self.floor = upto;
+                while let Some(i) = self.waiting.pop() {
+                    self.inbox.ready.push(i);
+                }
+                while self.wakes.next_event_round().is_some_and(|r| r < upto) {
+                    self.wakes.discard_first();
+                }
+                let due = self.wakes.take_at(upto);
+                for &i in &due {
+                    if self.store.wake[i as usize] == upto {
+                        self.inbox.ready.push(i as usize);
                     }
                 }
+                self.wakes.recycle(due);
             }
             Packet::Stop => return true,
         }
@@ -885,25 +1015,23 @@ fn assemble<T: Topology>(
 ) -> AsyncRun {
     let mut merged = LedgerPart::new(facts, 0..0);
     let mut sends_per_round: BTreeMap<u64, u64> = BTreeMap::new();
-    let mut executed: BTreeSet<u64> = BTreeSet::new();
     let mut last_status_change: Option<u64> = None;
     let mut last_exec: Option<u64> = None;
     let mut events: Vec<TraceEvent> = Vec::new();
     for (part, st) in books {
         merged.merge(part);
-        for (r, c) in st.sends_per_round {
+        for (r, c) in st.sends_per_round.into_iter().chain(st.run) {
             *sends_per_round.entry(r).or_insert(0) += c;
         }
-        executed.extend(st.executed);
         last_status_change = last_status_change.max(st.last_status_change);
         last_exec = last_exec.max(st.last_exec);
         events.extend(st.events);
     }
     let mut cumulative = 0u64;
-    let round_totals: Vec<(u64, u64)> = executed
+    let round_totals: Vec<(u64, u64)> = sends_per_round
         .into_iter()
-        .map(|r| {
-            cumulative += sends_per_round.get(&r).copied().unwrap_or(0);
+        .map(|(r, c)| {
+            cumulative += c;
             (r, cumulative)
         })
         .collect();
@@ -1218,6 +1346,149 @@ mod tests {
             fired: false,
         });
         assert_eq!(a.outcome, reference);
+    }
+
+    /// A scripted node for the scheduler's edge cases: at every activation
+    /// it signals on its `talk` ports and arms the next of its `timers` (in
+    /// list order; a timer already past is skipped), and it turns
+    /// `NonLeader` once it hears anything.
+    struct Script {
+        talk: Vec<Port>,
+        timers: Vec<u64>,
+        armed: usize,
+        heard: bool,
+    }
+    impl Protocol for Script {
+        type Msg = Signal;
+        fn on_round(&mut self, ctx: &mut Context<'_, Signal>, inbox: &[(usize, Signal)]) {
+            for &p in &self.talk {
+                ctx.send(p, Signal);
+            }
+            if let Some(&t) = self.timers.get(self.armed) {
+                self.armed += 1;
+                if t > ctx.round() {
+                    ctx.wake_at(t);
+                }
+            }
+            self.heard |= !inbox.is_empty();
+        }
+        fn status(&self) -> Status {
+            if self.heard {
+                Status::NonLeader
+            } else {
+                Status::Undecided
+            }
+        }
+    }
+
+    fn script(talk: &[Port], timers: &[u64]) -> Script {
+        Script {
+            talk: talk.to_vec(),
+            timers: timers.to_vec(),
+            armed: 0,
+            heard: false,
+        }
+    }
+
+    /// Runs `scripts` (one per node) at 1, 2, 3 and 7 workers, checks each
+    /// outcome against the engine's and each trace's replay, and returns
+    /// the engine's outcome.
+    fn conform(g: &ule_graph::Graph, c: &SimConfig, scripts: &[(&[Port], &[u64])]) -> RunOutcome {
+        let make = |v: NodeId, _: &NodeSetup, _: &mut StdRng| script(scripts[v].0, scripts[v].1);
+        let reference = run(g, c, make);
+        for workers in [1, 2, 3, 7] {
+            let a = AsyncRuntime::new().with_workers(workers).run(g, c, make);
+            assert_eq!(a.outcome, reference, "workers = {workers}");
+            assert_eq!(replay(g, c, make, &a.trace), a, "workers = {workers}");
+        }
+        reference
+    }
+
+    /// Node 0 alone wakes and signals node 1, whose other in-port (from
+    /// node 2) stays silent forever: no clock ever reaches round 1, so
+    /// only the arbiter's `Advance` — the floor — can release the parked
+    /// delivery.
+    fn silent_port_config() -> (ule_graph::Graph, SimConfig) {
+        let g = gen::path(3).unwrap();
+        let c = SimConfig::seeded(0)
+            .with_wakeup(Wakeup::Adversarial(vec![0]))
+            .with_max_rounds(100);
+        (g, c)
+    }
+
+    #[test]
+    fn a_delivery_behind_a_silent_in_port_is_released_by_the_floor() {
+        let (g, c) = silent_port_config();
+        let out = conform(&g, &c, &[(&[0], &[]), (&[], &[]), (&[], &[])]);
+        assert_eq!(out.round_totals, vec![(0, 1), (1, 1)]);
+        assert_eq!(
+            out.statuses,
+            vec![Status::Undecided, Status::NonLeader, Status::Undecided]
+        );
+        assert_eq!((out.rounds, out.termination), (2, Termination::Quiescent));
+    }
+
+    #[test]
+    fn a_timer_blocked_on_a_silent_in_port_is_released_by_its_wake_bucket() {
+        // Node 1's only event is its timer at round 5; both in-ports stay
+        // silent, one from another worker at 2 workers and up (ranges
+        // {0, 1} | {2}, then one node each).
+        let g = gen::path(3).unwrap();
+        let c = SimConfig::seeded(0).with_max_rounds(100);
+        let out = conform(&g, &c, &[(&[], &[]), (&[], &[5]), (&[], &[])]);
+        assert_eq!(out.round_totals, vec![(0, 0), (5, 0)]);
+        assert_eq!((out.rounds, out.messages), (6, 0));
+    }
+
+    #[test]
+    fn deliveries_parked_for_several_future_rounds_conform() {
+        // Node 0 signals node 1 in rounds 0 ..= 4 under delays of up to 8
+        // rounds. The fates land all five late, at rounds 6, 9, 9, 12 and
+        // 12: node 1's in-port from node 2 stays silent, so it stays
+        // parked from round 1 to 12 with deliveries due in several future
+        // rounds, each released by its own `Advance`.
+        let (g, c) = silent_port_config();
+        let c = c.with_adversary(Adversary::BoundedDelay { max_delay: 8 });
+        let out = conform(&g, &c, &[(&[0], &[1, 2, 3, 4]), (&[], &[]), (&[], &[])]);
+        assert_eq!(out.late_deliveries, vec![(6, 1), (9, 2), (12, 2)]);
+        let totals = [
+            (0, 1),
+            (1, 2),
+            (2, 3),
+            (3, 4),
+            (4, 5),
+            (6, 5),
+            (9, 5),
+            (12, 5),
+        ];
+        assert_eq!(out.round_totals, totals.to_vec());
+        assert_eq!((out.rounds, out.messages), (13, 5));
+    }
+
+    #[test]
+    fn a_lowered_then_raised_timer_leaves_only_superseded_entries_behind() {
+        // Node 1 arms round 20 at round 0, lowers it to 6 when node 0's
+        // signal lands at round 1, and arms 30 when it fires at 6: the
+        // entry for 20 is superseded and must neither run node 1 nor hide
+        // its timer at 30.
+        let g = gen::path(2).unwrap();
+        let c = SimConfig::seeded(0).with_max_rounds(100);
+        let out = conform(&g, &c, &[(&[0], &[]), (&[], &[20, 6, 30])]);
+        assert_eq!(out.round_totals, vec![(0, 1), (1, 1), (6, 1), (30, 1)]);
+        assert_eq!((out.rounds, out.termination), (31, Termination::Quiescent));
+    }
+
+    #[test]
+    #[should_panic(expected = "trace ended with an executable event at round 1")]
+    fn a_replay_of_a_truncated_trace_panics() {
+        // The last event is node 1's delivery-only activation at round 1:
+        // without it, the pending delivery must still be found.
+        let (g, c) = silent_port_config();
+        let scripts: [(&[Port], &[u64]); 3] = [(&[0], &[]), (&[], &[]), (&[], &[])];
+        let make = |v: NodeId, _: &NodeSetup, _: &mut StdRng| script(scripts[v].0, scripts[v].1);
+        let mut trace = AsyncRuntime::new().run(&g, &c, make).trace;
+        assert_eq!(trace.events.pop().map(|e| (e.round, e.node)), Some((1, 1)));
+        replay(&g, &c, make, &trace);
     }
 
     #[test]

@@ -9,14 +9,20 @@
 use ule_graph::Port;
 
 /// One delivery on the wire: its link sequence number and header words.
+///
+/// The header type `W` is the sender's choice — the gate only reads `seq`.
+/// The default, a `Vec<u64>`, carries any number of words at one heap
+/// allocation per frame; the async runtime stamps a fixed `[u64; 4]`
+/// (send round, delivery round, sender, emission index), which travels
+/// inline.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Frame {
+pub struct Frame<W = Vec<u64>> {
     /// Position of this frame on its link (0-based). `u64`: the
     /// historical `u32` field silently truncated the sequence number
     /// beyond 2³² frames, so a wrapped frame passed for a fresh one.
     pub seq: u64,
-    /// The words carried by this frame.
-    pub words: Vec<u64>,
+    /// The header words carried by this frame.
+    pub words: W,
 }
 
 /// Sender side of a FIFO link discipline: stamps each outgoing [`Frame`]
@@ -39,7 +45,7 @@ impl LinkSeq {
     }
 
     /// Wraps `words` in the next in-order frame for this link.
-    pub fn stamp(&mut self, words: Vec<u64>) -> Frame {
+    pub fn stamp<W>(&mut self, words: W) -> Frame<W> {
         let seq = self.next;
         self.next += 1;
         Frame { seq, words }
@@ -60,7 +66,9 @@ pub struct LinkGate {
 }
 
 impl LinkGate {
-    /// A gate for a node with `degree` ports.
+    /// A gate over `degree` ports: one node's, or the flat in-port range
+    /// of several nodes (the async runtime keeps one gate per worker,
+    /// indexed by in-port slot).
     pub fn new(degree: usize) -> Self {
         LinkGate {
             expect: vec![0; degree],
@@ -74,7 +82,7 @@ impl LinkGate {
     /// Panics on a sequence regression (a transport bug: a frame arriving
     /// after a higher-numbered frame on the same port) or an out-of-range
     /// port.
-    pub fn accept<'f>(&mut self, port: Port, frame: &'f Frame) -> &'f [u64] {
+    pub fn accept<'f, W>(&mut self, port: Port, frame: &'f Frame<W>) -> &'f W {
         assert!(
             frame.seq >= self.expect[port],
             "out-of-order frame on port {port}: got {}, expected at least {}",
@@ -102,6 +110,46 @@ mod tests {
         // The other port has its own, independent expectation.
         let f0 = LinkSeq::new().stamp(vec![7]);
         assert_eq!(gate.accept(0, &f0), &[7]);
+        // A fixed-size header travels inline, under the same discipline;
+        // a `()` frame only consumes its sequence number.
+        let mut seq = LinkSeq::new();
+        let mut gate = LinkGate::new(1);
+        assert_eq!(seq.stamp(()).seq, 0);
+        let f = seq.stamp([3u64, 4, 5, 6]);
+        assert_eq!((f.seq, gate.accept(0, &f)), (1, &[3, 4, 5, 6]));
+        let stale = Frame {
+            seq: 0,
+            words: [0u64; 4],
+        };
+        let regression = std::panic::catch_unwind(move || gate.accept(0, &stale).len());
+        assert!(
+            regression.is_err(),
+            "a [u64; 4] frame regression must panic"
+        );
+    }
+
+    #[test]
+    fn one_gate_covers_a_flat_range_of_in_ports() {
+        // Two nodes of degrees 2 and 3 share one gate over slots 0..5:
+        // node a's ports are slots 0..2, node b's slots 2..5. Each slot
+        // keeps its own expectation, so a regression on one is caught
+        // while its neighbours in the range stay independent.
+        let mut links: Vec<LinkSeq> = (0..5).map(|_| LinkSeq::new()).collect();
+        let mut gate = LinkGate::new(5);
+        for round in 0..3u64 {
+            for (slot, link) in links.iter_mut().enumerate().rev() {
+                let f = link.stamp([round, slot as u64, 0, 0]);
+                assert_eq!(gate.accept(slot, &f), &[round, slot as u64, 0, 0]);
+            }
+        }
+        let late = Frame {
+            seq: 1,
+            words: [9u64; 4],
+        };
+        let mut fresh = LinkGate::new(5);
+        assert_eq!(fresh.accept(4, &late)[0], 9);
+        let stale = std::panic::catch_unwind(move || gate.accept(2, &late)[0]);
+        assert!(stale.is_err(), "slot 2 has seen frame 2 already");
     }
 
     #[test]
@@ -109,9 +157,9 @@ mod tests {
         // An adversary that drops sends still consumes sequence numbers at
         // the sender, so the receiver legitimately sees gaps.
         let mut seq = LinkSeq::new();
-        seq.stamp(vec![]); // dropped in flight
-        seq.stamp(vec![]); // dropped in flight
-        seq.stamp(vec![]); // dropped in flight
+        seq.stamp(Vec::<u64>::new()); // dropped in flight
+        seq.stamp(Vec::<u64>::new()); // dropped in flight
+        seq.stamp(Vec::<u64>::new()); // dropped in flight
         let f = seq.stamp(vec![1]);
         let mut gate = LinkGate::new(1);
         assert_eq!(gate.accept(0, &f), &[1]);
@@ -123,9 +171,9 @@ mod tests {
     #[should_panic(expected = "out-of-order frame on port 0: got 0, expected at least 4")]
     fn link_gate_rejects_sequence_regressions() {
         let mut seq = LinkSeq::new();
-        seq.stamp(vec![]);
-        seq.stamp(vec![]);
-        seq.stamp(vec![]);
+        seq.stamp(Vec::<u64>::new());
+        seq.stamp(Vec::<u64>::new());
+        seq.stamp(Vec::<u64>::new());
         let late = seq.stamp(vec![1]);
         let mut gate = LinkGate::new(1);
         gate.accept(0, &late);

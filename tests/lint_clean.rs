@@ -8,17 +8,16 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 
 /// ROADMAP aim 2's tracked numbers: the workspace's non-test code lines
 /// and `pub` items (`ule-lint stats`, the `total` row) as of the last
-/// change that moved them. The lines were last raised from 10 497 by the
-/// 52 that `crates/sim` grew (2 706 → 2 758) when the engine stopped
-/// paying for work no protocol asked for: wakeups on a calendar
-/// (`CalendarQueue::peek_first` / `discard_first`), dense rounds ordered
-/// by the dedup bitmap, RNG streams derived on first use (`NodeRng`), and
-/// the shards made inspectable for tests — net of the deleted heap and
-/// the inbox arena's separate `fill` / `free` walks. What the lines buy:
-/// `run_s` on the repo benchmark's `dense-torus` 0.158 s → 0.120 s
-/// (−24 %, medians of 10 alternating pairs, faster in all 10;
-/// CHANGES.md), and the 10⁷-node smoke back under its 1.6 GB ceiling.
-const MAX_CODE_LINES: usize = 10_549;
+/// change that moved them. The lines were last raised from 10 549 by the
+/// 56 that `crates/sim` grew (2 758 → 2 814) when the async worker began
+/// to schedule from events: a ready list and a waiting list (`NodeList`),
+/// a wake calendar, a floor, flat per-worker in-port columns (`Inbox`)
+/// and `[u64; 4]` frame headers — net of the deleted per-node sweep,
+/// `NodeRt`, the O(n) `Advance` / `earliest_event` walks and the
+/// active-round set. What the lines buy: `run_s` on the repo benchmark's
+/// `async-torus` 0.074 s → 0.037 s (−50 %, medians of 10 alternating
+/// pairs, faster in all 10; CHANGES.md) at 6 % less peak RSS.
+const MAX_CODE_LINES: usize = 10_605;
 const MAX_PUB_ITEMS: usize = 478;
 
 #[test]
