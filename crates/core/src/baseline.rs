@@ -42,14 +42,14 @@ impl Message for MaxMsg {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_sim::{Knowledge, RuntimeKind, SimConfig};
 /// use ule_graph::{gen, IdAssignment};
 ///
 /// let g = gen::cycle(10)?;
 /// let cfg = SimConfig::seeded(0)
 ///     .with_ids(IdAssignment::sequential(10))
 ///     .with_knowledge(Knowledge::n_and_diameter(10, 5));
-/// let out = Algorithm::FloodMax.run_with(&g, &cfg);
+/// let out = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// # Ok::<(), ule_graph::GraphError>(())
 /// ```
@@ -124,12 +124,12 @@ impl Protocol for FloodMax {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::SimConfig;
+/// use ule_sim::{RuntimeKind, SimConfig};
 /// use ule_graph::{gen, IdAssignment};
 ///
 /// let g = gen::path(12)?;
 /// let cfg = SimConfig::seeded(0).with_ids(IdAssignment::sequential(12));
-/// let out = Algorithm::Tole.run_with(&g, &cfg);
+/// let out = Algorithm::Tole.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// assert_eq!(out.leader(), Some(11)); // maximum identifier
 /// # Ok::<(), ule_graph::GraphError>(())
@@ -227,15 +227,15 @@ mod tests {
     use ule_sim::{Knowledge, RunOutcome, SimConfig};
 
     fn flood_max(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        Algorithm::FloodMax.run_with(g, cfg)
+        Algorithm::FloodMax.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn tole(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        Algorithm::Tole.run_with(g, cfg)
+        Algorithm::Tole.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn coin_flip(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        Algorithm::CoinFlip.run_with(g, cfg)
+        Algorithm::CoinFlip.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn flood_cfg(g: &Graph, seed: u64) -> SimConfig {

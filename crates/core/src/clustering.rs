@@ -158,12 +158,12 @@ enum PortState {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_sim::{Knowledge, RuntimeKind, SimConfig};
 /// use ule_graph::gen;
 ///
 /// let g = gen::torus(5, 5)?;
 /// let cfg = SimConfig::seeded(5).with_knowledge(Knowledge::n(g.len()));
-/// let out = Algorithm::Clustering.run_with(&g, &cfg);
+/// let out = Algorithm::Clustering.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// assert_eq!(out.congest_violations, 0);
 /// # Ok::<(), ule_graph::GraphError>(())
@@ -405,7 +405,7 @@ mod tests {
     use ule_sim::{Knowledge, RunOutcome, SimConfig, Termination};
 
     fn elect(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        crate::Algorithm::Clustering.run_with(g, cfg)
+        crate::Algorithm::Clustering.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn cfg(g: &Graph, seed: u64) -> SimConfig {
@@ -491,7 +491,7 @@ mod tests {
         let le: u64 = (0..5)
             .map(|t| {
                 crate::Algorithm::LeastElAll
-                    .run_with(&g, &cfg(&g, t))
+                    .run_on(ule_sim::RuntimeKind::Sim, &g, &cfg(&g, t))
                     .messages
             })
             .sum();

@@ -91,7 +91,7 @@ enum Pending {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::SimConfig;
+/// use ule_sim::{RuntimeKind, SimConfig};
 /// use ule_graph::{gen, IdAssignment};
 ///
 /// let g = gen::cycle(8)?;
@@ -100,7 +100,7 @@ enum Pending {
 ///     .with_max_rounds(u64::MAX / 4);
 /// // `send_wakeup = false`; a wakeup phase goes through
 /// // `ule_sim::Runner` and `DfsAgent::new`.
-/// let out = Algorithm::DfsAgent.run_with(&g, &cfg);
+/// let out = Algorithm::DfsAgent.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// // The minimum identifier (1, at node 0) wins.
 /// assert_eq!(out.leader(), Some(0));

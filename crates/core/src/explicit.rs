@@ -156,7 +156,7 @@ impl Protocol for ExplicitElect {
 /// ```
 /// use ule_core::explicit::elect_explicit;
 /// use ule_core::least_el::LeastElConfig;
-/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_sim::{Knowledge, RuntimeKind, SimConfig};
 /// use ule_graph::{gen, IdAssignment};
 ///
 /// let g = gen::grid(4, 4)?;
@@ -226,7 +226,7 @@ mod tests {
         let g = gen::random_connected(60, 200, &mut rng).unwrap();
         let c = cfg(&g, 2);
         let (explicit, _) = elect_explicit(&g, &c, &LeastElConfig::all_candidates());
-        let implicit = crate::Algorithm::LeastElAll.run_with(&g, &c);
+        let implicit = crate::Algorithm::LeastElAll.run_on(ule_sim::RuntimeKind::Sim, &g, &c);
         assert!(explicit.election_succeeded() && implicit.election_succeeded());
         let extra = explicit.messages.saturating_sub(implicit.messages);
         // The announcement is one flood: ≤ 2m extra messages, and the

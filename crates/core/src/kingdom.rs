@@ -179,14 +179,14 @@ struct PhaseState {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_sim::{Knowledge, RuntimeKind, SimConfig};
 /// use ule_graph::{gen, IdAssignment};
 ///
 /// let g = gen::cycle(9)?;
 /// let cfg = SimConfig::seeded(0)
 ///     .with_ids(IdAssignment::sequential(9))
 ///     .with_knowledge(Knowledge::n_and_diameter(9, 4));
-/// let out = Algorithm::KingdomKnownD.run_with(&g, &cfg);
+/// let out = Algorithm::KingdomKnownD.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// assert_eq!(out.leader(), Some(8)); // the maximum identifier wins
 /// # Ok::<(), ule_graph::GraphError>(())
@@ -469,11 +469,11 @@ mod tests {
     use ule_sim::{Knowledge, RunOutcome, SimConfig, Termination};
 
     fn elect_known_diameter(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        crate::Algorithm::KingdomKnownD.run_with(g, cfg)
+        crate::Algorithm::KingdomKnownD.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn elect_doubling(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        crate::Algorithm::KingdomDoubling.run_with(g, cfg)
+        crate::Algorithm::KingdomDoubling.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn cfg_known(g: &Graph, seed: u64) -> SimConfig {

@@ -53,14 +53,14 @@ impl Default for LasVegasConfig {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_sim::{Knowledge, RuntimeKind, SimConfig};
 /// use ule_graph::gen;
 ///
 /// let g = gen::cycle(12)?;
 /// let cfg = SimConfig::seeded(2).with_knowledge(Knowledge::n_and_diameter(12, 6));
 /// // `LasVegasConfig::default()`; a custom config goes through
 /// // `ule_sim::Runner` and `LasVegasElect::new`.
-/// let out = Algorithm::LasVegas.run_with(&g, &cfg);
+/// let out = Algorithm::LasVegas.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// # Ok::<(), ule_graph::GraphError>(())
 /// ```

@@ -124,14 +124,14 @@ impl LeastElConfig {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::{Knowledge, SimConfig};
+/// use ule_sim::{Knowledge, RuntimeKind, SimConfig};
 /// use ule_graph::gen;
 ///
 /// let g = gen::torus(5, 5)?;
 /// let cfg = SimConfig::seeded(7).with_knowledge(Knowledge::n(g.len()));
 /// // `LeastElConfig::all_candidates()`; a custom config goes through
 /// // `ule_sim::Runner` and `LeastEl::new`.
-/// let out = Algorithm::LeastElAll.run_with(&g, &cfg);
+/// let out = Algorithm::LeastElAll.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// # Ok::<(), ule_graph::GraphError>(())
 /// ```

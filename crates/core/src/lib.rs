@@ -13,19 +13,18 @@
 //! | [`clustering`] | Thm 4.7 / Alg 1 | `O(D log n)` whp | `O(m + n log n)` whp | `n` |
 //! | [`dfs_agent`] | Thm 4.1 | unbounded | `O(m)` | — |
 //! | [`kingdom`] | Thm 4.10 / Alg 2 | `O(D log n)` | `O(m log n)` | (`D` variant) |
+//! | [`spanner`] | Cor 4.2 | `O(D)` whp | `O(m)` whp if `m > n^{1+ε}` | `n` |
 //! | [`baseline`] | FloodMax; \[20\]-style `tole`; §1 coin flip | `O(D)` / `O(D)` / 1 | `O(mD)` / `O(m·min(n,D))` / 0 | `D` / — / `n` |
 //! | [`broadcast`] | Cor 3.12 workload | `O(D)` | `Θ(m)` | — |
 //! | [`explicit`] | explicit variant (footnote 1) | `+O(D)` | `+O(m)` | `n` |
 //!
-//! The spanner-based election matching both lower bounds on dense graphs
-//! (Corollary 4.2) lives in the `ule-spanner` crate; the lower-bound
-//! experiment harnesses live in `ule-lowerbound`.
+//! The lower-bound experiment harnesses live in `ule-lowerbound`.
 //!
 //! The modules export protocols and their constructors; the [`registry`]
-//! is the one runner: [`Algorithm::run_on`] pairs each of the twelve
-//! Table 1 rows with a [`ule_sim::Runner`], and [`Algorithm::config`] is
-//! the one rule for the [`ule_sim::SimConfig`] it needs. Parameterised
-//! variants go through a `Runner` and the protocol's public constructor.
+//! is the one runner: [`Algorithm::run_on`] pairs every Table 1 row with
+//! a [`ule_sim::Runner`], and [`Algorithm::config`] is the one rule for
+//! the [`ule_sim::SimConfig`] it needs. Parameterised variants go through
+//! a `Runner` and the protocol's public constructor.
 //!
 //! ## Quick start
 //!
@@ -53,6 +52,7 @@ pub mod las_vegas;
 pub mod least_el;
 pub mod registry;
 pub mod size_estimate;
+pub mod spanner;
 pub mod wave;
 
 pub use registry::{Algorithm, AlgorithmSpec};

@@ -1,12 +1,12 @@
 //! A uniform handle on every election algorithm in the crate.
 //!
-//! The experiment harnesses (Table 1 regeneration, the trade-off figure,
-//! the lower-bound sweeps) iterate over algorithms; [`Algorithm`] names
-//! them, [`AlgorithmSpec`] documents their requirements and claimed
-//! bounds, [`Algorithm::config`] is the one rule for which [`SimConfig`]
-//! satisfies them (knowledge flags, identifier mode, round budget), and
-//! [`Algorithm::run_on`] is the one place a registry protocol meets a
-//! [`Runner`].
+//! The experiment harnesses (the `ule-xp` campaigns behind Table 1 and
+//! the trade-off figure, the lower-bound sweeps, the examples) iterate
+//! over algorithms; [`Algorithm`] names them, [`AlgorithmSpec`] documents
+//! their requirements and claimed bounds, [`Algorithm::config`] is the
+//! one rule for which [`SimConfig`] satisfies them (knowledge flags,
+//! identifier mode, round budget), and [`Algorithm::run_on`] is the one
+//! place a registry protocol meets a [`Runner`].
 
 use crate::baseline::{CoinFlip, FloodMax, Tole};
 use crate::clustering::Clustering;
@@ -15,13 +15,13 @@ use crate::kingdom::{Kingdom, RadiusSchedule};
 use crate::las_vegas::{LasVegasConfig, LasVegasElect};
 use crate::least_el::{LeastEl, LeastElConfig};
 use crate::size_estimate::SizeEstimateElect;
+use crate::spanner::{SpannerConfig, SpannerElect};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use ule_graph::{analysis, Graph, IdAssignment, IdSpace, Topology};
 use ule_sim::{Knowledge, Model, NodeSetup, RunOutcome, Runner, RuntimeKind, SimConfig};
 
-/// Every election algorithm implemented from the paper (the spanner-based
-/// Corollary 4.2 lives in `ule-spanner`, which layers on this crate).
+/// Every election algorithm implemented from the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Algorithm {
     /// Least-El with `f(n) = n` (\[11\]; the basis of Theorem 4.4).
@@ -49,6 +49,9 @@ pub enum Algorithm {
     Tole,
     /// Baseline: the §1 coin-flip algorithm (success ≈ 1/e).
     CoinFlip,
+    /// Corollary 4.2: Least-El on a Baswana–Sen spanner with `k` for
+    /// `ε = 1/2`; `O(D)` time and `O(m)` messages when `m > n^{1+ε}`.
+    Spanner,
 }
 
 /// Static description of an algorithm's requirements and claimed bounds.
@@ -76,7 +79,7 @@ pub struct AlgorithmSpec {
 
 impl Algorithm {
     /// All algorithms, in Table 1 order.
-    pub const ALL: [Algorithm; 12] = [
+    pub const ALL: [Algorithm; 13] = [
         Algorithm::LeastElAll,
         Algorithm::LeastElWhp,
         Algorithm::LeastElConstant,
@@ -89,6 +92,7 @@ impl Algorithm {
         Algorithm::FloodMax,
         Algorithm::Tole,
         Algorithm::CoinFlip,
+        Algorithm::Spanner,
     ];
 
     /// Looks an algorithm up by its [`AlgorithmSpec::name`] string (the
@@ -110,7 +114,7 @@ impl Algorithm {
         match self {
             Algorithm::LeastElAll | Algorithm::SizeEstimate => (d_f, m_f * ln_n.min(d_f)),
             Algorithm::LeastElWhp => (d_f, m_f * lnln_n.min(d_f)),
-            Algorithm::LeastElConstant | Algorithm::LasVegas => (d_f, m_f),
+            Algorithm::LeastElConstant | Algorithm::LasVegas | Algorithm::Spanner => (d_f, m_f),
             Algorithm::Clustering => (d_f * ln_n, m_f + n_f * ln_n),
             // Sequential identifiers: the minimum is 1, time ≈ 4m·2.
             Algorithm::DfsAgent => (8.0 * m_f, m_f),
@@ -257,6 +261,17 @@ impl Algorithm {
                 messages: "0",
                 success: "≈1/e",
             },
+            Algorithm::Spanner => AlgorithmSpec {
+                name: "spanner",
+                reference: "Cor 4.2",
+                needs_ids: false,
+                needs_n: true,
+                needs_diameter: false,
+                deterministic: false,
+                time: "O(D)",
+                messages: "O(m) for m > n^(1+ε)",
+                success: "whp",
+            },
         }
     }
 
@@ -310,26 +325,23 @@ impl Algorithm {
         self.config(graph.len(), d, seed)
     }
 
-    /// Runs one seeded trial with an automatically derived configuration.
+    /// Runs one seeded trial on the lockstep engine under
+    /// [`Algorithm::config_for`]: shorthand for [`Algorithm::run_on`].
     pub fn run(self, graph: &Graph, seed: u64) -> RunOutcome {
         let cfg = self.config_for(graph, seed);
-        self.run_with(graph, &cfg)
+        self.run_on(RuntimeKind::Sim, graph, &cfg)
     }
 
     /// Runs one trial under a caller-provided configuration (which must
-    /// satisfy [`AlgorithmSpec`]'s requirements). Generic over
-    /// [`Topology`]: pass an [`ule_graph::ImplicitTopology`] to run on a
-    /// structured family without materializing it.
-    pub fn run_with<T: Topology>(self, graph: &T, cfg: &SimConfig) -> RunOutcome {
-        self.run_on(RuntimeKind::Sim, graph, cfg)
-    }
-
-    /// [`Algorithm::run_with`] on a caller-selected runtime: the identical
-    /// protocol code runs on the lockstep engine or over channels
-    /// ([`ule_sim::rt`]), and both produce the same [`RunOutcome`].
-    /// Parameterised variants (a custom [`LeastElConfig`] or
-    /// [`LasVegasConfig`], a DFS agent with a wakeup phase) go through a
-    /// [`Runner`] and the protocol's public constructor instead.
+    /// satisfy [`AlgorithmSpec`]'s requirements) on a caller-selected
+    /// runtime: the identical protocol code runs on the lockstep engine or
+    /// over channels ([`ule_sim::rt`]), and both produce the same
+    /// [`RunOutcome`]. Generic over [`Topology`]: pass an
+    /// [`ule_graph::ImplicitTopology`] to run on a structured family
+    /// without materializing it. Parameterised variants (a custom
+    /// [`LeastElConfig`], [`LasVegasConfig`] or [`SpannerConfig`], a DFS
+    /// agent with a wakeup phase) go through a [`Runner`] and the
+    /// protocol's public constructor instead.
     ///
     /// # Panics
     ///
@@ -371,6 +383,10 @@ impl Algorithm {
             Algorithm::FloodMax => runner.run(|_, _, _| FloodMax::new()),
             Algorithm::Tole => runner.run(|_, s, _| Tole::new(s.degree)),
             Algorithm::CoinFlip => runner.run(|_, _, _| CoinFlip::new()),
+            Algorithm::Spanner => {
+                let sc = SpannerConfig::for_epsilon(0.5);
+                runner.run(|v, s, _| SpannerElect::new(sc, v, s.degree))
+            }
         }
     }
 }
@@ -395,8 +411,8 @@ mod tests {
             let topo_cfg = alg.config(imp.n(), imp.diameter_hint(), 9);
             assert_eq!(cfg, topo_cfg, "{alg}");
             assert_eq!(
-                alg.run_with(&g, &cfg),
-                alg.run_with(&imp, &topo_cfg),
+                alg.run_on(RuntimeKind::Sim, &g, &cfg),
+                alg.run_on(RuntimeKind::Sim, &imp, &topo_cfg),
                 "{alg}"
             );
         }
@@ -477,8 +493,8 @@ mod tests {
             let cfg = alg.config_for(&g, 3);
             let mut cfg2 = cfg.clone();
             cfg2.seed = 999;
-            let a = alg.run_with(&g, &cfg);
-            let b = alg.run_with(&g, &cfg2);
+            let a = alg.run_on(RuntimeKind::Sim, &g, &cfg);
+            let b = alg.run_on(RuntimeKind::Sim, &g, &cfg2);
             assert_eq!(a.messages, b.messages, "{alg}");
             assert_eq!(a.statuses, b.statuses, "{alg}");
         }

@@ -56,12 +56,12 @@ impl Message for SeMsg {
 ///
 /// ```
 /// use ule_core::Algorithm;
-/// use ule_sim::SimConfig;
+/// use ule_sim::{RuntimeKind, SimConfig};
 /// use ule_graph::{gen, IdAssignment};
 ///
 /// let g = gen::grid(4, 4)?;
 /// let cfg = SimConfig::seeded(3).with_ids(IdAssignment::sequential(16));
-/// let out = Algorithm::SizeEstimate.run_with(&g, &cfg);
+/// let out = Algorithm::SizeEstimate.run_on(RuntimeKind::Sim, &g, &cfg);
 /// assert!(out.election_succeeded());
 /// # Ok::<(), ule_graph::GraphError>(())
 /// ```
@@ -192,7 +192,7 @@ mod tests {
     use ule_sim::{RunOutcome, SimConfig, Termination, Wakeup};
 
     fn elect(g: &Graph, cfg: &SimConfig) -> RunOutcome {
-        crate::Algorithm::SizeEstimate.run_with(g, cfg)
+        crate::Algorithm::SizeEstimate.run_on(ule_sim::RuntimeKind::Sim, g, cfg)
     }
 
     fn cfg(g: &Graph, seed: u64) -> SimConfig {

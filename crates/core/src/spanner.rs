@@ -1,9 +1,7 @@
-//! # `ule-spanner` — distributed spanner construction and the Corollary 4.2
-//! election
+//! Distributed spanner construction and the Corollary 4.2 election.
 //!
-//! Corollary 4.2 of *Kutten, Pandurangan, Peleg, Robinson, Trehan (PODC
-//! 2013 / JACM 2015)*: on graphs with `m > n^{1+ε}`, leader election can
-//! match **both** lower bounds simultaneously — `O(D)` time and `O(m)`
+//! Corollary 4.2: on graphs with `m > n^{1+ε}`, leader election can match
+//! **both** lower bounds simultaneously — `O(D)` time and `O(m)`
 //! messages, w.h.p. The recipe: build a `(2k−1)`-spanner with
 //! `O(n^{1+1/k})` edges using the randomized construction of Baswana &
 //! Sen (Random Struct. Algorithms 2007) in `O(k²)` rounds and `O(km)`
@@ -35,29 +33,40 @@
 //!
 //! ## Example
 //!
+//! [`Algorithm::Spanner`](crate::Algorithm::Spanner) runs the corollary's
+//! `k` for `ε = 1/2`; any other `k` goes through a [`Runner`] and
+//! [`SpannerElect::new`], with a [`SpannerProbe`] to see the spanner.
+//!
 //! ```
-//! use ule_spanner::{elect, SpannerConfig};
-//! use ule_sim::{Knowledge, SimConfig};
+//! use ule_core::spanner::{probe_edges, SpannerConfig, SpannerElect, SpannerProbe};
+//! use ule_core::Algorithm;
+//! use ule_sim::{Knowledge, Runner, SimConfig};
 //! use ule_graph::gen;
 //! use rand::SeedableRng;
+//! use std::sync::Arc;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
 //! let g = gen::random_dense(60, 0.5, &mut rng)?; // m ≈ n^1.5
+//! assert!(Algorithm::Spanner.run(&g, 1).election_succeeded());
+//!
+//! let (sc, probe) = (SpannerConfig { k: 3 }, SpannerProbe::default());
 //! let sim = SimConfig::seeded(1).with_knowledge(Knowledge::n(g.len()));
-//! let out = elect(&g, &sim, &SpannerConfig::for_epsilon(0.5));
+//! let out = Runner::new(&g, &sim)
+//!     .run(|v, s, _| SpannerElect::new(sc, v, s.degree).with_probe(Arc::clone(&probe)));
 //! assert!(out.election_succeeded());
+//! assert!(probe_edges(&g, &probe).len() < g.edge_count());
 //! # Ok::<(), ule_graph::GraphError>(())
 //! ```
+//!
+//! [`Runner`]: ule_sim::Runner
 
-#![warn(missing_docs)]
-
+use crate::wave::{rank_space, Key, WaveCore, WaveMsg, WaveOutcome};
 use rand::Rng;
-use std::collections::HashSet;
+use std::collections::BTreeSet;
 use std::sync::{Arc, Mutex};
-use ule_core::wave::{rank_space, Key, WaveCore, WaveMsg, WaveOutcome};
 use ule_graph::{Graph, NodeId, Port};
 use ule_sim::message::{id_bits, Message, TAG_BITS};
-use ule_sim::{Context, PortOutbox, Protocol, RunOutcome, SimConfig, Status};
+use ule_sim::{Context, PortOutbox, Protocol, Status};
 
 /// Parameters of the spanner construction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -107,17 +116,17 @@ impl SpannerConfig {
 
 /// Test/experiment instrumentation: collects the spanner edges every node
 /// marks, as `(node, port)` pairs. Purely observational.
-pub type SpannerProbe = Arc<Mutex<HashSet<(NodeId, Port)>>>;
+pub type SpannerProbe = Arc<Mutex<BTreeSet<(NodeId, Port)>>>;
 
-/// Converts a probe's `(node, port)` marks into undirected edges of `g`,
-/// checking mark symmetry.
+/// Converts a probe's `(node, port)` marks into the sorted undirected
+/// edges of `g`, checking mark symmetry.
 ///
 /// # Panics
 ///
 /// Panics if a mark is one-sided (a construction bug).
 pub fn probe_edges(g: &Graph, probe: &SpannerProbe) -> Vec<(NodeId, NodeId)> {
     let marks = probe.lock().expect("probe poisoned");
-    let mut edges = HashSet::new();
+    let mut edges = BTreeSet::new();
     for &(v, p) in marks.iter() {
         let (u, q) = g.endpoint(v, p);
         assert!(
@@ -126,9 +135,7 @@ pub fn probe_edges(g: &Graph, probe: &SpannerProbe) -> Vec<(NodeId, NodeId)> {
         );
         edges.insert((v.min(u), v.max(u)));
     }
-    let mut out: Vec<_> = edges.into_iter().collect();
-    out.sort_unstable();
-    out
+    edges.into_iter().collect()
 }
 
 /// Messages of the spanner construction + election.
@@ -221,6 +228,10 @@ impl SpannerElect {
     }
 
     fn mark(&mut self, port: Port) {
+        if self.core.is_some() {
+            // Too late for the wave core's port mask (see `on_round`).
+            return;
+        }
         self.spanner[port] = true;
         if let Some(probe) = &self.probe {
             probe
@@ -254,7 +265,7 @@ impl SpannerElect {
         }
         // No sampled neighbour: one spanner edge per adjacent cluster,
         // then retire.
-        let mut covered: HashSet<u64> = HashSet::new();
+        let mut covered: BTreeSet<u64> = BTreeSet::new();
         for p in 0..self.degree {
             if let Some((c, _)) = self.port_status[p] {
                 if c != 0 && covered.insert(c) {
@@ -279,7 +290,8 @@ impl SpannerElect {
             tie: self.tag,
         };
         core.start(key, &mut self.le_out);
-        let buffered: Vec<(Port, WaveMsg)> = std::mem::take(&mut self.le_buffer);
+        let mut buffered: Vec<(Port, WaveMsg)> = std::mem::take(&mut self.le_buffer);
+        buffered.retain(|&(p, _)| self.spanner[p]);
         core.on_inbox(&buffered, &mut self.le_out);
         self.core = Some(core);
     }
@@ -362,7 +374,14 @@ impl Protocol for SpannerElect {
             self.start_election(ctx);
         }
 
+        // On the synchronous schedule every mark lands before the election
+        // starts, so waves travel marked edges only. An adversary's delay
+        // can break that schedule: a mark landing after the start is
+        // ignored and a wave on a port this node has not marked is
+        // dropped. The election may then stall, as any deadline-driven
+        // protocol may under delay, but the wave core's port mask holds.
         if let Some(core) = &mut self.core {
+            le_in.retain(|&(p, _)| self.spanner[p]);
             core.on_inbox(&le_in, &mut self.le_out);
             match core.outcome() {
                 Some(WaveOutcome::Won) => self.status = Status::Leader,
@@ -386,25 +405,6 @@ impl Protocol for SpannerElect {
     }
 }
 
-/// Runs the Corollary 4.2 election (requires knowledge of `n`).
-pub fn elect(graph: &Graph, sim: &SimConfig, cfg: &SpannerConfig) -> RunOutcome {
-    ule_sim::Runner::new(graph, sim).run(|v, setup, _| SpannerElect::new(*cfg, v, setup.degree))
-}
-
-/// Runs the election with a probe attached and returns the outcome plus
-/// the constructed spanner's undirected edges (experiments / tests).
-pub fn elect_probed(
-    graph: &Graph,
-    sim: &SimConfig,
-    cfg: &SpannerConfig,
-) -> (RunOutcome, Vec<(NodeId, NodeId)>) {
-    let probe: SpannerProbe = Arc::new(Mutex::new(HashSet::new()));
-    let out = ule_sim::Runner::new(graph, sim)
-        .run(|v, setup, _| SpannerElect::new(*cfg, v, setup.degree).with_probe(Arc::clone(&probe)));
-    let edges = probe_edges(graph, &probe);
-    (out, edges)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -412,10 +412,25 @@ mod tests {
     use rand::SeedableRng;
     use ule_graph::{analysis, gen, Graph};
     use ule_sim::harness::{parallel_trials, Summary};
-    use ule_sim::{Knowledge, Termination};
+    use ule_sim::{Knowledge, RunOutcome, Runner, RuntimeKind, SimConfig, Termination};
 
     fn cfg(g: &Graph, seed: u64) -> SimConfig {
         SimConfig::seeded(seed).with_knowledge(Knowledge::n(g.len()))
+    }
+
+    fn elect(g: &Graph, sim: &SimConfig, sc: &SpannerConfig) -> RunOutcome {
+        Runner::new(g, sim).run(|v, s, _| SpannerElect::new(*sc, v, s.degree))
+    }
+
+    fn elect_probed(
+        g: &Graph,
+        sim: &SimConfig,
+        sc: &SpannerConfig,
+    ) -> (RunOutcome, Vec<(NodeId, NodeId)>) {
+        let probe = SpannerProbe::default();
+        let out = Runner::new(g, sim)
+            .run(|v, s, _| SpannerElect::new(*sc, v, s.degree).with_probe(Arc::clone(&probe)));
+        (out, probe_edges(g, &probe))
     }
 
     fn spanner_graph(g: &Graph, edges: &[(NodeId, NodeId)]) -> Graph {
@@ -564,9 +579,29 @@ mod tests {
     }
 
     #[test]
+    fn marks_delayed_past_the_schedule_never_trip_the_port_mask() {
+        // Under bounded delay a Join / Mark can land after the election
+        // starts; the run must still end (possibly without a leader), and
+        // identically on both runtimes.
+        let mut rng = StdRng::seed_from_u64(8);
+        let g = gen::random_dense(40, 0.5, &mut rng).unwrap();
+        for seed in 0..4 {
+            let sim = cfg(&g, seed)
+                .with_adversary(ule_sim::Adversary::BoundedDelay { max_delay: 3 })
+                .with_max_rounds(2_000);
+            let on = |kind| {
+                Runner::new(&g, &sim)
+                    .runtime(kind)
+                    .run(|v, s, _| SpannerElect::new(SpannerConfig { k: 3 }, v, s.degree))
+            };
+            assert_eq!(on(RuntimeKind::Sim), on(RuntimeKind::Async), "seed {seed}");
+        }
+    }
+
+    #[test]
     fn probe_symmetry_checked() {
         let g = gen::complete(5).unwrap();
-        let probe: SpannerProbe = Arc::new(Mutex::new(HashSet::new()));
+        let probe = SpannerProbe::default();
         probe.lock().unwrap().insert((0, 0)); // one-sided mark
         let result = std::panic::catch_unwind(|| probe_edges(&g, &probe));
         assert!(result.is_err(), "asymmetric mark must panic");

@@ -1,8 +1,9 @@
 //! Tracked size numbers (ROADMAP aim 2, "LOC and `pub`-item counts trend
 //! down"): per crate, the non-test non-comment code lines and the `pub`
-//! items of its `src/` and `benches/` trees. Test code is everything from
-//! a file's first `cfg(test)` attribute on; a `pub` item is `pub` followed
-//! by an item keyword, so `pub(crate)` items and `pub` fields do not count.
+//! items of its `src/` tree, plus rows for the umbrella crate's `src/` and
+//! the workspace's `examples/`. Test code is everything from a file's
+//! first `cfg(test)` attribute on; a `pub` item is `pub` followed by an
+//! item keyword, so `pub(crate)` items and `pub` fields do not count.
 
 use crate::collect_rs;
 use crate::lexer::{lex, Tok, TokKind};
@@ -39,30 +40,37 @@ pub fn source_stats(src: &str) -> (usize, usize) {
     (lines.len(), pubs)
 }
 
-/// `(crate directory, code lines, pub items)` for every crate under
-/// `root/crates` and `root/vendor`, in sorted order, then their `total`.
+/// `(row, code lines, pub items)` for every crate's `src/` under
+/// `root/crates` and `root/vendor`, in sorted order, then the umbrella
+/// crate's `src` and the workspace's `examples`, then their `total`. Examples count because they are shipped code: moving code out
+/// of a crate into an example must not read as deleting it.
 pub fn crate_stats(root: &Path) -> io::Result<Vec<(String, usize, usize)>> {
-    let mut rows = Vec::new();
+    let mut units: Vec<(String, PathBuf)> = Vec::new();
     for top in ["crates", "vendor"] {
         let entries = fs::read_dir(root.join(top)).into_iter().flatten();
         let mut dirs: Vec<PathBuf> = entries.filter_map(|e| e.ok().map(|e| e.path())).collect();
         dirs.sort();
         for dir in dirs {
-            let mut files = Vec::new();
-            for sub in [dir.join("src"), dir.join("benches")] {
-                if sub.is_dir() {
-                    collect_rs(&sub, &mut files)?;
-                }
-            }
-            let mut sums = (0, 0);
-            for file in &files {
-                let (lines, pubs) = source_stats(&fs::read_to_string(file)?);
-                sums = (sums.0 + lines, sums.1 + pubs);
-            }
-            if !files.is_empty() {
-                let name = dir.file_name().unwrap_or_default().to_string_lossy();
-                rows.push((format!("{top}/{name}"), sums.0, sums.1));
-            }
+            let name = dir.file_name().unwrap_or_default().to_string_lossy();
+            units.push((format!("{top}/{name}"), dir.join("src")));
+        }
+    }
+    for top in ["src", "examples"] {
+        units.push((top.to_string(), root.join(top)));
+    }
+    let mut rows = Vec::new();
+    for (name, dir) in units {
+        let mut files = Vec::new();
+        if dir.is_dir() {
+            collect_rs(&dir, &mut files)?;
+        }
+        let mut sums = (0, 0);
+        for file in &files {
+            let (lines, pubs) = source_stats(&fs::read_to_string(file)?);
+            sums = (sums.0 + lines, sums.1 + pubs);
+        }
+        if !files.is_empty() {
+            rows.push((name, sums.0, sums.1));
         }
     }
     let (lines, pubs) = rows.iter().fold((0, 0), |(l, p), r| (l + r.1, p + r.2));

@@ -21,7 +21,7 @@ use rand::SeedableRng;
 use ule_core::Algorithm;
 use ule_graph::dumbbell::{clique_path_base, BridgeOrientation, Dumbbell};
 use ule_graph::{Graph, IdAssignment, NodeId};
-use ule_sim::{RunOutcome, WatchHit};
+use ule_sim::{RunOutcome, RuntimeKind, WatchHit};
 
 /// One measured dumbbell run.
 #[derive(Debug, Clone)]
@@ -75,7 +75,7 @@ pub fn crossing_run(
     .expect("openable edges are never cut edges");
     let mut cfg = alg.config_for(&d.graph, seed);
     cfg.watch_edges = d.bridges.to_vec();
-    let out = alg.run_with(&d.graph, &cfg);
+    let out = alg.run_on(RuntimeKind::Sim, &d.graph, &cfg);
     summarize(&d, out)
 }
 
@@ -168,7 +168,7 @@ pub fn edge_order(
     let union = g.disjoint_union(g);
     let mut cfg = alg.config_for(&union, seed);
     cfg.max_rounds = max_rounds;
-    let out = alg.run_with(&union, &cfg);
+    let out = alg.run_on(RuntimeKind::Sim, &union, &cfg);
     let mut order: Vec<(NodeId, usize, u64)> = Vec::new();
     for v in 0..g.len() {
         for p in 0..g.degree(v) {
@@ -217,14 +217,14 @@ pub fn equivalence_check(
     cfg.ids = ule_sim::IdMode::Explicit(ids.clone());
     cfg.watch_edges = d.bridges.to_vec();
     cfg.max_rounds = u64::MAX / 4;
-    let dumbbell_out = alg.run_with(&d.graph, &cfg);
+    let dumbbell_out = alg.run_on(RuntimeKind::Sim, &d.graph, &cfg);
     let crossing = earliest(&dumbbell_out.watch_hits).map(|h| h.round);
 
     let union = g0.disjoint_union(&g0);
     let mut ucfg = alg.config_for(&union, seed);
     ucfg.ids = ule_sim::IdMode::Explicit(ids);
     ucfg.max_rounds = u64::MAX / 4;
-    let ex_out = alg.run_with(&union, &ucfg);
+    let ex_out = alg.run_on(RuntimeKind::Sim, &union, &ucfg);
 
     // First use of the opened edge's four directed ports in EX(G'²):
     // left copy (v,w) and right copy (v+n, w+n).

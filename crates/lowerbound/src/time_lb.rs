@@ -49,7 +49,7 @@ pub fn truncated_success(
             let outs = parallel_trials(trials, |trial| {
                 let mut cfg = alg.config_for(g, trial);
                 cfg.max_rounds = t;
-                alg.run_with(g, &cfg)
+                alg.run_on(ule_sim::RuntimeKind::Sim, g, &cfg)
             });
             let successes = outs.iter().filter(|o| o.election_succeeded()).count();
             let leaders: usize = outs.iter().map(|o| o.leader_count()).sum();

@@ -4,8 +4,8 @@
 //! this module the engine could express only one adversarial knob (the
 //! wakeup pattern, [`crate::Wakeup`]): message delivery was hard-wired to
 //! "next round". Here every message fate and node-liveness decision of a
-//! run flows through a [`Schedule`] — the adversary — so the same twelve
-//! `ule-core` algorithms can be measured under bounded-delay asynchrony,
+//! run flows through a [`Schedule`] — the adversary — so every `ule-core`
+//! registry algorithm can be measured under bounded-delay asynchrony,
 //! fail-stop crashes, and permanent link failures without touching a line
 //! of protocol code (the layer sits *below* [`crate::Protocol`]).
 //!

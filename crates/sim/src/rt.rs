@@ -35,8 +35,8 @@
 //! runtime *reproduces the synchronous execution exactly*. The
 //! [`RunOutcome`] of [`AsyncRuntime::run`] is **equal** to the engine's,
 //! field for field: same leader, same message/bit totals, same rounds,
-//! same per-edge statistics (`tests/async_conformance.rs` pins all 12
-//! registry algorithms, under every adversary). This is deliberately
+//! same per-edge statistics (`tests/async_conformance.rs` pins every
+//! registry algorithm, under every adversary). This is deliberately
 //! stronger than "message totals within tolerance": agreement validates
 //! the simulator's accounting against real concurrent execution.
 //!

@@ -12,13 +12,13 @@
 //! and reports pass / warn / fail, which the `ule-xp compare` subcommand
 //! maps to exit codes for the perf gate.
 //!
-//! This is the one campaign runner: `ule-bench`'s `table1` and
-//! `fig_tradeoff` binaries execute the built-in campaigns here
-//! ([`spec::builtin`]) and print through [`report`] (`table1` appends the
-//! Corollary 4.2 spanner rows, which are not a registry algorithm), so the
-//! printed tables and the machine-readable JSON always agree; the
-//! engine-throughput baseline `BENCH_engine.json` is `ule-xp run
-//! --campaign engine-scale`.
+//! This is the one campaign runner: Table 1 of the paper is `ule-xp run
+//! --campaign table1` (every registry algorithm, the Corollary 4.2
+//! spanner included), the §1.1.2 trade-off figure is `--campaign
+//! fig-tradeoff`, and the engine-throughput baseline `BENCH_engine.json`
+//! is `--campaign engine-scale` ([`spec::builtin`]). The tables `run`
+//! prints come from [`report`] over the same cells as the result JSON, so
+//! both views always agree.
 //!
 //! | Module | Role |
 //! |---|---|

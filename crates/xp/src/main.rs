@@ -25,7 +25,7 @@ USAGE:
 
   ule-xp run (--campaign NAME | --spec FILE) [OPTIONS]
       Run a campaign and write the result JSON.
-        --quick           shrink sizes/trials (same grid the legacy --quick used)
+        --quick           shrink sizes/trials (a fast smoke grid)
         --out PATH        result path (default results/<name>[-quick].json)
         --force           overwrite an existing result file
         --no-table        skip the human table on stdout

@@ -1,12 +1,12 @@
-//! Human-readable campaign tables (the stdout the legacy binaries
-//! printed, generated from campaign cells so both views always agree).
+//! Human-readable campaign tables: the stdout of `ule-xp run`, generated
+//! from the same campaign cells as the result JSON, so both views always
+//! agree.
 
 use crate::run::{CampaignResult, CellResult};
 use ule_core::Algorithm;
-use ule_sim::harness::Summary;
 
 /// The Table 1-style column header; timed campaigns get two extra columns.
-pub fn row_header(timed: bool) -> String {
+fn row_header(timed: bool) -> String {
     let mut h = format!(
         "{:<16} {:>7} {:>8} {:>6} {:>10} {:>12} {:>13} {:>7} {:>8} {:>9} {:>9}",
         "workload",
@@ -27,32 +27,26 @@ pub fn row_header(timed: bool) -> String {
     h
 }
 
-/// One formatted row under [`row_header`], from the row's fields (so rows
-/// that are not campaign cells — the `table1` binary's spanner section —
-/// share the format): the `(n, m, D)` instance, the `(t/shape, msg/shape)`
-/// ratios, and `(elapsed seconds, msgs/s)` for timed rows.
-pub fn format_row(
-    workload: &str,
-    (n, m, d): (usize, usize, usize),
-    summary: &Summary,
-    (time_ratio, msg_ratio): (f64, f64),
-    timing: Option<(f64, f64)>,
-) -> String {
+/// One formatted cell under [`row_header`]: the `(n, m, D)` instance,
+/// the summary, the `(t/shape, msg/shape)` ratios, and `(elapsed seconds,
+/// msgs/s)` for timed cells.
+fn format_row(c: &CellResult) -> String {
+    let summary = &c.summary;
     let mut r = format!(
         "{:<16} {:>7} {:>8} {:>6} {:>10.1} {:>12.1} {:>13.1} {:>6}b {:>7.0}% {:>9.2} {:>9.2}",
-        workload,
-        n,
-        m,
-        d,
+        c.workload,
+        c.n,
+        c.m,
+        c.d,
         summary.mean_rounds,
         summary.mean_messages,
         summary.mean_bits,
         summary.max_message_bits,
         100.0 * summary.success_rate(),
-        time_ratio,
-        msg_ratio
+        c.time_ratio,
+        c.msg_ratio
     );
-    if let Some((elapsed, tput)) = timing {
+    if let Some((elapsed, tput)) = c.elapsed_s.zip(c.msgs_per_s) {
         r.push_str(&format!(" {elapsed:>8.3}s {tput:>12.0}"));
     }
     r
@@ -79,13 +73,7 @@ pub fn render(result: &CampaignResult) -> String {
         out.push_str(&row_header(timed));
         out.push('\n');
         for c in cells {
-            out.push_str(&format_row(
-                &c.workload,
-                (c.n, c.m, c.d),
-                &c.summary,
-                (c.time_ratio, c.msg_ratio),
-                c.elapsed_s.zip(c.msgs_per_s),
-            ));
+            out.push_str(&format_row(c));
             out.push('\n');
         }
         out.push('\n');

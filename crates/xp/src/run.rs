@@ -213,8 +213,8 @@ enum CellTopo {
     Implicit(ImplicitTopology),
 }
 
-/// Runs a whole campaign. `progress` mirrors the legacy binaries' stderr
-/// cell-by-cell narration (stdout stays clean for tables/JSON).
+/// Runs a whole campaign. `progress` narrates cell by cell on stderr
+/// (stdout stays clean for tables/JSON).
 ///
 /// # Errors
 ///
@@ -783,10 +783,10 @@ mod tests {
 
     #[test]
     fn builtin_table1_cells_match_direct_runs() {
-        // Parity against the legacy Table 1 path on a one-algorithm slice
-        // of the real builtin grid: same derived graphs, same trials, same
-        // seeds (the full 12-algorithm campaign is exercised in release by
-        // the ported binaries; a debug unit test only needs the slice).
+        // Parity against direct registry runs on a one-algorithm slice of
+        // the real builtin grid: same derived graphs, same trials, same
+        // seeds (a debug unit test only needs the slice; the full campaign
+        // is `ule-xp run --campaign table1`).
         let mut spec = builtin("table1", true).unwrap();
         spec.groups[0].algorithms = vec![Algorithm::LeastElAll];
         let result = execute(&spec, RunMeta::fixed(), false).unwrap();

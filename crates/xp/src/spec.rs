@@ -549,7 +549,7 @@ fn group_from_json(v: &Json) -> Result<JobGroup, XpError> {
 pub const BUILTIN_CAMPAIGNS: [(&str, &str); 4] = [
     (
         "table1",
-        "Table 1 sweep: all 12 algorithms × {cycle, torus, sparse-rnd, dense-rnd}",
+        "Table 1: every registry algorithm × {cycle, torus, sparse-rnd, dense-rnd}",
     ),
     (
         "fig-tradeoff",
@@ -566,7 +566,7 @@ pub const BUILTIN_CAMPAIGNS: [(&str, &str); 4] = [
 ];
 
 /// Returns the built-in campaign of the given name, if any. `quick`
-/// shrinks sizes/trials the same way the legacy binaries' `--quick` did.
+/// shrinks sizes and trials for a fast smoke run.
 pub fn builtin(name: &str, quick: bool) -> Option<CampaignSpec> {
     let standard =
         |algorithms: Vec<Algorithm>, families: Vec<Family>, sizes: Vec<usize>, trials| JobGroup {
@@ -827,8 +827,8 @@ mod tests {
     fn table1_grid_shape_matches_legacy_sweep() {
         let spec = builtin("table1", true).unwrap();
         let jobs = spec.jobs();
-        // 12 algorithms × 4 families × 2 quick sizes.
-        assert_eq!(jobs.len(), 12 * 4 * 2);
+        // Every registry algorithm × 4 families × 2 quick sizes.
+        assert_eq!(jobs.len(), Algorithm::ALL.len() * 4 * 2);
         assert!(jobs
             .iter()
             .all(|j| j.group.diameter == DiameterMode::Exact && j.group.trials == 3));

@@ -1,9 +1,13 @@
-//! Ablations over the design choices DESIGN.md calls out.
+//! Ablations: the paper's tunable parameters and the design choices
+//! behind the registry's defaults, measured.
 //!
 //! ```text
-//! cargo run --release -p ule-bench --bin ablations [-- --quick]
+//! cargo run --release --example ablations
 //! ```
 //!
+//! * **Theorem 4.4's success trade-off**: `P(success) ≈ 1 − e^{−f}` as a
+//!   function of the expected candidate count `f(n)`, and the
+//!   ε-calibrated `f = 4·ln(1/ε)` of Theorem 4.4(B).
 //! * **A. Spanner parameter `k`** (Corollary 4.2): construction sweeps
 //!   cost `2k` announcements per edge while the spanner (and the election
 //!   bill on it) shrinks as `n^{1+1/k}` — the sweet spot is data, not
@@ -19,22 +23,82 @@
 //!   vs. the knowledge-free doubling schedule — the price of not knowing
 //!   `D`, per graph shape.
 
+use rand::rngs::StdRng;
+use rand::SeedableRng;
+use std::sync::Arc;
 use ule_core::las_vegas::{LasVegasConfig, LasVegasElect};
 use ule_core::least_el::{LeastEl, LeastElConfig};
+use ule_core::spanner::{probe_edges, SpannerConfig, SpannerElect, SpannerProbe};
 use ule_core::Algorithm;
-use ule_graph::{analysis, gen, IdSpace};
+use ule_graph::{analysis, gen, Graph, IdSpace};
 use ule_sim::harness::{parallel_trials, Summary};
-use ule_sim::{Knowledge, Runner, SimConfig};
-use ule_spanner::{elect_probed, SpannerConfig};
+use ule_sim::{Knowledge, RunOutcome, Runner, SimConfig};
+
+/// One Least-El run under a custom candidate policy (not a registry row).
+fn least_el(g: &Graph, sim: &SimConfig, lcfg: &LeastElConfig) -> RunOutcome {
+    Runner::new(g, sim).run(|_, setup, _| LeastEl::new(lcfg.clone(), setup.degree))
+}
 
 fn main() {
-    let quick = std::env::args().any(|a| a == "--quick");
-    let trials: u64 = if quick { 4 } else { 10 };
-    use rand::SeedableRng;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(4242);
+    success_probability();
+    parameters();
+}
 
-    println!("# A. Spanner parameter k (dense graph, m ≈ n^1.5)\n");
-    let g = gen::random_dense(if quick { 200 } else { 400 }, 0.5, &mut rng).unwrap();
+fn success_probability() {
+    let trials = 600;
+    let g = gen::torus(8, 8).expect("valid torus");
+    let n = g.len();
+
+    println!("# Theorem 4.4 — success probability vs f(n) (n = {n}, torus)\n");
+    println!(
+        "{:>8} {:>12} {:>12} {:>14} {:>12}",
+        "f", "measured", "1-e^-f", "mean msgs", "msgs/m"
+    );
+    for f in [0.25, 0.5, 1.0, 2.0, 4.0, 8.0, 16.0] {
+        let lcfg = LeastElConfig::expected_candidates(f);
+        let outs = parallel_trials(trials, |t| {
+            let cfg = SimConfig::seeded(t).with_knowledge(Knowledge::n(n));
+            least_el(&g, &cfg, &lcfg)
+        });
+        let s = Summary::from_outcomes(&outs);
+        println!(
+            "{:>8.2} {:>11.1}% {:>11.1}% {:>14.1} {:>12.2}",
+            f,
+            100.0 * s.success_rate(),
+            100.0 * (1.0 - (-f).exp()),
+            s.mean_messages,
+            s.mean_messages / g.edge_count() as f64
+        );
+    }
+
+    println!("\n# Theorem 4.4(B) — ε-calibrated: f = 4·ln(1/ε)\n");
+    println!(
+        "{:>8} {:>10} {:>12} {:>12}",
+        "ε", "f", "measured", "target ≥"
+    );
+    for eps in [0.5, 0.25, 0.1, 0.05] {
+        let lcfg = LeastElConfig::constant_error(eps);
+        let outs = parallel_trials(trials, |t| {
+            let cfg = SimConfig::seeded(7000 + t).with_knowledge(Knowledge::n(n));
+            least_el(&g, &cfg, &lcfg)
+        });
+        let s = Summary::from_outcomes(&outs);
+        println!(
+            "{:>8.2} {:>10.2} {:>11.1}% {:>11.1}%",
+            eps,
+            4.0 * (1.0 / eps).ln(),
+            100.0 * s.success_rate(),
+            100.0 * (1.0 - eps)
+        );
+    }
+}
+
+fn parameters() {
+    let trials = 10;
+    let mut rng = StdRng::seed_from_u64(4242);
+
+    println!("\n# A. Spanner parameter k (dense graph, m ≈ n^1.5)\n");
+    let g = gen::random_dense(400, 0.5, &mut rng).unwrap();
     println!("graph: n = {}, m = {}", g.len(), g.edge_count());
     println!(
         "{:>4} {:>9} {:>14} {:>12} {:>10} {:>9}",
@@ -42,18 +106,20 @@ fn main() {
     );
     for k in [2u32, 3, 4, 6] {
         let sc = SpannerConfig { k };
+        let probe = SpannerProbe::default();
         let sim = SimConfig::seeded(1).with_knowledge(Knowledge::n(g.len()));
-        let (_, edges) = elect_probed(&g, &sim, &sc);
+        Runner::new(&g, &sim)
+            .run(|v, s, _| SpannerElect::new(sc, v, s.degree).with_probe(Arc::clone(&probe)));
         let outs = parallel_trials(trials, |t| {
             let sim = SimConfig::seeded(t).with_knowledge(Knowledge::n(g.len()));
-            ule_spanner::elect(&g, &sim, &sc)
+            Runner::new(&g, &sim).run(|v, s, _| SpannerElect::new(sc, v, s.degree))
         });
         let s = Summary::from_outcomes(&outs);
         println!(
             "{:>4} {:>9} {:>14} {:>12.1} {:>10.1} {:>8.0}%",
             k,
             sc.stretch(),
-            edges.len(),
+            probe_edges(&g, &probe).len(),
             s.mean_messages,
             s.mean_rounds,
             100.0 * s.success_rate()
@@ -100,14 +166,14 @@ fn main() {
     );
     for (label, id_tie) in [("random (anonymous)", false), ("node identifiers", true)] {
         let outs = parallel_trials(trials, |t| {
-            let mut irng = rand::rngs::StdRng::seed_from_u64(t ^ 0xBEEF);
+            let mut irng = StdRng::seed_from_u64(t ^ 0xBEEF);
             let ids = IdSpace::standard(g.len()).sample(g.len(), &mut irng);
             let cfg = SimConfig::seeded(t)
                 .with_ids(ids)
                 .with_knowledge(Knowledge::n(g.len()));
             let mut lcfg = LeastElConfig::all_candidates();
             lcfg.id_tie_break = id_tie;
-            Runner::new(&g, &cfg).run(|_, s, _| LeastEl::new(lcfg.clone(), s.degree))
+            least_el(&g, &cfg, &lcfg)
         });
         let s = Summary::from_outcomes(&outs);
         println!(

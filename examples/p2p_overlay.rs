@@ -19,11 +19,12 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use std::sync::Arc;
+use ule_core::spanner::{probe_edges, SpannerConfig, SpannerElect, SpannerProbe};
 use ule_core::Algorithm;
 use ule_graph::{gen, Graph};
 use ule_sim::harness::{parallel_trials, Summary};
-use ule_sim::{Knowledge, SimConfig};
-use ule_spanner::{elect_probed, SpannerConfig};
+use ule_sim::{Knowledge, Runner, SimConfig};
 
 fn report(name: &str, g: &Graph, s: &Summary) {
     println!(
@@ -48,21 +49,22 @@ fn run_overlay(label: &str, g: &Graph) {
         "algorithm", "rounds", "messages", "msgs/m", "success"
     );
     let trials = 4u64;
-    for alg in [Algorithm::LeastElAll, Algorithm::Clustering] {
+    for alg in [
+        Algorithm::LeastElAll,
+        Algorithm::Clustering,
+        Algorithm::Spanner,
+    ] {
         let outs = parallel_trials(trials, |t| alg.run(g, t));
         report(alg.spec().name, g, &Summary::from_outcomes(&outs));
     }
-    let sc = SpannerConfig::for_epsilon(0.5);
+    // The spanner `Algorithm::Spanner` builds, observed through a probe.
+    let (sc, probe) = (SpannerConfig::for_epsilon(0.5), SpannerProbe::default());
     let sim = SimConfig::seeded(0).with_knowledge(Knowledge::n(g.len()));
-    let (_, spanner_edges) = elect_probed(g, &sim, &sc);
-    let outs = parallel_trials(trials, |t| {
-        let sim = SimConfig::seeded(t).with_knowledge(Knowledge::n(g.len()));
-        ule_spanner::elect(g, &sim, &sc)
-    });
-    report("spanner (4.2)", g, &Summary::from_outcomes(&outs));
+    Runner::new(g, &sim)
+        .run(|v, s, _| SpannerElect::new(sc, v, s.degree).with_probe(Arc::clone(&probe)));
     println!(
         "   spanner kept {} of {} edges (stretch ≤ {})",
-        spanner_edges.len(),
+        probe_edges(g, &probe).len(),
         g.edge_count(),
         sc.stretch()
     );

@@ -8,13 +8,12 @@
 //!
 //! * [`ule_graph`] — graphs, generators, ID spaces, structural analysis.
 //! * [`ule_sim`] — the synchronous CONGEST/LOCAL round engine.
-//! * [`ule_core`] — the paper's algorithms (Table 1) and the registry.
+//! * [`ule_core`] — the paper's algorithms (Table 1, Corollary 4.2's
+//!   spanner election included) and the registry.
 //! * [`ule_lowerbound`] — the message/time lower-bound experiments.
-//! * [`ule_spanner`] — Corollary 4.2's spanner-based election.
 #![warn(missing_docs)]
 
 pub use ule_core;
 pub use ule_graph;
 pub use ule_lowerbound;
 pub use ule_sim;
-pub use ule_spanner;

@@ -70,7 +70,7 @@ fn every_algorithm_conforms_on_every_workload() {
     for (label, g) in workloads() {
         for alg in Algorithm::ALL {
             let cfg = alg.config_for(&g, 2);
-            let sim = alg.run_with(&g, &cfg);
+            let sim = alg.run_on(RuntimeKind::Sim, &g, &cfg);
             let over_channels = alg.run_on(RuntimeKind::Async, &g, &cfg);
             assert_eq!(
                 over_channels,
@@ -88,8 +88,8 @@ fn every_algorithm_conforms_on_every_workload() {
 
 #[test]
 fn every_algorithm_conforms_under_every_adversary() {
-    // The acceptance bar of the per-edge fate-stream refactor: all 12
-    // registry algorithms, under every adversary model, produce
+    // The acceptance bar of the per-edge fate-stream refactor: every
+    // registry algorithm, under every adversary model, produce
     // field-for-field equal outcomes on the engine (sequential and
     // sharded at 2 and 4 threads) and on the async runtime. The round cap
     // keeps crash-stalled deadline algorithms (kingdom under a dead king)
@@ -109,13 +109,13 @@ fn every_algorithm_conforms_under_every_adversary() {
             let reference = {
                 let mut sequential = cfg.clone();
                 sequential.parallelism = Parallelism::Off;
-                alg.run_with(&g, &sequential)
+                alg.run_on(RuntimeKind::Sim, &g, &sequential)
             };
             for threads in [2usize, 4] {
                 let mut sharded = cfg.clone();
                 sharded.parallelism = Parallelism::Threads(threads);
                 assert_eq!(
-                    alg.run_with(&g, &sharded),
+                    alg.run_on(RuntimeKind::Sim, &g, &sharded),
                     reference,
                     "{alg} x {name}: engine diverges at {threads} threads"
                 );
@@ -136,7 +136,7 @@ fn round_limit_truncation_conforms() {
     let g = gen::torus(4, 4).unwrap();
     let mut cfg = Algorithm::FloodMax.config_for(&g, 0);
     cfg = cfg.with_max_rounds(2);
-    let sim = Algorithm::FloodMax.run_with(&g, &cfg);
+    let sim = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &g, &cfg);
     let over_channels = Algorithm::FloodMax.run_on(RuntimeKind::Async, &g, &cfg);
     assert_eq!(over_channels, sim);
     assert_eq!(sim.termination, ule_sim::Termination::RoundLimit);
@@ -165,7 +165,10 @@ fn recorded_trace_replays_byte_for_byte() {
         let replayed = replay(&g, &cfg, factory, &recorded.trace);
         assert_eq!(replayed, recorded);
         // And the recorded run itself conforms to the simulator.
-        assert_eq!(recorded.outcome, Algorithm::FloodMax.run_with(&g, &cfg));
+        assert_eq!(
+            recorded.outcome,
+            Algorithm::FloodMax.run_on(RuntimeKind::Sim, &g, &cfg)
+        );
     }
 }
 
@@ -176,7 +179,7 @@ fn single_source_wakeup_conforms() {
     let g = gen::cycle(12).unwrap();
     let mut cfg = SimConfig::seeded(3).with_knowledge(ule_sim::Knowledge::n(12));
     cfg.wakeup = ule_sim::Wakeup::Adversarial(vec![0]);
-    let sim = Algorithm::LeastElAll.run_with(&g, &cfg);
+    let sim = Algorithm::LeastElAll.run_on(RuntimeKind::Sim, &g, &cfg);
     let over_channels = Algorithm::LeastElAll.run_on(RuntimeKind::Async, &g, &cfg);
     assert_eq!(over_channels, sim);
     assert!(sim.election_succeeded());

@@ -2,9 +2,10 @@
 //! seeds, plus the cross-cutting guarantees (CONGEST compliance, seeded
 //! determinism, explicit knowledge handling).
 
+use ule_core::spanner::{SpannerConfig, SpannerElect};
 use ule_core::Algorithm;
 use ule_graph::{analysis, gen, Graph, IdAssignment, IdSpace};
-use ule_sim::{Knowledge, Model, SimConfig, Termination};
+use ule_sim::{Knowledge, Model, Runner, RuntimeKind, SimConfig, Termination};
 
 fn families(n: usize, seed: u64) -> Vec<(String, Graph)> {
     use rand::SeedableRng;
@@ -128,7 +129,7 @@ fn adversarial_id_assignments() {
                 m: None,
                 diameter: Some(d),
             };
-            let out = alg.run_with(&g, &cfg);
+            let out = alg.run_on(RuntimeKind::Sim, &g, &cfg);
             assert!(out.election_succeeded(), "{alg} with adversarial ids");
         }
     }
@@ -146,8 +147,8 @@ fn local_model_also_works() {
             c.model = Model::Local;
             c
         };
-        let a = alg.run_with(&g, &cfg);
-        let b = alg.run_with(&g, &local);
+        let a = alg.run_on(RuntimeKind::Sim, &g, &cfg);
+        let b = alg.run_on(RuntimeKind::Sim, &g, &local);
         assert_eq!(a.messages, b.messages, "{alg}");
         assert_eq!(a.statuses, b.statuses, "{alg}");
         assert_eq!(b.congest_violations, 0);
@@ -161,7 +162,8 @@ fn spanner_election_on_families() {
     for fam in gen::Family::ALL {
         let g = fam.build(28, &mut rng).unwrap();
         let sim = SimConfig::seeded(3).with_knowledge(Knowledge::n(g.len()));
-        let out = ule_spanner::elect(&g, &sim, &ule_spanner::SpannerConfig { k: 3 });
+        let sc = SpannerConfig { k: 3 };
+        let out = Runner::new(&g, &sim).run(|v, s, _| SpannerElect::new(sc, v, s.degree));
         assert!(out.election_succeeded(), "spanner on {fam}");
     }
 }
@@ -196,10 +198,10 @@ fn explicit_leader_identity_consistency() {
         ule_sim::IdMode::Explicit(a) => a.clone(),
         _ => unreachable!(),
     };
-    let out = Algorithm::KingdomKnownD.run_with(&g, &cfg);
+    let out = Algorithm::KingdomKnownD.run_on(RuntimeKind::Sim, &g, &cfg);
     assert_eq!(out.leader(), Some(ids.argmax()), "kingdom elects max id");
 
     let cfg = Algorithm::DfsAgent.config_for(&g, 5);
-    let out = Algorithm::DfsAgent.run_with(&g, &cfg);
+    let out = Algorithm::DfsAgent.run_on(RuntimeKind::Sim, &g, &cfg);
     assert_eq!(out.leader(), Some(0), "dfs elects min id (sequential)");
 }

@@ -8,7 +8,9 @@ use ule_core::least_el::{LeastEl, LeastElConfig};
 use ule_core::Algorithm;
 use ule_graph::{analysis, dumbbell, gen, Graph, IdAssignment};
 use ule_sim::harness::{parallel_trials, Summary};
-use ule_sim::{Adversary, Knowledge, RunOutcome, Runner, SimConfig, Status, Termination, Wakeup};
+use ule_sim::{
+    Adversary, Knowledge, RunOutcome, Runner, RuntimeKind, SimConfig, Status, Termination, Wakeup,
+};
 
 fn le_elect(g: &Graph, sim: &SimConfig, cfg: &LeastElConfig) -> RunOutcome {
     Runner::new(g, sim).run(|_, s, _| LeastEl::new(cfg.clone(), s.degree))
@@ -23,7 +25,7 @@ fn truncated_runs_report_round_limit_and_partial_state() {
     let g = gen::path(40).unwrap();
     let mut cfg = Algorithm::LeastElAll.config_for(&g, 0);
     cfg.max_rounds = 3;
-    let out = Algorithm::LeastElAll.run_with(&g, &cfg);
+    let out = Algorithm::LeastElAll.run_on(RuntimeKind::Sim, &g, &cfg);
     assert_eq!(out.termination, Termination::RoundLimit);
     assert!(!out.election_succeeded());
     assert_eq!(
@@ -224,7 +226,7 @@ fn partitioned_dumbbell_elects_per_component() {
         .with_adversary(Adversary::LinkFailure {
             schedule: d.bridges.iter().map(|&e| (e, 0)).collect(),
         });
-    let out = Algorithm::FloodMax.run_with(g, &cfg);
+    let out = Algorithm::FloodMax.run_on(RuntimeKind::Sim, g, &cfg);
     assert_eq!(out.termination, Termination::Quiescent);
     assert_eq!(out.leader_count(), 2, "one leader per component");
     assert!(!out.election_succeeded());
@@ -261,11 +263,11 @@ fn bridges_that_die_after_the_crossing_change_nothing() {
         .with_ids(IdAssignment::sequential(n))
         .with_knowledge(Knowledge::n_and_diameter(n, diam))
         .watching(&d.bridges);
-    let healthy = Algorithm::FloodMax.run_with(g, &base);
+    let healthy = Algorithm::FloodMax.run_on(RuntimeKind::Sim, g, &base);
     let late_failure = base.clone().with_adversary(Adversary::LinkFailure {
         schedule: d.bridges.iter().map(|&e| (e, 100_000)).collect(),
     });
-    let out = Algorithm::FloodMax.run_with(g, &late_failure);
+    let out = Algorithm::FloodMax.run_on(RuntimeKind::Sim, g, &late_failure);
     assert_eq!(out, healthy);
     assert!(out.election_succeeded());
     assert!(

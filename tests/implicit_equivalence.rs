@@ -4,7 +4,7 @@
 //! *indistinguishable* from the materialized CSR graph: same node and port
 //! numbering, same directed-edge indices. This suite checks the promise at
 //! the only level that matters — the full [`ule_sim::RunOutcome`] struct,
-//! every field, for all twelve registry algorithms, under the lockstep and
+//! every field, for every registry algorithm, under the lockstep and
 //! bounded-delay adversaries, at every parallelism setting. A single
 //! mis-numbered port would desynchronize the per-node RNG streams or the
 //! adversary's directed-edge fate streams and show up here as a hard
@@ -13,7 +13,7 @@
 use ule_core::Algorithm;
 use ule_graph::gen::Family;
 use ule_graph::{Graph, ImplicitTopology, Topology};
-use ule_sim::{Adversary, Parallelism, RunOutcome, SimConfig};
+use ule_sim::{Adversary, Parallelism, RunOutcome, RuntimeKind, SimConfig};
 
 /// The two structured shapes the acceptance contract names: a cycle and a
 /// torus, implicit next to their byte-identical materializations.
@@ -47,7 +47,7 @@ fn run_outcomes_are_identical_implicit_vs_materialized() {
                 // One materialized sequential run is the reference; every
                 // other (representation × parallelism) combination must
                 // reproduce it field for field.
-                let reference = alg.run_with(&g, &cfg);
+                let reference = alg.run_on(RuntimeKind::Sim, &g, &cfg);
                 for par in [
                     Parallelism::Off,
                     Parallelism::Threads(2),
@@ -55,8 +55,8 @@ fn run_outcomes_are_identical_implicit_vs_materialized() {
                 ] {
                     let mut c = cfg.clone();
                     c.parallelism = par;
-                    let mat = alg.run_with(&g, &c);
-                    let imp = alg.run_with(&topo, &c);
+                    let mat = alg.run_on(RuntimeKind::Sim, &g, &c);
+                    let imp = alg.run_on(RuntimeKind::Sim, &topo, &c);
                     assert_eq!(
                         mat, reference,
                         "{alg} on materialized {shape} under {adv_name} drifted at {par:?}"
@@ -95,8 +95,8 @@ fn disabling_edge_stats_changes_only_the_per_edge_columns() {
         let cfg = alg.config_for(&g, 5);
         let mut diet = cfg.clone();
         diet.edge_stats = false;
-        let full = alg.run_with(&topo, &cfg);
-        let lean = alg.run_with(&topo, &diet);
+        let full = alg.run_on(RuntimeKind::Sim, &topo, &cfg);
+        let lean = alg.run_on(RuntimeKind::Sim, &topo, &diet);
         assert!(lean.first_directed_use.is_empty(), "{alg}");
         assert!(lean.directed_message_counts.is_empty(), "{alg}");
         let strip = |o: &RunOutcome| {
@@ -121,8 +121,8 @@ fn watch_edges_still_work_without_edge_stats() {
     cfg.watch_edges = vec![(0, 1)];
     let mut diet = cfg.clone();
     diet.edge_stats = false;
-    let full = Algorithm::FloodMax.run_with(&g, &cfg);
-    let lean = Algorithm::FloodMax.run_with(&topo, &diet);
+    let full = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &g, &cfg);
+    let lean = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &topo, &diet);
     assert_eq!(full.watch_hits, lean.watch_hits);
     assert!(full.watch_hits[0].is_some());
 }

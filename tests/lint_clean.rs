@@ -8,16 +8,14 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 
 /// ROADMAP aim 2's tracked numbers: the workspace's non-test code lines
 /// and `pub` items (`ule-lint stats`, the `total` row) as of the last
-/// change that moved them. The lines were last raised from 10 549 by the
-/// 56 that `crates/sim` grew (2 758 → 2 814) when the async worker began
-/// to schedule from events: a ready list and a waiting list (`NodeList`),
-/// a wake calendar, a floor, flat per-worker in-port columns (`Inbox`)
-/// and `[u64; 4]` frame headers — net of the deleted per-node sweep,
-/// `NodeRt`, the O(n) `Advance` / `earliest_event` walks and the
-/// active-round set. What the lines buy: `run_s` on the repo benchmark's
-/// `async-torus` 0.074 s → 0.037 s (−50 %, medians of 10 alternating
-/// pairs, faster in all 10; CHANGES.md) at 6 % less peak RSS.
-const MAX_CODE_LINES: usize = 10_605;
+/// change that moved them. The scope now includes the umbrella crate's
+/// `src/` and `examples/`, so code moved out of a crate into an example
+/// is not counted as deleted; under that scope the tree stood at 10 986
+/// lines / 483 items (10 605 / 478 under the crates-only scope, plus 381
+/// / 5 from `examples/` and `src/`) before the Corollary 4.2 spanner
+/// became `Algorithm::Spanner` and the figure binaries became examples
+/// and `ule-xp` campaigns.
+const MAX_CODE_LINES: usize = 10_829;
 const MAX_PUB_ITEMS: usize = 478;
 
 #[test]

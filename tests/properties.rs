@@ -2,11 +2,13 @@
 //! and construction parameters.
 
 use proptest::prelude::*;
+use std::sync::Arc;
+use ule_core::spanner::{probe_edges, SpannerConfig, SpannerElect, SpannerProbe};
 use ule_core::Algorithm;
 use ule_graph::clique_cycle::CliqueCycle;
 use ule_graph::dumbbell::{clique_path_base, BridgeOrientation, Dumbbell};
 use ule_graph::{analysis, gen, Graph};
-use ule_sim::{Knowledge, SimConfig};
+use ule_sim::{Knowledge, Runner, RuntimeKind, SimConfig};
 
 /// A random connected graph strategy: (n, extra edge factor, seed).
 fn arb_graph() -> impl Strategy<Value = Graph> {
@@ -61,7 +63,7 @@ proptest! {
             ule_sim::IdMode::Explicit(a) => a.clone(),
             _ => unreachable!(),
         };
-        let out = Algorithm::KingdomKnownD.run_with(&g, &cfg);
+        let out = Algorithm::KingdomKnownD.run_on(RuntimeKind::Sim, &g, &cfg);
         prop_assert!(out.election_succeeded());
         prop_assert_eq!(out.leader(), Some(ids.argmax()));
     }
@@ -145,8 +147,10 @@ proptest! {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let g = gen::random_connected(24, 90, &mut rng).unwrap();
         let sim = SimConfig::seeded(seed).with_knowledge(Knowledge::n(g.len()));
-        let sc = ule_spanner::SpannerConfig { k };
-        let (out, edges) = ule_spanner::elect_probed(&g, &sim, &sc);
+        let (sc, probe) = (SpannerConfig { k }, SpannerProbe::default());
+        let out = Runner::new(&g, &sim)
+            .run(|v, s, _| SpannerElect::new(sc, v, s.degree).with_probe(Arc::clone(&probe)));
+        let edges = probe_edges(&g, &probe);
         prop_assert!(out.election_succeeded());
         let sp = Graph::from_edges(g.len(), &edges).unwrap();
         prop_assert!(sp.is_connected());
@@ -173,7 +177,7 @@ proptest! {
 
     #[test]
     fn parallel_engine_equals_sequential(
-        alg_idx in 0usize..12,
+        alg_idx in 0..Algorithm::ALL.len(),
         fam_idx in 0usize..6,
         n in 8usize..80,
         seed in 0u64..1000,
@@ -198,9 +202,9 @@ proptest! {
         let g = gen::workload_graph(seed, fam, n).unwrap();
         let mut cfg = alg.config_for(&g, seed);
         cfg.parallelism = ule_sim::Parallelism::Off;
-        let sequential = alg.run_with(&g, &cfg);
+        let sequential = alg.run_on(RuntimeKind::Sim, &g, &cfg);
         cfg.parallelism = ule_sim::Parallelism::Threads(threads);
-        let parallel = alg.run_with(&g, &cfg);
+        let parallel = alg.run_on(RuntimeKind::Sim, &g, &cfg);
         prop_assert_eq!(
             parallel, sequential,
             "{} on {}/{} seed {} diverged at {} threads", alg, fam, n, seed, threads
@@ -209,7 +213,7 @@ proptest! {
 
     #[test]
     fn explicit_lockstep_and_zero_delay_reproduce_the_legacy_engine(
-        alg_idx in 0usize..12,
+        alg_idx in 0..Algorithm::ALL.len(),
         fam_idx in 0usize..6,
         n in 8usize..80,
         seed in 0u64..1000,
@@ -238,14 +242,14 @@ proptest! {
         } else {
             ule_sim::Parallelism::Threads(threads)
         };
-        let reference = alg.run_with(&g, &cfg);
+        let reference = alg.run_on(RuntimeKind::Sim, &g, &cfg);
         for adversary in [
             ule_sim::Adversary::Lockstep,
             ule_sim::Adversary::BoundedDelay { max_delay: 0 },
         ] {
             let mut faulty_cfg = cfg.clone();
             faulty_cfg.adversary = adversary.clone();
-            let out = alg.run_with(&g, &faulty_cfg);
+            let out = alg.run_on(RuntimeKind::Sim, &g, &faulty_cfg);
             prop_assert_eq!(
                 &out, &reference,
                 "{} on {}/{} seed {} under {:?} diverged from the legacy engine",
@@ -352,9 +356,9 @@ proptest! {
             .diameter
             .map(|d| d * (max_delay as usize + 1));
         cfg.parallelism = ule_sim::Parallelism::Off;
-        let sequential = alg.run_with(&g, &cfg);
+        let sequential = alg.run_on(RuntimeKind::Sim, &g, &cfg);
         cfg.parallelism = ule_sim::Parallelism::Threads(threads);
-        let parallel = alg.run_with(&g, &cfg);
+        let parallel = alg.run_on(RuntimeKind::Sim, &g, &cfg);
         prop_assert_eq!(
             parallel, sequential,
             "{} on {}/{} seed {} delay {} diverged at {} threads",
@@ -365,7 +369,7 @@ proptest! {
 
     #[test]
     fn engine_and_async_agree_under_adversaries(
-        alg_idx in 0usize..12,
+        alg_idx in 0..Algorithm::ALL.len(),
         fam_idx in 0usize..6,
         n in 8usize..48,
         seed in 0u64..1000,
@@ -408,7 +412,7 @@ proptest! {
             } else {
                 ule_sim::Parallelism::Threads(threads)
             };
-            let engine = alg.run_with(&g, &faulty);
+            let engine = alg.run_on(RuntimeKind::Sim, &g, &faulty);
             let over_channels = alg.run_on(ule_sim::RuntimeKind::Async, &g, &faulty);
             prop_assert_eq!(
                 &over_channels, &engine,
@@ -445,7 +449,7 @@ proptest! {
         let recorded = ule_sim::AsyncRuntime::new().run(&g, &cfg, factory);
         let replayed = ule_sim::replay(&g, &cfg, factory, &recorded.trace);
         prop_assert_eq!(&replayed, &recorded);
-        prop_assert_eq!(&recorded.outcome, &alg.run_with(&g, &cfg));
+        prop_assert_eq!(&recorded.outcome, &alg.run_on(RuntimeKind::Sim, &g, &cfg));
         prop_assert!(recorded.outcome.election_succeeded());
     }
 
@@ -454,7 +458,7 @@ proptest! {
         let mut cfg = Algorithm::LeastElAll.config_for(&g, 3);
         cfg.max_rounds = t;
         let full = Algorithm::LeastElAll.run(&g, 3);
-        let cut = Algorithm::LeastElAll.run_with(&g, &cfg);
+        let cut = Algorithm::LeastElAll.run_on(RuntimeKind::Sim, &g, &cfg);
         if cut.termination == ule_sim::Termination::Quiescent {
             // Quiescent truncated run ⇒ it genuinely finished within t.
             prop_assert!(full.rounds <= t);

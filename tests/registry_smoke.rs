@@ -12,9 +12,10 @@ use ule_graph::{gen, Graph};
 ///
 /// Runs are seeded and deterministic, so even the Monte Carlo algorithms
 /// (`CoinFlip` succeeds only with constant probability) either always pass
-/// or always fail here; the seed below is chosen so all twelve pass under
-/// the current per-node RNG derivation ([`ule_sim::node_rng_seed`]), and
-/// any behavioral drift shows up as a hard failure.
+/// or always fail here; the seed below is chosen so every registry
+/// algorithm passes under the current per-node RNG derivation
+/// ([`ule_sim::node_rng_seed`]), and any behavioral drift shows up as a
+/// hard failure.
 fn smoke(alg: Algorithm, g: &Graph, label: &str) {
     let out = alg.run(g, 2);
     assert!(

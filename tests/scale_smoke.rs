@@ -11,7 +11,7 @@
 use std::time::{Duration, Instant};
 use ule_core::Algorithm;
 use ule_graph::{gen, IdAssignment, IdSpace};
-use ule_sim::{Knowledge, Parallelism, SimConfig, Termination};
+use ule_sim::{Knowledge, Parallelism, RuntimeKind, SimConfig, Termination};
 
 /// Generous per-test budget: each run takes single-digit seconds on a
 /// laptop; only an asymptotic regression (or a hung run) exceeds this.
@@ -46,7 +46,7 @@ fn floodmax_on_a_million_node_cycle() {
         .with_knowledge(Knowledge::n_and_diameter(n, n / 2))
         .with_max_rounds(u64::MAX / 4);
     let start = Instant::now();
-    let out = Algorithm::FloodMax.run_with(&g, &cfg);
+    let out = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &g, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "FloodMax on the 10^6 cycle took {:?} — scheduler regression",
@@ -79,7 +79,7 @@ fn floodmax_on_a_ten_million_node_cycle() {
     cfg.edge_stats = false;
     let pre_rss = peak_rss_bytes();
     let start = Instant::now();
-    let out = Algorithm::FloodMax.run_with(&topo, &cfg);
+    let out = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &topo, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "FloodMax on the 10^7 cycle took {:?} — scheduler regression",
@@ -139,7 +139,7 @@ fn floodmax_on_a_hundred_million_node_cycle() {
 
     // Headline run: implicit topology, inside the 900 s / 24 GB budget.
     let start = Instant::now();
-    let reference = Algorithm::FloodMax.run_with(&topo, &cfg);
+    let reference = Algorithm::FloodMax.run_on(RuntimeKind::Sim, &topo, &cfg);
     let elapsed = start.elapsed();
     assert!(
         elapsed < Duration::from_secs(900),
@@ -161,14 +161,14 @@ fn floodmax_on_a_hundred_million_node_cycle() {
         let mut c = cfg.clone();
         c.parallelism = Parallelism::Threads(threads);
         assert_eq!(
-            Algorithm::FloodMax.run_with(&topo, &c),
+            Algorithm::FloodMax.run_on(RuntimeKind::Sim, &topo, &c),
             reference,
             "implicit outcome drifted at {threads} threads"
         );
     }
     let g = topo.materialize();
     assert_eq!(
-        Algorithm::FloodMax.run_with(&g, &cfg),
+        Algorithm::FloodMax.run_on(RuntimeKind::Sim, &g, &cfg),
         reference,
         "materialized outcome differs from implicit"
     );
@@ -183,7 +183,7 @@ fn dfs_agent_on_a_ten_thousand_node_path() {
         .with_ids(IdAssignment::sequential(n))
         .with_max_rounds(u64::MAX / 4);
     let start = Instant::now();
-    let out = Algorithm::DfsAgent.run_with(&g, &cfg);
+    let out = Algorithm::DfsAgent.run_on(RuntimeKind::Sim, &g, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "DfsAgent on the 10^4 path took {:?} — scheduler regression",
@@ -214,7 +214,7 @@ fn kingdom_doubling_on_a_large_torus() {
         .with_ids(IdSpace::standard(n).sample(n, &mut rng))
         .with_max_rounds(u64::MAX / 4);
     let start = Instant::now();
-    let out = Algorithm::KingdomDoubling.run_with(&g, &cfg);
+    let out = Algorithm::KingdomDoubling.run_on(RuntimeKind::Sim, &g, &cfg);
     assert!(
         start.elapsed() < BUDGET,
         "kingdom(2^p) on the {side}x{side} torus took {:?}",

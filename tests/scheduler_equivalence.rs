@@ -18,7 +18,11 @@
 //!    chain instead of XOR ([`ule_sim::node_rng_seed`]) — deterministic
 //!    algorithms (`dfs-agent`, `kingdom(*)`, `floodmax`, `tole`) kept
 //!    their original full-scan values across that re-recording, which
-//!    cross-checks the recording procedure itself. Regenerate after an
+//!    cross-checks the recording procedure itself. The `spanner` pins
+//!    were recorded from the Corollary 4.2 election's standalone entry
+//!    point (`SpannerConfig::for_epsilon(0.5)`, knowledge of `n`) before
+//!    it became a registry row, so they also check that the registry runs
+//!    it unchanged. Regenerate after an
 //!    intentional behaviour change with
 //!    `cargo test --release --test scheduler_equivalence -- --ignored regenerate_pins --nocapture`.
 //! 3. The pin matrix runs under `Parallelism::Off`, `Threads(2)`, and
@@ -28,7 +32,7 @@
 
 use ule_core::Algorithm;
 use ule_graph::{dumbbell, gen, Graph};
-use ule_sim::{Parallelism, RunOutcome, Status, Termination};
+use ule_sim::{Parallelism, RunOutcome, RuntimeKind, Status, Termination};
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -221,6 +225,16 @@ const PINS: &[Pin] = &[
     (1, "cycle16", "coin-flip", 0, 1, 0, -1, 0xdf59dd14e349bc7e),
     (
         1,
+        "cycle16",
+        "spanner",
+        286,
+        56,
+        7384,
+        7,
+        0xcf3087c45d1feecc,
+    ),
+    (
+        1,
         "grid4x4",
         "least-el(n)",
         216,
@@ -321,6 +335,16 @@ const PINS: &[Pin] = &[
     ),
     (1, "grid4x4", "tole", 218, 15, 7661, 13, 0x6068c13c7e8724f3),
     (1, "grid4x4", "coin-flip", 0, 1, 0, -1, 0xdb0095d33064c6ae),
+    (
+        1,
+        "grid4x4",
+        "spanner",
+        439,
+        50,
+        10845,
+        7,
+        0x05e07d8854fa7580,
+    ),
     (
         1,
         "torus4x4",
@@ -432,6 +456,16 @@ const PINS: &[Pin] = &[
         0xeeab7ed2003aaf8c,
     ),
     (1, "torus4x4", "coin-flip", 0, 1, 0, -1, 0xb60e818c44aab1de),
+    (
+        1,
+        "torus4x4",
+        "spanner",
+        593,
+        48,
+        14902,
+        7,
+        0x7d368901dff7b30d,
+    ),
     (
         1,
         "dumbbell24",
@@ -552,6 +586,16 @@ const PINS: &[Pin] = &[
         -1,
         0xfbd2ad6541ec0c37,
     ),
+    (
+        1,
+        "dumbbell24",
+        "spanner",
+        810,
+        68,
+        24040,
+        10,
+        0x3e64a4faf8d8027c,
+    ),
     // seed 2
     (
         2,
@@ -657,6 +701,16 @@ const PINS: &[Pin] = &[
     (2, "cycle16", "coin-flip", 0, 1, 0, 7, 0xf38a809d622cd0e7),
     (
         2,
+        "cycle16",
+        "spanner",
+        271,
+        55,
+        6932,
+        6,
+        0x6421657a28a3f7cd,
+    ),
+    (
+        2,
         "grid4x4",
         "least-el(n)",
         220,
@@ -759,6 +813,16 @@ const PINS: &[Pin] = &[
     (2, "grid4x4", "coin-flip", 0, 1, 0, 7, 0x89ed92165d3d4137),
     (
         2,
+        "grid4x4",
+        "spanner",
+        459,
+        48,
+        11399,
+        6,
+        0x69ad765d0f24e856,
+    ),
+    (
+        2,
         "torus4x4",
         "least-el(n)",
         290,
@@ -859,6 +923,16 @@ const PINS: &[Pin] = &[
     ),
     (2, "torus4x4", "tole", 284, 13, 10142, 5, 0xee3eef56cd3cb280),
     (2, "torus4x4", "coin-flip", 0, 1, 0, 7, 0x85f3f0d9cb0d16c7),
+    (
+        2,
+        "torus4x4",
+        "spanner",
+        579,
+        48,
+        14652,
+        6,
+        0xe142decaba267189,
+    ),
     (
         2,
         "dumbbell24",
@@ -970,6 +1044,16 @@ const PINS: &[Pin] = &[
         0xfaf21660b1faa2d0,
     ),
     (2, "dumbbell24", "coin-flip", 0, 1, 0, 7, 0x38ddf06c17d37c1b),
+    (
+        2,
+        "dumbbell24",
+        "spanner",
+        666,
+        56,
+        18671,
+        16,
+        0x36bb73cb26ed4d51,
+    ),
 ];
 
 #[test]
@@ -1003,7 +1087,7 @@ fn check_pins(parallelism: Parallelism) {
             .expect("pinned algorithm exists");
         let mut cfg = alg.config_for(g, seed);
         cfg.parallelism = parallelism;
-        let out = alg.run_with(g, &cfg);
+        let out = alg.run_on(RuntimeKind::Sim, g, &cfg);
         let got_leader = out.leader().map(|v| v as i64).unwrap_or(-1);
         assert_eq!(
             (
