@@ -5,7 +5,7 @@
 //! sequential reference semantics: same messages, same rounds, same
 //! statuses, same per-round totals, same per-directed-edge first uses —
 //! byte for byte, for every algorithm in the registry, at every thread
-//! count. Three layers of defence:
+//! count. Four layers of defence:
 //!
 //! 1. `full_outcome_is_reproducible`: two runs of the same seeded config
 //!    produce identical `RunOutcome`s (determinism of the scheduler itself).
@@ -29,10 +29,17 @@
 //!    `Threads(4)`: the sharded engine's merge phase must reproduce the
 //!    sequential recording exactly at every thread count (the determinism
 //!    contract of `ule_sim::Parallelism`).
+//! 4. `dfs_agent_matches_pins*`: `DfsAgent` under what the registry pins
+//!    never exercise — permuted identifiers, adversarial wakeup with the
+//!    wakeup flood, bounded delay, crashes — with a watched edge, on the
+//!    engine at 1, 2 and 4 threads and on the async runtime.
 
+use ule_core::dfs_agent::DfsAgent;
 use ule_core::Algorithm;
-use ule_graph::{dumbbell, gen, Graph};
-use ule_sim::{Parallelism, RunOutcome, RuntimeKind, Status, Termination};
+use ule_graph::{dumbbell, gen, Graph, IdAssignment};
+use ule_sim::{
+    Adversary, Parallelism, RunOutcome, Runner, RuntimeKind, Status, Termination, Wakeup,
+};
 
 fn graphs() -> Vec<(&'static str, Graph)> {
     vec![
@@ -1119,6 +1126,149 @@ fn outcomes_match_pins_with_4_threads() {
     check_pins(Parallelism::Threads(4));
 }
 
+/// The DfsAgent scenarios the registry pins miss (those run sequential
+/// identifiers under lockstep with simultaneous wakeup): every scenario
+/// uses a fixed non-sequential identifier permutation and watches one
+/// edge in both orientations, so `messages_before` pins the send order.
+const DFS_SCENARIOS: [&str; 4] = ["permuted", "wakeup", "delay", "crash"];
+
+/// `(scenario, graph, messages, rounds, bits, leader-or-minus-one,
+/// full-outcome fingerprint)` for [`dfs_outcome`], recorded on the
+/// sequential engine before `DfsAgent` collapsed its node state to one
+/// walker.
+type DfsPin = (&'static str, &'static str, u64, u64, u64, i64, u64);
+
+const DFS_PINS: &[DfsPin] = &[
+    ("permuted", "cycle16", 39, 67, 202, 13, 0x2af6ab83be026ac7),
+    ("permuted", "grid4x4", 55, 99, 283, 13, 0x92ddcc9bd2f8f9df),
+    ("permuted", "torus4x4", 71, 131, 363, 13, 0x200464a207f43b13),
+    (
+        "permuted",
+        "dumbbell24",
+        95,
+        171,
+        492,
+        13,
+        0x9e4147f9358271d4,
+    ),
+    ("wakeup", "cycle16", 71, 69, 330, 13, 0xdcff50e6c7a9bb58),
+    ("wakeup", "grid4x4", 103, 101, 475, 13, 0xcd77a51e2c64f9f0),
+    ("wakeup", "torus4x4", 135, 133, 619, 13, 0x07652c3d33a53bde),
+    (
+        "wakeup",
+        "dumbbell24",
+        179,
+        173,
+        828,
+        13,
+        0xbe43fb04f030eaf3,
+    ),
+    ("delay", "cycle16", 39, 109, 202, 13, 0x4336a05c1da76ab9),
+    ("delay", "grid4x4", 59, 159, 306, 13, 0x24d0c38c1311151d),
+    ("delay", "torus4x4", 71, 209, 363, 13, 0x83a0da0aeafc3272),
+    ("delay", "dumbbell24", 95, 277, 492, 13, 0x89b950648dd613cf),
+    ("crash", "cycle16", 14, 162, 91, -1, 0x232c9e30903a9edb),
+    ("crash", "grid4x4", 27, 65538, 151, -1, 0xa527c086bce7c80a),
+    ("crash", "torus4x4", 26, 65538, 143, -1, 0x8f5a25aa574beeb8),
+    (
+        "crash",
+        "dumbbell24",
+        56,
+        2097154,
+        303,
+        -1,
+        0x2c5b4a6a5a9f625b,
+    ),
+];
+
+/// One DfsAgent run of `scenario` on `g`. Identifiers are the
+/// permutation `v ↦ (7v + 5) mod n + 1` (7 is coprime to every pin
+/// graph's size); the watched edge is the dumbbell's first bridge, and
+/// node 0's port-0 edge on the other graphs.
+fn dfs_outcome(
+    scenario: &str,
+    gname: &str,
+    g: &Graph,
+    parallelism: Parallelism,
+    kind: RuntimeKind,
+) -> RunOutcome {
+    let n = g.len();
+    let ids = (0..n).map(|v| ((7 * v + 5) % n + 1) as u64).collect();
+    let (u, v) = if gname == "dumbbell24" {
+        dumbbell::clique_path_dumbbell(12, 20, 0, 1)
+            .unwrap()
+            .bridges[0]
+    } else {
+        (0, g.neighbor(0, 0))
+    };
+    let mut cfg = Algorithm::DfsAgent
+        .config_for(g, 1)
+        .with_ids(IdAssignment::new(ids))
+        .with_parallelism(parallelism)
+        .watching(&[(u, v), (v, u)]);
+    match scenario {
+        "permuted" => {}
+        "wakeup" => cfg = cfg.with_wakeup(Wakeup::Adversarial(vec![5, 11])),
+        "delay" => cfg = cfg.with_adversary(Adversary::BoundedDelay { max_delay: 2 }),
+        "crash" => {
+            cfg = cfg.with_adversary(Adversary::CrashStop {
+                schedule: vec![(3, 4), (10, 6)],
+            })
+        }
+        other => panic!("unknown DfsAgent scenario {other}"),
+    }
+    let send_wakeup = scenario == "wakeup";
+    Runner::new(g, &cfg)
+        .runtime(kind)
+        .run(|_, s, _| DfsAgent::new(s.id.unwrap(), s.degree, send_wakeup))
+}
+
+/// Runs the DfsAgent pin matrix on one engine/runtime setting.
+fn check_dfs_pins(parallelism: Parallelism, kind: RuntimeKind) {
+    let graphs = graphs();
+    assert_eq!(DFS_PINS.len(), DFS_SCENARIOS.len() * graphs.len());
+    for &(scenario, gname, messages, rounds, bits, leader, fp) in DFS_PINS {
+        let (_, g) = graphs
+            .iter()
+            .find(|(name, _)| *name == gname)
+            .expect("pinned graph exists");
+        let out = dfs_outcome(scenario, gname, g, parallelism, kind);
+        let got_leader = out.leader().map(|v| v as i64).unwrap_or(-1);
+        assert_eq!(
+            (
+                out.messages,
+                out.rounds,
+                out.bits,
+                got_leader,
+                fingerprint(&out)
+            ),
+            (messages, rounds, bits, leader, fp),
+            "dfs-agent {scenario} on {gname} drifted from the pinned \
+             recording under {parallelism:?} on {kind:?}"
+        );
+    }
+}
+
+#[test]
+fn dfs_agent_matches_pins() {
+    check_dfs_pins(Parallelism::Off, RuntimeKind::Sim);
+}
+
+#[test]
+fn dfs_agent_matches_pins_with_2_threads() {
+    check_dfs_pins(Parallelism::Threads(2), RuntimeKind::Sim);
+}
+
+#[test]
+fn dfs_agent_matches_pins_with_4_threads() {
+    check_dfs_pins(Parallelism::Threads(4), RuntimeKind::Sim);
+}
+
+#[test]
+fn dfs_agent_matches_pins_on_async_runtime() {
+    check_dfs_pins(Parallelism::Off, RuntimeKind::Async);
+}
+
 /// Pin-regeneration tool, not a check: prints the `PINS` table body for
 /// pasting into this file after an *intentional* behaviour change (engine
 /// semantics, RNG derivation, algorithm retuning). Run with
@@ -1141,6 +1291,20 @@ fn regenerate_pins() {
                     fingerprint(&out)
                 );
             }
+        }
+    }
+    println!("    // DFS_PINS");
+    for scenario in DFS_SCENARIOS {
+        for (gname, g) in graphs() {
+            let out = dfs_outcome(scenario, gname, &g, Parallelism::Off, RuntimeKind::Sim);
+            let leader = out.leader().map(|v| v as i64).unwrap_or(-1);
+            println!(
+                "    ({scenario:?}, {gname:?}, {}, {}, {}, {leader}, {:#018x}),",
+                out.messages,
+                out.rounds,
+                out.bits,
+                fingerprint(&out)
+            );
         }
     }
 }
