@@ -20,11 +20,21 @@
 //!
 //! The simulator's idle fast-forwarding makes the exponential schedule
 //! simulable: engine work is proportional to agent *moves*, not rounds.
+//!
+//! **One walker per node.** The paper leaves the identifier of every agent
+//! that passes a node `w` at `w`. Once `w` holds identifier `a`, every
+//! agent larger than `a` that enters `w` dies, and so does every larger
+//! agent waiting at `w` when `a` arrives. So of everything left at `w`,
+//! only the smallest identifier can still move through `w`: a node keeps
+//! the DFS state of that one *walker* — its parent port, its next port
+//! and the ports that lead back into its explored territory — and
+//! overwrites it when a smaller agent takes the node over. An activation
+//! needs only the smallest agent in its inbox, and at most one move fires
+//! per round, so sends go straight to the context.
 
-use std::collections::BTreeMap;
 use ule_graph::Id;
 use ule_sim::message::{id_bits, Message, TAG_BITS};
-use ule_sim::{Context, PortOutbox, Protocol, Status};
+use ule_sim::{Context, Protocol, Status};
 
 /// Cap on the throttling exponent so tick arithmetic stays in `u64`.
 /// Identifiers at or above the cap share one rate; the 4m message bound is
@@ -59,19 +69,7 @@ impl Message for DfsMsg {
     }
 }
 
-/// Per-agent DFS bookkeeping left at a node ("the ID of each agent who has
-/// ever passed any node w is left in w").
-#[derive(Debug)]
-struct AgentEntry {
-    parent: Option<usize>,
-    next_port: usize,
-    /// Ports known to lead to nodes this agent already visited (marked when
-    /// the agent's `Visit` arrives from there) — the classic DFS marking
-    /// that keeps the walk at ≈ 2m steps.
-    skip: Vec<bool>,
-}
-
-/// What a hosted (waiting) agent will do at its next throttle tick.
+/// What the walker waiting at a node does at its next throttle tick.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Pending {
     /// Continue exploring from this node.
@@ -112,25 +110,36 @@ enum Pending {
 pub struct DfsAgent {
     send_wakeup: bool,
     own: Id,
+    /// The walker: the smallest agent this node has seen.
     min_seen: Id,
-    entries: BTreeMap<Id, AgentEntry>,
-    hosted: BTreeMap<Id, (Pending, u64)>,
-    out: PortOutbox<DfsMsg>,
+    /// The port the walker first entered through (`None` at its origin).
+    parent: Option<usize>,
+    /// The next port the walker's DFS tries from here.
+    next_port: usize,
+    /// Ports known to lead to nodes the walker already visited (marked when
+    /// its `Visit` arrives from there) — the classic DFS marking that keeps
+    /// the walk at ≈ 2m steps. Sized on the walker's first re-visit,
+    /// cleared (capacity kept) when a smaller walker takes over.
+    skip: Vec<bool>,
+    /// The walker's next move and its tick, while it waits here.
+    pending: Option<(Pending, u64)>,
     status: Status,
 }
 
 impl DfsAgent {
     /// A node instance. `send_wakeup` enables the wakeup-phase flood and
     /// should match the run's wakeup mode (required under adversarial
-    /// wakeup, pure overhead under simultaneous wakeup).
-    pub fn new(own: Id, degree: usize, send_wakeup: bool) -> Self {
+    /// wakeup, pure overhead under simultaneous wakeup). `degree` is not
+    /// stored: the node sizes its port marks on first need.
+    pub fn new(own: Id, _degree: usize, send_wakeup: bool) -> Self {
         DfsAgent {
             send_wakeup,
             own,
-            min_seen: Id::MAX,
-            entries: BTreeMap::new(),
-            hosted: BTreeMap::new(),
-            out: PortOutbox::new(degree),
+            min_seen: own,
+            parent: None,
+            next_port: 0,
+            skip: Vec::new(),
+            pending: None,
             status: Status::Undecided,
         }
     }
@@ -145,41 +154,24 @@ impl DfsAgent {
         (round / r + 1) * r
     }
 
-    fn note_agent(&mut self, agent: Id) {
-        if agent < self.min_seen {
-            self.min_seen = agent;
-            // Destroy every waiting agent with a larger identifier.
-            self.hosted.retain(|&id, _| id <= agent);
-            if self.own > agent {
-                self.status = Status::NonLeader;
+    /// One DFS move of the walker; returns the message to send, or `None`
+    /// when the walker completed at its origin (leader!).
+    fn explore_step(&mut self, degree: usize) -> Option<(usize, DfsMsg)> {
+        let agent = self.min_seen;
+        while self.next_port < degree {
+            let p = self.next_port;
+            self.next_port += 1;
+            if Some(p) != self.parent && self.skip.get(p) != Some(&true) {
+                return Some((p, DfsMsg::Visit { agent }));
             }
         }
-    }
-
-    /// One DFS move of a hosted agent; returns the message to send, or
-    /// `None` when the agent completed at its origin (leader!).
-    fn explore_step(&mut self, agent: Id, degree: usize) -> Option<(usize, DfsMsg)> {
-        let entry = self
-            .entries
-            .get_mut(&agent)
-            .expect("exploring unknown agent");
-        loop {
-            let p = entry.next_port;
-            if p >= degree {
-                return match entry.parent {
-                    Some(pp) => Some((pp, DfsMsg::Retreat { agent })),
-                    None => {
-                        // Full DFS complete at the origin.
-                        self.status = Status::Leader;
-                        None
-                    }
-                };
+        match self.parent {
+            Some(pp) => Some((pp, DfsMsg::Retreat { agent })),
+            None => {
+                // Full DFS complete at the origin.
+                self.status = Status::Leader;
+                None
             }
-            entry.next_port += 1;
-            if Some(p) == entry.parent || entry.skip[p] {
-                continue;
-            }
-            return Some((p, DfsMsg::Visit { agent }));
         }
     }
 }
@@ -188,115 +180,65 @@ impl Protocol for DfsAgent {
     type Msg = DfsMsg;
 
     fn on_round(&mut self, ctx: &mut Context<'_, DfsMsg>, inbox: &[(usize, DfsMsg)]) {
-        let degree = ctx.degree();
         let round = ctx.round();
 
         if ctx.first_activation() {
             if self.send_wakeup {
-                self.out.push_all(DfsMsg::Wakeup);
+                ctx.broadcast(DfsMsg::Wakeup);
             }
-            self.min_seen = self.own;
-            self.entries.insert(
-                self.own,
-                AgentEntry {
-                    parent: None,
-                    next_port: 0,
-                    skip: vec![false; degree],
-                },
-            );
-            self.hosted.insert(
-                self.own,
-                (Pending::Explore, Self::next_tick(self.own, round)),
-            );
+            self.pending = Some((Pending::Explore, Self::next_tick(self.own, round)));
         }
 
-        // Smaller agents first, so a bigger agent arriving in the same
-        // round is already doomed when processed.
-        let mut arrivals: Vec<(usize, DfsMsg)> = inbox
+        // Every arrival but the smallest is larger than the smallest and so
+        // dies here; the smallest survives unless it is above the walker.
+        let smallest = inbox
             .iter()
-            .filter(|(_, m)| !matches!(m, DfsMsg::Wakeup))
-            .cloned()
-            .collect();
-        arrivals.sort_by_key(|(_, m)| match m {
-            DfsMsg::Visit { agent } | DfsMsg::Retreat { agent } => *agent,
-            DfsMsg::Wakeup => unreachable!(),
-        });
-
-        for (port, msg) in arrivals {
-            match msg {
-                DfsMsg::Visit { agent } => {
-                    if agent > self.min_seen {
-                        continue; // destroyed on arrival
-                    }
-                    self.note_agent(agent);
-                    match self.entries.get_mut(&agent) {
-                        Some(entry) => {
-                            // Already visited: the sender's port leads to
-                            // explored territory — mark it and retreat.
-                            entry.skip[port] = true;
-                            self.hosted.insert(
-                                agent,
-                                (Pending::RetreatVia(port), Self::next_tick(agent, round)),
-                            );
-                        }
-                        None => {
-                            self.entries.insert(
-                                agent,
-                                AgentEntry {
-                                    parent: Some(port),
-                                    next_port: 0,
-                                    skip: vec![false; degree],
-                                },
-                            );
-                            self.hosted
-                                .insert(agent, (Pending::Explore, Self::next_tick(agent, round)));
-                        }
-                    }
+            .filter_map(|&(port, msg)| match msg {
+                DfsMsg::Wakeup => None,
+                DfsMsg::Visit { agent } => Some((agent, port, true)),
+                DfsMsg::Retreat { agent } => Some((agent, port, false)),
+            })
+            .min_by_key(|&(agent, _, _)| agent);
+        if let Some((agent, port, visit)) = smallest.filter(|&(a, _, _)| a <= self.min_seen) {
+            let tick = Self::next_tick(agent, round);
+            if agent < self.min_seen {
+                // A smaller agent takes the node over: the walker waiting
+                // here (if any) dies, and this node is not the leader.
+                debug_assert!(visit, "retreat for an agent that never passed here");
+                self.min_seen = agent;
+                self.parent = Some(port);
+                self.next_port = 0;
+                self.skip.clear();
+                self.pending = Some((Pending::Explore, tick));
+                self.status = Status::NonLeader;
+            } else if visit {
+                // Already visited: the sender's port leads to explored
+                // territory — mark it and retreat.
+                if self.skip.is_empty() {
+                    self.skip.resize(ctx.degree(), false);
                 }
-                DfsMsg::Retreat { agent } => {
-                    if agent > self.min_seen {
-                        continue;
-                    }
-                    self.note_agent(agent);
-                    debug_assert!(
-                        self.entries.contains_key(&agent),
-                        "retreat for an agent that never passed here"
-                    );
-                    self.hosted
-                        .insert(agent, (Pending::Explore, Self::next_tick(agent, round)));
-                }
-                DfsMsg::Wakeup => {}
+                self.skip[port] = true;
+                self.pending = Some((Pending::RetreatVia(port), tick));
+            } else {
+                self.pending = Some((Pending::Explore, tick));
             }
         }
 
-        // Fire all due moves (ticks <= round), smallest agent first —
-        // BTreeMap iteration is already ascending by agent id.
-        let due: Vec<Id> = self
-            .hosted
-            .iter()
-            .filter(|(_, &(_, tick))| tick <= round)
-            .map(|(&id, _)| id)
-            .collect();
-        for agent in due {
-            let (pending, _) = self.hosted.remove(&agent).expect("due agent vanished");
-            if agent > self.min_seen {
-                continue; // killed while waiting
-            }
-            match pending {
-                Pending::RetreatVia(p) => self.out.push(p, DfsMsg::Retreat { agent }),
-                Pending::Explore => {
-                    if let Some((p, msg)) = self.explore_step(agent, degree) {
-                        self.out.push(p, msg);
-                    }
+        match self.pending {
+            Some((pending, tick)) if tick <= round => {
+                self.pending = None;
+                let agent = self.min_seen;
+                let step = match pending {
+                    Pending::RetreatVia(p) => Some((p, DfsMsg::Retreat { agent })),
+                    Pending::Explore => self.explore_step(ctx.degree()),
+                };
+                if let Some((p, msg)) = step {
+                    ctx.send(p, msg);
                 }
             }
+            Some((_, tick)) => ctx.wake_at(tick),
+            None => {}
         }
-
-        // Keep the earliest remaining tick scheduled.
-        if let Some(&tick) = self.hosted.values().map(|(_, t)| t).min() {
-            ctx.wake_at(tick.max(round + 1));
-        }
-        self.out.flush(ctx);
     }
 
     fn status(&self) -> Status {
@@ -308,6 +250,7 @@ impl Protocol for DfsAgent {
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
     use rand::SeedableRng;
     use ule_graph::{gen, Graph, IdAssignment};
     use ule_sim::{RunOutcome, Runner, SimConfig, Termination, Wakeup};
@@ -334,20 +277,43 @@ mod tests {
         }
     }
 
+    /// The deterministic Theorem 4.1 bound as a hard envelope: every
+    /// family at `n = 2^k` for each `k` in `log_sizes`, identifiers a
+    /// seeded permutation of `1..=n` (so the winner sits anywhere).
+    fn assert_four_m_envelope(log_sizes: std::ops::RangeInclusive<u32>) {
+        let mut rng = StdRng::seed_from_u64(2);
+        for n in log_sizes.map(|k| 1usize << k) {
+            for fam in gen::Family::ALL {
+                let g = fam.build(n, &mut rng).unwrap();
+                let mut ids: Vec<Id> = (1..=g.len() as Id).collect();
+                ids.shuffle(&mut rng);
+                let cfg = SimConfig::seeded(0)
+                    .with_ids(IdAssignment::new(ids))
+                    .with_max_rounds(u64::MAX / 4);
+                let out = elect(&g, &cfg, false);
+                assert!(out.election_succeeded(), "family {fam}, n = {n}");
+                let bound = 4 * g.edge_count() as u64 + 2 * g.len() as u64;
+                assert!(
+                    out.messages <= bound,
+                    "family {fam}, n = {n}: {} messages > {bound}",
+                    out.messages
+                );
+            }
+        }
+    }
+
     #[test]
     fn message_bound_four_m_on_every_family() {
-        // The deterministic Theorem 4.1 bound, as a hard assertion.
-        let mut rng = StdRng::seed_from_u64(2);
-        for fam in gen::Family::ALL {
-            let g = fam.build(24, &mut rng).unwrap();
-            let out = elect(&g, &cfg(g.len(), 0), false);
-            let bound = 4 * g.edge_count() as u64 + 2 * g.len() as u64;
-            assert!(
-                out.messages <= bound,
-                "family {fam}: {} messages > {bound}",
-                out.messages
-            );
-        }
+        assert_four_m_envelope(5..=8);
+    }
+
+    /// The same doubling sweep continued to n = 2048, where the complete
+    /// and lollipop families carry 10⁵ – 10⁶ edges: seconds in release,
+    /// minutes in a debug build, so it runs with the release perf smokes.
+    #[test]
+    #[ignore = "large-n envelope; run with --release -- --ignored"]
+    fn message_bound_four_m_on_every_family_at_scale() {
+        assert_four_m_envelope(9..=11);
     }
 
     #[test]

@@ -307,14 +307,14 @@ impl Kingdom {
                     // Our own kingdom's verdict, from the parent.
                     self.st.winner = Some(winner);
                     let fwd = KMsg::Confirm { winner, is_final };
-                    for &c in &self.st.children.clone() {
+                    for &c in &self.st.children {
                         self.out.push(c, fwd);
                     }
                     if is_final {
                         self.stopped = true;
                         self.lose();
                     } else {
-                        for &(p, _) in &self.st.foreign.clone() {
+                        for &(p, _) in &self.st.foreign {
                             self.out.push(p, fwd);
                         }
                     }
@@ -360,7 +360,7 @@ impl Kingdom {
                         winner: self.my_id,
                         is_final: true,
                     };
-                    for &c in &self.st.children.clone() {
+                    for &c in &self.st.children {
                         self.out.push(c, fin);
                     }
                 } else {
@@ -370,10 +370,10 @@ impl Kingdom {
                         winner,
                         is_final: false,
                     };
-                    for &c in &self.st.children.clone() {
+                    for &c in &self.st.children {
                         self.out.push(c, msg);
                     }
-                    for &(p, _) in &self.st.foreign.clone() {
+                    for &(p, _) in &self.st.foreign {
                         self.out.push(p, msg);
                     }
                 }

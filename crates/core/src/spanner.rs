@@ -316,7 +316,7 @@ impl Protocol for SpannerElect {
                 SpMsg::Sampled { sampled } => {
                     if Some(*port) == self.cluster_parent && !self.retired {
                         self.sampled = *sampled;
-                        for &c in &self.cluster_children.clone() {
+                        for &c in &self.cluster_children {
                             self.out.push(c, SpMsg::Sampled { sampled: *sampled });
                         }
                     }
@@ -343,7 +343,7 @@ impl Protocol for SpannerElect {
                 if self.is_center() {
                     let p_keep = (n as f64).powf(-1.0 / self.cfg.k as f64);
                     self.sampled = phase < k && ctx.rng().gen::<f64>() < p_keep;
-                    for &c in &self.cluster_children.clone() {
+                    for &c in &self.cluster_children {
                         self.out.push(
                             c,
                             SpMsg::Sampled {

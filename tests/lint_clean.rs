@@ -14,8 +14,9 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 /// lines / 483 items (10 605 / 478 under the crates-only scope, plus 381
 /// / 5 from `examples/` and `src/`) before the Corollary 4.2 spanner
 /// became `Algorithm::Spanner` and the figure binaries became examples
-/// and `ule-xp` campaigns.
-const MAX_CODE_LINES: usize = 10_829;
+/// and `ule-xp` campaigns, and at 10 829 before `DfsAgent` collapsed its
+/// node state to one walker.
+const MAX_CODE_LINES: usize = 10_762;
 const MAX_PUB_ITEMS: usize = 478;
 
 #[test]
