@@ -73,6 +73,10 @@ fn suppressions_in_tree_are_the_known_set() {
                 "crates/xp/src/metrics.rs".to_string()
             ),
             (
+                "unsafe-block".to_string(),
+                "tests/memory_budget.rs".to_string()
+            ),
+            (
                 "wall-clock".to_string(),
                 "crates/sim/src/engine.rs".to_string()
             ),
