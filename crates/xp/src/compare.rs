@@ -17,20 +17,13 @@
 //!   the thread-count determinism gate: a merge-phase bug that *loses*
 //!   messages is exactly as much a regression as one that duplicates
 //!   them.
-//! * **peak RSS** (`peak_rss_bytes`, schema-3 timed cells): *growth*
-//!   beyond the warn factor warns; an optional fail factor (CI's
-//!   engine-scale gate passes `--fail-rss 1.5`) makes it a hard failure.
-//!   Growth-only, like throughput — shrinking memory never regresses.
-//! * **per-node RSS** (`bytes_per_node`, timed cells that recorded RSS):
-//!   the same growth-only band under the same `--warn-rss`/`--fail-rss`
-//!   factors, but size-normalized — it keeps gating the engine's memory
-//!   footprint even when a campaign's grid sizes change between
-//!   baselines.
-//! * **allocations** (`allocs_per_message`, `count-allocs` builds only):
-//!   an absolute per-message budget via `--fail-allocs` (off by default;
-//!   CI's count-allocs leg passes a flat ceiling). Not a growth band —
-//!   baselines recorded without the feature carry no value to grow from.
 //! * **success rate**: a drop of more than 0.1 warns.
+//!
+//! Memory is not compared here: the engine's heap and allocation budget
+//! is a deterministic test over the engine-scale grid
+//! (`tests/memory_budget.rs`), not a band over process RSS. Older
+//! schema-3 files that still carry `peak_rss_bytes`, `bytes_per_node` or
+//! `allocs_per_message` parse, and those fields are ignored.
 //!
 //! Both inputs are campaign records ([`crate::run::CampaignResult`] JSON).
 
@@ -51,20 +44,6 @@ pub struct Tolerances {
     /// (`None` = cost drift never fails). Two-sided: deterministic counts
     /// drifting *down* is as much a regression as drifting up.
     pub fail_cost: Option<f64>,
-    /// Warn when `new/old` peak RSS exceeds this factor (growth only —
-    /// shrinking memory is never a regression). Compared only when both
-    /// cells recorded `peak_rss_bytes`.
-    pub warn_rss: f64,
-    /// Fail when `new/old` peak RSS exceeds this factor (`None` = memory
-    /// growth never fails; CI's engine-scale gate opts in with
-    /// `--fail-rss`).
-    pub fail_rss: Option<f64>,
-    /// Fail when a *new* cell's `allocs_per_message` exceeds this absolute
-    /// ceiling (`None` = not checked). Absolute, not a growth factor: the
-    /// metric only exists in `count-allocs` builds, baselines recorded
-    /// without the feature have nothing to grow from, and allocations per
-    /// message is machine-independent — a flat budget is the honest gate.
-    pub fail_allocs: Option<f64>,
 }
 
 impl Default for Tolerances {
@@ -74,9 +53,6 @@ impl Default for Tolerances {
             fail_throughput: 2.0,
             warn_cost: 0.10,
             fail_cost: None,
-            warn_rss: 1.25,
-            fail_rss: None,
-            fail_allocs: None,
         }
     }
 }
@@ -233,16 +209,6 @@ pub struct CellMetrics {
     pub mean_messages: f64,
     /// Throughput, when the cell was timed.
     pub msgs_per_s: Option<f64>,
-    /// Peak RSS in bytes, when the cell recorded it (schema ≥ 3 timed
-    /// cells on Linux).
-    pub peak_rss_bytes: Option<f64>,
-    /// Peak RSS divided by node count, when the cell recorded it. The
-    /// size-normalized twin of `peak_rss_bytes`: its band keeps holding
-    /// when a campaign's grid sizes change between baselines.
-    pub bytes_per_node: Option<f64>,
-    /// Allocator calls per message, when the cell was recorded by a
-    /// `count-allocs` build.
-    pub allocs_per_message: Option<f64>,
     /// Empirical success rate, when trial counts are known.
     pub success_rate: Option<f64>,
     /// Execution-model profile name the cell was recorded under. `None`
@@ -328,9 +294,6 @@ pub fn parse_cells(v: &Json) -> Result<BTreeMap<String, CellMetrics>, XpError> {
                 mean_rounds,
                 mean_messages,
                 msgs_per_s: num("msgs_per_s"),
-                peak_rss_bytes: num("peak_rss_bytes"),
-                bytes_per_node: num("bytes_per_node"),
-                allocs_per_message: num("allocs_per_message"),
                 success_rate,
                 adversary: cell
                     .get("adversary")
@@ -430,49 +393,6 @@ pub fn compare(
                 ),
             });
         }
-        if let (Some(or), Some(nr)) = (o.peak_rss_bytes, n.peak_rss_bytes) {
-            // Growth-only, like throughput: using *less* memory never
-            // regresses. The band is a ratio because peak RSS scales with
-            // the largest cell, not with noise-sized absolutes.
-            let growth = nr / or.max(1.0);
-            deltas.push(Delta {
-                cell: key.clone(),
-                metric: "peak_rss_bytes",
-                old: or,
-                new: nr,
-                verdict: band(
-                    tol.fail_rss.is_some_and(|f| growth > f),
-                    growth > tol.warn_rss,
-                ),
-            });
-        }
-        if let (Some(ceiling), Some(na)) = (tol.fail_allocs, n.allocs_per_message) {
-            // Absolute budget, checked on the new result alone (see
-            // `Tolerances::fail_allocs`). `old` shows the baseline's value
-            // when it has one, else the ceiling itself.
-            deltas.push(Delta {
-                cell: key.clone(),
-                metric: "allocs_per_message",
-                old: o.allocs_per_message.unwrap_or(ceiling),
-                new: na,
-                verdict: band(na > ceiling, false),
-            });
-        }
-        if let (Some(ob), Some(nb)) = (o.bytes_per_node, n.bytes_per_node) {
-            // Same growth-only RSS band, but per node: this is the metric
-            // that stays comparable when the baseline's grid sizes move.
-            let growth = nb / ob.max(f64::MIN_POSITIVE);
-            deltas.push(Delta {
-                cell: key.clone(),
-                metric: "bytes_per_node",
-                old: ob,
-                new: nb,
-                verdict: band(
-                    tol.fail_rss.is_some_and(|f| growth > f),
-                    growth > tol.warn_rss,
-                ),
-            });
-        }
         if let (Some(os), Some(ns)) = (o.success_rate, n.success_rate) {
             if ns < os - 0.1 {
                 deltas.push(Delta {
@@ -513,9 +433,6 @@ mod tests {
             mean_rounds: rounds,
             mean_messages: messages,
             msgs_per_s: tput,
-            peak_rss_bytes: None,
-            bytes_per_node: None,
-            allocs_per_message: None,
             success_rate: Some(1.0),
             adversary: None,
             runtime: None,
@@ -589,128 +506,6 @@ mod tests {
         assert_eq!(
             compare(&old, &shrank, &Tolerances::default()).verdict(),
             Verdict::Warn
-        );
-    }
-
-    #[test]
-    fn rss_growth_warns_and_fails_only_when_opted_in() {
-        let with_rss = |bytes: f64| {
-            let mut m = one("a @ w", cell(1000.0, 50.0, None));
-            m.get_mut("a @ w").unwrap().peak_rss_bytes = Some(bytes);
-            m
-        };
-        let old = with_rss(1.0e9);
-        // Small growth passes; 1.4x warns under defaults but does not fail.
-        assert_eq!(
-            compare(&old, &with_rss(1.1e9), &Tolerances::default()).verdict(),
-            Verdict::Pass
-        );
-        let grown = with_rss(1.4e9);
-        assert_eq!(
-            compare(&old, &grown, &Tolerances::default()).verdict(),
-            Verdict::Warn
-        );
-        // CI opts into the hard gate with --fail-rss 1.5.
-        let gated = Tolerances {
-            fail_rss: Some(1.5),
-            ..Tolerances::default()
-        };
-        assert_eq!(compare(&old, &grown, &gated).verdict(), Verdict::Warn);
-        let report = compare(&old, &with_rss(1.6e9), &gated);
-        assert_eq!(report.verdict(), Verdict::Fail);
-        assert_eq!(
-            report
-                .deltas
-                .iter()
-                .find(|d| d.verdict == Verdict::Fail)
-                .unwrap()
-                .metric,
-            "peak_rss_bytes"
-        );
-        // Growth-only: shrinking memory never regresses.
-        assert_eq!(
-            compare(&old, &with_rss(0.3e9), &gated).verdict(),
-            Verdict::Pass
-        );
-        // Cells without the metric (older schemas) are simply not compared.
-        let bare = one("a @ w", cell(1000.0, 50.0, None));
-        assert_eq!(
-            compare(&bare, &with_rss(9e9), &gated).verdict(),
-            Verdict::Pass
-        );
-    }
-
-    #[test]
-    fn allocs_ceiling_is_absolute_and_opt_in() {
-        let with_allocs = |apm: Option<f64>| {
-            let mut m = one("a @ w", cell(1000.0, 50.0, None));
-            m.get_mut("a @ w").unwrap().allocs_per_message = apm;
-            m
-        };
-        let old = with_allocs(None); // baseline recorded without count-allocs
-        let budget = Tolerances {
-            fail_allocs: Some(0.5),
-            ..Tolerances::default()
-        };
-        assert_eq!(
-            compare(&old, &with_allocs(Some(0.1)), &budget).verdict(),
-            Verdict::Pass
-        );
-        let report = compare(&old, &with_allocs(Some(0.8)), &budget);
-        assert_eq!(report.verdict(), Verdict::Fail);
-        assert_eq!(
-            report
-                .deltas
-                .iter()
-                .find(|d| d.verdict == Verdict::Fail)
-                .unwrap()
-                .metric,
-            "allocs_per_message"
-        );
-        // Off by default: the metric alone never gates.
-        assert_eq!(
-            compare(&old, &with_allocs(Some(0.8)), &Tolerances::default()).verdict(),
-            Verdict::Pass
-        );
-    }
-
-    #[test]
-    fn bytes_per_node_shares_the_rss_band() {
-        // The size-normalized gate: per-node growth trips the same
-        // --warn-rss/--fail-rss factors even when absolute RSS shrank
-        // (e.g. the new baseline ran a smaller grid).
-        let with_bpn = |bpn: f64, rss: f64| {
-            let mut m = one("a @ w", cell(1000.0, 50.0, None));
-            let c = m.get_mut("a @ w").unwrap();
-            c.bytes_per_node = Some(bpn);
-            c.peak_rss_bytes = Some(rss);
-            m
-        };
-        let old = with_bpn(100.0, 1.0e9);
-        let gated = Tolerances {
-            fail_rss: Some(1.5),
-            ..Tolerances::default()
-        };
-        // Absolute RSS halved, but per node the engine got 1.6x fatter.
-        let report = compare(&old, &with_bpn(160.0, 0.5e9), &gated);
-        assert_eq!(report.verdict(), Verdict::Fail);
-        assert_eq!(
-            report
-                .deltas
-                .iter()
-                .find(|d| d.verdict == Verdict::Fail)
-                .unwrap()
-                .metric,
-            "bytes_per_node"
-        );
-        // Warn band without the opt-in; shrinking per-node memory passes.
-        assert_eq!(
-            compare(&old, &with_bpn(140.0, 1.0e9), &Tolerances::default()).verdict(),
-            Verdict::Warn
-        );
-        assert_eq!(
-            compare(&old, &with_bpn(60.0, 1.0e9), &gated).verdict(),
-            Verdict::Pass
         );
     }
 
@@ -789,6 +584,37 @@ mod tests {
         .unwrap();
         let cells = parse_cells(&v1).unwrap();
         assert_eq!(cells["floodmax @ cycle/10"].adversary, None);
+        // Schema-3 timed cells recorded before memory left `compare` still
+        // carry process-memory fields: they parse, and only the counts (and
+        // throughput) are compared — a tenfold RSS or allocation jump is
+        // invisible, and so is its absence.
+        let with_probes = |rss: f64, allocs: f64| {
+            let v3 = format!(
+                r#"{{"schema_version": 3, "cells": [
+                    {{"workload": "path/1000", "algorithm": "dfs-agent",
+                     "trials": 1, "successes": 1, "mean_messages": 1998,
+                     "mean_rounds": 2000, "msgs_per_s": 1e6,
+                     "peak_rss_bytes": {rss}, "bytes_per_node": {bpn},
+                     "allocs_per_message": {allocs}}}]}}"#,
+                bpn = rss / 1000.0,
+            );
+            parse_cells(&Json::parse(&v3).unwrap()).unwrap()
+        };
+        let old = with_probes(4.5e7, 0.1);
+        assert_eq!(
+            old["dfs-agent @ path/1000"],
+            cell(1998.0, 2000.0, Some(1e6))
+        );
+        let strict = Tolerances {
+            fail_cost: Some(0.000001),
+            ..Tolerances::default()
+        };
+        let report = compare(&old, &with_probes(4.5e8, 5.0), &strict);
+        assert_eq!(report.verdict(), Verdict::Pass);
+        let metrics: Vec<&str> = report.deltas.iter().map(|d| d.metric).collect();
+        assert_eq!(metrics, ["mean_messages", "mean_rounds", "msgs_per_s"]);
+        let bare = one("dfs-agent @ path/1000", cell(1998.0, 2000.0, Some(1e6)));
+        assert_eq!(compare(&old, &bare, &strict).verdict(), Verdict::Pass);
     }
 
     #[test]

@@ -24,16 +24,14 @@
 //! |---|---|
 //! | [`spec`] | [`CampaignSpec`] model, JSON (de)serialization, built-ins |
 //! | [`run`] | grid expansion + execution + result JSON |
-//! | [`mod@compare`] | tolerance-banded result diffing (the CI gate) |
+//! | [`mod@compare`] | tolerance-banded diffing of counts and wall-clock (the CI gate) |
 //! | [`report`] | human tables rendered from campaign cells |
-//! | [`metrics`] | process-level memory/allocation probes for timed cells |
 //! | [`json`] | dependency-free JSON parse/emit |
 
 #![warn(missing_docs)]
 
 pub mod compare;
 pub mod json;
-pub mod metrics;
 pub mod report;
 pub mod run;
 pub mod spec;

@@ -5,8 +5,7 @@
 //! ule-xp run --campaign table1 [--quick] [--out PATH] [--force] [--no-table] [--quiet]
 //! ule-xp run --spec my-campaign.json [...]
 //! ule-xp compare BASELINE.json NEW.json [--fail-throughput 2.0] [--warn-throughput 1.25]
-//!                [--warn-cost 0.10] [--fail-cost R] [--warn-rss 1.25] [--fail-rss F]
-//!                [--fail-allocs A] [--verbose]
+//!                [--warn-cost 0.10] [--fail-cost R] [--verbose]
 //! ```
 //!
 //! Exit codes: `0` success (including warnings), `1` regression
@@ -46,11 +45,6 @@ USAGE:
         --warn-cost R         warn when rounds/messages drift more than R rel. (default 0.10)
         --fail-cost R         fail when rounds/messages drift more than R rel.
                               in either direction (default off)
-        --warn-rss F          warn when peak RSS grows more than F x (default 1.25)
-        --fail-rss F          fail when peak RSS grows more than F x (default off)
-                              (both RSS bands also gate the per-node bytes_per_node)
-        --fail-allocs A       fail when a new cell's allocs_per_message exceeds
-                              the absolute budget A (count-allocs builds; default off)
         --verbose             print passing deltas too
 
 Exit codes: 0 ok, 1 regression detected, 2 usage/I-O error.
@@ -240,21 +234,6 @@ fn cmd_compare(args: &[String]) -> Result<ExitCode, XpError> {
                 tol.fail_cost = Some(parse_f(
                     take_value(args, &mut i, "--fail-cost")?,
                     "--fail-cost",
-                )?)
-            }
-            "--warn-rss" => {
-                tol.warn_rss = parse_f(take_value(args, &mut i, "--warn-rss")?, "--warn-rss")?
-            }
-            "--fail-rss" => {
-                tol.fail_rss = Some(parse_f(
-                    take_value(args, &mut i, "--fail-rss")?,
-                    "--fail-rss",
-                )?)
-            }
-            "--fail-allocs" => {
-                tol.fail_allocs = Some(parse_f(
-                    take_value(args, &mut i, "--fail-allocs")?,
-                    "--fail-allocs",
                 )?)
             }
             "--verbose" => verbose = true,

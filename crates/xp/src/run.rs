@@ -19,10 +19,10 @@ use ule_sim::{Knowledge, Parallelism, RuntimeKind, SimConfig, Wakeup};
 /// Version of the result-JSON schema; bump on any breaking field change so
 /// `compare` can refuse mismatched inputs. Version 2 added the per-cell
 /// `adversary` execution-model profile (absent = lockstep); version 3
-/// added the optional memory metrics on timed cells (`peak_rss_bytes`,
-/// `allocs_per_message`, the derived `bytes_per_node`) and the `implicit`
-/// provenance marker — all additive and omitted when absent/off, so no
-/// bump. `compare` still accepts files of every earlier version
+/// added process-memory metrics on timed cells (`peak_rss_bytes`,
+/// `allocs_per_message`, `bytes_per_node`) and the `implicit` provenance
+/// marker. The memory metrics are no longer emitted; `compare` still
+/// accepts files of every earlier version and ignores those fields
 /// ([`crate::compare::parse_cells`]).
 pub const SCHEMA_VERSION: u64 = 3;
 
@@ -118,21 +118,6 @@ pub struct CellResult {
     pub elapsed_s: Option<f64>,
     /// Simulated messages per wall-clock second (timed groups only).
     pub msgs_per_s: Option<f64>,
-    /// Process peak RSS as of the cell's end (timed groups only, Linux
-    /// only). The high-water mark is monotone over the process, so the
-    /// first cell to touch a new peak is the one that pays for it — see
-    /// [`crate::metrics::peak_rss_bytes`].
-    pub peak_rss_bytes: Option<u64>,
-    /// `peak_rss_bytes / n` — the per-node memory footprint the diet
-    /// optimizes, stamped whenever the RSS probe reported. Derived rather
-    /// than independently measured, but recorded explicitly so `compare`
-    /// can band it directly (a size-normalized gate survives grid
-    /// resizing where the absolute one would silently loosen).
-    pub bytes_per_node: Option<f64>,
-    /// Heap allocations per simulated message across the cell's trials
-    /// (timed groups only, and only in `count-allocs` builds — see
-    /// [`crate::metrics::alloc_count`]).
-    pub allocs_per_message: Option<f64>,
     /// Engine shard threads the cell ran with (`None` = sequential).
     /// Provenance only: `compare` matches cells on `(algorithm,
     /// workload)` regardless, so a sequential baseline stays comparable
@@ -152,9 +137,9 @@ pub struct CellResult {
     pub runtime: RuntimeKind,
     /// Whether the cell ran on the procedural topology with per-edge
     /// stats off (see [`crate::spec::JobGroup::implicit`]). Provenance, like
-    /// `threads`: summaries conform, but memory metrics measured in the
-    /// two regimes are different quantities, and this field is how a
-    /// reader tells them apart.
+    /// `threads`: summaries conform, but the two regimes' wall-clock and
+    /// memory are different quantities, and this field is how a reader
+    /// tells them apart.
     pub implicit: bool,
 }
 
@@ -279,7 +264,6 @@ pub fn execute(
                             group.trials
                         );
                     }
-                    let allocs_before = crate::metrics::alloc_count();
                     let start = Instant::now();
                     let outs = parallel_trials(group.trials, |t| {
                         let cfg = cell_config(&job, actual_n, d, t);
@@ -292,14 +276,6 @@ pub fn execute(
                     let summary = Summary::from_outcomes(&outs);
                     let (ts, ms) = algorithm.claimed_shape(actual_n, m, d);
                     let total_messages = summary.mean_messages * summary.trials as f64;
-                    let allocs_per_message = crate::metrics::alloc_count()
-                        .zip(allocs_before)
-                        .map(|(after, before)| (after - before) as f64 / total_messages.max(1.0));
-                    let peak_rss_bytes = if group.timed {
-                        crate::metrics::peak_rss_bytes()
-                    } else {
-                        None
-                    };
                     cells.push(CellResult {
                         algorithm,
                         family,
@@ -311,14 +287,6 @@ pub fn execute(
                         msg_ratio: summary.mean_messages / ms,
                         elapsed_s: group.timed.then_some(elapsed),
                         msgs_per_s: group.timed.then_some(total_messages / elapsed.max(1e-9)),
-                        peak_rss_bytes,
-                        bytes_per_node: peak_rss_bytes
-                            .map(|rss| rss as f64 / actual_n.max(1) as f64),
-                        allocs_per_message: if group.timed {
-                            allocs_per_message
-                        } else {
-                            None
-                        },
                         threads: group.threads,
                         adversary: group.adversary,
                         runtime: group.runtime,
@@ -382,17 +350,6 @@ impl CellResult {
         }
         if let Some(tput) = self.msgs_per_s {
             fields.push(("msgs_per_s".into(), Json::Num(tput.round())));
-        }
-        // Both memory metrics are best-effort probes: absent (and therefore
-        // byte-invisible) off Linux / outside `count-allocs` builds.
-        if let Some(rss) = self.peak_rss_bytes {
-            fields.push(("peak_rss_bytes".into(), Json::Num(rss as f64)));
-        }
-        if let Some(bpn) = self.bytes_per_node {
-            fields.push(("bytes_per_node".into(), Json::Num(bpn)));
-        }
-        if let Some(apm) = self.allocs_per_message {
-            fields.push(("allocs_per_message".into(), Json::Num(apm)));
         }
         if let Some(threads) = self.threads {
             fields.push(("threads".into(), Json::Num(threads as f64)));
@@ -627,7 +584,13 @@ mod tests {
         for cell in &result.cells {
             assert!(cell.elapsed_s.is_some());
             assert!(cell.msgs_per_s.unwrap() > 0.0);
-            assert!(cell.to_json().get("msgs_per_s").is_some());
+            let json = cell.to_json();
+            assert!(json.get("msgs_per_s").is_some());
+            // Wall-clock is the only machine-dependent part of a cell:
+            // memory is budgeted on the heap by tests/memory_budget.rs.
+            for probe in ["peak_rss_bytes", "bytes_per_node", "allocs_per_message"] {
+                assert!(json.get(probe).is_none(), "{probe}");
+            }
         }
     }
 
@@ -702,26 +665,6 @@ mod tests {
         let err = execute(&spec, RunMeta::fixed(), false).unwrap_err();
         assert!(err.to_string().contains("no implicit"), "{err}");
         assert!(err.to_string().contains("sparse-rnd/12"), "{err}");
-    }
-
-    #[test]
-    fn timed_cells_stamp_bytes_per_node() {
-        let mut spec = tiny_spec();
-        spec.groups[0].timed = true;
-        let result = execute(&spec, RunMeta::fixed(), false).unwrap();
-        for cell in &result.cells {
-            if let Some(rss) = cell.peak_rss_bytes {
-                let bpn = cell.bytes_per_node.unwrap();
-                assert!((bpn - rss as f64 / cell.n as f64).abs() < 1e-9);
-                assert!(cell.to_json().get("bytes_per_node").is_some());
-            }
-        }
-        // Untimed cells carry neither metric.
-        let untimed = execute(&tiny_spec(), RunMeta::fixed(), false).unwrap();
-        assert!(untimed
-            .cells
-            .iter()
-            .all(|c| c.bytes_per_node.is_none() && c.to_json().get("bytes_per_node").is_none()));
     }
 
     #[test]

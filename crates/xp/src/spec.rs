@@ -718,9 +718,10 @@ pub fn builtin(name: &str, quick: bool) -> Option<CampaignSpec> {
             // The flat-memory headline cell, full grid only: FloodMax on a
             // 10⁷-node cycle with *no adjacency arrays at all* — the
             // topology is procedural (`implicit: true`) and the per-edge
-            // outcome arrays are off, so the cell's `peak_rss_bytes` (and
-            // derived `bytes_per_node`) measure the engine's true
-            // per-node footprint. CI's `--fail-rss` gate anchors on it.
+            // outcome arrays are off, so what the run holds is the
+            // engine's own per-node state. Its wall clock is recorded
+            // here; its memory ceiling is `tests/scale_smoke.rs`'s 10⁷
+            // run.
             if !quick {
                 groups.push(JobGroup {
                     algorithms: vec![Algorithm::FloodMax],

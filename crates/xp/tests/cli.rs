@@ -196,6 +196,20 @@ fn usage_errors_exit_2() {
         .output()
         .unwrap();
     assert_eq!(one_arg.status.code(), Some(2));
+    // Retired memory bands are unknown options, so a stale CI script fails
+    // loudly instead of comparing counts alone.
+    for retired in [["--fail-rss", "1.5"], ["--fail-allocs", "0.5"]] {
+        let out = ule_xp()
+            .args(["compare", "a.json", "b.json"])
+            .args(retired)
+            .output()
+            .unwrap();
+        assert_eq!(out.status.code(), Some(2), "{retired:?}");
+        assert!(
+            String::from_utf8_lossy(&out.stderr).contains("unknown option"),
+            "{retired:?}"
+        );
+    }
     // Unknown subcommand.
     let bad_sub = ule_xp().arg("frobnicate").output().unwrap();
     assert_eq!(bad_sub.status.code(), Some(2));

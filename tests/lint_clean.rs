@@ -14,10 +14,12 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 /// lines / 483 items (10 605 / 478 under the crates-only scope, plus 381
 /// / 5 from `examples/` and `src/`) before the Corollary 4.2 spanner
 /// became `Algorithm::Spanner` and the figure binaries became examples
-/// and `ule-xp` campaigns, and at 10 829 before `DfsAgent` collapsed its
-/// node state to one walker.
-const MAX_CODE_LINES: usize = 10_762;
-const MAX_PUB_ITEMS: usize = 478;
+/// and `ule-xp` campaigns, at 10 829 before `DfsAgent` collapsed its
+/// node state to one walker, and at 10 762 / 478 before `ule-xp` stopped
+/// probing process memory (its counting allocator moved into
+/// `tests/memory_budget.rs`, which this scope does not count).
+const MAX_CODE_LINES: usize = 10_624;
+const MAX_PUB_ITEMS: usize = 475;
 
 #[test]
 fn workspace_size_only_ratchets_down() {
@@ -52,8 +54,9 @@ fn workspace_has_no_unsuppressed_findings() {
 fn suppressions_in_tree_are_the_known_set() {
     // The ledger of exceptions is small and audited: the two
     // throughput-timing Instant::now sites and the counting GlobalAlloc
-    // wrapper behind ule-xp's count-allocs feature (GlobalAlloc is an
-    // unsafe trait; the impl delegates verbatim to System). Growing this
+    // wrapper in the heap-budget test (GlobalAlloc is an unsafe trait;
+    // the impl delegates verbatim to System, and no library crate carries
+    // it). Growing this
     // list should be a deliberate, reviewed act — update this test when
     // you do.
     let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"));
@@ -68,10 +71,6 @@ fn suppressions_in_tree_are_the_known_set() {
     assert_eq!(
         suppressed,
         vec![
-            (
-                "unsafe-block".to_string(),
-                "crates/xp/src/metrics.rs".to_string()
-            ),
             (
                 "unsafe-block".to_string(),
                 "tests/memory_budget.rs".to_string()

@@ -9,10 +9,10 @@
 //!   mark the cell reached at the commit named on [`MEASURED_PEAKS`], so a
 //!   per-node allocation regression fails here by cell.
 //!
-//! Heap counts are a function of the code alone: unlike the process's
-//! `VmHWM` they do not depend on which cell ran first, on the allocator's
-//! arenas or on the machine. The file holds a single `#[test]` so no other
-//! test shares the counters. Run with `--nocapture` to print the per-cell
+//! Unlike the process's `VmHWM`, heap counts do not depend on which cell
+//! ran first or on the allocator's arenas: repeated runs read the same
+//! numbers. The file holds a single `#[test]` so no other test shares the
+//! counters. Run with `--nocapture` to print the per-cell
 //! table (allocations, allocations/message, peak bytes, bytes/node).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -80,8 +80,9 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The budget every cell shares, unchanged from the count-allocs gate it
-/// replaces: at most one allocation per two simulated messages.
+/// The budget every cell shares — the absolute ceiling `ule-xp compare
+/// --fail-allocs` applied before this test replaced it: at most one
+/// allocation per two simulated messages.
 const MAX_ALLOCS_PER_MESSAGE: f64 = 0.5;
 
 /// Each cell's peak live heap in bytes, in grid order, keyed by
@@ -132,13 +133,12 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
         let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations_before;
         let peak = PEAK.load(Ordering::Relaxed) - live_before;
         let cell = &result.cells[0];
-        let group = &spec.groups[0];
         let mut label = format!("{} @ {}", cell.algorithm, cell.workload);
-        if let Some(threads) = group.threads {
+        if let Some(threads) = cell.threads {
             label += &format!(" threads-{threads}");
         }
-        if group.adversary != AdversaryProfile::Lockstep {
-            label += &format!(" {}", group.adversary.name());
+        if cell.adversary != AdversaryProfile::Lockstep {
+            label += &format!(" {}", cell.adversary.name());
         }
         let messages = cell.summary.mean_messages * cell.summary.trials as f64;
         let per_message = allocations as f64 / messages.max(1.0);
@@ -149,9 +149,9 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
         measured.push((label, per_message, peak));
     }
     let labels: Vec<&str> = measured.iter().map(|(l, _, _)| l.as_str()).collect();
-    let recorded: Vec<&str> = MEASURED_PEAKS.iter().map(|&(l, _)| l).collect();
+    let expected: Vec<&str> = MEASURED_PEAKS.iter().map(|&(l, _)| l).collect();
     assert_eq!(
-        labels, recorded,
+        labels, expected,
         "the quick engine-scale grid changed: re-measure MEASURED_PEAKS"
     );
     for ((label, per_message, peak), &(_, recorded)) in measured.iter().zip(&MEASURED_PEAKS) {

@@ -66,8 +66,8 @@ fn floodmax_on_a_ten_million_node_cycle() {
     // off, so what's left resident is the engine's true per-node
     // footprint — calendar delivery ring, struct-of-arrays node store,
     // arena inboxes, lazy RNG column. A per-node allocation regression
-    // shows up here as a wall-clock blowup or an RSS ceiling breach long
-    // before the perf-gate's `--fail-rss` band catches it.
+    // shows up here as a wall-clock blowup or an RSS ceiling breach; at
+    // 10⁵ nodes, tests/memory_budget.rs catches it on the heap first.
     let n = 10_000_000;
     let topo = gen::Family::Cycle.implicit(n).unwrap();
     use rand::SeedableRng;
