@@ -443,6 +443,39 @@ mod tests {
         BTreeMap::from([(key.to_string(), c)])
     }
 
+    /// A schema-3 timed cell as recorded while `ule-xp` still probed
+    /// process memory: same counts and throughput, plus the retired
+    /// `peak_rss_bytes`, `bytes_per_node` and `allocs_per_message`.
+    fn probed(rss: f64, bpn: f64, allocs: f64) -> BTreeMap<String, CellMetrics> {
+        let v3 = format!(
+            r#"{{"schema_version": 3, "cells": [
+                {{"workload": "path/1000", "algorithm": "dfs-agent",
+                 "trials": 1, "successes": 1, "mean_messages": 1998,
+                 "mean_rounds": 2000, "msgs_per_s": 1e6,
+                 "peak_rss_bytes": {rss}, "bytes_per_node": {bpn},
+                 "allocs_per_message": {allocs}}}]}}"#
+        );
+        parse_cells(&Json::parse(&v3).unwrap()).unwrap()
+    }
+
+    /// Compares under both the default and the strictest tolerances and
+    /// asserts that only counts and throughput were looked at, and passed.
+    fn compares_on_counts_alone(
+        old: &BTreeMap<String, CellMetrics>,
+        new: &BTreeMap<String, CellMetrics>,
+    ) {
+        let strict = Tolerances {
+            fail_cost: Some(0.000001),
+            ..Tolerances::default()
+        };
+        for tol in [Tolerances::default(), strict] {
+            let report = compare(old, new, &tol);
+            assert_eq!(report.verdict(), Verdict::Pass);
+            let metrics: Vec<&str> = report.deltas.iter().map(|d| d.metric).collect();
+            assert_eq!(metrics, ["mean_messages", "mean_rounds", "msgs_per_s"]);
+        }
+    }
+
     #[test]
     fn identical_results_pass() {
         let old = one("floodmax @ cycle/100", cell(1000.0, 50.0, Some(1e6)));
@@ -507,6 +540,35 @@ mod tests {
             compare(&old, &shrank, &Tolerances::default()).verdict(),
             Verdict::Warn
         );
+    }
+
+    #[test]
+    fn rss_growth_warns_and_fails_only_when_opted_in() {
+        // The RSS band and its `--fail-rss` opt-in are retired, so RSS
+        // growth in old files never warns or fails: neither 1.4x (the old
+        // warn band) nor 1.6x (over CI's old 1.5 fail factor).
+        let old = probed(1.0e9, 1.0e6, 0.1);
+        compares_on_counts_alone(&old, &probed(1.4e9, 1.0e6, 0.1));
+        compares_on_counts_alone(&old, &probed(1.6e9, 1.0e6, 0.1));
+    }
+
+    #[test]
+    fn allocs_ceiling_is_absolute_and_opt_in() {
+        // The 0.5 allocations-per-message ceiling is enforced per cell by
+        // the heap-budget test, not here: a recorded 0.8 no longer fails
+        // `compare`, whatever the baseline carried.
+        let over = probed(1.0e9, 1.0e6, 0.8);
+        compares_on_counts_alone(&probed(1.0e9, 1.0e6, 0.1), &over);
+        let bare = one("dfs-agent @ path/1000", cell(1998.0, 2000.0, Some(1e6)));
+        compares_on_counts_alone(&bare, &over);
+    }
+
+    #[test]
+    fn bytes_per_node_shares_the_rss_band() {
+        // Per-node RSS went with the RSS band: absolute RSS halved while
+        // bytes per node grew 1.6x, and neither is compared.
+        let old = probed(1.0e9, 100.0, 0.1);
+        compares_on_counts_alone(&old, &probed(0.5e9, 160.0, 0.1));
     }
 
     #[test]
@@ -588,33 +650,14 @@ mod tests {
         // carry process-memory fields: they parse, and only the counts (and
         // throughput) are compared — a tenfold RSS or allocation jump is
         // invisible, and so is its absence.
-        let with_probes = |rss: f64, allocs: f64| {
-            let v3 = format!(
-                r#"{{"schema_version": 3, "cells": [
-                    {{"workload": "path/1000", "algorithm": "dfs-agent",
-                     "trials": 1, "successes": 1, "mean_messages": 1998,
-                     "mean_rounds": 2000, "msgs_per_s": 1e6,
-                     "peak_rss_bytes": {rss}, "bytes_per_node": {bpn},
-                     "allocs_per_message": {allocs}}}]}}"#,
-                bpn = rss / 1000.0,
-            );
-            parse_cells(&Json::parse(&v3).unwrap()).unwrap()
-        };
-        let old = with_probes(4.5e7, 0.1);
+        let old = probed(4.5e7, 4.5e4, 0.1);
         assert_eq!(
             old["dfs-agent @ path/1000"],
             cell(1998.0, 2000.0, Some(1e6))
         );
-        let strict = Tolerances {
-            fail_cost: Some(0.000001),
-            ..Tolerances::default()
-        };
-        let report = compare(&old, &with_probes(4.5e8, 5.0), &strict);
-        assert_eq!(report.verdict(), Verdict::Pass);
-        let metrics: Vec<&str> = report.deltas.iter().map(|d| d.metric).collect();
-        assert_eq!(metrics, ["mean_messages", "mean_rounds", "msgs_per_s"]);
+        compares_on_counts_alone(&old, &probed(4.5e8, 4.5e5, 5.0));
         let bare = one("dfs-agent @ path/1000", cell(1998.0, 2000.0, Some(1e6)));
-        assert_eq!(compare(&old, &bare, &strict).verdict(), Verdict::Pass);
+        compares_on_counts_alone(&old, &bare);
     }
 
     #[test]

@@ -584,12 +584,26 @@ mod tests {
         for cell in &result.cells {
             assert!(cell.elapsed_s.is_some());
             assert!(cell.msgs_per_s.unwrap() > 0.0);
-            let json = cell.to_json();
-            assert!(json.get("msgs_per_s").is_some());
-            // Wall-clock is the only machine-dependent part of a cell:
-            // memory is budgeted on the heap by tests/memory_budget.rs.
-            for probe in ["peak_rss_bytes", "bytes_per_node", "allocs_per_message"] {
-                assert!(json.get(probe).is_none(), "{probe}");
+            assert!(cell.to_json().get("msgs_per_s").is_some());
+        }
+    }
+
+    #[test]
+    fn timed_cells_stamp_bytes_per_node() {
+        // Timed cells no longer stamp `bytes_per_node` or any other
+        // process-memory probe: wall-clock is the only machine-dependent
+        // part of a cell, and memory is budgeted on the heap by
+        // tests/memory_budget.rs. Untimed cells carry none either.
+        let mut spec = tiny_spec();
+        for timed in [true, false] {
+            spec.groups[0].timed = timed;
+            let result = execute(&spec, RunMeta::fixed(), false).unwrap();
+            for cell in &result.cells {
+                let json = cell.to_json();
+                assert_eq!(json.get("elapsed_s").is_some(), timed);
+                for probe in ["peak_rss_bytes", "bytes_per_node", "allocs_per_message"] {
+                    assert!(json.get(probe).is_none(), "{probe}");
+                }
             }
         }
     }
