@@ -121,12 +121,10 @@ impl Parallelism {
                 t
             }
             Parallelism::Auto => {
-                if n < Self::AUTO_MIN_NODES || crate::harness::in_trial_fanout() {
+                if n < Self::AUTO_MIN_NODES {
                     1
                 } else {
-                    std::thread::available_parallelism()
-                        .map(|p| p.get())
-                        .unwrap_or(1)
+                    crate::harness::host_cores()
                 }
             }
         }

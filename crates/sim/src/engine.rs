@@ -7,18 +7,19 @@
 //! ends at quiescence or at the round cap (the truncation mechanism of the
 //! Theorem 3.13 experiment).
 //!
-//! The split of responsibilities: node-state storage, protocol stepping,
-//! run set-up, message accounting, **delivery** and outcome finishing live
-//! in [`crate::exec`] — the first four shared with the async
-//! threads+channels runtime ([`crate::rt`]), delivery in the engine's
-//! `Ledger`, which owns the inbox arena and the delayed-delivery calendar
-//! of a node range and is the only code that knows where a send lands.
-//! What lives *here* is the scheduling policy and nothing else — the
-//! decision of **when** each node steps: the active set, the wakeup
-//! calendar, fast-forward, and which thread runs which range. A round is, per range,
-//! `Ledger::open_round` (who hears something), the wakeup admission,
-//! `Ledger::stage` of the round after, then one `step_node` per active
-//! node — `Shard::step`, the one round body of every run.
+//! The split of responsibilities: the node-range split, node-state
+//! storage, the wake calendar, protocol stepping, run set-up, message
+//! accounting, **delivery** and outcome finishing live in [`crate::exec`]
+//! — all but delivery shared with the async threads+channels runtime
+//! ([`crate::rt`]), delivery in the engine's `Ledger`, which owns the inbox
+//! arena and the delayed-delivery calendar of a node range and is the only
+//! code that knows where a send lands. What lives *here* is the scheduling
+//! policy and nothing else — the decision of **when** each node steps: the
+//! active set, fast-forward, and which thread runs which range. A round
+//! is, per range, `Ledger::open_round` (who hears something), the wakeup
+//! admission (`Wakes::admit`), `Ledger::stage` of the round after, then
+//! one `step_node` per active node — `Shard::step`, the one round body of
+//! every run.
 //!
 //! The engine is generic over [`Topology`], so the structured families run
 //! off `O(1)`-memory procedural topologies ([`ule_graph::ImplicitTopology`])
@@ -76,8 +77,8 @@
 //!   node of pointer triple, plus per-node heap blocks);
 //! * node bookkeeping is struct-of-arrays ([`crate::exec::NodeStore`]):
 //!   timers are a dense `u64` column (`NO_WAKE` sentinel, not
-//!   `Option<u64>`), started and dedup bits live in engine-owned bitmaps
-//!   (one bit per node each), statuses are one byte per node, and the RNG
+//!   `Option<u64>`), started and dedup bits live in bitmaps (one bit per
+//!   node each), statuses are one byte per node, and the RNG
 //!   column starts lazy — materialized only if some node actually draws,
 //!   and until then a stream is derived only by an activation that asks
 //!   for it ([`crate::Context::rng`]);
@@ -99,13 +100,13 @@
 //! # Range ownership: shards, two phases, persistent workers
 //!
 //! The nodes are divided into contiguous ranges, one **shard** each
-//! (`Owners::split`: at most [`crate::Parallelism`]'s thread count, never
-//! an empty range; `Off`, `Auto` below its node threshold and `n = 1` give
-//! one shard). A shard owns its range for the whole run: the nodes' slice
-//! of the store, the `Ledger` of their out-edges and inboxes (accounting
-//! part, inbox arena, calendar), their wakeup calendar, active list, dedup
-//! and started bitmaps. Nothing per-node is shared, so nothing
-//! per-node is locked.
+//! (`exec`'s `Owners::split`, the async workers' split too: at most
+//! [`crate::Parallelism`]'s thread count, never an empty range; `Off`,
+//! `Auto` below its node threshold and `n = 1` give one shard). A shard
+//! owns its range for the whole run: the nodes' store (with their started
+//! bitmap), the `Ledger` of their out-edges and inboxes (accounting part,
+//! inbox arena, calendar), their wakeup calendar, active list and dedup
+//! bitmap. Nothing per-node is shared, so nothing per-node is locked.
 //!
 //! A round is two phases over the shards:
 //!
@@ -166,11 +167,10 @@
 //! runs the repo benchmark's torus in about 0.65× the inline engine's time
 //! (`sim.engine.shard_ratio`, `benchmark/`).
 
-use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, Bitmap, Ledger, NodeStore, RunCtx, RunFacts, RunOutcome, StepScratch,
-    Termination,
+    set_up, step_node, Bitmap, Ledger, NodeStore, Owners, RunCtx, RunFacts, RunOutcome,
+    StepScratch, Termination, Wakes,
 };
 use crate::message::Message;
 use crate::protocol::{NodeSetup, Protocol};
@@ -181,40 +181,6 @@ use std::sync::mpsc::{sync_channel, Receiver, SyncSender};
 use std::sync::{Mutex, MutexGuard};
 use std::thread::{Scope, ScopedJoinHandle};
 use ule_graph::{NodeId, Topology};
-
-/// Which shard owns a node. Ranges are cut at multiples of `1 << shift`,
-/// so the owner is one load from a table of at most 1024 entries — every
-/// send of a sharded run asks once, and a division by the range length
-/// cost a measurable share of the step phase.
-struct Owners {
-    shift: u32,
-    table: Vec<u32>,
-}
-
-impl Owners {
-    /// Splits `0..n` into at most `threads` contiguous, non-empty ranges of
-    /// near-equal length (one empty range when `n == 0`).
-    fn split(n: usize, threads: usize) -> (Vec<Range<NodeId>>, Owners) {
-        let shift = (usize::BITS - n.leading_zeros()).saturating_sub(10);
-        let grain = 1usize << shift;
-        let chunk = n
-            .div_ceil(threads.min(n).max(1))
-            .next_multiple_of(grain)
-            .max(1);
-        let ranges = (0..n.div_ceil(chunk).max(1))
-            .map(|s| s * chunk..((s + 1) * chunk).min(n))
-            .collect();
-        let table = (0..n.div_ceil(grain))
-            .map(|g| ((g << shift) / chunk) as u32)
-            .collect();
-        (ranges, Owners { shift, table })
-    }
-
-    #[inline]
-    fn of(&self, v: NodeId) -> usize {
-        self.table[v >> self.shift] as usize
-    }
-}
 
 /// A surviving delivery on its way to the shard that owns its
 /// destination: `(delivery round, dest, port at dest, message)`.
@@ -251,10 +217,7 @@ struct Shard<P: Protocol> {
     store: NodeStore<P>,
     ledger: Ledger<P::Msg>,
     /// Pending wakeups: offsets into the range, queued under their round.
-    /// Entries are lazily invalidated: an entry is genuine iff
-    /// `store.wake[offset]` still names its round (a node that re-arms its
-    /// timer leaves the superseded entry behind).
-    wakes: CalendarQueue<u32>,
+    wakes: Wakes,
     /// The round's active set (small for sparse protocols) and the dedup
     /// flags guarding it.
     active: Vec<usize>,
@@ -262,7 +225,6 @@ struct Shard<P: Protocol> {
     /// Whether `active` already holds the coming round's deliveries and
     /// wakeups.
     opened: bool,
-    started: Bitmap,
     scratch: StepScratch<P::Msg>,
     /// The round's crossings, left for the control thread.
     crossings: Vec<Crossing>,
@@ -288,11 +250,10 @@ impl<P: Protocol> Shard<P> {
         Shard {
             ledger: Ledger::new(facts, store.base..store.base + len, edges),
             store,
-            wakes: CalendarQueue::new(),
+            wakes: Wakes::default(),
             active,
             queued,
             opened: false,
-            started: Bitmap::new(len),
             scratch: StepScratch::default(),
             crossings: Vec::new(),
             status_changed: false,
@@ -312,16 +273,10 @@ impl<P: Protocol> Shard<P> {
             return Some(round);
         }
         let next = self.ledger.next_delivery();
-        // A round whose entries are all superseded is dropped — without
-        // moving the window, since this range may still have to open any
-        // earlier round another range has an event in.
-        while let Some((w, due)) = self.wakes.peek_first() {
-            if due.iter().any(|&i| self.store.wake[i as usize] == w) {
-                return Some(next.map_or(w, |d| d.min(w)));
-            }
-            self.wakes.discard_first();
+        match self.wakes.first(&self.store.wake) {
+            Some(w) => Some(next.map_or(w, |d| d.min(w))),
+            None => next,
         }
-        next
     }
 
     /// Gathers who steps in `round`: everything due is heard now, and
@@ -330,19 +285,16 @@ impl<P: Protocol> Shard<P> {
         if std::mem::replace(&mut self.opened, true) {
             return;
         }
+        let (queued, active) = (&mut self.queued, &mut self.active);
+        let mut admit = |i: usize| {
+            if queued.set(i) {
+                active.push(i);
+            }
+        };
         for &d in self.ledger.open_round(round) {
-            if self.queued.set(d as usize) {
-                self.active.push(d as usize);
-            }
+            admit(d as usize);
         }
-        let due = self.wakes.take_at(round);
-        for &i in &due {
-            let i = i as usize;
-            if self.store.wake[i] == round && self.queued.set(i) {
-                self.active.push(i);
-            }
-        }
-        self.wakes.recycle(due);
+        self.wakes.admit(round, &self.store.wake, admit);
     }
 
     /// The step phase of `round`, the one round body of every run: opens
@@ -382,7 +334,6 @@ impl<P: Protocol> Shard<P> {
             wakes,
             active,
             queued,
-            started,
             scratch,
             crossings,
             status_changed,
@@ -393,30 +344,21 @@ impl<P: Protocol> Shard<P> {
             // Cloning the inbox out frees its chain, so the deliveries of
             // this round reuse the entries in place.
             ledger.arena.take(i, &mut scratch.inbox);
-            let effects = step_node(
-                rc,
-                round,
-                v,
-                &mut store.as_mut(),
-                i,
-                !started.get(i),
-                scratch,
-                |s| {
-                    let Some(at) = ledger.part.account(facts, round, &s) else {
-                        return;
-                    };
-                    if facts.watches(s.src, s.dest) {
-                        crossings.push((s.src, s.dest, ledger.part.messages - 1));
+            let effects = step_node(rc, round, v, store, scratch, |s| {
+                let Some(at) = ledger.part.account(facts, round, &s) else {
+                    return;
+                };
+                if facts.watches(s.src, s.dest) {
+                    crossings.push((s.src, s.dest, ledger.part.messages - 1));
+                }
+                let port = s.dest_port as u32;
+                match &mut outbox {
+                    None => ledger.deliver(round, at, s.dest, port, s.msg),
+                    Some(Outbox { owners, to }) => {
+                        to[owners.of(s.dest)].push((at, s.dest as u32, port, s.msg))
                     }
-                    let port = s.dest_port as u32;
-                    match &mut outbox {
-                        None => ledger.deliver(round, at, s.dest, port, s.msg),
-                        Some(Outbox { owners, to }) => {
-                            to[owners.of(s.dest)].push((at, s.dest as u32, port, s.msg))
-                        }
-                    }
-                },
-            );
+                }
+            });
             // A changed timer needs a wakeup entry unless its owner's crash
             // outlives it (the stale entry for the previously armed round,
             // if any, stays queued; the async runtime makes the same
@@ -424,17 +366,10 @@ impl<P: Protocol> Shard<P> {
             // across runtimes).
             if let Some(w) = effects.rearmed {
                 if ledger.part.rearm(facts, v, w, &mut store.wake[i]) {
-                    wakes.push(w, i as u32);
+                    wakes.push(w, i);
                 }
             }
-            // A first draw on the lazy RNG column materializes it (every
-            // other node of the range is still pristine, so fresh streams
-            // are exact) and persists the drawn state.
-            if let Some(rng) = effects.drew {
-                store.densify_rngs(rc.seed)[i] = rng;
-            }
             *status_changed |= effects.status_changed;
-            started.set(i);
             queued.clear(i);
         }
     }
@@ -586,46 +521,23 @@ where
 fn run_inspecting<T: Topology, P: Protocol>(
     topo: &T,
     config: &SimConfig,
-    mut factory: impl FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
+    factory: impl FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
     inspect: impl FnOnce(&[Shard<P>]),
 ) -> RunOutcome {
     let n = topo.n();
-    let (ranges, owners) = Owners::split(n, config.parallelism.effective_threads(n));
+    let threads = config.parallelism.effective_threads(n);
+    let (ranges, owners, facts) = set_up(topo, config, threads, factory);
     // A round runs on the shards' threads when it has two economic shards'
     // worth of active nodes (the policy lives on
     // `Parallelism::min_shard_nodes`: `Auto` demands an economic shard
     // size, explicit `Threads(k)` shards eagerly); otherwise — and always
     // when one shard owns every node — the control thread runs it alone.
     let parallel_floor = 2 * config.parallelism.min_shard_nodes();
-
-    let mut stores: Vec<NodeStore<P>> = ranges
-        .iter()
-        .map(|nodes| init_store(topo, config, nodes.clone(), &mut factory))
+    let shards: Vec<Mutex<Shard<P>>> = ranges
+        .into_iter()
+        .map(|(store, edges)| Mutex::new(Shard::new(&facts, store, edges)))
         .collect();
     let rc = RunCtx::new(topo, config);
-    // The shared run set-up arms the spontaneous round-0 wakeups.
-    let facts = RunFacts::new(topo, config, |v| {
-        let store = &mut stores[owners.of(v)];
-        store.wake[v - store.base] = 0;
-    });
-    // Each shard's ledger covers the out-edges of its nodes: directed-edge
-    // indices are degree prefix sums, so consecutive node ranges own
-    // consecutive edge ranges.
-    let mut edge_lo = 0;
-    let shards: Vec<Mutex<Shard<P>>> = stores
-        .into_iter()
-        .zip(&ranges)
-        .map(|(store, nodes)| {
-            let edge_hi = if nodes.end == n {
-                topo.directed_edge_count()
-            } else {
-                edge_lo + nodes.clone().map(|v| topo.degree(v)).sum::<usize>()
-            };
-            let edges = edge_lo..edge_hi;
-            edge_lo = edge_hi;
-            Mutex::new(Shard::new(&facts, store, edges))
-        })
-        .collect();
     let shared = Shared {
         rc,
         facts: &facts,
@@ -1303,33 +1215,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_ranges_are_contiguous_nonempty_and_clamped_to_the_node_count() {
-        // (n, threads) -> the range lengths.
-        for (n, threads, lens) in [
-            (16usize, 7usize, vec![3, 3, 3, 3, 3, 1]),
-            (16, 2, vec![8, 8]),
-            (1, 4, vec![1]),
-            (2, 4, vec![1, 1]),
-            (5, 1, vec![5]),
-            // Above 1024 nodes ranges are cut at multiples of the table's
-            // grain (here 2), never inside one.
-            (1_500, 4, vec![376, 376, 376, 372]),
-        ] {
-            let (ranges, owners) = Owners::split(n, threads);
-            let got: Vec<usize> = ranges.iter().map(|r| r.len()).collect();
-            assert_eq!(got, lens, "n = {n}, threads = {threads}");
-            assert!(owners.table.len() <= 1024);
-            for (s, range) in ranges.iter().enumerate() {
-                assert_eq!(
-                    range.start,
-                    ranges[..s].iter().map(|r| r.len()).sum::<usize>()
-                );
-                assert!(range.clone().all(|v| owners.of(v) == s), "shard {s}");
-            }
-        }
-    }
-
-    #[test]
     fn more_threads_than_nodes_runs_like_the_inline_engine() {
         let mk = |_: NodeId, _: &NodeSetup, _: &mut StdRng| MiniFloodMax {
             best: 0,
@@ -1543,14 +1428,14 @@ mod tests {
                 t => Parallelism::Threads(t),
             };
             let out = run(&g, &base.clone().with_parallelism(p), mk);
-            let (ranges, owners) = Owners::split(g.len(), t);
+            let (ranges, owners) = Owners::split(&g, t);
             assert_eq!(ranges.len(), t);
             // (range, round) -> the nodes stepped, in stepping order.
             let mut stepped: BTreeMap<(usize, u64), Vec<NodeId>> = BTreeMap::new();
             for &(round, v) in lock(&log).iter() {
                 stepped.entry((owners.of(v), round)).or_default().push(v);
             }
-            for (s, range) in ranges.iter().enumerate() {
+            for (s, (range, _)) in ranges.iter().enumerate() {
                 let dense: Vec<bool> = stepped
                     .range((s, 0)..(s + 1, 0))
                     .map(|(&(_, round), nodes)| {
@@ -2064,6 +1949,7 @@ mod tests {
         // Threads(3), whose ranges are [0, 8) / [0, 4), [4, 8) / [0, 3),
         // [3, 6), [6, 8)): calls that never draw leave every range lazy,
         // node 7's late draws densify its range alone, everybody's all.
+        // The async runtime cuts the same ranges at 1 / 2 / 3 workers.
         type Case = (fn(NodeId) -> bool, [&'static [bool]; 3]);
         let cases: [Case; 3] = [
             (|_| false, [&[false], &[false; 2], &[false; 3]]),
@@ -2090,10 +1976,25 @@ mod tests {
                 let out = run_inspecting(&g, &cfg.clone().with_parallelism(p), mk, check);
                 assert_eq!(out, reference, "{p:?}");
             }
-            let asy = crate::Runner::new(&g, &cfg)
-                .runtime(crate::RuntimeKind::Async)
-                .run(mk);
-            assert_eq!(asy, reference, "async");
+            async_and_replay_match(&g, &cfg, mk, &reference);
+        }
+    }
+
+    /// Runs `mk` on the async runtime at 1, 2 and 3 workers — the ranges of
+    /// `Off`, `Threads(2)` and `Threads(3)` — and replays each trace: every
+    /// outcome must be `reference`.
+    fn async_and_replay_match<P: Protocol>(
+        g: &ule_graph::Graph,
+        cfg: &SimConfig,
+        mk: impl Fn(NodeId, &NodeSetup, &mut StdRng) -> P + Copy,
+        reference: &RunOutcome,
+    ) {
+        for workers in 1..=3 {
+            let rt = crate::AsyncRuntime::new().with_workers(workers);
+            let recorded = rt.run(g, cfg, mk);
+            assert_eq!(&recorded.outcome, reference, "async, {workers} workers");
+            let replayed = crate::rt::replay(g, cfg, mk, &recorded.trace);
+            assert_eq!(replayed, recorded, "replay, {workers} workers");
         }
     }
 
@@ -2115,5 +2016,8 @@ mod tests {
             assert_eq!(dense_ranges(shards), [true]);
         });
         assert_eq!(out.undecided_count(), 0);
+        // At 2 and 3 workers the ranges before node 3's stay lazy until
+        // their nodes draw at round 3.
+        async_and_replay_match(&g, &cfg, mk, &out);
     }
 }

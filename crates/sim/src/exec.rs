@@ -6,12 +6,14 @@
 //! this core) and the async threads+channels runtime ([`crate::rt`]). It
 //! owns:
 //!
+//! * **node ranges** — `Owners::split`: the one cut of `0..n` into
+//!   contiguous ranges (an engine shard or an async worker each) with the
+//!   out-edges each range owns, and the table that names a node's owner;
 //! * **node-state storage** — `NodeStore`: struct-of-arrays bookkeeping
-//!   for every node (protocol instances, private RNG streams seeded by
-//!   [`node_rng_seed`], wakeup timers and statuses as parallel flat
-//!   arrays), constructed identically by every runtime (`init_store`, one
-//!   store per engine shard or one sliced contiguously across the async
-//!   workers — `StoreSliceMut`).
+//!   for the nodes of one range (protocol instances, private RNG streams
+//!   seeded by [`node_rng_seed`], wakeup timers, started flags and
+//!   statuses as parallel flat arrays), one store per range on every
+//!   runtime.
 //!   The store is on a memory diet for graph-scale runs: per-node setups
 //!   are rebuilt on the stack from a shared `RunCtx` at each activation,
 //!   timers are a dense `u64` column with a `NO_WAKE` sentinel, and the
@@ -19,16 +21,19 @@
 //!   node actually draws (most deterministic protocols never do);
 //! * **protocol stepping** — `step_node`: the one activation sequence
 //!   (clear a due timer, hand the caller-gathered inbox to the protocol,
-//!   run `on_round`, report re-armed timers and status changes, stage
-//!   sends), handing each staged send to a caller-supplied `FnMut` so each
-//!   runtime decides where it goes without re-implementing the stepping
-//!   rules, and generic over a [`Topology`] so implicit (procedural) graphs
-//!   never materialize;
-//! * **run set-up** — `RunFacts`: the one constructor that validates the
+//!   run `on_round`, persist a first draw on a lazy RNG column, report
+//!   re-armed timers and status changes, stage sends), handing each
+//!   staged send to a caller-supplied `FnMut` so each runtime decides
+//!   where it goes without re-implementing the stepping rules, and generic
+//!   over a [`Topology`] so implicit (procedural) graphs never
+//!   materialize; re-armed timers queue in the range's `Wakes`, the one
+//!   genuine-entry wake calendar;
+//! * **run set-up** — `set_up`: splits the nodes, builds one store per
+//!   range in range order, and builds `RunFacts` — which validates the
 //!   wakeup set, builds the adversary schedule, precomputes crash rounds,
 //!   normalizes and indexes the watched edges and arms the spontaneous
-//!   wakeups (crash-filtered); immutable afterwards and shared by
-//!   reference with every thread of every runtime;
+//!   wakeups (crash-filtered) in the owning store; immutable afterwards
+//!   and shared by reference with every thread of every runtime;
 //! * **message accounting** — `LedgerPart`: what a send costs and what
 //!   becomes of it, defined once (`LedgerPart::account`: message/bit
 //!   totals, CONGEST budget checks, per-directed-edge statistics —
@@ -292,7 +297,7 @@ impl<'a, T: Topology> RunCtx<'a, T> {
 /// # Panics
 ///
 /// Panics if an explicit assignment does not cover the graph (the panic
-/// message is part of the API, shared with [`init_store`]).
+/// message is part of the API, shared with [`set_up`]).
 fn ids_slice(config: &SimConfig, n: usize) -> Option<&[Id]> {
     match &config.ids {
         IdMode::Anonymous => None,
@@ -317,37 +322,72 @@ pub(crate) enum RngCol {
     Dense(Vec<StdRng>),
 }
 
-/// A by-reference view of [`RngCol`] over a contiguous node range.
-pub(crate) enum RngSliceMut<'a> {
-    /// See [`RngCol::Lazy`].
-    Lazy,
-    /// See [`RngCol::Dense`].
-    Dense(&'a mut [StdRng]),
+/// Which range owns a node. Ranges are cut at multiples of `1 << shift`,
+/// so the owner is one load from a table of at most 1024 entries — every
+/// send that may leave its range asks once, and a division by the range
+/// length cost a measurable share of the engine's step phase.
+pub(crate) struct Owners {
+    shift: u32,
+    table: Vec<u32>,
 }
 
-impl<'a> RngSliceMut<'a> {
-    fn split_at_mut(self, mid: usize) -> (RngSliceMut<'a>, RngSliceMut<'a>) {
-        match self {
-            RngSliceMut::Lazy => (RngSliceMut::Lazy, RngSliceMut::Lazy),
-            RngSliceMut::Dense(s) => {
-                let (l, r) = s.split_at_mut(mid);
-                (RngSliceMut::Dense(l), RngSliceMut::Dense(r))
-            }
-        }
+impl Owners {
+    /// Splits `topo`'s nodes into at most `threads` contiguous, non-empty
+    /// ranges of near-equal length (one empty range when `n == 0`), each
+    /// with the directed edges its nodes own: directed-edge indices are
+    /// degree prefix sums, so consecutive node ranges own consecutive edge
+    /// ranges.
+    #[allow(clippy::type_complexity)] // crate-internal; one tuple per range
+    pub(crate) fn split<T: Topology>(
+        topo: &T,
+        threads: usize,
+    ) -> (Vec<(Range<NodeId>, Range<usize>)>, Owners) {
+        let n = topo.n();
+        let shift = (usize::BITS - n.leading_zeros()).saturating_sub(10);
+        let grain = 1usize << shift;
+        let chunk = n
+            .div_ceil(threads.min(n).max(1))
+            .next_multiple_of(grain)
+            .max(1);
+        let mut edge_lo = 0;
+        let ranges = (0..n.div_ceil(chunk).max(1))
+            .map(|s| {
+                let nodes = s * chunk..((s + 1) * chunk).min(n);
+                let edge_hi = if nodes.end == n {
+                    topo.directed_edge_count()
+                } else {
+                    edge_lo + nodes.clone().map(|v| topo.degree(v)).sum::<usize>()
+                };
+                let edges = edge_lo..edge_hi;
+                edge_lo = edge_hi;
+                (nodes, edges)
+            })
+            .collect();
+        let table = (0..n.div_ceil(grain))
+            .map(|g| ((g << shift) / chunk) as u32)
+            .collect();
+        (ranges, Owners { shift, table })
+    }
+
+    /// The range that owns node `v`.
+    #[inline]
+    pub(crate) fn of(&self, v: NodeId) -> usize {
+        self.table[v >> self.shift] as usize
     }
 }
 
-/// Struct-of-arrays node bookkeeping: everything a runtime must store per
-/// node between activations, as parallel flat arrays indexed by node.
-/// Protocol state stays behind `protos[v]` (a protocol is arbitrary user
-/// data); timers and statuses are dense scalar columns (`u64` with the
-/// [`NO_WAKE`] sentinel, one-byte `Status`), and the RNG column is lazy
-/// ([`RngCol`]). Per-node setups and inboxes deliberately do **not** live
-/// here: setups are rebuilt on the stack from [`RunCtx`] and inboxes are
-/// gathered per round by the runtime (the engine's inbox arena, the async
-/// runtime's per-node pending lists), so idle nodes cost 0 bytes of either.
-/// Runtime-independent: both the lockstep engine and the async runtime
-/// drive a `NodeStore<P>` built by [`init_store`].
+/// Struct-of-arrays node bookkeeping for one contiguous node range:
+/// everything a runtime must store per node between activations, as
+/// parallel flat arrays indexed by offset into the range. Protocol state
+/// stays behind `protos[i]` (a protocol is arbitrary user data); timers
+/// and statuses are dense scalar columns (`u64` with the [`NO_WAKE`]
+/// sentinel, one-byte `Status`), started flags a bitmap, and the RNG
+/// column is lazy ([`RngCol`]). Per-node setups and inboxes deliberately
+/// do **not** live here: setups are rebuilt on the stack from [`RunCtx`]
+/// and inboxes are gathered per round by the runtime (the engine's inbox
+/// arena, the async runtime's per-node pending lists), so idle nodes cost
+/// 0 bytes of either. Runtime-independent: every engine shard and every
+/// async worker steps a `NodeStore<P>` of its own, built by [`set_up`].
 pub(crate) struct NodeStore<P: Protocol> {
     /// The first node of the contiguous range this store covers; every
     /// column is indexed by `v - base`.
@@ -356,28 +396,18 @@ pub(crate) struct NodeStore<P: Protocol> {
     pub(crate) rngs: RngCol,
     pub(crate) wake: Vec<u64>,
     pub(crate) statuses: Vec<Status>,
+    /// Whether the node has stepped before (read as
+    /// [`Context::first_activation`]).
+    started: Bitmap,
 }
 
 impl<P: Protocol> NodeStore<P> {
-    /// A mutable whole-store view, sliceable across threads.
-    pub(crate) fn as_mut(&mut self) -> StoreSliceMut<'_, P> {
-        StoreSliceMut {
-            protos: &mut self.protos,
-            rngs: match &mut self.rngs {
-                RngCol::Lazy => RngSliceMut::Lazy,
-                RngCol::Dense(v) => RngSliceMut::Dense(v),
-            },
-            wake: &mut self.wake,
-            statuses: &mut self.statuses,
-        }
-    }
-
     /// Materializes the lazy RNG column: every node gets the fresh stream
     /// [`node_rng_seed`] derives for it. Correct exactly when no node has
-    /// drawn yet (fresh streams *are* their current state); callers that
-    /// observed a draw write the drawn state back into the returned
+    /// drawn yet (fresh streams *are* their current state); the caller that
+    /// observed a draw writes the drawn state back into the returned
     /// column. Materializes nothing on an already-dense column.
-    pub(crate) fn densify_rngs(&mut self, seed: u64) -> &mut [StdRng] {
+    fn densify_rngs(&mut self, seed: u64) -> &mut [StdRng] {
         if let RngCol::Lazy = self.rngs {
             let nodes = self.base..self.base + self.statuses.len();
             self.rngs = RngCol::Dense(nodes.map(|v| node_rng(seed, v)).collect());
@@ -389,39 +419,45 @@ impl<P: Protocol> NodeStore<P> {
     }
 }
 
-/// A mutable view over a contiguous node range of a [`NodeStore`]: what
-/// [`step_node`] steps on. The async worker pool hands each thread a
-/// disjoint slice via [`StoreSliceMut::split_at_mut`] — the SoA equivalent
-/// of splitting a `&mut [NodeSlot]` (an engine shard owns a whole store).
-pub(crate) struct StoreSliceMut<'a, P: Protocol> {
-    pub(crate) protos: &'a mut [P],
-    pub(crate) rngs: RngSliceMut<'a>,
-    pub(crate) wake: &'a mut [u64],
-    pub(crate) statuses: &'a mut [Status],
-}
+/// A range's pending wakeups: node offsets queued under their round,
+/// pushed when a timer is armed and lazily invalidated — an entry is
+/// genuine iff its node's timer (the store's `wake` column) still names
+/// its round, so a re-armed timer leaves the superseded entry behind.
+/// The one wake calendar of both runtimes.
+#[derive(Default)]
+pub(crate) struct Wakes(CalendarQueue<u32>);
 
-impl<'a, P: Protocol> StoreSliceMut<'a, P> {
-    /// Splits the view at `mid` into two disjoint views (every parallel
-    /// array split at the same index).
-    pub(crate) fn split_at_mut(self, mid: usize) -> (StoreSliceMut<'a, P>, StoreSliceMut<'a, P>) {
-        let (protos_l, protos_r) = self.protos.split_at_mut(mid);
-        let (rngs_l, rngs_r) = self.rngs.split_at_mut(mid);
-        let (wake_l, wake_r) = self.wake.split_at_mut(mid);
-        let (statuses_l, statuses_r) = self.statuses.split_at_mut(mid);
-        (
-            StoreSliceMut {
-                protos: protos_l,
-                rngs: rngs_l,
-                wake: wake_l,
-                statuses: statuses_l,
-            },
-            StoreSliceMut {
-                protos: protos_r,
-                rngs: rngs_r,
-                wake: wake_r,
-                statuses: statuses_r,
-            },
-        )
+impl Wakes {
+    /// Queues node offset `i`'s timer for round `w`.
+    pub(crate) fn push(&mut self, w: u64, i: usize) {
+        self.0.push(w, i as u32);
+    }
+
+    /// The earliest round holding a genuine entry. A round whose entries
+    /// are all superseded is dropped on the way — without moving the
+    /// window, since the range may still have to open an earlier round in
+    /// which another range (or a delivery) has an event.
+    pub(crate) fn first(&mut self, wake: &[u64]) -> Option<u64> {
+        while let Some((w, due)) = self.0.peek_first() {
+            if due.iter().any(|&i| wake[i as usize] == w) {
+                return Some(w);
+            }
+            self.0.discard_first();
+        }
+        None
+    }
+
+    /// Opens `round` — the window moves to it — and hands every genuine
+    /// entry due at it to `admit`, in push order; superseded entries are
+    /// dropped. One bucket's work: earlier rounds are never rescanned.
+    pub(crate) fn admit(&mut self, round: u64, wake: &[u64], mut admit: impl FnMut(usize)) {
+        let due = self.0.take_at(round);
+        for &i in &due {
+            if wake[i as usize] == round {
+                admit(i as usize);
+            }
+        }
+        self.0.recycle(due);
     }
 }
 
@@ -613,9 +649,9 @@ impl<M> Default for StepScratch<M> {
     }
 }
 
-/// One bit per node of a range: the engine's started flags and the dedup
-/// flags of its active list — which, read in word order, is also that list
-/// sorted — and the async workers' started and list flags.
+/// One bit per node of a range: a store's started flags, the dedup flags
+/// of the engine's active list — which, read in word order, is also that
+/// list sorted — and the async workers' list flags.
 pub(crate) struct Bitmap {
     words: Vec<u64>,
 }
@@ -666,38 +702,30 @@ pub(crate) struct StepEffects {
     pub(crate) rearmed: Option<u64>,
     /// Whether the node's status changed this round.
     pub(crate) status_changed: bool,
-    /// `Some(state)` iff the store's RNG column is lazy and this node drew
-    /// from its stream (merely calling [`Context::rng`] is not a draw) —
-    /// the runtime must densify the column and persist `state` before the
-    /// node's next activation. Always `None` on a dense column (the stream
-    /// mutates in place).
-    pub(crate) drew: Option<StdRng>,
 }
 
 /// Executes one activation of node `v` at `round`: the single stepping
-/// sequence every runtime shares. `i` indexes `v` within `store` (a view
-/// that may cover a sub-range of the nodes); `first_activation` and the
-/// inbox gathered into `scratch.inbox` are caller-provided (the runtime
-/// owns the started bitmap and the per-round inbox staging). Clears a due
-/// timer, rebuilds the node's setup on the stack from `rc`, runs the
-/// protocol, reports re-armed timers, status changes and lazy RNG draws,
-/// and hands each staged send (with its destination endpoint and wire size
-/// resolved through the topology) to `send`, in emission order. `send` is
-/// where the runtimes differ: an engine shard accounts the send and puts
-/// it straight into the destination's inbox ([`Ledger::deliver`], no
-/// intermediate buffer) — or, when another shard owns the destination,
+/// sequence every runtime shares, on the store of the range that owns `v`.
+/// The inbox gathered into `scratch.inbox` is caller-provided (the runtime
+/// owns the per-round inbox staging). Clears a due timer, rebuilds the
+/// node's setup on the stack from `rc`, runs the protocol, persists a
+/// first draw on a lazy RNG column, reports re-armed timers and status
+/// changes, and hands each staged send (with its destination endpoint and
+/// wire size resolved through the topology) to `send`, in emission order.
+/// `send` is where the runtimes differ: an engine shard accounts the send
+/// and puts it straight into the destination's inbox ([`Ledger::deliver`],
+/// no intermediate buffer) — or, when another shard owns the destination,
 /// parks it for that shard; an async worker accounts and ships a frame.
-#[allow(clippy::too_many_arguments)] // crate-internal; the args are the runtime's per-activation state
 pub(crate) fn step_node<T: Topology, P: Protocol>(
     rc: &RunCtx<'_, T>,
     round: u64,
     v: NodeId,
-    store: &mut StoreSliceMut<'_, P>,
-    i: usize,
-    first_activation: bool,
+    store: &mut NodeStore<P>,
     scratch: &mut StepScratch<P::Msg>,
     mut send: impl FnMut(StagedSend<P::Msg>),
 ) -> StepEffects {
+    let i = v - store.base;
+    let first_activation = store.started.set(i);
     if store.wake[i] != NO_WAKE && store.wake[i] <= round {
         store.wake[i] = NO_WAKE;
     }
@@ -717,10 +745,10 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
         Some(armed_wake)
     };
     // With a lazy RNG column the stream is derived only if the protocol
-    // asks for it, and persisted only if it drew (`StepEffects::drew`).
+    // asks for it, and persisted only if it drew.
     let rng = match &mut store.rngs {
-        RngSliceMut::Dense(s) => NodeRng::Dense(&mut s[i]),
-        RngSliceMut::Lazy => NodeRng::Lazy {
+        RngCol::Dense(s) => NodeRng::Dense(&mut s[i]),
+        RngCol::Lazy => NodeRng::Lazy {
             seed: rc.seed,
             node: v,
             slot: None,
@@ -736,7 +764,12 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
         wake: &mut wake,
     };
     store.protos[i].on_round(&mut ctx, &scratch.inbox);
-    let drew = ctx.rng.drawn();
+    // A first draw on the lazy column materializes it (every other node of
+    // the range is still pristine, so fresh streams are exact) and persists
+    // the drawn state — on whichever thread owns the range.
+    if let Some(drawn) = ctx.rng.drawn() {
+        store.densify_rngs(rc.seed)[i] = drawn;
+    }
     // `wake_at(u64::MAX)` means "never": normalize to a disarmed timer so
     // the sentinel column cannot alias a genuine wakeup.
     if wake == Some(u64::MAX) {
@@ -769,69 +802,91 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
     StepEffects {
         rearmed,
         status_changed,
-        drew,
     }
 }
 
-/// Builds the node store for the contiguous range `nodes` of a run:
-/// resolves identifiers and calls `factory` once per node **in index
-/// order** — the order is part of the determinism contract, shared by
-/// every runtime, so a protocol's coin flips are identical wherever it
-/// runs (a caller that builds one store per range builds them in range
-/// order). The RNG column starts lazy; a factory that draws densifies it
-/// on the spot (every stream of the range up to that node is still
-/// pristine, so fresh derivation reproduces them exactly).
+/// The one run set-up of every runtime (the engine, [`crate::AsyncRuntime`]
+/// and [`crate::rt::replay`]): splits the nodes into at most `threads`
+/// ranges ([`Owners::split`]), builds one [`NodeStore`] per range in range
+/// order, and builds the run's [`RunFacts`], which arms the round-0
+/// wakeups (as `wake == 0`) in the owning store. Returns the stores, each
+/// with its range's out-edges, the owner table and the facts.
+///
+/// Building a store resolves identifiers and calls `factory` once per node
+/// **in index order** — the order is part of the determinism contract, so
+/// a protocol's coin flips are identical wherever it runs. The RNG column
+/// starts lazy; a factory that draws densifies its range's column on the
+/// spot (every stream of the range up to that node is still pristine, so
+/// fresh derivation reproduces them exactly).
 ///
 /// # Panics
 ///
-/// Panics if an explicit [`IdMode`] assignment does not cover the graph.
-pub(crate) fn init_store<T, P, F>(
+/// Panics (the messages are part of the API) before any per-node work if
+/// the node count exceeds `u32` (wake calendars and delivery queues
+/// compact node indices), if an explicit [`IdMode`] assignment does not
+/// cover the graph, and on an invalid config (see [`RunFacts::new`]).
+#[allow(clippy::type_complexity)] // crate-internal; one tuple per range
+pub(crate) fn set_up<T: Topology, P: Protocol>(
     topo: &T,
     config: &SimConfig,
-    nodes: Range<NodeId>,
-    mut factory: F,
-) -> NodeStore<P>
-where
-    T: Topology,
-    P: Protocol,
-    F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
-{
-    let ids = ids_slice(config, topo.n());
-    let mut protos = Vec::with_capacity(nodes.len());
-    let mut rngs = RngCol::Lazy;
-    for v in nodes.clone() {
-        let setup = NodeSetup {
-            degree: topo.degree(v),
-            id: ids.map(|ids| ids[v]),
-            knowledge: config.knowledge,
-        };
-        let mut rng = node_rng(config.seed, v);
-        match &mut rngs {
-            RngCol::Lazy => {
-                let pristine = rng.clone();
-                protos.push(factory(v, &setup, &mut rng));
-                if rng != pristine {
-                    // The factory draws: materialize the column. Nodes
-                    // before `v` never drew, so fresh streams are exact.
-                    let mut dense: Vec<StdRng> =
-                        (nodes.start..v).map(|u| node_rng(config.seed, u)).collect();
-                    dense.push(rng);
-                    rngs = RngCol::Dense(dense);
+    threads: usize,
+    mut factory: impl FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
+) -> (Vec<(NodeStore<P>, Range<usize>)>, Owners, RunFacts) {
+    let n = topo.n();
+    assert!(
+        n as u64 <= u32::MAX as u64,
+        "the engine's delivery queue addresses nodes as u32; {n} nodes exceed that"
+    );
+    let ids = ids_slice(config, n);
+    let (ranges, owners) = Owners::split(topo, threads);
+    let mut stores: Vec<(NodeStore<P>, Range<usize>)> = ranges
+        .into_iter()
+        .map(|(nodes, edges)| {
+            let mut protos = Vec::with_capacity(nodes.len());
+            let mut rngs = RngCol::Lazy;
+            for v in nodes.clone() {
+                let setup = NodeSetup {
+                    degree: topo.degree(v),
+                    id: ids.map(|ids| ids[v]),
+                    knowledge: config.knowledge,
+                };
+                let mut rng = node_rng(config.seed, v);
+                match &mut rngs {
+                    RngCol::Lazy => {
+                        let pristine = rng.clone();
+                        protos.push(factory(v, &setup, &mut rng));
+                        if rng != pristine {
+                            // The factory draws: materialize the column.
+                            // Nodes before `v` never drew, so fresh streams
+                            // are exact.
+                            let mut dense: Vec<StdRng> =
+                                (nodes.start..v).map(|u| node_rng(config.seed, u)).collect();
+                            dense.push(rng);
+                            rngs = RngCol::Dense(dense);
+                        }
+                    }
+                    RngCol::Dense(dense) => {
+                        protos.push(factory(v, &setup, &mut rng));
+                        dense.push(rng);
+                    }
                 }
             }
-            RngCol::Dense(dense) => {
-                protos.push(factory(v, &setup, &mut rng));
-                dense.push(rng);
-            }
-        }
-    }
-    NodeStore {
-        base: nodes.start,
-        protos,
-        rngs,
-        wake: vec![NO_WAKE; nodes.len()],
-        statuses: vec![Status::Undecided; nodes.len()],
-    }
+            let store = NodeStore {
+                base: nodes.start,
+                protos,
+                rngs,
+                wake: vec![NO_WAKE; nodes.len()],
+                statuses: vec![Status::Undecided; nodes.len()],
+                started: Bitmap::new(nodes.len()),
+            };
+            (store, edges)
+        })
+        .collect();
+    let facts = RunFacts::new(topo, config, |v| {
+        let store = &mut stores[owners.of(v)].0;
+        store.wake[v - store.base] = 0;
+    });
+    (stores, owners, facts)
 }
 
 /// The shared, immutable facts of one run: everything every runtime must
@@ -1257,7 +1312,7 @@ pub(crate) struct Ledger<M> {
     /// round from earlier rounds first, then the preceding round's
     /// synchronous batch, each in send order. Destination and port are
     /// compacted to `u32` — half the queue footprint at graph scale (the
-    /// node count is asserted to fit at ledger construction).
+    /// node count is asserted to fit by [`set_up`]).
     queue: CalendarQueue<(u32, u32, M)>,
     /// The round being stepped (read and released through `take`) and the
     /// round being staged.
@@ -1267,17 +1322,7 @@ pub(crate) struct Ledger<M> {
 impl<M: Message> Ledger<M> {
     /// A fresh ledger for the node range `nodes`, whose out-edges are the
     /// directed edges `edges`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the node count exceeds `u32` (deliveries compact node
-    /// indices).
     pub(crate) fn new(facts: &RunFacts, nodes: Range<NodeId>, edges: Range<usize>) -> Self {
-        assert!(
-            nodes.end as u64 <= u32::MAX as u64,
-            "the engine's delivery queue addresses nodes as u32; {} nodes exceed that",
-            nodes.end
-        );
         Ledger {
             part: LedgerPart::new(facts, edges),
             lo: nodes.start,
@@ -1358,6 +1403,36 @@ mod tests {
             didx,
             bits,
             msg,
+        }
+    }
+
+    #[test]
+    fn ranges_are_contiguous_nonempty_clamped_to_the_node_count_and_own_their_out_edges() {
+        // (n, threads) -> the range lengths.
+        for (n, threads, lens) in [
+            (16usize, 7usize, vec![3, 3, 3, 3, 3, 1]),
+            (16, 2, vec![8, 8]),
+            (1, 4, vec![1]),
+            (2, 4, vec![1, 1]),
+            (5, 1, vec![5]),
+            // Above 1024 nodes ranges are cut at multiples of the table's
+            // grain (here 2), never inside one.
+            (1_500, 4, vec![376, 376, 376, 372]),
+        ] {
+            let g = gen::path(n).unwrap();
+            let (ranges, owners) = Owners::split(&g, threads);
+            let got: Vec<usize> = ranges.iter().map(|(r, _)| r.len()).collect();
+            assert_eq!(got, lens, "n = {n}, threads = {threads}");
+            assert!(owners.table.len() <= 1024);
+            let (mut node_lo, mut edge_lo) = (0, 0);
+            for (s, (nodes, edges)) in ranges.iter().enumerate() {
+                assert_eq!((nodes.start, edges.start), (node_lo, edge_lo));
+                assert!(nodes.clone().all(|v| owners.of(v) == s), "range {s}");
+                let degrees: usize = nodes.clone().map(|v| g.degree(v)).sum();
+                assert_eq!(edges.len(), degrees, "range {s}");
+                (node_lo, edge_lo) = (nodes.end, edges.end);
+            }
+            assert_eq!((node_lo, edge_lo), (n, g.directed_edge_count()));
         }
     }
 

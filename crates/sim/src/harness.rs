@@ -7,11 +7,12 @@
 //!
 //! Trial-level parallelism composes with the engine's *intra-run*
 //! sharding ([`crate::Parallelism`]): worker threads spawned here are
-//! marked, and [`crate::Parallelism::Auto`] resolves to sequential inside
-//! them — the machine's cores are already saturated by the trial fan-out,
-//! so letting every trial also spawn `cores` shard threads per round
-//! would oversubscribe quadratically. An *explicit*
-//! `Parallelism::Threads(k)` inside a trial closure is honored as
+//! marked, and [`crate::Parallelism::Auto`] and the async runtime's default
+//! pool resolve to one thread inside them — the machine's cores are
+//! already saturated by the trial fan-out, so letting every trial also
+//! spawn `cores` shard threads per round would oversubscribe
+//! quadratically. An *explicit* `Parallelism::Threads(k)` or
+//! `AsyncRuntime::with_workers(k)` inside a trial closure is honored as
 //! written; combining it with a wide trial fan-out is the caller's
 //! responsibility.
 
@@ -20,7 +21,7 @@ use std::cell::Cell;
 
 thread_local! {
     /// Set on worker threads spawned by [`parallel_trials`]; read by
-    /// [`crate::Parallelism::Auto`]'s resolution.
+    /// [`host_cores`].
     static IN_TRIAL_FANOUT: Cell<bool> = const { Cell::new(false) };
 }
 
@@ -30,9 +31,16 @@ fn mark_trial_fanout() {
     IN_TRIAL_FANOUT.with(|f| f.set(true));
 }
 
-/// Whether the current thread is a [`parallel_trials`] worker.
-pub(crate) fn in_trial_fanout() -> bool {
-    IN_TRIAL_FANOUT.with(|f| f.get())
+/// The cores a run may take for itself: the machine's, or 1 on a
+/// [`parallel_trials`] worker, whose fan-out already saturates them.
+/// Sizes [`crate::Parallelism::Auto`]'s shards and the async runtime's
+/// default worker pool.
+pub(crate) fn host_cores() -> usize {
+    if IN_TRIAL_FANOUT.with(|f| f.get()) {
+        1
+    } else {
+        std::thread::available_parallelism().map_or(1, |p| p.get())
+    }
 }
 
 /// Runs `trials` independent executions of `f` (typically a closure that
@@ -243,7 +251,7 @@ mod tests {
         // And `parallel_trials` really marks its workers (observable only
         // when the fan-out actually spawns, i.e. on multicore boxes).
         if std::thread::available_parallelism().map_or(1, |p| p.get()) >= 2 {
-            let flags = parallel_trials(8, |_| in_trial_fanout());
+            let flags = parallel_trials(8, |_| host_cores() == 1);
             assert!(flags.iter().all(|&b| b), "{flags:?}");
         }
     }

@@ -3,8 +3,10 @@
 //!
 //! Drives the *same* [`Protocol`] implementations as the lockstep engine
 //! ([`crate::Runner`] on [`RuntimeKind::Sim`]), but over `std::sync::mpsc`
-//! channels: the nodes are partitioned across a worker thread pool, every
-//! message crosses a channel wrapped in a [`Frame`] whose sequence
+//! channels: the nodes are cut into the engine's contiguous ranges, one
+//! per worker of a thread pool, each with its own node store (the shared
+//! set-up of [`crate::exec`], lazy RNG column included), every message
+//! crosses a channel wrapped in a [`Frame`] whose sequence
 //! number is gated on arrival ([`crate::transport::LinkGate`]), and there
 //! is no global round loop — a node runs whenever its inputs are ready,
 //! and idle stretches are crossed by an **arbiter handshake** instead of a
@@ -31,7 +33,7 @@
 //! Because each activation consumes exactly the inputs the synchronous
 //! model prescribes for that round — with inboxes ordered by `(send
 //! round, sender, emission index)`, the engine's global send order, and
-//! identical per-node RNG streams from `crate::exec::init_store` — the
+//! identical per-node RNG streams from `crate::exec::set_up` — the
 //! runtime *reproduces the synchronous execution exactly*. The
 //! [`RunOutcome`] of [`AsyncRuntime::run`] is **equal** to the engine's,
 //! field for field: same leader, same message/bit totals, same rounds,
@@ -52,21 +54,21 @@
 //!   A popped node runs for as long as it is executable;
 //! * the **waiting** list holds, once each, the nodes that ended their
 //!   turn with deliveries still pending;
-//! * the **wake calendar** (a [`CalendarQueue`] keyed by round, as the
-//!   engine's) holds one entry per standing timer, pushed when the timer
-//!   is armed; an entry is genuine iff the node's timer still names its
-//!   round;
+//! * the **wake calendar** (`exec`'s `Wakes`, the engine's too) holds one
+//!   entry per standing timer, pushed when the timer is armed; an entry is
+//!   genuine iff the node's timer still names its round;
 //! * the **floor** is the last advance: no frame due at or below it is in
 //!   flight anywhere, so it raises every clock without writing one.
 //!
-//! An advance to `r*` sets the floor, moves `waiting` onto `ready`, drops
-//! the calendar's rounds below `r*` (none is genuine: `r*` is the global
-//! minimum) and readies the genuine entries of round `r*`. A blocking
-//! worker's earliest event is its first genuine wakeup or the earliest
-//! delivery of a node on `waiting` or `ready` — every node with a
-//! delivery pending is on one of them (`ready` is empty when a live
-//! worker blocks; in a [`replay`] it holds every node that ever had
-//! one). A barrier therefore costs O(woken) instead of the O(n · deg)
+//! An advance to `r*` sets the floor, moves `waiting` onto `ready` and
+//! readies the genuine wake entries of round `r*`: the calendar holds no
+//! earlier round, since `r*` is the global minimum and the worker dropped
+//! the superseded rounds ahead of its first genuine wakeup when it
+//! blocked. A blocking worker's earliest event is its first genuine
+//! wakeup or the earliest delivery of a node on `waiting` or `ready` —
+//! every node with a delivery pending is on one of them (`ready` is empty
+//! when a live worker blocks; in a [`replay`] it holds every node that
+//! ever had one). A barrier therefore costs O(woken) instead of the O(n · deg)
 //! of sweeping every node and writing every clock, and an activation
 //! allocates no frame: the header is a fixed `[u64; 4]`.
 //!
@@ -80,7 +82,7 @@
 //! order when the node takes what is due — or ship it over the owning
 //! worker's channel. Each
 //! worker feeds its sends to its own `LedgerPart` — the same
-//! `LedgerPart::account` the engine's control thread calls — covering only
+//! `LedgerPart::account` the engine's shards call — covering only
 //! the out-edges of the nodes it owns, and after the pool joins the parts
 //! merge (concatenating the per-edge columns) into the part
 //! `LedgerPart::finish` turns into the [`RunOutcome`]. Delay, crash and
@@ -114,16 +116,16 @@
 //! byte.
 
 use crate::adversary::SendView;
-use crate::calendar::CalendarQueue;
 use crate::config::SimConfig;
 use crate::exec::{
-    init_store, step_node, Bitmap, LedgerPart, RunCtx, RunFacts, RunOutcome, StagedSend,
-    StepScratch, StoreSliceMut, Termination, WatchHit,
+    set_up, step_node, Bitmap, LedgerPart, NodeStore, Owners, RunCtx, RunFacts, RunOutcome,
+    StagedSend, StepScratch, Termination, Wakes, WatchHit,
 };
-use crate::protocol::{NodeSetup, Protocol, Status};
+use crate::protocol::{NodeSetup, Protocol};
 use crate::transport::{Frame, LinkGate, LinkSeq};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
 use std::sync::Mutex;
 use ule_graph::{NodeId, Port, Topology};
@@ -233,59 +235,31 @@ impl AsyncRuntime {
         P: Protocol,
         F: FnMut(NodeId, &NodeSetup, &mut StdRng) -> P,
     {
-        let n = graph.n();
-        let mut store = init_store(graph, config, 0..n, factory);
-        // The lazy RNG column is an engine-side diet: its first-draw
-        // write-back lives on the engine's control thread, so this runtime
-        // materializes the identical streams up front instead.
-        store.densify_rngs(config.seed);
-        // The shared run set-up; fate queries are pure, so the workers
+        // The shared run set-up cuts the engine's ranges, one per worker,
+        // each with its own store; fate queries are pure, so the workers
         // share the facts by reference.
-        let facts = RunFacts::new(graph, config, |v| store.wake[v] = 0);
-        if n == 0 {
+        let workers = self.workers.unwrap_or_else(crate::harness::host_cores);
+        let (ranges, owners, facts) = set_up(graph, config, workers, factory);
+        let mut books = books(&facts, ranges);
+        if graph.n() == 0 {
             let quiescent = (Termination::Quiescent, 0);
-            return assemble(graph, &facts, Vec::new(), &store.statuses, quiescent, false);
+            return assemble(graph, &facts, books, quiescent, !self.no_trace);
         }
-        let workers = self.workers.unwrap_or_else(|| default_workers(n)).min(n);
-        let chunk = n.div_ceil(workers);
-        let n_workers = n.div_ceil(chunk);
-
-        // Each worker's books cover the out-edges of the nodes it owns:
-        // directed-edge indices are degree prefix sums, so consecutive
-        // node ranges own consecutive edge ranges.
-        let mut edge_lo = 0;
-        let mut books: Vec<(LedgerPart, WorkerStats)> = (0..n_workers)
-            .map(|w| {
-                let owned = w * chunk..((w + 1) * chunk).min(n);
-                let edges = edge_lo..edge_lo + owned.map(|v| graph.degree(v)).sum::<usize>();
-                edge_lo = edges.end;
-                (
-                    LedgerPart::new(&facts, edges.clone()),
-                    WorkerStats::new(edges.len()),
-                )
-            })
-            .collect();
-        let coord = Mutex::new(Coord::new(n_workers));
-        let (senders, receivers): (Vec<_>, Vec<_>) = (0..n_workers).map(|_| channel()).unzip();
+        let coord = Mutex::new(Coord::new(books.len()));
+        let (senders, receivers): (Vec<_>, Vec<_>) = (0..books.len()).map(|_| channel()).unzip();
 
         // Watch-edge reconstruction needs the event log even when the
         // caller asked for no public trace.
         let record_trace = !self.no_trace || facts.watching();
         std::thread::scope(|scope| {
-            let mut rest = store.as_mut();
             for ((w, book), rx) in books.iter_mut().enumerate().zip(receivers) {
-                let lo = w * chunk;
-                let hi = ((w + 1) * chunk).min(n);
-                let (mine, rem) = rest.split_at_mut(hi - lo);
-                rest = rem;
                 let worker = Worker::new(
                     graph,
                     config,
                     &facts,
                     &coord,
-                    (w, chunk),
+                    (&owners, w),
                     record_trace,
-                    mine,
                     book,
                     senders.clone(),
                 );
@@ -297,15 +271,22 @@ impl AsyncRuntime {
         let verdict = lock(&coord)
             .verdict
             .expect("workers stopped without an arbiter decision");
-        assemble(
-            graph,
-            &facts,
-            books,
-            &store.statuses,
-            verdict,
-            !self.no_trace,
-        )
+        assemble(graph, &facts, books, verdict, !self.no_trace)
     }
+}
+
+/// What a worker owns for the whole run and leaves behind for `assemble`:
+/// its range's store, the ledger part over the range's out-edges, and the
+/// worker-side stats.
+type Book<P> = (NodeStore<P>, LedgerPart, WorkerStats);
+
+/// The books of the ranges the shared set-up cut.
+fn books<P: Protocol>(facts: &RunFacts, ranges: Vec<(NodeStore<P>, Range<usize>)>) -> Vec<Book<P>> {
+    let book = |(store, edges): (NodeStore<P>, Range<usize>)| {
+        let stats = WorkerStats::new(edges.len());
+        (store, LedgerPart::new(facts, edges), stats)
+    };
+    ranges.into_iter().map(book).collect()
 }
 
 /// Rebuilds the engine's watch-edge accounting from the delivery trace —
@@ -373,11 +354,8 @@ where
 {
     let n = graph.n();
     let cap = config.max_rounds;
-    let mut store = init_store(graph, config, 0..n, factory);
-    store.densify_rngs(config.seed);
-    let facts = RunFacts::new(graph, config, |v| store.wake[v] = 0);
-    let dcount = graph.directed_edge_count();
-    let mut books = vec![(LedgerPart::new(&facts, 0..dcount), WorkerStats::new(dcount))];
+    let (ranges, owners, facts) = set_up(graph, config, 1, factory);
+    let mut books = books(&facts, ranges);
     // A replay is one worker that owns every node and has no channels:
     // every delivery is local, so the (empty) sender list and the arbiter
     // state are never touched.
@@ -387,9 +365,8 @@ where
         config,
         &facts,
         &coord,
-        (0, n),
+        (&owners, 0),
         true,
-        store.as_mut(),
         &mut books[0],
         Vec::new(),
     );
@@ -432,20 +409,7 @@ where
         panic!("replay: trace ended with an executable event at round {r_next} (cap {cap})")
     });
     drop(worker);
-    assemble(graph, &facts, books, &store.statuses, verdict, true)
-}
-
-/// Worker-pool size when the caller does not pin one: the machine's
-/// parallelism, except inside a trial fan-out (cores already saturated).
-fn default_workers(n: usize) -> usize {
-    if crate::harness::in_trial_fanout() {
-        1
-    } else {
-        std::thread::available_parallelism()
-            .map(|p| p.get())
-            .unwrap_or(1)
-            .min(n)
-    }
+    assemble(graph, &facts, books, verdict, true)
 }
 
 /// Locks ignoring poisoning: the arbiter state stays consistent because
@@ -679,24 +643,22 @@ impl WorkerStats {
 /// `inbox.lo` and schedules it from events (see the module docs).
 struct Worker<'env, T: Topology, P: Protocol> {
     w: usize,
-    chunk: usize,
+    /// Which worker owns a destination node.
+    owners: &'env Owners,
     cap: u64,
     record_trace: bool,
     rc: RunCtx<'env, T>,
     facts: &'env RunFacts,
-    store: StoreSliceMut<'env, P>,
+    store: &'env mut NodeStore<P>,
     inbox: Inbox<P::Msg>,
     /// Nodes that ended their turn with deliveries still pending: the
     /// next `Advance` readies them again.
     waiting: NodeList,
     /// Pending wakeups: offsets into the range, queued under their round.
-    /// An entry is genuine iff `store.wake[offset]` still names its round
-    /// (a re-armed timer leaves the superseded entry behind).
-    wakes: CalendarQueue<u32>,
+    wakes: Wakes,
     /// The last `Advance`: no frame due at or below it is in flight
     /// anywhere, so it raises every in-port clock without writing one.
     floor: u64,
-    started: Bitmap,
     part: &'env mut LedgerPart,
     stats: &'env mut WorkerStats,
     senders: Vec<Sender<Packet<P::Msg>>>,
@@ -705,21 +667,20 @@ struct Worker<'env, T: Topology, P: Protocol> {
 }
 
 impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
-    /// Worker `w` of a pool cut into `chunk`-node ranges: owns the nodes of
-    /// `store` (the `w`-th range) and keeps the books `book` (the part
-    /// over those nodes' out-edges). The one constructor behind a live
-    /// pool and a replay. The spontaneous round-0 wakeups (armed as
-    /// `wake == 0` by the run set-up) start on the ready list.
+    /// Worker `w` of a pool cut into the ranges `owners` names: owns the
+    /// `w`-th range's book — its nodes' store and the part over their
+    /// out-edges. The one constructor behind a live pool and a replay. The
+    /// spontaneous round-0 wakeups (armed as `wake == 0` by the run set-up)
+    /// start on the ready list.
     #[allow(clippy::too_many_arguments)] // the pool's shared state, then what this worker alone owns
     fn new(
         graph: &'env T,
         config: &'env SimConfig,
         facts: &'env RunFacts,
         coord: &'env Mutex<Coord>,
-        (w, chunk): (usize, usize),
+        (owners, w): (&'env Owners, usize),
         record_trace: bool,
-        store: StoreSliceMut<'env, P>,
-        (part, stats): &'env mut (LedgerPart, WorkerStats),
+        (store, part, stats): &'env mut Book<P>,
         senders: Vec<Sender<Packet<P::Msg>>>,
     ) -> Self {
         let len = store.wake.len();
@@ -729,13 +690,13 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         }
         Worker {
             w,
-            chunk,
+            owners,
             cap: config.max_rounds,
             record_trace,
             rc: RunCtx::new(graph, config),
             facts,
             inbox: Inbox {
-                lo: w * chunk,
+                lo: store.base,
                 first: part.edges.start,
                 pending: (0..len).map(|_| Vec::new()).collect(),
                 clock: vec![0; part.edges.len()],
@@ -743,9 +704,8 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
                 ready,
             },
             waiting: NodeList::new(len),
-            wakes: CalendarQueue::new(),
+            wakes: Wakes::default(),
             floor: 0,
-            started: Bitmap::new(len),
             store,
             part,
             stats,
@@ -813,14 +773,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     /// rounds met on the way are dropped (without moving the calendar's
     /// window).
     fn earliest_event(&mut self) -> u64 {
-        let mut earliest = u64::MAX;
-        while let Some((w, due)) = self.wakes.peek_first() {
-            if due.iter().any(|&i| self.store.wake[i as usize] == w) {
-                earliest = w;
-                break;
-            }
-            self.wakes.discard_first();
-        }
+        let earliest = self.wakes.first(&self.store.wake).unwrap_or(u64::MAX);
         let listed = self.waiting.stack.iter().chain(&self.inbox.ready.stack);
         listed.fold(earliest, |m, &i| m.min(self.next_event(i)))
     }
@@ -858,7 +811,6 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             }
             self.scratch.inbox.push((port, msg));
         }
-        let first = self.started.set(i);
         // Sends so far in this activation (the next emission index) and
         // their `(directed-edge index, frame seq)` log — lost sends
         // included (the fate derivation recovers them).
@@ -891,7 +843,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
                 self.inbox.land(topo, s.dest, s.dest_port, &frame, s.msg);
             } else {
                 lock(self.coord).in_flight += 1;
-                self.senders[s.dest / self.chunk]
+                self.senders[self.owners.of(s.dest)]
                     .send(Packet::Payload {
                         dest: s.dest,
                         port: s.dest_port,
@@ -901,21 +853,12 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
                     .expect("a worker channel closed mid-run");
             }
         };
-        let effects = step_node(
-            &self.rc,
-            e,
-            v,
-            &mut self.store,
-            i,
-            first,
-            &mut self.scratch,
-            send,
-        );
+        let effects = step_node(&self.rc, e, v, self.store, &mut self.scratch, send);
         // A standing re-armed timer gets a wakeup entry (the superseded
         // one, if any, stays queued), as on the engine.
         if let Some(w) = effects.rearmed {
             if self.part.rearm(self.facts, v, w, &mut self.store.wake[i]) {
-                self.wakes.push(w, i as u32);
+                self.wakes.push(w, i);
             }
         }
         let stats = &mut *self.stats;
@@ -974,22 +917,16 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             } => self.inbox.land(self.rc.topo, dest, port, &frame, msg),
             Packet::Advance { upto } => {
                 // `upto` is the global minimum event: what it releases is
-                // a parked node or a wakeup due at it — and no wakeup
-                // below it is genuine.
+                // a parked node or a wakeup due at it. The calendar holds
+                // nothing before it — this worker's `earliest_event`, run
+                // when it blocked, dropped the superseded rounds ahead of
+                // its first genuine wakeup.
                 self.floor = upto;
                 while let Some(i) = self.waiting.pop() {
                     self.inbox.ready.push(i);
                 }
-                while self.wakes.next_event_round().is_some_and(|r| r < upto) {
-                    self.wakes.discard_first();
-                }
-                let due = self.wakes.take_at(upto);
-                for &i in &due {
-                    if self.store.wake[i as usize] == upto {
-                        self.inbox.ready.push(i as usize);
-                    }
-                }
-                self.wakes.recycle(due);
+                let ready = &mut self.inbox.ready;
+                self.wakes.admit(upto, &self.store.wake, |i| ready.push(i));
             }
             Packet::Stop => return true,
         }
@@ -1005,21 +942,22 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
 /// sets and send tallies, the `(round, node)`-sorted trace, and the watch
 /// hits reconstructed from it. `(termination, end_round)` is the arbiter's
 /// [`verdict`].
-fn assemble<T: Topology>(
+fn assemble<T: Topology, P: Protocol>(
     graph: &T,
     facts: &RunFacts,
-    books: Vec<(LedgerPart, WorkerStats)>,
-    statuses: &[Status],
+    books: Vec<Book<P>>,
     (termination, end_round): (Termination, u64),
     keep_trace: bool,
 ) -> AsyncRun {
     let mut merged = LedgerPart::new(facts, 0..0);
+    let mut statuses = Vec::with_capacity(graph.n());
     let mut sends_per_round: BTreeMap<u64, u64> = BTreeMap::new();
     let mut last_status_change: Option<u64> = None;
     let mut last_exec: Option<u64> = None;
     let mut events: Vec<TraceEvent> = Vec::new();
-    for (part, st) in books {
+    for (store, part, st) in books {
         merged.merge(part);
+        statuses.extend(store.statuses);
         for (r, c) in st.sends_per_round.into_iter().chain(st.run) {
             *sends_per_round.entry(r).or_insert(0) += c;
         }
@@ -1043,7 +981,7 @@ fn assemble<T: Topology>(
     let outcome = merged.finish(
         facts,
         watch_hits,
-        statuses,
+        &statuses,
         last_exec.map_or(0, |r| r + 1),
         end_round,
         termination,

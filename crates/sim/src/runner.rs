@@ -206,4 +206,21 @@ mod tests {
             assert_eq!(out.statuses[3], Status::Undecided, "{kind:?}");
         }
     }
+
+    #[test]
+    fn node_counts_past_u32_fail_fast_on_both_runtimes() {
+        // Wake calendars and delivery queues compact node indices to u32.
+        // The set-up must refuse a larger graph before it builds any
+        // per-node state: 4·10⁹ nodes of it would not fit in memory.
+        let n = u32::MAX as usize + 2;
+        let cycle = ule_graph::ImplicitTopology::Cycle { n };
+        let cfg = SimConfig::seeded(0);
+        let expected =
+            format!("the engine's delivery queue addresses nodes as u32; {n} nodes exceed that");
+        for kind in [RuntimeKind::Sim, RuntimeKind::Async] {
+            let run = || Runner::new(&cycle, &cfg).runtime(kind).run(mk);
+            let panic = std::panic::catch_unwind(run).expect_err("the run must refuse the graph");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&expected), "{kind:?}");
+        }
+    }
 }
