@@ -19,7 +19,7 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 /// probing process memory (its counting allocator moved into
 /// `tests/memory_budget.rs`, which this scope does not count), and at
 /// 10 624 before the async workers took the engine's node-range core.
-const MAX_CODE_LINES: usize = 10_519;
+const MAX_CODE_LINES: usize = 10_520;
 const MAX_PUB_ITEMS: usize = 475;
 
 #[test]
