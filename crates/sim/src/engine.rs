@@ -86,8 +86,8 @@
 //!   a stepped node's inbox chain is cloned out and returned to the
 //!   arena's free list in one walk;
 //! * every range owns its step buffers and the mail slots it posts to
-//!   are drained in place, so a steady-state round allocates nothing per
-//!   message.
+//!   (only sends that leave the range, and delayed ones) are drained in
+//!   place, so a steady-state round allocates nothing per message.
 //!
 //! # Round counting under fast-forward
 //!
@@ -114,11 +114,16 @@
 //!   its active list, stages the round after, and steps its active nodes
 //!   in ascending order. Every send is accounted on the spot, on the
 //!   sender's ledger (fates are a pure function of `(seed, directed edge,
-//!   per-edge send index)`, so no global order is needed for that). With
-//!   one shard a surviving send then goes straight into the destination's
-//!   inbox (`Ledger::deliver`, no intermediate buffer); with several it is
-//!   parked as a compact `(at, dest, port, msg)` in the mail slot
-//!   `mail[source shard][destination shard]`.
+//!   per-edge send index)`, so no global order is needed for that). A
+//!   surviving send then goes straight into the destination's inbox
+//!   (`Ledger::deliver`, no intermediate buffer) when the stepping shard
+//!   owns the destination and the fate is the next round — every send of
+//!   a one-shard run, delayed ones included, and most of a sharded one's
+//!   (all but the boundary's on a torus or cycle). Only a send that leaves
+//!   the range, or a delayed one of a sharded run, is parked as a compact
+//!   `(at, dest, port, msg)` in the mail slot
+//!   `mail[source shard][destination shard]`, so no round's burst of
+//!   sends is held twice.
 //! * **deliver** — each shard drains the slots addressed to it, in
 //!   source-shard order, into its own arena or calendar.
 //!
@@ -126,13 +131,21 @@
 //! in global send order: ascending sender, then emission order. Ranges
 //! are contiguous and ascending, so that order is "shard 0's sends, then
 //! shard 1's, …", each shard's in its own stepping order — and a slot
-//! holds exactly one shard's sends into one range, in that order. Draining
-//! the slots in source-shard order therefore replays the global send
-//! order restricted to the range's inboxes, which is all an inbox (or a
-//! calendar bucket) can observe. What earlier rounds delayed into round
-//! `r + 1` must precede all of that; it does because every shard stages
-//! `r + 1` in its step phase — even a shard with nobody to step — and
-//! every deliver phase comes after every step phase.
+//! holds exactly one shard's sends into one range, in that order. What
+//! earlier rounds delayed into round `r + 1` must precede all of it; it
+//! does because every shard stages `r + 1` in its step phase, before its
+//! first send — even a shard with nobody to step — and every deliver
+//! phase comes after every step phase. A shard's own synchronous sends
+//! are then appended behind the staged messages as they are made, each
+//! entry marked `OWN`. In the deliver phase a lower shard's synchronous
+//! send is spliced in just older than its inbox's `OWN` entries (behind
+//! the staged ones and earlier lower shards', ahead of the shard's own),
+//! and a higher shard's is appended behind them all — so the round's
+//! synchronous inboxes read the global send order. A calendar bucket gets
+//! nothing direct in a sharded run: its delayed sends, the shard's own
+//! included, come from the slots drained in source-shard order, which
+//! replays the global send order restricted to the range — all an inbox
+//! or a bucket can observe.
 //!
 //! The control thread keeps only the **ordered residue**, read off the
 //! shards between rounds: the running message total (`round_totals`), the
@@ -170,7 +183,7 @@
 use crate::config::SimConfig;
 use crate::exec::{
     set_up, step_node, Bitmap, Ledger, NodeStore, Owners, RunCtx, RunFacts, RunOutcome,
-    StepScratch, Termination, Wakes,
+    StepScratch, Termination, Wakes, OWN,
 };
 use crate::message::Message;
 use crate::protocol::{NodeSetup, Protocol};
@@ -186,14 +199,14 @@ use ule_graph::{NodeId, Topology};
 /// destination: `(delivery round, dest, port at dest, message)`.
 type Parcel<M> = (u64, u32, u32, M);
 
-/// What one shard sent into another's nodes this round, in send order —
-/// filled by the source in its step phase, drained by the destination in
-/// its deliver phase. The phases never overlap, so the lock is never
-/// contended.
+/// What one shard sent this round into another's nodes, or delayed into
+/// any range's, in send order — filled by the source in its step phase,
+/// drained by the destination in its deliver phase. The phases never
+/// overlap, so the lock is never contended.
 type Slot<M> = Mutex<Vec<Parcel<M>>>;
 
-/// Where a shard's surviving sends wait when another shard may own their
-/// destination: its row of mail slots, locked for the step phase, and the
+/// Where a shard's surviving sends wait when they leave its range or are
+/// delayed: its row of mail slots, locked for the step phase, and the
 /// table that picks the slot.
 struct Outbox<'a, M> {
     owners: &'a Owners,
@@ -301,9 +314,10 @@ impl<P: Protocol> Shard<P> {
     /// the round, stages the next, and steps the range's active nodes in
     /// ascending order. Every send is accounted here, on its source's
     /// ledger; a surviving one then goes straight into the destination's
-    /// inbox when this shard owns every node (`outbox` is `None`: no
-    /// intermediate buffer), and otherwise waits in `outbox` for the owner
-    /// of its destination (a shard of several that steps nobody this
+    /// inbox, marked `OWN`, when this shard owns every node (`outbox` is
+    /// `None`: no intermediate buffer) or owns the destination and the
+    /// fate is the next round, and otherwise waits in `outbox` for the
+    /// owner of its destination (a shard of several that steps nobody this
     /// round needs no outbox either).
     fn step<T: Topology>(
         &mut self,
@@ -353,10 +367,10 @@ impl<P: Protocol> Shard<P> {
                 }
                 let port = s.dest_port as u32;
                 match &mut outbox {
-                    None => ledger.deliver(round, at, s.dest, port, s.msg),
-                    Some(Outbox { owners, to }) => {
+                    Some(Outbox { owners, to }) if at != round + 1 || !ledger.owns(s.dest) => {
                         to[owners.of(s.dest)].push((at, s.dest as u32, port, s.msg))
                     }
+                    _ => ledger.deliver(round, at, s.dest, port | OWN, s.msg),
                 }
             });
             // A changed timer needs a wakeup entry unless its owner's crash
@@ -414,15 +428,21 @@ impl<T: Topology, M: Message> Shared<'_, T, M> {
                 });
                 shard.step(&self.rc, self.facts, round, outbox);
             }
-            // Source-shard order, each slot in send order: the global
-            // send order restricted to this range's inboxes.
+            // Source-shard order, each slot in send order, lower ranges'
+            // synchronous sends ahead of the range's own: the global send
+            // order restricted to this range's inboxes.
             Phase::Deliver(round) => {
-                for (row, posted) in self.mail.iter().zip(&self.posted) {
+                for (src, (row, posted)) in self.mail.iter().zip(&self.posted).enumerate() {
                     if !posted.load(Ordering::SeqCst) {
                         continue;
                     }
+                    let ledger = &mut shard.ledger;
                     for (at, dest, port, msg) in lock(&row[s]).drain(..) {
-                        shard.ledger.deliver(round, at, dest as usize, port, msg);
+                        if src < s {
+                            ledger.deliver_below(round, at, dest as usize, port, msg);
+                        } else {
+                            ledger.deliver(round, at, dest as usize, port, msg);
+                        }
                     }
                 }
             }
@@ -1332,8 +1352,9 @@ mod tests {
         hash: u64,
         budget: u32,
     }
+    /// The hash, and the round it was sent in (which the hash ignores).
     #[derive(Debug, Clone)]
-    struct HashMsg(u64);
+    struct HashMsg(u64, u64);
     impl Message for HashMsg {
         fn size_bits(&self) -> u64 {
             1 + self.0 % 61
@@ -1345,12 +1366,12 @@ mod tests {
             if ctx.first_activation() {
                 self.hash = splitmix64(ctx.require_id());
             }
-            for (port, HashMsg(x)) in inbox {
+            for (port, HashMsg(x, _)) in inbox {
                 self.hash = splitmix64(self.hash ^ x.wrapping_add(*port as u64));
             }
             if self.budget > 0 {
                 self.budget -= 1;
-                ctx.broadcast(HashMsg(self.hash));
+                ctx.broadcast(HashMsg(self.hash, ctx.round()));
             }
         }
         fn status(&self) -> Status {
@@ -1385,6 +1406,70 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// Each inbox as heard: `(round, node, [(port, send round)])`.
+    type InboxLog = Vec<(u64, NodeId, Vec<(usize, u64)>)>;
+
+    /// An [`OrderProbe`] that logs each inbox it hears.
+    struct Heard {
+        v: NodeId,
+        log: std::sync::Arc<Mutex<InboxLog>>,
+        inner: OrderProbe,
+    }
+    impl Protocol for Heard {
+        type Msg = HashMsg;
+        fn on_round(&mut self, ctx: &mut Context<'_, HashMsg>, inbox: &[(usize, HashMsg)]) {
+            let heard = inbox.iter().map(|(port, m)| (*port, m.1)).collect();
+            lock(&self.log).push((ctx.round(), self.v, heard));
+            self.inner.on_round(ctx, inbox);
+        }
+        fn status(&self) -> Status {
+            self.inner.status()
+        }
+    }
+
+    #[test]
+    fn a_lower_ranges_sends_are_spliced_between_the_staged_and_the_own_ones() {
+        use crate::adversary::Adversary;
+        // K9 at three threads — ranges {0, 1, 2}, {3, 4, 5}, {6, 7, 8} —
+        // everyone broadcasting for six rounds under delays: an inbox of
+        // the middle or top range hears, in one round, what was delayed
+        // into it (staged before anyone steps), the lower ranges' sends
+        // (spliced in from the mail), its own range's (delivered direct)
+        // and, in the middle range, the top range's (appended from the
+        // mail).
+        let g = gen::complete(9).unwrap();
+        let cfg = flood_cfg(9, 0, 4).with_adversary(Adversary::BoundedDelay { max_delay: 2 });
+        let heard = |p: Parallelism| {
+            let log = std::sync::Arc::default();
+            let mk = |v: NodeId, _: &NodeSetup, _: &mut StdRng| Heard {
+                v,
+                log: std::sync::Arc::clone(&log),
+                inner: OrderProbe { hash: 0, budget: 6 },
+            };
+            let out = run(&g, &cfg.clone().with_parallelism(p), mk);
+            let mut heard = std::mem::take(&mut *lock(&log));
+            heard.sort_by_key(|&(round, v, _)| (round, v));
+            (out, heard)
+        };
+        let (reference, inline) = heard(Parallelism::Off);
+        let (_, owners) = Owners::split(&g, 3);
+        for range in [1, 2] {
+            let mixed = inline.iter().any(|(round, v, inbox)| {
+                let from = |r: usize| {
+                    inbox.iter().any(|&(port, sent)| {
+                        sent + 1 == *round && owners.of(g.endpoint(*v, port).0) == r
+                    })
+                };
+                let delayed = inbox.iter().any(|&(_, sent)| sent + 1 < *round);
+                owners.of(*v) == range && delayed && (0..3).all(from)
+            });
+            assert!(mixed, "no inbox of range {range} mixes every source");
+        }
+        let (out, sharded) = heard(Parallelism::Threads(3));
+        assert_eq!(sharded, inline);
+        assert_eq!(out, reference);
     }
 
     /// Logs `(round, node)` of every activation in stepping order, then

@@ -492,9 +492,16 @@ pub(crate) const NO_SLOT: u32 = u32::MAX;
 const ARENA_CHUNK_BITS: u32 = 16;
 const ARENA_CHUNK: usize = 1 << ARENA_CHUNK_BITS;
 
-/// One queued delivery: the hearing port, the previous entry in the same
-/// inbox's chain (chains grow at the head; [`InboxArena::take`] restores
-/// insertion order), and the message.
+/// The top bit of an [`InboxEntry`]'s port: set on a delivery the
+/// stepping range's own sender put straight into its ledger's arena
+/// ([`Ledger::deliver`] with `port | OWN`), so that a lower range's send,
+/// delivered later, can be spliced in ahead of it. Ports stay below 2³¹
+/// ([`set_up`] asserts it); [`InboxArena::take`] masks the bit off.
+pub(crate) const OWN: u32 = 1 << 31;
+
+/// One queued delivery: the hearing port (with the [`OWN`] mark), the
+/// previous entry in the same inbox's chain (chains grow at the head;
+/// [`InboxArena::take`] restores insertion order), and the message.
 struct InboxEntry<M> {
     port: u32,
     prev: u32,
@@ -517,9 +524,11 @@ struct InboxEntry<M> {
 /// entry's message is dropped only on slot reuse — fine for the plain-data
 /// message types protocols send.
 ///
-/// Chain order per inbox is insertion order, i.e. exactly the historical
-/// per-inbox push order (the engine delivers into each inbox in global
-/// send order). [`InboxArena::take`] clones each message of *cur* once
+/// Chain order per inbox is the global send order: insertion order, but
+/// for a lower range's synchronous send in a run of several ranges, which
+/// arrives after the range's own sends of its round (marked [`OWN`]) and
+/// is spliced in just older than them ([`InboxArena::splice_below_own`]).
+/// [`InboxArena::take`] clones each message of *cur* once
 /// into the stepping thread's reusable inbox buffer; *next* is written,
 /// and the sides rotated, only by the [`Ledger`] that owns the arena — the
 /// engine sees `take` and nothing else. An arena covers the node
@@ -538,6 +547,8 @@ pub(crate) struct InboxArena<M> {
     cur_recipients: Vec<u32>,
     /// Nodes with at least one delivery in *next*.
     next_recipients: Vec<u32>,
+    /// Nodes whose `cur_slot` holds a splice anchor until the next rotate.
+    spliced: Vec<u32>,
 }
 
 impl<M: Message> InboxArena<M> {
@@ -549,17 +560,20 @@ impl<M: Message> InboxArena<M> {
             next_slot: vec![NO_SLOT; n],
             cur_recipients: Vec::new(),
             next_recipients: Vec::new(),
+            spliced: Vec::new(),
         }
+    }
+
+    /// Pool entry `j`.
+    fn entry(&mut self, j: u32) -> &mut InboxEntry<M> {
+        &mut self.blocks[(j >> ARENA_CHUNK_BITS) as usize][(j as usize) & (ARENA_CHUNK - 1)]
     }
 
     /// Places `e` in a pool slot (free list first) and returns its index.
     fn alloc(&mut self, e: InboxEntry<M>) -> u32 {
         if self.free != NO_SLOT {
             let j = self.free;
-            let b = (j >> ARENA_CHUNK_BITS) as usize;
-            let o = (j as usize) & (ARENA_CHUNK - 1);
-            self.free = self.blocks[b][o].prev;
-            self.blocks[b][o] = e;
+            self.free = std::mem::replace(self.entry(j), e).prev;
             return j;
         }
         if self.blocks.last().map_or(true, |b| b.len() == ARENA_CHUNK) {
@@ -595,10 +609,39 @@ impl<M: Message> InboxArena<M> {
         self.next_slot[dest] = j;
     }
 
+    /// Appends a lower range's synchronous delivery to `dest`'s *next*
+    /// chain just older than the entries the range's own senders put there
+    /// ([`OWN`]): behind what was staged and what earlier lower ranges
+    /// sent, ahead of the range's own sends of the round — their global
+    /// send order. The oldest own entry, the anchor, is found once per node
+    /// and round and kept in `cur_slot`, which is free between the step
+    /// phase (every recipient of *cur* steps and frees its chain) and the
+    /// next rotate, which clears it.
+    fn splice_below_own(&mut self, dest: usize, port: u32, msg: M) {
+        let mut anchor = self.cur_slot[dest];
+        if anchor == NO_SLOT {
+            let mut j = self.next_slot[dest];
+            while j != NO_SLOT && self.entry(j).port & OWN != 0 {
+                anchor = j;
+                j = self.entry(j).prev;
+            }
+            if anchor == NO_SLOT {
+                return self.deliver_next(dest, port, msg);
+            }
+            self.cur_slot[dest] = anchor;
+            self.spliced.push(dest as u32);
+        }
+        let prev = self.entry(anchor).prev;
+        self.entry(anchor).prev = self.alloc(InboxEntry { port, prev, msg });
+    }
+
     /// Promotes *next* to *cur*. The outgoing *cur* must already be fully
-    /// consumed (every chain freed); its recipient list is recycled as the
-    /// new staging list.
+    /// consumed (every chain freed, every splice anchor cleared here); its
+    /// recipient list is recycled as the new staging list.
     fn rotate(&mut self) {
+        for v in self.spliced.drain(..) {
+            self.cur_slot[v as usize] = NO_SLOT;
+        }
         #[cfg(debug_assertions)]
         for &v in &self.cur_recipients {
             debug_assert!(
@@ -611,18 +654,19 @@ impl<M: Message> InboxArena<M> {
         self.next_recipients.clear();
     }
 
-    /// Replaces `out` with `v`'s current-round chain, cloned in insertion
-    /// order (empty for nodes without deliveries this round), and returns
-    /// the chain's entries to the free list in the same walk — from this
-    /// moment they feed deliveries into *next*.
+    /// Replaces `out` with `v`'s current-round chain, cloned in chain
+    /// order with the [`OWN`] mark masked off (empty for nodes without
+    /// deliveries this round), and returns the chain's entries to the free
+    /// list in the same walk — from this moment they feed deliveries into
+    /// *next*.
     pub(crate) fn take(&mut self, v: usize, out: &mut Vec<(Port, M)>) {
         out.clear();
         let mut j = std::mem::replace(&mut self.cur_slot[v], NO_SLOT);
         while j != NO_SLOT {
-            let e = &mut self.blocks[(j >> ARENA_CHUNK_BITS) as usize]
-                [(j as usize) & (ARENA_CHUNK - 1)];
-            out.push((e.port as usize, e.msg.clone()));
-            let after = std::mem::replace(&mut e.prev, self.free);
+            let free = self.free;
+            let e = self.entry(j);
+            out.push(((e.port & !OWN) as usize, e.msg.clone()));
+            let after = std::mem::replace(&mut e.prev, free);
             self.free = j;
             j = after;
         }
@@ -714,8 +758,9 @@ pub(crate) struct StepEffects {
 /// wire size resolved through the topology) to `send`, in emission order.
 /// `send` is where the runtimes differ: an engine shard accounts the send
 /// and puts it straight into the destination's inbox ([`Ledger::deliver`],
-/// no intermediate buffer) — or, when another shard owns the destination,
-/// parks it for that shard; an async worker accounts and ships a frame.
+/// no intermediate buffer) — or, when another shard owns the destination
+/// (or, with several shards, the send is delayed), parks it for that
+/// shard; an async worker accounts and ships a frame.
 pub(crate) fn step_node<T: Topology, P: Protocol>(
     rc: &RunCtx<'_, T>,
     round: u64,
@@ -823,8 +868,10 @@ pub(crate) fn step_node<T: Topology, P: Protocol>(
 ///
 /// Panics (the messages are part of the API) before any per-node work if
 /// the node count exceeds `u32` (wake calendars and delivery queues
-/// compact node indices), if an explicit [`IdMode`] assignment does not
-/// cover the graph, and on an invalid config (see [`RunFacts::new`]).
+/// compact node indices), if a degree exceeds 2³¹ (inbox entries keep the
+/// [`OWN`] mark in a port's top bit), if an explicit [`IdMode`]
+/// assignment does not cover the graph, and on an invalid config (see
+/// [`RunFacts::new`]).
 #[allow(clippy::type_complexity)] // crate-internal; one tuple per range
 pub(crate) fn set_up<T: Topology, P: Protocol>(
     topo: &T,
@@ -836,6 +883,11 @@ pub(crate) fn set_up<T: Topology, P: Protocol>(
     assert!(
         n as u64 <= u32::MAX as u64,
         "the engine's delivery queue addresses nodes as u32; {n} nodes exceed that"
+    );
+    let max_degree = topo.max_degree();
+    assert!(
+        max_degree <= OWN as usize,
+        "the engine's inboxes keep ports below 2^31; a node of degree {max_degree} exceeds that"
     );
     let ids = ids_slice(config, n);
     let (ranges, owners) = Owners::split(topo, threads);
@@ -1295,7 +1347,10 @@ impl LedgerPart {
 /// nowhere else. A send is accounted by its source's ledger
 /// ([`LedgerPart::account`]) and placed by its destination's
 /// ([`Ledger::deliver`]); one ledger over every node, doing both on the
-/// spot, is the inline engine.
+/// spot, is the inline engine. In a run of several ranges a synchronous
+/// send into the sender's own range is placed on the spot too, marked
+/// [`OWN`]; a lower range's, arriving later, goes in ahead of those
+/// ([`Ledger::deliver_below`]).
 pub(crate) struct Ledger<M> {
     pub(crate) part: LedgerPart,
     /// First node of the range; inboxes are indexed by `dest - lo`.
@@ -1331,10 +1386,13 @@ impl<M: Message> Ledger<M> {
         }
     }
 
-    /// Places a message sent at `round` (by any range's node) into an
-    /// owned node's inbox where its delivery round `at` will find it —
-    /// the arena's *next* side for the synchronous `round + 1`, the
-    /// calendar for anything later.
+    /// Places a message sent at `round` into an owned node's inbox where
+    /// its delivery round `at` will find it — appended to the arena's
+    /// *next* side for the synchronous `round + 1`, the calendar for
+    /// anything later. The engine passes its own range's sends here as
+    /// they are made, marked `port | OWN` (in a run of one range every
+    /// send, delayed ones included: nothing there is ever spliced), and
+    /// higher ranges' and delayed sends from its mail.
     #[inline]
     pub(crate) fn deliver(&mut self, round: u64, at: u64, dest: NodeId, port: u32, msg: M) {
         let dest = dest - self.lo;
@@ -1343,6 +1401,25 @@ impl<M: Message> Ledger<M> {
         } else {
             self.queue.push(at, (dest as u32, port, msg));
         }
+    }
+
+    /// [`Ledger::deliver`] for a send of a *lower* range's node, taken
+    /// from the mail after the range's own sends of `round` are in: a
+    /// synchronous one is spliced in ahead of those
+    /// ([`InboxArena::splice_below_own`]), so the inbox keeps the global
+    /// send order.
+    pub(crate) fn deliver_below(&mut self, round: u64, at: u64, dest: NodeId, port: u32, msg: M) {
+        if at == round + 1 {
+            self.arena.splice_below_own(dest - self.lo, port, msg);
+        } else {
+            self.deliver(round, at, dest, port, msg);
+        }
+    }
+
+    /// Whether `v` is one of the range's nodes.
+    #[inline]
+    pub(crate) fn owns(&self, v: NodeId) -> bool {
+        v.wrapping_sub(self.lo) < self.arena.next_slot.len()
     }
 
     /// Stages `round`: moves everything the calendar holds for it onto the

@@ -223,4 +223,23 @@ mod tests {
             assert_eq!(panic.downcast_ref::<String>(), Some(&expected), "{kind:?}");
         }
     }
+
+    #[test]
+    fn degrees_past_two_to_the_31_fail_fast_on_both_runtimes() {
+        // Inbox entries keep a mark in a port's top bit, so a port must
+        // stay below 2^31 — which an implicit star's centre passes while
+        // its node count still fits in u32.
+        let n = (1usize << 31) + 2;
+        let star = ule_graph::ImplicitTopology::Star { n };
+        let cfg = SimConfig::seeded(0);
+        let expected = format!(
+            "the engine's inboxes keep ports below 2^31; a node of degree {} exceeds that",
+            n - 1
+        );
+        for kind in [RuntimeKind::Sim, RuntimeKind::Async] {
+            let run = || Runner::new(&star, &cfg).runtime(kind).run(mk);
+            let panic = std::panic::catch_unwind(run).expect_err("the run must refuse the graph");
+            assert_eq!(panic.downcast_ref::<String>(), Some(&expected), "{kind:?}");
+        }
+    }
 }

@@ -19,7 +19,12 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 /// probing process memory (its counting allocator moved into
 /// `tests/memory_budget.rs`, which this scope does not count), and at
 /// 10 624 before the async workers took the engine's node-range core.
-const MAX_CODE_LINES: usize = 10_520;
+/// Raised from 10 520 by the 44 lines (all in `crates/sim`) that let a
+/// shard put its synchronous sends into its own range straight into its
+/// inboxes and splice a lower range's in ahead of them, instead of
+/// parking every send in the mail: `sharded-torus` `peak_rss_mib` fell
+/// 31.7 → 25.4 MiB (−20 %).
+const MAX_CODE_LINES: usize = 10_564;
 const MAX_PUB_ITEMS: usize = 475;
 
 #[test]

@@ -87,8 +87,11 @@ const MAX_ALLOCS_PER_MESSAGE: f64 = 0.5;
 
 /// Each cell's peak live heap in bytes, in grid order, keyed by
 /// `algorithm @ workload [threads] [adversary]`, as measured at commit
-/// `fb44415`. Debug and release builds read the same bytes, and so do
-/// repeated runs; a cell's budget is 1.25 × its entry.
+/// `fb44415` — but for `threads-2`, re-measured on the change after
+/// `4667afd` that puts a shard's synchronous sends into its own range
+/// straight into its inboxes instead of the mail (46 167 106 B, 462
+/// B/node, before it). Debug and release builds read the same bytes, and
+/// so do repeated runs; a cell's budget is 1.25 × its entry.
 const MEASURED_PEAKS: [(&str, usize); 10] = [
     ("floodmax @ cycle/10000", 2_407_857),
     ("floodmax @ cycle/100000", 20_896_549),
@@ -98,7 +101,7 @@ const MEASURED_PEAKS: [(&str, usize); 10] = [
     ("floodmax @ sparse-rnd/100000", 42_140_533),
     ("dfs-agent @ path/1000", 395_341),
     ("dfs-agent @ path/10000", 4_317_281),
-    ("floodmax @ torus/99856 threads-2", 46_167_106),
+    ("floodmax @ torus/99856 threads-2", 33_588_514),
     ("floodmax @ torus/99856 delay-2", 78_690_417),
 ];
 

@@ -88,18 +88,22 @@ fn floodmax_on_a_ten_million_node_cycle() {
     assert!(out.election_succeeded());
     assert_eq!(out.termination, Termination::Quiescent);
     assert_eq!(out.rounds, n as u64 / 2 + 1);
-    // ≤160 B/node — the ≥4× drop from the 640 B/node materialized
-    // baseline. VmHWM is process-monotone, so only assert when this
-    // test's own run dominates the high-water mark.
+    // ≤120 B/node — over 5× below the 640 B/node materialized baseline,
+    // and 15 % above the largest reading at one to eight shards (1.02 GB
+    // each on a 2-vCPU box), so a sharded run that holds its round-0
+    // burst twice again (1.50 GB at two shards) fails here. VmHWM is
+    // process-monotone, so only assert when this test's own run
+    // dominates the high-water mark.
     if let (Some(pre), Some(post)) = (pre_rss, peak_rss_bytes()) {
         if pre < 512 * 1024 * 1024 {
             eprintln!(
-                "10^7 implicit FloodMax peak RSS: {post} bytes ({:.1} B/node)",
-                post as f64 / n as f64
+                "10^7 implicit FloodMax peak RSS: {post} bytes ({:.1} B/node) on {} shard(s)",
+                post as f64 / n as f64,
+                cfg.parallelism.effective_threads(n)
             );
             assert!(
-                post <= 1_600_000_000,
-                "10^7 implicit FloodMax peaked at {post} bytes (> 1.6 GB)"
+                post <= 1_200_000_000,
+                "10^7 implicit FloodMax peaked at {post} bytes (> 1.2 GB)"
             );
         }
     }
