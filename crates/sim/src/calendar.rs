@@ -1,32 +1,37 @@
 //! A calendar (ring-buffer) queue keyed by round: the flat-memory
 //! delayed-delivery queue of the engine's ledger ([`crate::exec`]) and the
-//! engine's wakeup queue.
+//! wakeup queue of both runtimes.
 //!
 //! # Layout
 //!
 //! Near-future rounds live in a power-of-two ring of buckets indexed by
-//! `round & (horizon - 1)`; each bucket is a `Vec` whose capacity is
-//! retained across rounds (drained buckets are recycled through a spare
-//! pool), so the steady-state synchronous case — every message delivered
-//! exactly one round after it was sent — performs **zero allocations per
-//! message** once the ring has warmed up. Rounds at or beyond
-//! `base + horizon` (a delay adversary scheduling far ahead, or a timer
-//! fired from deep sleep) fall into a `BTreeMap` **overflow tier** and are
-//! migrated into the ring when [`CalendarQueue::advance_to`] brings them
-//! inside the window.
+//! `round & (horizon - 1)`. A ring bucket holds an allocation only while
+//! it holds items: a take leaves its slot empty, a drained bucket goes to
+//! a spare pool ([`CalendarQueue::recycle`]), and a push into an empty
+//! slot takes a spare. So, beside the overflow tier's own buckets, the
+//! queue never holds more allocations than the number of rounds it ever
+//! had pending at once, plus the one being drained — a burst round's
+//! bucket leaves with its items instead of staying parked in the ring —
+//! while the steady-state synchronous case (every message delivered
+//! exactly one round after it was sent) still performs **zero
+//! allocations per message** once the pool has warmed up.
+//! Rounds at or beyond `base + horizon` (a delay adversary scheduling far
+//! ahead, or a timer fired from deep sleep) fall into a `BTreeMap`
+//! **overflow tier** and are migrated into the ring when
+//! [`CalendarQueue::advance_to`] brings them inside the window.
 //!
 //! # Ordering contract
 //!
 //! Within one delivery round, items come back from [`CalendarQueue::take_at`]
-//! in **push order**. Because the engine pushes on its sequential control
-//! thread in global send order, and because an item for round `r` can only
-//! be pushed to the ring *after* `r` has entered the window — i.e. after
-//! any overflow items for `r` (pushed at strictly earlier stepping rounds)
-//! were migrated in — the drained bucket reproduces exactly the historical
-//! order: messages delayed into `r` from earlier rounds first, then the
-//! synchronous batch from round `r − 1`, each group in send order. The
-//! equivalence against a `BTreeMap` reference queue is pinned by a proptest
-//! in `tests/properties.rs`.
+//! in **push order**. Each range's ledger receives its pushes in global
+//! send order restricted to its range (the engine's module docs say why),
+//! and an item for round `r` can only be pushed to the ring *after* `r`
+//! has entered the window — i.e. after any overflow items for `r` (pushed
+//! at strictly earlier stepping rounds) were migrated in — so the drained
+//! bucket holds every item for `r` in global push order, whichever tier
+//! it waited in; the docs of [`crate::exec`]'s `Ledger` say how that
+//! makes each inbox's order. The equivalence against a `BTreeMap`
+//! reference queue is pinned by a proptest in `tests/properties.rs`.
 
 use std::collections::BTreeMap;
 
@@ -90,16 +95,6 @@ impl<T> CalendarQueue<T> {
         }
     }
 
-    /// The ring horizon.
-    pub fn horizon(&self) -> usize {
-        self.ring.len()
-    }
-
-    /// Total queued items across the ring and the overflow tier.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
     /// True when nothing is queued anywhere.
     pub fn is_empty(&self) -> bool {
         self.len == 0
@@ -116,7 +111,11 @@ impl<T> CalendarQueue<T> {
             self.base
         );
         if round - self.base <= self.mask {
-            self.ring[(round & self.mask) as usize].push(item);
+            let idx = (round & self.mask) as usize;
+            if self.ring[idx].capacity() == 0 {
+                self.fill(idx);
+            }
+            self.ring[idx].push(item);
         } else {
             self.overflow.entry(round).or_default().push(item);
         }
@@ -131,6 +130,14 @@ impl<T> CalendarQueue<T> {
             self.min_round = self.min_round.min(round);
         }
         self.len += 1;
+    }
+
+    /// Hands an empty ring slot a spare bucket, if the pool has one. Once
+    /// per bucket, not per item: kept out of line so every push site
+    /// inlines only the capacity check.
+    #[cold]
+    fn fill(&mut self, idx: usize) {
+        self.ring[idx] = self.spare.pop().unwrap_or_default();
     }
 
     /// Moves the window base forward to `round` (no-op when already
@@ -167,19 +174,19 @@ impl<T> CalendarQueue<T> {
                 self.ring[idx].is_empty(),
                 "overflow migration into a non-empty bucket (round {r})"
             );
-            let old = std::mem::replace(&mut self.ring[idx], bucket);
-            self.recycle(old);
+            // An empty slot holds no allocation: nothing to recycle.
+            self.ring[idx] = bucket;
         }
     }
 
     /// Advances the window to `round` and removes everything queued for
-    /// it, in push order. The returned `Vec` should go back through
-    /// [`CalendarQueue::recycle`] after use so its capacity is reused.
+    /// it, in push order, allocation and all: the ring slot is left
+    /// empty. The returned `Vec` should go back through
+    /// [`CalendarQueue::recycle`] after use so the next push into an
+    /// empty slot reuses its capacity.
     pub fn take_at(&mut self, round: u64) -> Vec<T> {
         self.advance_to(round);
-        let idx = (round & self.mask) as usize;
-        let replacement = self.spare.pop().unwrap_or_default();
-        let bucket = std::mem::replace(&mut self.ring[idx], replacement);
+        let bucket = std::mem::take(&mut self.ring[(round & self.mask) as usize]);
         self.len -= bucket.len();
         if round == self.min_round {
             self.min_round = u64::MAX; // recomputed on demand
@@ -187,9 +194,10 @@ impl<T> CalendarQueue<T> {
         bucket
     }
 
-    /// Returns a drained bucket's allocation to the spare pool. The pool
-    /// never holds more buckets than the ring: a bucket beyond that (or one
-    /// that never allocated) is dropped.
+    /// Returns a drained bucket's allocation to the spare pool, from which
+    /// a push into an empty ring slot takes it. The pool never holds more
+    /// buckets than the ring: a bucket beyond that (or one that never
+    /// allocated) is dropped.
     pub fn recycle(&mut self, mut bucket: Vec<T>) {
         if bucket.capacity() > 0 && self.spare.len() < self.ring.len() {
             bucket.clear();
@@ -242,8 +250,7 @@ impl<T> CalendarQueue<T> {
     pub(crate) fn discard_first(&mut self) {
         if let Some(r) = self.next_event_round() {
             let bucket = if r - self.base <= self.mask {
-                let replacement = self.spare.pop().unwrap_or_default();
-                std::mem::replace(&mut self.ring[(r & self.mask) as usize], replacement)
+                std::mem::take(&mut self.ring[(r & self.mask) as usize])
             } else {
                 self.overflow.remove(&r).expect("the earliest round")
             };
@@ -264,7 +271,7 @@ mod tests {
         q.push(1, 10);
         q.push(1, 11);
         q.push(2, 20);
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.len, 3);
         assert_eq!(q.next_event_round(), Some(1));
         let batch = q.take_at(1);
         assert_eq!(batch, vec![10, 11]);
@@ -285,7 +292,7 @@ mod tests {
         q.push(h - 1, "ring-edge");
         q.push(h, "overflow-edge");
         q.push(3 * h + 5, "deep-overflow");
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.len, 3);
         assert_eq!(q.next_event_round(), Some(h - 1));
         assert_eq!(q.take_at(h - 1), vec!["ring-edge"]);
         assert_eq!(q.next_event_round(), Some(h));
@@ -360,13 +367,13 @@ mod tests {
         q.push(41, 410);
         assert_eq!(q.peek_first(), Some((5, &[50, 51][..])));
         q.discard_first();
-        assert_eq!(q.len(), 3);
+        assert_eq!(q.len, 3);
         // Round 5 was the cached minimum: recomputed, never reported stale.
         assert_eq!(q.peek_first(), Some((6, &[60][..])));
         q.discard_first();
         assert_eq!(q.peek_first(), Some((40, &[400][..])));
         q.discard_first();
-        assert_eq!((q.len(), q.next_event_round()), (1, Some(41)));
+        assert_eq!((q.len, q.next_event_round()), (1, Some(41)));
         // The window never moved: rounds before every discarded one still
         // take pushes, into the ring, and come back at their own round.
         q.push(1, 10);
@@ -407,6 +414,54 @@ mod tests {
             );
         }
         assert!(q.is_empty());
+    }
+
+    /// Runs a FloodMax-under-delay-2 schedule — round `r` takes and
+    /// recycles its bucket, then queues `items(r)` items at `r + 2` and as
+    /// many at `r + 3` — and returns the most buckets of at least `BURST`
+    /// capacity the ring and the spare pool held together after any round.
+    fn most_burst_sized_buckets(rounds: u64, items: impl Fn(u64) -> usize) -> usize {
+        let mut q: CalendarQueue<u32> = CalendarQueue::new();
+        let mut most = 0;
+        for round in 0..rounds {
+            let drained = q.take_at(round);
+            q.recycle(drained);
+            for i in 0..items(round) as u32 {
+                q.push(round + 2, i);
+                q.push(round + 3, i);
+            }
+            let parked = q.ring.iter().chain(&q.spare);
+            most = most.max(parked.filter(|b| b.capacity() >= BURST).count());
+        }
+        most
+    }
+
+    const BURST: usize = 10_000;
+
+    #[test]
+    fn a_burst_buckets_allocation_leaves_the_ring_with_its_items() {
+        // Five burst rounds, then a long quiet tail of one item a round:
+        // at most three rounds are ever pending at once, so at most three
+        // burst-sized allocations may survive a round. A ring slot that
+        // kept its bucket after the take parks six.
+        let tail = |r| if r < 5 { BURST } else { 1 };
+        assert_eq!(most_burst_sized_buckets(305, tail), 3);
+    }
+
+    #[test]
+    fn a_second_burst_reuses_the_first_ones_buckets() {
+        // The same burst, a silent gap that drains every pending round,
+        // then a second burst: the first burst's buckets wait in the pool
+        // for it. Handing a spare to each slot a take empties would park
+        // them in the ring, and the second burst would allocate anew.
+        let twice = |r| {
+            if r < 5 || (10..15).contains(&r) {
+                BURST
+            } else {
+                0
+            }
+        };
+        assert_eq!(most_burst_sized_buckets(20, twice), 3);
     }
 
     #[test]

@@ -1358,16 +1358,21 @@ pub(crate) struct Ledger<M> {
     /// The *delayed*-delivery queue: a flat calendar (ring + overflow
     /// tier) keyed by delivery round. Only fates beyond `round + 1` land
     /// here — the synchronous common case goes straight into the arena's
-    /// *next* side, so at burst scale the queue never holds a full round
-    /// of messages. Within a round, item order is push order, and pushes
-    /// arrive in global send order restricted to this range's inboxes; a
-    /// round's bucket is drained into the arena *before* the round that
-    /// feeds it delivers ([`Ledger::stage`]), so per inbox the
-    /// historical order is reproduced exactly: messages delayed into the
-    /// round from earlier rounds first, then the preceding round's
-    /// synchronous batch, each in send order. Destination and port are
-    /// compacted to `u32` — half the queue footprint at graph scale (the
-    /// node count is asserted to fit by [`set_up`]).
+    /// *next* side, so a lockstep run queues nothing. Under a delay
+    /// adversary it holds every send due after the next round: under
+    /// `BoundedDelay { max_delay: d }` up to a fraction `d / (d + 1)` of
+    /// each of the last `d` rounds' sends — two thirds of a burst round at
+    /// `d = 2` — in one bucket per pending round, whose allocation leaves
+    /// the ring with its items ([`CalendarQueue`]). Within a round, item
+    /// order is push order, and pushes arrive in global send order
+    /// restricted to this range's inboxes; a round's bucket is drained
+    /// into the arena *before* the round that feeds it delivers
+    /// ([`Ledger::stage`]), so per inbox the historical order is
+    /// reproduced exactly: messages delayed into the round from earlier
+    /// rounds first, then the preceding round's synchronous batch, each in
+    /// send order. Destination and port are compacted to `u32` — half the
+    /// queue footprint at graph scale (the node count is asserted to fit
+    /// by [`set_up`]).
     queue: CalendarQueue<(u32, u32, M)>,
     /// The round being stepped (read and released through `take`) and the
     /// round being staged.
