@@ -478,51 +478,123 @@ pub(crate) struct StagedSend<M> {
     pub(crate) msg: M,
 }
 
-/// "No entry" sentinel for [`InboxArena`] chain links and slot heads.
+/// "No entry" sentinel for [`Pool`] chain links and slot heads.
 pub(crate) const NO_SLOT: u32 = u32::MAX;
 
 /// Entries per pool block: 64 Ki keeps blocks ≈1 MiB for an 8-byte
 /// message, so the pool grows in flat increments with no realloc copy —
 /// at burst scale (10⁷ nodes all sending at once) a doubling `Vec` would
-/// briefly hold ~1.5× the pool in live memory. Only the first block of an
-/// arena starts smaller — four entries per node, growing on demand — when
-/// that is less: an arena covers a node range, and a small range (or a
-/// small run — a campaign runs thousands) must not reserve, and scatter
-/// its few live entries over, a megabyte it never fills.
-const ARENA_CHUNK_BITS: u32 = 16;
-const ARENA_CHUNK: usize = 1 << ARENA_CHUNK_BITS;
+/// briefly hold ~1.5× the pool in live memory. Only the first block of a
+/// pool starts smaller — its owner's hint, growing on demand — when that
+/// is less: a pool covers a node range, and a small range (or a small
+/// run — a campaign runs thousands) must not reserve, and scatter its few
+/// live entries over, a megabyte it never fills.
+const POOL_CHUNK_BITS: u32 = 16;
+const POOL_CHUNK: usize = 1 << POOL_CHUNK_BITS;
 
-/// The top bit of an [`InboxEntry`]'s port: set on a delivery the
+/// One [`Pool`] entry: a queued delivery's hearing port, its link — its
+/// neighbour on its node's chain while live, the next free entry once
+/// freed — and the rest of the delivery.
+pub(crate) struct Slot<T> {
+    pub(crate) port: u32,
+    pub(crate) link: u32,
+    pub(crate) item: T,
+}
+
+/// A chunked, free-listed pool of `u32`-addressed deliveries: the store
+/// behind the per-node delivery chains of both runtimes (the engine's
+/// [`InboxArena`] and the async workers' inboxes). Blocks are fixed at
+/// [`POOL_CHUNK`] entries (the first one starts at the owner's hint and
+/// grows to size), and freed entries are threaded through their own
+/// links, so the pool holds the most deliveries ever queued at once, never
+/// the total ever placed. A freed entry's message is dropped only on slot
+/// reuse — fine for the plain-data message types protocols send.
+pub(crate) struct Pool<T> {
+    /// Entry `j` lives at `blocks[j >> CHUNK_BITS][j & (CHUNK - 1)]`.
+    blocks: Vec<Vec<Slot<T>>>,
+    /// Head of the free list.
+    free: u32,
+    /// Capacity of the next block: the owner's hint for the first, then a
+    /// full block.
+    reserve: usize,
+}
+
+impl<T> Pool<T> {
+    /// An empty pool whose first block reserves `hint` entries (capped at
+    /// one block).
+    pub(crate) fn new(hint: usize) -> Self {
+        Pool {
+            blocks: Vec::new(),
+            free: NO_SLOT,
+            reserve: hint.min(POOL_CHUNK),
+        }
+    }
+
+    /// Places a delivery in a slot (free list first) and returns its index.
+    pub(crate) fn alloc(&mut self, port: u32, link: u32, item: T) -> u32 {
+        let e = Slot { port, link, item };
+        if self.free != NO_SLOT {
+            let j = self.free;
+            self.free = std::mem::replace(&mut self[j], e).link;
+            return j;
+        }
+        if self.blocks.last().map_or(true, |b| b.len() == POOL_CHUNK) {
+            assert!(
+                self.blocks.len() < (NO_SLOT as usize >> POOL_CHUNK_BITS),
+                "delivery pool exhausted its u32 index space"
+            );
+            let reserve = std::mem::replace(&mut self.reserve, POOL_CHUNK);
+            self.blocks.push(Vec::with_capacity(reserve));
+        }
+        let b = self.blocks.len() - 1;
+        let j = (b << POOL_CHUNK_BITS) + self.blocks[b].len();
+        self.blocks[b].push(e);
+        j as u32
+    }
+
+    /// Returns entry `j` to the free list and hands it back — readable
+    /// until the next `alloc` — with the link it had.
+    pub(crate) fn free(&mut self, j: u32) -> (&Slot<T>, u32) {
+        let free = std::mem::replace(&mut self.free, j);
+        let e = &mut self[j];
+        let link = std::mem::replace(&mut e.link, free);
+        (e, link)
+    }
+}
+
+impl<T> std::ops::Index<u32> for Pool<T> {
+    type Output = Slot<T>;
+    fn index(&self, j: u32) -> &Slot<T> {
+        &self.blocks[(j >> POOL_CHUNK_BITS) as usize][(j as usize) & (POOL_CHUNK - 1)]
+    }
+}
+
+impl<T> std::ops::IndexMut<u32> for Pool<T> {
+    fn index_mut(&mut self, j: u32) -> &mut Slot<T> {
+        &mut self.blocks[(j >> POOL_CHUNK_BITS) as usize][(j as usize) & (POOL_CHUNK - 1)]
+    }
+}
+
+/// The top bit of a queued delivery's port: set on a delivery the
 /// stepping range's own sender put straight into its ledger's arena
 /// ([`Ledger::deliver`] with `port | OWN`), so that a lower range's send,
 /// delivered later, can be spliced in ahead of it. Ports stay below 2³¹
 /// ([`set_up`] asserts it); [`InboxArena::take`] masks the bit off.
 pub(crate) const OWN: u32 = 1 << 31;
 
-/// One queued delivery: the hearing port (with the [`OWN`] mark), the
-/// previous entry in the same inbox's chain (chains grow at the head;
-/// [`InboxArena::take`] restores insertion order), and the message.
-struct InboxEntry<M> {
-    port: u32,
-    prev: u32,
-    msg: M,
-}
-
 /// Two rounds of inbound messages for the whole graph — the round being
 /// stepped (*cur*) and the one being staged (*next*) — as per-node chains
-/// threaded through one shared entry pool. Replaces the per-node
+/// threaded through one shared [`Pool`] of messages. Chains grow at the
+/// head, each entry linking to the previous one; [`InboxArena::take`]
+/// restores insertion order. Replaces the per-node
 /// `Vec<Vec<(Port, M)>>` inbox column — 24 bytes of pointer triple per
 /// node plus a heap block per non-empty inbox — with one `u32` head per
 /// node per side plus a pool sized by the round's message count.
 ///
-/// The pool is chunked (fixed ~1 MiB blocks, reallocated only while the
-/// first one grows to size) and free-listed: a node's chain is freed in
-/// the walk that clones its inbox out, so entries consumed from
-/// *cur* are immediately reused for deliveries into *next* and the pool's
-/// footprint stays at roughly one round's messages even though two rounds
-/// are addressable. A freed
-/// entry's message is dropped only on slot reuse — fine for the plain-data
-/// message types protocols send.
+/// The [`Pool`] frees a node's chain in the walk that clones its inbox
+/// out, so entries consumed from *cur* are immediately reused for
+/// deliveries into *next* and the pool's footprint stays at roughly one
+/// round's messages even though two rounds are addressable.
 ///
 /// Chain order per inbox is the global send order: insertion order, but
 /// for a lower range's synchronous send in a run of several ranges, which
@@ -534,11 +606,9 @@ struct InboxEntry<M> {
 /// engine sees `take` and nothing else. An arena covers the node
 /// range of its ledger and is indexed by offset into it.
 pub(crate) struct InboxArena<M> {
-    /// Fixed-size pool blocks; entry `j` lives at
-    /// `blocks[j >> CHUNK_BITS][j & (CHUNK - 1)]`.
-    blocks: Vec<Vec<InboxEntry<M>>>,
-    /// Head of the free list, threaded through `prev`.
-    free: u32,
+    /// The entries of every chain; the first block starts at four per
+    /// node.
+    pool: Pool<M>,
     /// Persistent `n × u32` chain heads for the round being stepped.
     cur_slot: Vec<u32>,
     /// Chain heads for the round being staged.
@@ -554,8 +624,7 @@ pub(crate) struct InboxArena<M> {
 impl<M: Message> InboxArena<M> {
     fn new(n: usize) -> Self {
         InboxArena {
-            blocks: Vec::new(),
-            free: NO_SLOT,
+            pool: Pool::new(4 * n),
             cur_slot: vec![NO_SLOT; n],
             next_slot: vec![NO_SLOT; n],
             cur_recipients: Vec::new(),
@@ -564,49 +633,13 @@ impl<M: Message> InboxArena<M> {
         }
     }
 
-    /// Pool entry `j`.
-    fn entry(&mut self, j: u32) -> &mut InboxEntry<M> {
-        &mut self.blocks[(j >> ARENA_CHUNK_BITS) as usize][(j as usize) & (ARENA_CHUNK - 1)]
-    }
-
-    /// Places `e` in a pool slot (free list first) and returns its index.
-    fn alloc(&mut self, e: InboxEntry<M>) -> u32 {
-        if self.free != NO_SLOT {
-            let j = self.free;
-            self.free = std::mem::replace(self.entry(j), e).prev;
-            return j;
-        }
-        if self.blocks.last().map_or(true, |b| b.len() == ARENA_CHUNK) {
-            assert!(
-                self.blocks.len() < (NO_SLOT as usize >> ARENA_CHUNK_BITS),
-                "inbox arena exhausted its u32 index space"
-            );
-            let reserve = if self.blocks.is_empty() {
-                (4 * self.cur_slot.len()).min(ARENA_CHUNK)
-            } else {
-                ARENA_CHUNK
-            };
-            self.blocks.push(Vec::with_capacity(reserve));
-        }
-        let b = self.blocks.len() - 1;
-        let block = &mut self.blocks[b];
-        let j = ((b << ARENA_CHUNK_BITS) + block.len()) as u32;
-        block.push(e);
-        j
-    }
-
     /// Appends one delivery to `dest`'s *next*-round chain.
     fn deliver_next(&mut self, dest: usize, port: u32, msg: M) {
         let head = self.next_slot[dest];
         if head == NO_SLOT {
             self.next_recipients.push(dest as u32);
         }
-        let j = self.alloc(InboxEntry {
-            port,
-            prev: head,
-            msg,
-        });
-        self.next_slot[dest] = j;
+        self.next_slot[dest] = self.pool.alloc(port, head, msg);
     }
 
     /// Appends a lower range's synchronous delivery to `dest`'s *next*
@@ -621,9 +654,9 @@ impl<M: Message> InboxArena<M> {
         let mut anchor = self.cur_slot[dest];
         if anchor == NO_SLOT {
             let mut j = self.next_slot[dest];
-            while j != NO_SLOT && self.entry(j).port & OWN != 0 {
+            while j != NO_SLOT && self.pool[j].port & OWN != 0 {
                 anchor = j;
-                j = self.entry(j).prev;
+                j = self.pool[j].link;
             }
             if anchor == NO_SLOT {
                 return self.deliver_next(dest, port, msg);
@@ -631,8 +664,8 @@ impl<M: Message> InboxArena<M> {
             self.cur_slot[dest] = anchor;
             self.spliced.push(dest as u32);
         }
-        let prev = self.entry(anchor).prev;
-        self.entry(anchor).prev = self.alloc(InboxEntry { port, prev, msg });
+        let prev = self.pool[anchor].link;
+        self.pool[anchor].link = self.pool.alloc(port, prev, msg);
     }
 
     /// Promotes *next* to *cur*. The outgoing *cur* must already be fully
@@ -663,12 +696,9 @@ impl<M: Message> InboxArena<M> {
         out.clear();
         let mut j = std::mem::replace(&mut self.cur_slot[v], NO_SLOT);
         while j != NO_SLOT {
-            let free = self.free;
-            let e = self.entry(j);
-            out.push(((e.port & !OWN) as usize, e.msg.clone()));
-            let after = std::mem::replace(&mut e.prev, free);
-            self.free = j;
-            j = after;
+            let (e, prev) = self.pool.free(j);
+            out.push(((e.port & !OWN) as usize, e.item.clone()));
+            j = prev;
         }
         out.reverse();
     }
@@ -1474,6 +1504,13 @@ mod tests {
     use super::*;
     use crate::config::Model;
     use ule_graph::gen;
+
+    impl<T> Pool<T> {
+        /// The slots ever placed, live or free.
+        pub(crate) fn slots(&self) -> usize {
+            self.blocks.iter().map(Vec::len).sum()
+        }
+    }
 
     /// Builds the send `(v, port)` of `bits` bits carrying `msg` on `topo`.
     fn send<T: Topology, M>(topo: &T, v: NodeId, port: Port, bits: u64, msg: M) -> StagedSend<M> {

@@ -78,12 +78,17 @@
 //! what a send costs and what becomes of it is [`crate::exec`]'s. The
 //! `send` closure a worker hands `step_node` is the whole transport:
 //! account, stamp a [`Frame`] on the link, then land the delivery on the
-//! destination's pending list — a plain per-node `Vec`, sorted into inbox
-//! order when the node takes what is due — or ship it over the owning
-//! worker's channel. Each
+//! destination's chain or ship it over the owning worker's channel. A
+//! worker keeps every pending delivery of its range in one free-listed
+//! entry pool (the engine's, see `exec::Pool`), linked into one chain per
+//! node that is kept in inbox order as deliveries land; an activation
+//! takes the chain's due prefix and frees it. In lockstep, exact
+//! scheduling keeps about two rounds of deliveries pending however long
+//! the run, so the pool stays that size and no node owns an allocation.
+//! Each
 //! worker feeds its sends to its own `LedgerPart` — the same
 //! `LedgerPart::account` the engine's shards call — covering only
-//! the out-edges of the nodes it owns, and after the pool joins the parts
+//! the out-edges of the nodes it owns, and after the workers join the parts
 //! merge (concatenating the per-edge columns) into the part
 //! `LedgerPart::finish` turns into the [`RunOutcome`]. Delay, crash and
 //! link-failure adversaries run here with engine-equal outcomes because
@@ -118,8 +123,8 @@
 use crate::adversary::SendView;
 use crate::config::SimConfig;
 use crate::exec::{
-    set_up, step_node, Bitmap, LedgerPart, NodeStore, Owners, RunCtx, RunFacts, RunOutcome,
-    StagedSend, StepScratch, Termination, Wakes, WatchHit,
+    set_up, step_node, Bitmap, LedgerPart, NodeStore, Owners, Pool, RunCtx, RunFacts, RunOutcome,
+    Slot, StagedSend, StepScratch, Termination, Wakes, WatchHit, NO_SLOT,
 };
 use crate::protocol::{NodeSetup, Protocol};
 use crate::transport::{Frame, LinkGate, LinkSeq};
@@ -496,10 +501,12 @@ fn verdict(r_star: u64, last_exec: Option<u64>, cap: u64) -> Option<(Termination
     }
 }
 
-/// One queued delivery: `(delivery round, send round, sender, emission
-/// index, port, message)` — the first four fields sort a node's due
-/// deliveries into the engine's inbox order.
-type Due<M> = (u64, u64, NodeId, u64, Port, M);
+/// One queued delivery beside its port: `(delivery round, send round,
+/// sender, emission index, message)` — the first four fields order a
+/// node's chain as the engine orders its inbox. The `u32`s hold: the run
+/// set-up bounds node counts to `u32` and degrees — so the emission
+/// indices of one activation — to 2³¹.
+type Queued<M> = (u64, u64, u32, u32, M);
 
 /// The wire header of a delivery: `[send round, delivery round, sender,
 /// emission index]`, inline in its [`Frame`].
@@ -508,7 +515,7 @@ type Header = [u64; 4];
 /// A stack of node offsets, each on it at most once (one dedup bit per
 /// node of the range).
 struct NodeList {
-    stack: Vec<usize>,
+    stack: Vec<u32>,
     on: Bitmap,
 }
 
@@ -522,35 +529,37 @@ impl NodeList {
 
     fn push(&mut self, i: usize) {
         if self.on.set(i) {
-            self.stack.push(i);
+            self.stack.push(i as u32);
         }
     }
 
     fn pop(&mut self) -> Option<usize> {
-        let i = self.stack.pop()?;
+        let i = self.stack.pop()? as usize;
         self.on.clear(i);
         Some(i)
     }
 }
 
-/// Where frames land in a worker: the owned nodes' queued deliveries, the
-/// in-port clocks and the frame gate — flat columns over the worker's
-/// in-port slots — and the ready list a landing frame puts its
-/// destination on. In-port `(dest, port)` is slot `directed_index(dest,
-/// port) − first`: directed indices are degree prefix sums, so the
-/// reverse edges of the owned nodes' in-ports are exactly the worker's
-/// own out-edge range.
+/// Where frames land in a worker: the owned nodes' queued deliveries —
+/// one chain per node through one entry pool — the in-port clocks and
+/// the frame gate — flat columns over the worker's in-port slots — and
+/// the ready list a landing frame puts its destination on. In-port
+/// `(dest, port)` is slot `directed_index(dest, port) − first`: directed
+/// indices are degree prefix sums, so the reverse edges of the owned
+/// nodes' in-ports are exactly the worker's own out-edge range.
 struct Inbox<M> {
     /// The first owned node.
     lo: NodeId,
     /// The directed index of slot 0 (the ledger part's `edges.start`).
     first: usize,
-    /// Per owned node: deliveries not yet consumed, in arrival order. A
-    /// plain `Vec`: a port carries one send per round and every send is
-    /// due within `max_delay + 1` rounds, so it holds about `degree ×
-    /// (max_delay + 1)` entries at most, and an activation sorts what it
-    /// takes anyway.
-    pending: Vec<Vec<Due<M>>>,
+    /// Per owned node: the first entry of its chain of deliveries not yet
+    /// consumed (`NO_SLOT`: none), kept in inbox order.
+    head: Vec<u32>,
+    /// Every chain's entries. A port carries one send per round and every
+    /// send is due within `max_delay + 1` rounds, so a node's chain holds
+    /// about `degree × (max_delay + 1)` entries at most, and the pool the
+    /// most the range ever has pending at once.
+    pool: Pool<Queued<M>>,
     /// Per in-port slot: one past the latest send round seen on it.
     clock: Vec<u64>,
     gate: LinkGate,
@@ -560,6 +569,20 @@ struct Inbox<M> {
 }
 
 impl<M> Inbox<M> {
+    /// The inbox of the `nodes` nodes from `lo`, whose `in_ports` in-port
+    /// slots start at directed index `first`.
+    fn new(lo: NodeId, first: usize, nodes: usize, in_ports: usize) -> Self {
+        Inbox {
+            lo,
+            first,
+            head: vec![NO_SLOT; nodes],
+            pool: Pool::new(0),
+            clock: vec![0; in_ports],
+            gate: LinkGate::new(in_ports),
+            ready: NodeList::new(nodes),
+        }
+    }
+
     /// The in-port slots of node `v`.
     fn slots<T: Topology>(&self, topo: &T, v: NodeId) -> std::ops::Range<usize> {
         match topo.degree(v) {
@@ -592,8 +615,45 @@ impl<M> Inbox<M> {
         let &[send_round, at, src, emit] = self.gate.accept(slot, frame);
         self.clock[slot] = self.clock[slot].max(send_round + 1);
         let i = dest - self.lo;
-        self.pending[i].push((at, send_round, src as NodeId, emit, port, msg));
+        let d = (at, send_round, src as u32, emit as u32, msg);
+        self.queue(i, port as u32, d);
         self.ready.push(i);
+    }
+
+    /// Links a delivery into node `lo + i`'s chain at its place in the
+    /// engine's inbox order: ascending delivery round, then the global
+    /// send order — send round, sender, the sender's emission order.
+    fn queue(&mut self, i: usize, port: u32, d: Queued<M>) {
+        let key = |d: &Queued<M>| (d.0, d.1, d.2, d.3);
+        let (mut prev, mut j) = (NO_SLOT, self.head[i]);
+        while j != NO_SLOT && key(&self.pool[j].item) < key(&d) {
+            (prev, j) = (j, self.pool[j].link);
+        }
+        let new = self.pool.alloc(port, j, d);
+        match prev {
+            NO_SLOT => self.head[i] = new,
+            p => self.pool[p].link = new,
+        }
+    }
+
+    /// The delivery round at the head of node `lo + i`'s chain, its
+    /// earliest (`u64::MAX`: none).
+    fn next_due(&self, i: usize) -> u64 {
+        match self.head[i] {
+            NO_SLOT => u64::MAX,
+            j => self.pool[j].item.0,
+        }
+    }
+
+    /// Takes node `lo + i`'s deliveries due at or before round `e` — a
+    /// prefix of its chain, in inbox order — handing each to `each` and
+    /// freeing it; later ones stay linked.
+    fn take(&mut self, i: usize, e: u64, mut each: impl FnMut(&Slot<Queued<M>>)) {
+        while self.next_due(i) <= e {
+            let (d, next) = self.pool.free(self.head[i]);
+            each(d);
+            self.head[i] = next;
+        }
     }
 }
 
@@ -688,9 +748,9 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         senders: Vec<Sender<Packet<P::Msg>>>,
     ) -> Self {
         let len = store.wake.len();
-        let mut ready = NodeList::new(len);
+        let mut inbox = Inbox::new(store.base, part.edges.start, len, part.edges.len());
         for i in (0..len).rev().filter(|&i| store.wake[i] == 0) {
-            ready.push(i);
+            inbox.ready.push(i);
         }
         Worker {
             w,
@@ -699,14 +759,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             record_trace,
             rc: RunCtx::new(graph, config),
             facts,
-            inbox: Inbox {
-                lo: store.base,
-                first: part.edges.start,
-                pending: (0..len).map(|_| Vec::new()).collect(),
-                clock: vec![0; part.edges.len()],
-                gate: LinkGate::new(part.edges.len()),
-                ready,
-            },
+            inbox,
             waiting: NodeList::new(len),
             wakes: Wakes::default(),
             floor: 0,
@@ -758,7 +811,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         while let Some(e) = self.executable(i) {
             self.execute(i, e);
         }
-        if !self.inbox.pending[i].is_empty() {
+        if self.inbox.head[i] != NO_SLOT {
             self.waiting.push(i);
         }
     }
@@ -767,8 +820,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     /// (`NO_WAKE == u64::MAX` meaning none) or its earliest queued
     /// delivery.
     fn next_event(&self, i: usize) -> u64 {
-        let delivery = self.inbox.pending[i].iter().map(|d| d.0).min();
-        self.store.wake[i].min(delivery.unwrap_or(u64::MAX))
+        self.store.wake[i].min(self.inbox.next_due(i))
     }
 
     /// The earliest pending event of this worker: the first genuine
@@ -779,7 +831,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     fn earliest_event(&mut self) -> u64 {
         let earliest = self.wakes.first(&self.store.wake).unwrap_or(u64::MAX);
         let listed = self.waiting.stack.iter().chain(&self.inbox.ready.stack);
-        listed.fold(earliest, |m, &i| m.min(self.next_event(i)))
+        listed.fold(earliest, |m, &i| m.min(self.next_event(i as usize)))
     }
 
     /// The round node `lo + i` can execute now, if any: its next event,
@@ -801,20 +853,18 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             !self.facts.crash_round(v).is_some_and(|c| c <= e),
             "a crashed node became executable (arm/send-time filtering is broken)"
         );
-        let pending = &mut self.inbox.pending[i];
         // Everything due at `e` (nothing pending is due earlier), in the
-        // engine's inbox order — the global send order: ascending send
-        // round, then sender, then the sender's emission order.
-        pending.sort_unstable_by_key(|d| (d.0, d.1, d.2, d.3));
-        let due = pending.partition_point(|d| d.0 <= e);
+        // engine's inbox order.
         let mut delivered = Vec::new();
-        self.scratch.inbox.clear();
-        for (_, _, src, emit, port, msg) in pending.drain(..due) {
-            if self.record_trace {
-                delivered.push((port, src, emit));
+        let (inbox, record_trace) = (&mut self.scratch.inbox, self.record_trace);
+        inbox.clear();
+        self.inbox.take(i, e, |d| {
+            let (port, (_, _, src, emit, msg)) = (d.port as Port, &d.item);
+            if record_trace {
+                delivered.push((port, *src as NodeId, *emit as u64));
             }
-            self.scratch.inbox.push((port, msg));
-        }
+            inbox.push((port, msg.clone()));
+        });
         // Sends so far in this activation (the next emission index) and
         // their `(directed-edge index, frame seq)` log — lost sends
         // included (the fate derivation recovers them).
@@ -841,7 +891,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             }
             // `dest - lo` indexes the owned range; a destination below
             // `lo` wraps past its end, like one above it.
-            if s.dest.wrapping_sub(lo) < self.inbox.pending.len() {
+            if s.dest.wrapping_sub(lo) < self.inbox.head.len() {
                 // The destination shares this worker: land it directly —
                 // through the same gate the channel path uses.
                 self.inbox.land(topo, s.dest, s.dest_port, &frame, s.msg);
@@ -1150,11 +1200,11 @@ mod tests {
     }
 
     /// Long delays — far more rounds than any node has ports — pile many
-    /// deliveries from many send rounds onto each node's pending `Vec`,
-    /// exercising its take-what-is-due split and the send-round-aware
-    /// inbox sort.
+    /// deliveries from many send rounds onto each node's pending chain,
+    /// exercising its in-order linking (by delivery round, then send
+    /// round) and its take of the due prefix.
     #[test]
-    fn long_delays_on_the_pending_vec_conform() {
+    fn long_delays_on_the_pending_chain_conform() {
         let g = gen::cycle(8).unwrap();
         for max_delay in [40, 1_000] {
             let c = cfg(8, 9)
@@ -1171,6 +1221,80 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Queues on node `i` a delivery due at `at`, sent at `send_round` as
+    /// sender `src`'s `emit`-th send; the message is that quadruple.
+    fn queue(inbox: &mut Inbox<[u64; 4]>, i: usize, [at, send_round, src, emit]: [u64; 4]) {
+        let d = (
+            at,
+            send_round,
+            src as u32,
+            emit as u32,
+            [at, send_round, src, emit],
+        );
+        inbox.queue(i, 0, d);
+    }
+
+    /// The messages node `i` takes at round `e`, in the order handed out.
+    fn take(inbox: &mut Inbox<[u64; 4]>, i: usize, e: u64) -> Vec<[u64; 4]> {
+        let mut out = Vec::new();
+        inbox.take(i, e, |d| out.push(d.item.4));
+        out
+    }
+
+    #[test]
+    fn a_take_hands_out_what_is_due_in_inbox_order_and_leaves_the_rest_linked() {
+        let mut inbox = Inbox::new(0, 0, 2, 0);
+        // Node 0's deliveries due at round 5 land first, in the middle and
+        // last, with later-due ones between them, as a delay adversary
+        // scatters delivery rounds; one for node 1 lands in between.
+        let landed = [
+            [5, 3, 2, 0],
+            [7, 4, 1, 0],
+            [5, 4, 0, 1],
+            [6, 2, 0, 0],
+            [5, 1, 3, 0],
+        ];
+        for (k, &d) in landed.iter().enumerate() {
+            queue(&mut inbox, 0, d);
+            if k == 2 {
+                queue(&mut inbox, 1, [5, 4, 0, 0]);
+            }
+        }
+        // Ascending send round, then sender, then emission index.
+        let due = [[5, 1, 3, 0], [5, 3, 2, 0], [5, 4, 0, 1]];
+        assert_eq!(take(&mut inbox, 0, 5), due);
+        assert_eq!(inbox.next_due(0), 6);
+        // A late landing goes ahead of what is still linked.
+        queue(&mut inbox, 0, [6, 1, 4, 0]);
+        assert_eq!(take(&mut inbox, 0, 6), [[6, 1, 4, 0], [6, 2, 0, 0]]);
+        assert_eq!(inbox.next_due(0), 7);
+        assert_eq!(inbox.next_due(1), 5);
+        assert_eq!(take(&mut inbox, 0, 7), [[7, 4, 1, 0]]);
+        assert_eq!((inbox.head[0], inbox.next_due(0)), (NO_SLOT, u64::MAX));
+        assert_eq!(take(&mut inbox, 1, 5), [[5, 4, 0, 0]]);
+        assert_eq!(inbox.pool.slots(), 6, "the late landing reused a slot");
+    }
+
+    #[test]
+    fn taken_slots_are_reused_so_the_pool_holds_the_most_ever_pending() {
+        let mut inbox = Inbox::new(0, 0, 2, 0);
+        // Every round lands two deliveries on node 0 (due in one and two
+        // rounds) and one on node 1 (due in one), then both take what is
+        // due: four pending at the peak, 3 000 landed in all.
+        for r in 0..1_000 {
+            queue(&mut inbox, 0, [r + 1, r, 0, 0]);
+            queue(&mut inbox, 0, [r + 2, r, 1, 0]);
+            queue(&mut inbox, 1, [r + 1, r, 0, 0]);
+            let expect = match r {
+                0 => vec![[1, 0, 0, 0]],
+                _ => vec![[r + 1, r - 1, 1, 0], [r + 1, r, 0, 0]],
+            };
+            assert_eq!(take(&mut inbox, 0, r + 1), expect, "round {r}");
+            assert_eq!(take(&mut inbox, 1, r + 1), [[r + 1, r, 0, 0]]);
+        }
+        assert_eq!(inbox.pool.slots(), 4);
     }
 
     /// Watch hits — a global-interleaving quantity — are reconstructed

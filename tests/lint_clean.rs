@@ -25,8 +25,13 @@ use ule_lint::{scan_tree, stats::crate_stats, unsuppressed};
 /// parking every send in the mail: `sharded-torus` `peak_rss_mib` fell
 /// 31.7 → 25.4 MiB (−20 %). Lowered to 10 562 / 473 when the calendar
 /// stopped parking drained buckets in its ring and dropped its unused
-/// `horizon` and `len` accessors.
-const MAX_CODE_LINES: usize = 10_562;
+/// `horizon` and `len` accessors. Raised to 10 605 by the 43 lines (all
+/// in `crates/sim`) that take the engine arena's chunked, free-listed
+/// entry pool out into one pool both runtimes use and put an async
+/// worker's pending deliveries in it, one chain per node, instead of a
+/// `Vec` per node: `async-torus` `peak_rss_mib` fell 11.0 → 8.7 MiB
+/// (−21 %).
+const MAX_CODE_LINES: usize = 10_605;
 const MAX_PUB_ITEMS: usize = 473;
 
 #[test]

@@ -1,10 +1,12 @@
-//! The engine's memory contract, measured on the heap rather than on the
-//! process: every cell of the quick `engine-scale` grid runs alone under a
-//! counting global allocator, and each must stay within
+//! The runtimes' memory contract, measured on the heap rather than on the
+//! process: every cell of the quick `engine-scale` grid, and its FloodMax
+//! `cycle/10000` and `torus/10000` cells again on the async runtime, runs
+//! alone under a counting global allocator, and each must stay within
 //!
 //! * **0.5 allocations per simulated message** — the calendar-queue /
-//!   arena engine and the protocols allocate per run, never per message,
-//!   so reintroduced per-message `Box` / `Vec` churn lands far above it;
+//!   arena engine, the async workers' entry pools and the protocols
+//!   allocate per run, never per message, so reintroduced per-message
+//!   `Box` / `Vec` churn lands far above it;
 //! * **its recorded peak-heap budget** — 1.25 × the live-heap high-water
 //!   mark the cell reached at the commit named on [`MEASURED_PEAKS`], so a
 //!   per-node allocation regression fails here by cell.
@@ -17,6 +19,9 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use ule_core::Algorithm;
+use ule_graph::gen::Family;
+use ule_sim::RuntimeKind;
 use ule_xp::{builtin, execute, AdversaryProfile, CampaignSpec, JobGroup, RunMeta};
 
 /// [`System`] plus three relaxed counters: allocations (a `realloc`
@@ -86,17 +91,24 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MAX_ALLOCS_PER_MESSAGE: f64 = 0.5;
 
 /// Each cell's peak live heap in bytes, in grid order, keyed by
-/// `algorithm @ workload [threads] [adversary]`, as measured at commit
+/// `algorithm @ workload [threads] [adversary] [async]`, as measured at commit
 /// `fb44415` — but for `threads-2`, re-measured on the change after
 /// `4667afd` that puts a shard's synchronous sends into its own range
 /// straight into its inboxes instead of the mail (46 167 106 B, 462
 /// B/node, before it), and for `delay-2`, re-measured on the change after
 /// `7a9bcdb` that lets a calendar bucket's allocation leave the ring with
 /// its items instead of parking every burst-sized bucket there for the
-/// rest of the run (78 690 417 B, 788 B/node, before it). Debug and
-/// release builds read the same bytes, and so do repeated runs; a cell's
-/// budget is 1.25 × its entry.
-const MEASURED_PEAKS: [(&str, usize); 10] = [
+/// rest of the run (78 690 417 B, 788 B/node, before it). The `async`
+/// cells were first measured on the change after `396848e` that puts an
+/// async worker's pending deliveries in one free-listed entry pool
+/// instead of a `Vec` per node (7 357 160 B for `torus/10000` and
+/// 4 523 016 B for `cycle/10000` before it, with 20 104 and 12 902
+/// allocations); they ran on a 2-core host, and the async runtime runs
+/// one worker per core. Debug and release builds read the same bytes,
+/// and so do repeated runs, but for the `async` cells, which move by a
+/// few kB with how the workers interleave; a cell's budget is 1.25 × its
+/// entry.
+const MEASURED_PEAKS: [(&str, usize); 12] = [
     ("floodmax @ cycle/10000", 2_407_857),
     ("floodmax @ cycle/100000", 20_896_549),
     ("floodmax @ torus/10000", 3_078_833),
@@ -107,6 +119,8 @@ const MEASURED_PEAKS: [(&str, usize); 10] = [
     ("dfs-agent @ path/10000", 4_317_281),
     ("floodmax @ torus/99856 threads-2", 33_588_514),
     ("floodmax @ torus/99856 delay-2", 39_368_801),
+    ("floodmax @ cycle/10000 async", 2_927_656),
+    ("floodmax @ torus/10000 async", 4_569_688),
 ];
 
 #[test]
@@ -130,6 +144,25 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
             }
         }
     }
+    // The async runtime's rows: the grid's lockstep FloodMax cells at
+    // n = 10⁴, rerun on the threads+channels runtime.
+    let asynchronous: Vec<CampaignSpec> = cells
+        .iter()
+        .filter(|spec| {
+            let g = &spec.groups[0];
+            g.algorithms == [Algorithm::FloodMax]
+                && matches!(g.families[..], [Family::Cycle | Family::Torus])
+                && g.sizes == [10_000]
+                && g.threads.is_none()
+                && g.adversary == AdversaryProfile::Lockstep
+        })
+        .map(|spec| {
+            let mut spec = spec.clone();
+            spec.groups[0].runtime = RuntimeKind::Async;
+            spec
+        })
+        .collect();
+    cells.extend(asynchronous);
     println!("cell | allocations | allocs/msg | peak heap B | B/node");
     let mut measured = Vec::new();
     for spec in &cells {
@@ -146,6 +179,9 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
         }
         if cell.adversary != AdversaryProfile::Lockstep {
             label += &format!(" {}", cell.adversary.name());
+        }
+        if cell.runtime == RuntimeKind::Async {
+            label += " async";
         }
         let messages = cell.summary.mean_messages * cell.summary.trials as f64;
         let per_message = allocations as f64 / messages.max(1.0);
