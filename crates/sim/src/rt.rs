@@ -80,14 +80,13 @@
 //! account, stamp a [`Frame`] on the link, then land the delivery on the
 //! destination's chain or ship it over the owning worker's channel. A
 //! worker keeps every pending delivery of its range in one free-listed
-//! entry pool (the engine's, see `exec::Pool`), linked into one chain per
-//! node that is kept in inbox order as deliveries land; an activation
-//! takes the chain's due prefix and frees it. In lockstep, exact
-//! scheduling keeps about two rounds of deliveries pending however long
-//! the run, so the pool stays that size and no node owns an allocation.
-//! Each
-//! worker feeds its sends to its own `LedgerPart` — the same
-//! `LedgerPart::account` the engine's shards call — covering only
+//! entry pool (the engine's, see `exec::Pool`): a landing links its
+//! delivery at the head of its node's chain, and an activation unlinks
+//! the due entries, sorts them into inbox order and frees them. In
+//! lockstep, exact scheduling keeps about two rounds of deliveries pending
+//! however long the run, so the pool stays that size and no node owns an
+//! allocation. Each worker feeds its sends to its own `LedgerPart` — the
+//! same `LedgerPart::account` the engine's shards call — covering only
 //! the out-edges of the nodes it owns, and after the workers join the parts
 //! merge (concatenating the per-edge columns) into the part
 //! `LedgerPart::finish` turns into the [`RunOutcome`]. Delay, crash and
@@ -501,12 +500,14 @@ fn verdict(r_star: u64, last_exec: Option<u64>, cap: u64) -> Option<(Termination
     }
 }
 
-/// One queued delivery beside its port: `(delivery round, send round,
-/// sender, emission index, message)` — the first four fields order a
-/// node's chain as the engine orders its inbox. The `u32`s hold: the run
+/// A queued delivery's place in the engine's inbox order: `(delivery
+/// round, send round, sender, emission index)`. The `u32`s hold: the run
 /// set-up bounds node counts to `u32` and degrees — so the emission
 /// indices of one activation — to 2³¹.
-type Queued<M> = (u64, u64, u32, u32, M);
+type Key = (u64, u64, u32, u32);
+
+/// One queued delivery beside its port: its [`Key`] and its message.
+type Queued<M> = (Key, M);
 
 /// The wire header of a delivery: `[send round, delivery round, sender,
 /// emission index]`, inline in its [`Frame`].
@@ -547,19 +548,30 @@ impl NodeList {
 /// `(dest, port)` is slot `directed_index(dest, port) − first`: directed
 /// indices are degree prefix sums, so the reverse edges of the owned
 /// nodes' in-ports are exactly the worker's own out-edge range.
+///
+/// A landing links its delivery at the head of its node's chain, in O(1)
+/// whatever order deliveries arrive in. An activation walks the chain
+/// once, unlinks what is due, sorts it into inbox order and clones each
+/// message out of its freed slot, as the engine's arena does; the stale
+/// message stays in the slot until the slot is reused.
 struct Inbox<M> {
     /// The first owned node.
     lo: NodeId,
     /// The directed index of slot 0 (the ledger part's `edges.start`).
     first: usize,
     /// Per owned node: the first entry of its chain of deliveries not yet
-    /// consumed (`NO_SLOT`: none), kept in inbox order.
+    /// consumed (`NO_SLOT`: none), in no particular order.
     head: Vec<u32>,
+    /// Per owned node: the earliest delivery round on its chain
+    /// (`u64::MAX`: none).
+    due: Vec<u64>,
     /// Every chain's entries. A port carries one send per round and every
     /// send is due within `max_delay + 1` rounds, so a node's chain holds
     /// about `degree × (max_delay + 1)` entries at most, and the pool the
     /// most the range ever has pending at once.
     pool: Pool<Queued<M>>,
+    /// An activation's due entries under their keys (reused).
+    order: Vec<(Key, u32)>,
     /// Per in-port slot: one past the latest send round seen on it.
     clock: Vec<u64>,
     gate: LinkGate,
@@ -576,7 +588,9 @@ impl<M> Inbox<M> {
             lo,
             first,
             head: vec![NO_SLOT; nodes],
+            due: vec![u64::MAX; nodes],
             pool: Pool::new(0),
+            order: Vec::new(),
             clock: vec![0; in_ports],
             gate: LinkGate::new(in_ports),
             ready: NodeList::new(nodes),
@@ -615,44 +629,37 @@ impl<M> Inbox<M> {
         let &[send_round, at, src, emit] = self.gate.accept(slot, frame);
         self.clock[slot] = self.clock[slot].max(send_round + 1);
         let i = dest - self.lo;
-        let d = (at, send_round, src as u32, emit as u32, msg);
-        self.queue(i, port as u32, d);
+        let key = (at, send_round, src as u32, emit as u32);
+        self.queue(i, port as u32, (key, msg));
         self.ready.push(i);
     }
 
-    /// Links a delivery into node `lo + i`'s chain at its place in the
-    /// engine's inbox order: ascending delivery round, then the global
-    /// send order — send round, sender, the sender's emission order.
+    /// Links a delivery at the head of node `lo + i`'s chain.
     fn queue(&mut self, i: usize, port: u32, d: Queued<M>) {
-        let key = |d: &Queued<M>| (d.0, d.1, d.2, d.3);
-        let (mut prev, mut j) = (NO_SLOT, self.head[i]);
-        while j != NO_SLOT && key(&self.pool[j].item) < key(&d) {
-            (prev, j) = (j, self.pool[j].link);
-        }
-        let new = self.pool.alloc(port, j, d);
-        match prev {
-            NO_SLOT => self.head[i] = new,
-            p => self.pool[p].link = new,
-        }
+        self.due[i] = self.due[i].min(d.0 .0);
+        self.head[i] = self.pool.alloc(port, self.head[i], d);
     }
 
-    /// The delivery round at the head of node `lo + i`'s chain, its
-    /// earliest (`u64::MAX`: none).
-    fn next_due(&self, i: usize) -> u64 {
-        match self.head[i] {
-            NO_SLOT => u64::MAX,
-            j => self.pool[j].item.0,
-        }
-    }
-
-    /// Takes node `lo + i`'s deliveries due at or before round `e` — a
-    /// prefix of its chain, in inbox order — handing each to `each` and
-    /// freeing it; later ones stay linked.
+    /// Takes node `lo + i`'s deliveries due at or before round `e`: unlinks
+    /// them, hands each to `each` in the engine's inbox order — ascending
+    /// delivery round, then the global send order: send round, sender, the
+    /// sender's emission order — and frees it. Later ones stay linked.
     fn take(&mut self, i: usize, e: u64, mut each: impl FnMut(&Slot<Queued<M>>)) {
-        while self.next_due(i) <= e {
-            let (d, next) = self.pool.free(self.head[i]);
-            each(d);
-            self.head[i] = next;
+        let mut j = std::mem::replace(&mut self.head[i], NO_SLOT);
+        self.due[i] = u64::MAX;
+        while j != NO_SLOT {
+            let (key, next) = (self.pool[j].item.0, self.pool[j].link);
+            if key.0 <= e {
+                self.order.push((key, j));
+            } else {
+                self.due[i] = self.due[i].min(key.0);
+                self.pool[j].link = std::mem::replace(&mut self.head[i], j);
+            }
+            j = next;
+        }
+        self.order.sort_unstable();
+        for (_, j) in self.order.drain(..) {
+            each(self.pool.free(j).0);
         }
     }
 }
@@ -820,7 +827,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     /// (`NO_WAKE == u64::MAX` meaning none) or its earliest queued
     /// delivery.
     fn next_event(&self, i: usize) -> u64 {
-        self.store.wake[i].min(self.inbox.next_due(i))
+        self.store.wake[i].min(self.inbox.due[i])
     }
 
     /// The earliest pending event of this worker: the first genuine
@@ -859,7 +866,7 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         let (inbox, record_trace) = (&mut self.scratch.inbox, self.record_trace);
         inbox.clear();
         self.inbox.take(i, e, |d| {
-            let (port, (_, _, src, emit, msg)) = (d.port as Port, &d.item);
+            let (port, ((_, _, src, emit), msg)) = (d.port as Port, &d.item);
             if record_trace {
                 delivered.push((port, *src as NodeId, *emit as u64));
             }
@@ -1201,8 +1208,8 @@ mod tests {
 
     /// Long delays — far more rounds than any node has ports — pile many
     /// deliveries from many send rounds onto each node's pending chain,
-    /// exercising its in-order linking (by delivery round, then send
-    /// round) and its take of the due prefix.
+    /// exercising a take that unlinks due entries from anywhere in it
+    /// and sorts them by send round.
     #[test]
     fn long_delays_on_the_pending_chain_conform() {
         let g = gen::cycle(8).unwrap();
@@ -1223,23 +1230,38 @@ mod tests {
         }
     }
 
+    /// A hub of thousands of ports has thousands of deliveries pending
+    /// each round, landing from both workers in whatever order; each
+    /// lands in O(1) and each activation walks the chain once, so the run
+    /// stays quick, and its inbox order is still the engine's.
+    #[test]
+    fn a_high_degree_hub_conforms() {
+        let g = gen::star(3_000).unwrap();
+        for adv in [
+            Adversary::Lockstep,
+            Adversary::BoundedDelay { max_delay: 3 },
+        ] {
+            let c = cfg(3_000, 5).with_adversary(adv.clone());
+            let reference = run(&g, &c, mk(6));
+            let a = AsyncRuntime::new()
+                .with_workers(2)
+                .without_trace()
+                .run(&g, &c, mk(6));
+            assert_eq!(a.outcome, reference, "{adv:?}");
+        }
+    }
+
     /// Queues on node `i` a delivery due at `at`, sent at `send_round` as
     /// sender `src`'s `emit`-th send; the message is that quadruple.
     fn queue(inbox: &mut Inbox<[u64; 4]>, i: usize, [at, send_round, src, emit]: [u64; 4]) {
-        let d = (
-            at,
-            send_round,
-            src as u32,
-            emit as u32,
-            [at, send_round, src, emit],
-        );
-        inbox.queue(i, 0, d);
+        let key = (at, send_round, src as u32, emit as u32);
+        inbox.queue(i, 0, (key, [at, send_round, src, emit]));
     }
 
     /// The messages node `i` takes at round `e`, in the order handed out.
     fn take(inbox: &mut Inbox<[u64; 4]>, i: usize, e: u64) -> Vec<[u64; 4]> {
         let mut out = Vec::new();
-        inbox.take(i, e, |d| out.push(d.item.4));
+        inbox.take(i, e, |d| out.push(d.item.1));
         out
     }
 
@@ -1265,14 +1287,14 @@ mod tests {
         // Ascending send round, then sender, then emission index.
         let due = [[5, 1, 3, 0], [5, 3, 2, 0], [5, 4, 0, 1]];
         assert_eq!(take(&mut inbox, 0, 5), due);
-        assert_eq!(inbox.next_due(0), 6);
+        assert_eq!(inbox.due[0], 6);
         // A late landing goes ahead of what is still linked.
         queue(&mut inbox, 0, [6, 1, 4, 0]);
         assert_eq!(take(&mut inbox, 0, 6), [[6, 1, 4, 0], [6, 2, 0, 0]]);
-        assert_eq!(inbox.next_due(0), 7);
-        assert_eq!(inbox.next_due(1), 5);
+        assert_eq!(inbox.due[0], 7);
+        assert_eq!(inbox.due[1], 5);
         assert_eq!(take(&mut inbox, 0, 7), [[7, 4, 1, 0]]);
-        assert_eq!((inbox.head[0], inbox.next_due(0)), (NO_SLOT, u64::MAX));
+        assert_eq!((inbox.head[0], inbox.due[0]), (NO_SLOT, u64::MAX));
         assert_eq!(take(&mut inbox, 1, 5), [[5, 4, 0, 0]]);
         assert_eq!(inbox.pool.slots(), 6, "the late landing reused a slot");
     }
