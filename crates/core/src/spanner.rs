@@ -486,7 +486,7 @@ mod tests {
         let (_, edges) = elect_probed(&g, &cfg(&g, 7), &sc);
         let sp = spanner_graph(&g, &edges);
         // Stretch: for every edge (u,v) of G, dist_spanner(u,v) <= 2k-1.
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             let d = analysis::bfs_distances(&sp, u)[v];
             assert!(
                 d <= sc.stretch(),

@@ -28,7 +28,7 @@ pub fn bfs_distances(g: &Graph, src: NodeId) -> Vec<u32> {
     queue.push_back(src);
     while let Some(v) = queue.pop_front() {
         let dv = dist[v];
-        for &u in g.neighbors_of(v) {
+        for u in g.neighbors_of(v) {
             if dist[u] == UNREACHED {
                 dist[u] = dv + 1;
                 queue.push_back(u);

@@ -177,7 +177,7 @@ mod tests {
     fn rotation_is_an_automorphism() {
         let cc = CliqueCycle::build(24, 8).unwrap();
         let g = &cc.graph;
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             assert!(
                 g.has_edge(cc.rotate(u), cc.rotate(v)),
                 "rotation broke edge ({u}, {v})"

@@ -8,7 +8,6 @@
 //! reverse ports so the simulator can deliver a message sent on `(v, p)` to
 //! the correct port of the far endpoint.
 
-use std::collections::HashSet;
 use std::fmt;
 
 /// Index of a node, `0..n`. Distinct from the *identifier* a node carries
@@ -20,8 +19,9 @@ pub type NodeId = usize;
 /// A port index local to one node, `0..deg(v)`.
 pub type Port = usize;
 
-/// An undirected edge identified by its position in [`Graph::edges`].
-pub type EdgeId = usize;
+/// The most nodes a [`Graph`] holds: its columns store node indices and
+/// ports as `u32`.
+const MAX_NODES: usize = u32::MAX as usize;
 
 /// Errors raised while building or validating a [`Graph`].
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -34,6 +34,8 @@ pub enum GraphError {
     NodeOutOfRange(NodeId, usize),
     /// A graph with zero nodes was requested.
     Empty,
+    /// A graph with more than `u32::MAX` nodes was requested.
+    TooManyNodes(usize),
     /// The graph is not connected but the construction requires it.
     Disconnected,
     /// A generator was asked for parameters it cannot satisfy
@@ -50,6 +52,7 @@ impl fmt::Display for GraphError {
                 write!(f, "node index {v} out of range for {n} nodes")
             }
             GraphError::Empty => write!(f, "graph must have at least one node"),
+            GraphError::TooManyNodes(n) => write!(f, "{n} nodes exceed the limit of {MAX_NODES}"),
             GraphError::Disconnected => write!(f, "graph is not connected"),
             GraphError::InvalidParameters(s) => write!(f, "invalid parameters: {s}"),
         }
@@ -58,13 +61,26 @@ impl fmt::Display for GraphError {
 
 impl std::error::Error for GraphError {}
 
+/// Refuses a node count no [`Graph`] can hold, before anything is
+/// allocated for it.
+fn check_node_count(n: usize) -> Result<(), GraphError> {
+    match n {
+        0 => Err(GraphError::Empty),
+        n if n > MAX_NODES => Err(GraphError::TooManyNodes(n)),
+        _ => Ok(()),
+    }
+}
+
 /// An undirected, simple, connected graph with explicit port numbering.
 ///
 /// Construction goes through [`Graph::from_edges`] (or a generator in
 /// [`crate::gen`]); the resulting object is immutable. Ports of node `v` are
-/// `0..deg(v)` and correspond to positions in `v`'s neighbour slice; use
+/// `0..deg(v)` and correspond to positions in `v`'s neighbour list; use
 /// [`Graph::shuffle_ports`] to obtain the same topology under a different
 /// port mapping (the paper's lower bound quantifies over all of these).
+/// The graph holds its CSR columns only, `8 + 16·(m/n)` bytes a node:
+/// node indices and ports are stored as `u32`, so a graph has at most
+/// `u32::MAX` nodes ([`GraphError::TooManyNodes`]).
 ///
 /// # Examples
 ///
@@ -85,12 +101,10 @@ pub struct Graph {
     /// CSR offsets, `offsets.len() == n + 1`.
     offsets: Vec<usize>,
     /// Neighbour of each `(node, port)` pair, port order = slice order.
-    neighbors: Vec<NodeId>,
+    neighbors: Vec<u32>,
     /// For the port `(v, p)` at flat index `offsets[v] + p`: the port at
     /// which the far endpoint sees this edge.
-    rev_ports: Vec<Port>,
-    /// Canonical edge list, `u < v`, sorted lexicographically.
-    edges: Vec<(NodeId, NodeId)>,
+    rev_ports: Vec<u32>,
 }
 
 impl Graph {
@@ -103,54 +117,56 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError`] on self loops, duplicate edges, out-of-range
-    /// endpoints, or `n == 0`. Connectivity is *not* required here; use
-    /// [`Graph::from_edges_connected`] when it is.
+    /// endpoints, `n == 0` or `n > u32::MAX`. Connectivity is *not*
+    /// required here; use [`Graph::from_edges_connected`] when it is.
     pub fn from_edges(n: usize, edges: &[(NodeId, NodeId)]) -> Result<Self, GraphError> {
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        let mut seen = HashSet::with_capacity(edges.len());
-        let mut degree = vec![0usize; n];
+        check_node_count(n)?;
+        // Duplicates sit side by side in the sorted canonical list, which
+        // is dropped before the CSR is allocated.
+        let mut canonical = Vec::with_capacity(edges.len());
         for &(u, v) in edges {
-            if u >= n {
-                return Err(GraphError::NodeOutOfRange(u, n));
-            }
-            if v >= n {
-                return Err(GraphError::NodeOutOfRange(v, n));
+            if let Some(w) = [u, v].into_iter().find(|&w| w >= n) {
+                return Err(GraphError::NodeOutOfRange(w, n));
             }
             if u == v {
                 return Err(GraphError::SelfLoop(u));
             }
-            let key = (u.min(v), u.max(v));
-            if !seen.insert(key) {
-                return Err(GraphError::DuplicateEdge(key.0, key.1));
-            }
-            degree[u] += 1;
-            degree[v] += 1;
+            canonical.push((u.min(v) as u32, u.max(v) as u32));
         }
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + degree[v];
-        }
-        let mut cursor: Vec<usize> = offsets[..n].to_vec();
-        let mut neighbors = vec![0usize; 2 * edges.len()];
-        for &(u, v) in edges {
-            neighbors[cursor[u]] = v;
-            cursor[u] += 1;
-            neighbors[cursor[v]] = u;
-            cursor[v] += 1;
-        }
-        let mut canonical: Vec<(NodeId, NodeId)> =
-            edges.iter().map(|&(u, v)| (u.min(v), u.max(v))).collect();
         canonical.sort_unstable();
-        let mut g = Graph {
+        if let Some(pair) = canonical.windows(2).find(|pair| pair[0] == pair[1]) {
+            let (u, v) = pair[0];
+            return Err(GraphError::DuplicateEdge(u as usize, v as usize));
+        }
+        drop(canonical);
+
+        let mut offsets = vec![0usize; n + 1];
+        for &(u, v) in edges {
+            offsets[u + 1] += 1;
+            offsets[v + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        // `next[v]` is `v`'s next free port: placing an edge hands out one
+        // port at each end, so each end learns the other's port right away.
+        let mut next = vec![0u32; n];
+        let mut neighbors = vec![0u32; offsets[n]];
+        let mut rev_ports = vec![0u32; offsets[n]];
+        for &(u, v) in edges {
+            let (p, q) = (next[u], next[v]);
+            neighbors[offsets[u] + p as usize] = v as u32;
+            rev_ports[offsets[u] + p as usize] = q;
+            neighbors[offsets[v] + q as usize] = u as u32;
+            rev_ports[offsets[v] + q as usize] = p;
+            next[u] += 1;
+            next[v] += 1;
+        }
+        Ok(Graph {
             offsets,
             neighbors,
-            rev_ports: Vec::new(),
-            edges: canonical,
-        };
-        g.rebuild_rev_ports();
-        Ok(g)
+            rev_ports,
+        })
     }
 
     /// Builds a graph from explicit port-ordered adjacency lists.
@@ -165,54 +181,38 @@ impl Graph {
     /// # Errors
     ///
     /// Returns [`GraphError`] if the lists are asymmetric, contain self
-    /// loops or duplicates, or reference out-of-range nodes.
+    /// loops or duplicates, reference out-of-range nodes, or number zero or
+    /// more than `u32::MAX`.
     pub fn from_adjacency(adj: Vec<Vec<NodeId>>) -> Result<Self, GraphError> {
         let n = adj.len();
-        if n == 0 {
-            return Err(GraphError::Empty);
-        }
-        let mut seen = HashSet::new();
-        for (v, nbrs) in adj.iter().enumerate() {
-            let mut local = HashSet::with_capacity(nbrs.len());
-            for &u in nbrs {
+        check_node_count(n)?;
+        let mut offsets = Vec::with_capacity(n + 1);
+        offsets.push(0);
+        let mut neighbors = Vec::with_capacity(adj.iter().map(Vec::len).sum());
+        for (v, nbrs) in adj.into_iter().enumerate() {
+            for u in nbrs {
                 if u >= n {
                     return Err(GraphError::NodeOutOfRange(u, n));
                 }
                 if u == v {
                     return Err(GraphError::SelfLoop(v));
                 }
-                if !local.insert(u) {
-                    return Err(GraphError::DuplicateEdge(v.min(u), v.max(u)));
-                }
-                if !adj[u].contains(&v) {
-                    return Err(GraphError::InvalidParameters(format!(
-                        "asymmetric adjacency: {v} lists {u} but not vice versa"
-                    )));
-                }
-                seen.insert((v.min(u), v.max(u)));
+                neighbors.push(u as u32);
             }
+            offsets.push(neighbors.len());
         }
-        let mut offsets = vec![0usize; n + 1];
-        for v in 0..n {
-            offsets[v + 1] = offsets[v] + adj[v].len();
-        }
-        let neighbors: Vec<NodeId> = adj.into_iter().flatten().collect();
-        let mut edges: Vec<(NodeId, NodeId)> = seen.into_iter().collect();
-        edges.sort_unstable();
-        let mut g = Graph {
+        let rev_ports = reverse_ports(&offsets, &neighbors)?;
+        Ok(Graph {
             offsets,
             neighbors,
-            rev_ports: Vec::new(),
-            edges,
-        };
-        g.rebuild_rev_ports();
-        Ok(g)
+            rev_ports,
+        })
     }
 
     /// Port-ordered adjacency lists, the inverse of [`Graph::from_adjacency`].
     pub fn to_adjacency(&self) -> Vec<Vec<NodeId>> {
         self.nodes()
-            .map(|v| self.neighbors_of(v).to_vec())
+            .map(|v| self.neighbors_of(v).collect())
             .collect()
     }
 
@@ -228,24 +228,6 @@ impl Graph {
             return Err(GraphError::Disconnected);
         }
         Ok(g)
-    }
-
-    fn rebuild_rev_ports(&mut self) {
-        let n = self.len();
-        self.rev_ports = vec![0; self.neighbors.len()];
-        for v in 0..n {
-            for p in 0..self.degree(v) {
-                let u = self.neighbor(v, p);
-                // Position of v in u's neighbour list. Simple graphs have at
-                // most one such position.
-                let q = self
-                    .neighbors_of(u)
-                    .iter()
-                    .position(|&w| w == v)
-                    .expect("edge must appear in both endpoints' lists");
-                self.rev_ports[self.offsets[v] + p] = q;
-            }
-        }
     }
 
     /// Number of nodes `n`.
@@ -264,7 +246,7 @@ impl Graph {
     /// Number of undirected edges `m`.
     #[inline]
     pub fn edge_count(&self) -> usize {
-        self.edges.len()
+        self.directed_edge_count() / 2
     }
 
     /// Degree of `v` (also the number of ports of `v`).
@@ -281,7 +263,7 @@ impl Graph {
     #[inline]
     pub fn neighbor(&self, v: NodeId, p: Port) -> NodeId {
         debug_assert!(p < self.degree(v), "port {p} out of range at node {v}");
-        self.neighbors[self.offsets[v] + p]
+        self.neighbors[self.offsets[v] + p] as NodeId
     }
 
     /// The far endpoint of port `(v, p)` together with the port at which
@@ -289,7 +271,7 @@ impl Graph {
     #[inline]
     pub fn endpoint(&self, v: NodeId, p: Port) -> (NodeId, Port) {
         let idx = self.offsets[v] + p;
-        (self.neighbors[idx], self.rev_ports[idx])
+        (self.neighbors[idx] as NodeId, self.rev_ports[idx] as Port)
     }
 
     /// [`Graph::endpoint`] and [`Graph::directed_index`] in one CSR lookup:
@@ -302,13 +284,19 @@ impl Graph {
     #[inline]
     pub fn endpoint_indexed(&self, v: NodeId, p: Port) -> (NodeId, Port, usize) {
         let idx = self.offsets[v] + p;
-        (self.neighbors[idx], self.rev_ports[idx], idx)
+        (
+            self.neighbors[idx] as NodeId,
+            self.rev_ports[idx] as Port,
+            idx,
+        )
     }
 
-    /// Port-ordered neighbour slice of `v`.
+    /// `v`'s neighbours in port order.
     #[inline]
-    pub fn neighbors_of(&self, v: NodeId) -> &[NodeId] {
-        &self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+    pub fn neighbors_of(&self, v: NodeId) -> impl ExactSizeIterator<Item = NodeId> + '_ {
+        self.neighbors[self.offsets[v]..self.offsets[v + 1]]
+            .iter()
+            .map(|&u| u as NodeId)
     }
 
     /// Flat index of the *directed* edge `(v, p)` in `0..2m`, stable for a
@@ -334,32 +322,31 @@ impl Graph {
     /// families (stars, cliques) asking a leaf/hub question no longer pays
     /// the hub's full degree.
     pub fn port_to(&self, v: NodeId, u: NodeId) -> Option<Port> {
-        if u >= self.len() {
+        if u >= self.len() || v >= self.len() {
             return None;
         }
         if self.degree(u) < self.degree(v) {
-            let q = self.neighbors_of(u).iter().position(|&w| w == v)?;
-            Some(self.rev_ports[self.offsets[u] + q])
+            let q = self.neighbors_of(u).position(|w| w == v)?;
+            Some(self.rev_ports[self.offsets[u] + q] as Port)
         } else {
-            self.neighbors_of(v).iter().position(|&w| w == u)
+            self.neighbors_of(v).position(|w| w == u)
         }
     }
 
-    /// Canonical sorted edge list (`u < v` within each pair).
-    #[inline]
-    pub fn edges(&self) -> &[(NodeId, NodeId)] {
-        &self.edges
-    }
-
-    /// Looks up the [`EdgeId`] of `(u, v)` in the canonical list.
-    pub fn edge_id(&self, u: NodeId, v: NodeId) -> Option<EdgeId> {
-        let key = (u.min(v), u.max(v));
-        self.edges.binary_search(&key).ok()
+    /// Canonical sorted edge list (`u < v` within each pair), built on
+    /// demand from the ports.
+    pub fn edges(&self) -> Vec<(NodeId, NodeId)> {
+        let mut edges = Vec::with_capacity(self.edge_count());
+        for v in self.nodes() {
+            edges.extend(self.neighbors_of(v).filter(|&u| v < u).map(|u| (v, u)));
+        }
+        edges.sort_unstable();
+        edges
     }
 
     /// Whether the undirected edge `(u, v)` is present.
     pub fn has_edge(&self, u: NodeId, v: NodeId) -> bool {
-        self.edge_id(u, v).is_some()
+        self.port_to(u, v).is_some()
     }
 
     /// Iterator over node indices `0..n`.
@@ -374,24 +361,7 @@ impl Graph {
 
     /// Whether the graph is connected (singleton graphs are connected).
     pub fn is_connected(&self) -> bool {
-        let n = self.len();
-        if n == 0 {
-            return false;
-        }
-        let mut seen = vec![false; n];
-        let mut stack = vec![0usize];
-        seen[0] = true;
-        let mut count = 1usize;
-        while let Some(v) = stack.pop() {
-            for &u in self.neighbors_of(v) {
-                if !seen[u] {
-                    seen[u] = true;
-                    count += 1;
-                    stack.push(u);
-                }
-            }
-        }
-        count == n
+        crate::analysis::eccentricity(self, 0).is_some()
     }
 
     /// Returns the same topology with every node's port numbering
@@ -403,12 +373,11 @@ impl Graph {
     pub fn shuffle_ports<R: rand::Rng>(&self, rng: &mut R) -> Graph {
         use rand::seq::SliceRandom;
         let mut out = self.clone();
-        for v in 0..self.len() {
-            let lo = self.offsets[v];
-            let hi = self.offsets[v + 1];
-            out.neighbors[lo..hi].shuffle(rng);
+        for v in self.nodes() {
+            out.neighbors[self.offsets[v]..self.offsets[v + 1]].shuffle(rng);
         }
-        out.rebuild_rev_ports();
+        out.rev_ports = reverse_ports(&out.offsets, &out.neighbors)
+            .expect("permuting ports keeps the graph simple and symmetric");
         out
     }
 
@@ -429,12 +398,8 @@ impl Graph {
                 "edge ({u}, {v}) not present"
             )));
         }
-        let edges: Vec<(NodeId, NodeId)> = self
-            .edges
-            .iter()
-            .copied()
-            .filter(|&e| e != (u.min(v), u.max(v)))
-            .collect();
+        let mut edges = self.edges();
+        edges.retain(|&e| e != (u.min(v), u.max(v)));
         Graph::from_edges(self.len(), &edges)
     }
 
@@ -444,12 +409,58 @@ impl Graph {
     /// The result is disconnected — this is the "illegal input" `G'^2` used
     /// by the experiment of Lemma 3.5 (running an algorithm on two
     /// disconnected copies of the same open graph).
-    pub fn disjoint_union(&self, other: &Graph) -> Graph {
+    ///
+    /// # Errors
+    ///
+    /// [`GraphError::TooManyNodes`] if the two hold more than `u32::MAX`
+    /// nodes together.
+    pub fn disjoint_union(&self, other: &Graph) -> Result<Graph, GraphError> {
         let shift = self.len();
-        let mut edges: Vec<(NodeId, NodeId)> = self.edges.clone();
-        edges.extend(other.edges.iter().map(|&(u, v)| (u + shift, v + shift)));
-        Graph::from_edges(self.len() + other.len(), &edges).expect("union of valid graphs is valid")
+        check_node_count(shift + other.len())?;
+        let mut edges = self.edges();
+        edges.extend(
+            other
+                .edges()
+                .into_iter()
+                .map(|(u, v)| (u + shift, v + shift)),
+        );
+        Graph::from_edges(shift + other.len(), &edges)
     }
+}
+
+/// The reverse port of every port of a port-ordered CSR, or the first
+/// duplicate or one-sided edge: sorted by edge and then by the end they
+/// sit at, the two ports of each edge lie side by side.
+fn reverse_ports(offsets: &[usize], neighbors: &[u32]) -> Result<Vec<u32>, GraphError> {
+    let mut ports = Vec::with_capacity(neighbors.len());
+    for (v, range) in offsets.windows(2).enumerate() {
+        let v = v as u32;
+        for (p, &u) in neighbors[range[0]..range[1]].iter().enumerate() {
+            ports.push(((u.min(v), u.max(v), v), p as u32));
+        }
+    }
+    ports.sort_unstable();
+    if let Some(pair) = ports.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+        let (lo, hi, _) = pair[0].0;
+        return Err(GraphError::DuplicateEdge(lo as usize, hi as usize));
+    }
+    let mut rev_ports = vec![0u32; neighbors.len()];
+    for pair in ports.chunks(2) {
+        let ((lo, hi, v), p) = pair[0];
+        match pair.get(1) {
+            Some(&((lo2, hi2, _), q)) if (lo2, hi2) == (lo, hi) => {
+                rev_ports[offsets[lo as usize] + p as usize] = q;
+                rev_ports[offsets[hi as usize] + q as usize] = p;
+            }
+            _ => {
+                let u = if v == lo { hi } else { lo };
+                return Err(GraphError::InvalidParameters(format!(
+                    "asymmetric adjacency: {v} lists {u} but not vice versa"
+                )));
+            }
+        }
+    }
+    Ok(rev_ports)
 }
 
 impl fmt::Debug for Graph {
@@ -479,7 +490,7 @@ mod tests {
         for v in 0..3 {
             assert_eq!(g.degree(v), 2);
         }
-        assert_eq!(g.neighbors_of(0), &[1, 2]);
+        assert_eq!(g.neighbors_of(0).collect::<Vec<_>>(), [1, 2]);
     }
 
     #[test]
@@ -512,6 +523,15 @@ mod tests {
     }
 
     #[test]
+    fn rejects_more_nodes_than_u32_indices_reach() {
+        let n = u32::MAX as usize + 1;
+        assert_eq!(
+            Graph::from_edges(n, &[]).unwrap_err(),
+            GraphError::TooManyNodes(n)
+        );
+    }
+
+    #[test]
     fn connectivity_detected() {
         let g = Graph::from_edges(4, &[(0, 1), (2, 3)]).unwrap();
         assert!(!g.is_connected());
@@ -537,8 +557,8 @@ mod tests {
         let h = g.shuffle_ports(&mut rng);
         assert_eq!(g.edges(), h.edges());
         for v in h.nodes() {
-            let mut a: Vec<_> = g.neighbors_of(v).to_vec();
-            let mut b: Vec<_> = h.neighbors_of(v).to_vec();
+            let mut a: Vec<_> = g.neighbors_of(v).collect();
+            let mut b: Vec<_> = h.neighbors_of(v).collect();
             a.sort_unstable();
             b.sort_unstable();
             assert_eq!(a, b);
@@ -555,7 +575,6 @@ mod tests {
         assert!(g.has_edge(0, 2));
         assert!(g.has_edge(2, 0));
         assert!(!g.has_edge(0, 0));
-        assert_eq!(g.edge_id(1, 0), Some(0));
         assert_eq!(g.port_to(0, 2), Some(1));
         assert_eq!(g.port_to(1, 1), None);
         assert_eq!(g.port_to(1, 9), None);
@@ -586,7 +605,7 @@ mod tests {
     #[test]
     fn disjoint_union_shifts() {
         let g = triangle();
-        let u = g.disjoint_union(&g);
+        let u = g.disjoint_union(&g).unwrap();
         assert_eq!(u.len(), 6);
         assert_eq!(u.edge_count(), 6);
         assert!(u.has_edge(3, 4));

@@ -43,6 +43,6 @@ mod graph;
 mod ids;
 pub mod topo;
 
-pub use graph::{EdgeId, Graph, GraphError, NodeId, Port};
+pub use graph::{Graph, GraphError, NodeId, Port};
 pub use ids::{Id, IdAssignment, IdSpace};
 pub use topo::{ImplicitTopology, Topology};

@@ -159,13 +159,19 @@ pub fn crossing_sweep(sizes: &[(usize, usize)], alg: Algorithm, trials: usize) -
 ///
 /// The run is capped at `max_rounds` because nothing guarantees
 /// quiescence on an illegal input.
+///
+/// # Panics
+///
+/// Panics if `g` has more than `u32::MAX / 2` nodes.
 pub fn edge_order(
     g: &Graph,
     alg: Algorithm,
     seed: u64,
     max_rounds: u64,
 ) -> (Vec<(NodeId, usize, u64)>, RunOutcome) {
-    let union = g.disjoint_union(g);
+    let union = g
+        .disjoint_union(g)
+        .expect("two copies of `g` fit in u32 nodes");
     let mut cfg = alg.config_for(&union, seed);
     cfg.max_rounds = max_rounds;
     let out = alg.run_on(RuntimeKind::Sim, &union, &cfg);
@@ -220,7 +226,9 @@ pub fn equivalence_check(
     let dumbbell_out = alg.run_on(RuntimeKind::Sim, &d.graph, &cfg);
     let crossing = earliest(&dumbbell_out.watch_hits).map(|h| h.round);
 
-    let union = g0.disjoint_union(&g0);
+    let union = g0
+        .disjoint_union(&g0)
+        .expect("the dumbbell on 2n nodes built");
     let mut ucfg = alg.config_for(&union, seed);
     ucfg.ids = ule_sim::IdMode::Explicit(ids);
     ucfg.max_rounds = u64::MAX / 4;

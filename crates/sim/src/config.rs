@@ -66,6 +66,10 @@ pub enum IdMode {
 /// *any* thread count (enforced by `tests/scheduler_equivalence.rs` and a
 /// property test).
 ///
+/// Under [`crate::Runner`] on the async runtime the knob sizes its worker
+/// pool instead: `Off` is one worker, `Threads(k)` is `k` and `Auto` is
+/// one per host core.
+///
 /// This knob only changes wall-clock, never semantics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Parallelism {

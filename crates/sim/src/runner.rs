@@ -9,7 +9,7 @@
 //! accept every configuration, so the two outcomes are equal field for
 //! field.
 
-use crate::config::SimConfig;
+use crate::config::{Parallelism, SimConfig};
 use crate::exec::RunOutcome;
 use crate::protocol::{NodeSetup, Protocol};
 use crate::rt::{AsyncRuntime, RuntimeKind};
@@ -90,6 +90,8 @@ impl<'a, T: Topology> Runner<'a, T> {
     /// depend on where it runs. Protocol logic must depend on the index
     /// only where the harness legitimately distinguishes roles (e.g. the
     /// designated broadcast source); election protocols should ignore it.
+    /// The config's [`Parallelism`] sizes the engine's shards or the async
+    /// runtime's worker pool.
     ///
     /// # Panics
     ///
@@ -107,10 +109,12 @@ impl<'a, T: Topology> Runner<'a, T> {
         match self.kind {
             RuntimeKind::Sim => crate::engine::run_sim(self.graph, self.config, factory),
             RuntimeKind::Async => {
-                AsyncRuntime::new()
-                    .without_trace()
-                    .run(self.graph, self.config, factory)
-                    .outcome
+                let runtime = AsyncRuntime::new().without_trace();
+                let runtime = match self.config.parallelism {
+                    Parallelism::Auto => runtime,
+                    set => runtime.with_workers(set.effective_threads(self.graph.n())),
+                };
+                runtime.run(self.graph, self.config, factory).outcome
             }
         }
     }
@@ -204,6 +208,43 @@ mod tests {
             assert_eq!(out, run(vec![0], &crash), "{kind:?}: node 3 never woke");
             assert_eq!(out.crashed, vec![3], "{kind:?}");
             assert_eq!(out.statuses[3], Status::Undecided, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn async_worker_pool_follows_the_configured_parallelism() {
+        use std::collections::HashSet;
+        use std::sync::{Arc, Mutex};
+        use std::thread::ThreadId;
+
+        struct Spot(Arc<Mutex<HashSet<ThreadId>>>);
+        impl Protocol for Spot {
+            type Msg = Signal;
+            fn on_round(&mut self, _: &mut Context<'_, Signal>, _: &[(usize, Signal)]) {
+                let seen = &self.0;
+                seen.lock()
+                    .expect("no stepper panicked")
+                    .insert(std::thread::current().id());
+            }
+            fn status(&self) -> Status {
+                Status::Undecided
+            }
+        }
+        // Every node steps in round 0, and every worker owns a node.
+        let g = gen::cycle(12).unwrap();
+        let cores = crate::harness::host_cores().min(g.len());
+        for (parallelism, workers) in [
+            (Parallelism::Off, 1),
+            (Parallelism::Threads(3), 3),
+            (Parallelism::Auto, cores),
+        ] {
+            let cfg = SimConfig::seeded(0).with_parallelism(parallelism);
+            let seen = Arc::new(Mutex::new(HashSet::new()));
+            Runner::new(&g, &cfg)
+                .runtime(RuntimeKind::Async)
+                .run(|_, _, _| Spot(Arc::clone(&seen)));
+            let stepped = seen.lock().expect("no stepper panicked").len();
+            assert_eq!(stepped, workers, "{parallelism:?}");
         }
     }
 

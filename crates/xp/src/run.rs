@@ -118,7 +118,8 @@ pub struct CellResult {
     pub elapsed_s: Option<f64>,
     /// Simulated messages per wall-clock second (timed groups only).
     pub msgs_per_s: Option<f64>,
-    /// Engine shard threads the cell ran with (`None` = sequential).
+    /// Engine shard threads or async workers the cell ran with (`None` =
+    /// sequential, one async worker).
     /// Provenance only: `compare` matches cells on `(algorithm,
     /// workload)` regardless, so a sequential baseline stays comparable
     /// to a `--threads N` rerun — this field is what tells a human (or a

@@ -142,9 +142,10 @@ pub struct JobGroup {
     /// Intra-run shard threads for every cell in this group: `None` runs
     /// the sequential reference engine (`Parallelism::Off`, the historical
     /// behaviour and what untimed baselines should use), `Some(k)` runs
-    /// `Parallelism::Threads(k)`. Outcomes are identical either way (the
-    /// engine's determinism contract); only wall-clock and throughput
-    /// differ, which is the point of the parallel engine-scale groups.
+    /// `Parallelism::Threads(k)`; on an async group they are the worker
+    /// count (one worker when `None`). Outcomes are identical either way
+    /// (the determinism contract); only wall-clock and throughput differ,
+    /// which is the point of the parallel engine-scale groups.
     pub threads: Option<u64>,
     /// Execution-model profile for every cell in this group
     /// ([`AdversaryProfile::Lockstep`] when omitted — the synchronous

@@ -17,15 +17,15 @@
 //! numbers. The file holds a single `#[test]` so no other test shares the
 //! counters. Run with `--nocapture` to print the per-cell
 //! table (allocations, allocations/message, peak bytes, bytes/node).
+//! The same test checks that a graph too large for the CSR's `u32` node
+//! indices is refused before anything is allocated for it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use ule_core::baseline::FloodMax;
 use ule_core::Algorithm;
-use ule_graph::analysis::diameter_double_sweep;
-use ule_graph::gen::{workload_graph, Family};
-use ule_sim::{AsyncRuntime, Knowledge};
-use ule_xp::spec::{DiameterMode, KnowledgeMode};
+use ule_graph::gen::Family;
+use ule_graph::{Graph, GraphError};
+use ule_sim::RuntimeKind;
 use ule_xp::{builtin, execute, AdversaryProfile, CampaignSpec, JobGroup, RunMeta};
 
 /// [`System`] plus three relaxed counters: allocations (a `realloc`
@@ -95,42 +95,37 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MAX_ALLOCS_PER_MESSAGE: f64 = 0.5;
 
 /// Each cell's peak live heap in bytes, in grid order, keyed by
-/// `algorithm @ workload [threads] [adversary] [async]`, as measured at commit
-/// `fb44415` — but for `threads-2`, re-measured on the change after
-/// `4667afd` that puts a shard's synchronous sends into its own range
-/// straight into its inboxes instead of the mail (46 167 106 B, 462
-/// B/node, before it), and for `delay-2`, re-measured on the change after
-/// `7a9bcdb` that lets a calendar bucket's allocation leave the ring with
-/// its items instead of parking every burst-sized bucket there for the
-/// rest of the run (78 690 417 B, 788 B/node, before it). The `async`
-/// cells, on [`ASYNC_WORKERS`] workers, were first measured on the change
-/// after `396848e` that puts an async worker's pending deliveries in one
-/// free-listed entry pool instead of a `Vec` per node (7 356 916 B for
-/// `torus/10000` and 4 522 772 B for `cycle/10000` before it, with
-/// 20 086 and 12 884 allocations). Debug and release builds read the
-/// same bytes, and so do repeated runs, but for the `async` cells, which
-/// move by a few kB with how the two workers interleave; a cell's budget
-/// is 1.25 × its entry.
+/// `algorithm @ workload [threads] [adversary] [async]`, as measured on
+/// the change after `5ac873a` that keeps the CSR graph in `u32` columns
+/// and stops storing its edge list. Every cell holds its graph, so every
+/// peak fell; `5ac873a` read, in this order, 2 407 841, 20 896 533,
+/// 3 078 817, 30 971 697 (310 B/node), 4 517 577, 42 140 517, 394 733,
+/// 4 316 337, 33 588 514, 39 368 801, 3 007 928 and 4 649 960 B with
+/// this test. The `async` cells run through `execute` on an async group
+/// with [`ASYNC_WORKERS`] threads. Debug and release builds read the same
+/// bytes, and so do repeated runs, but for the `async` cells, which move
+/// by a few kB with how the two workers interleave; a cell's budget is
+/// 1.25 × its entry.
 const MEASURED_PEAKS: [(&str, usize); 12] = [
-    ("floodmax @ cycle/10000", 2_407_857),
-    ("floodmax @ cycle/100000", 20_896_549),
-    ("floodmax @ torus/10000", 3_078_833),
-    ("floodmax @ torus/99856", 30_971_713),
-    ("floodmax @ sparse-rnd/10000", 4_517_593),
-    ("floodmax @ sparse-rnd/100000", 42_140_533),
-    ("dfs-agent @ path/1000", 395_341),
-    ("dfs-agent @ path/10000", 4_317_281),
-    ("floodmax @ torus/99856 threads-2", 33_588_514),
-    ("floodmax @ torus/99856 delay-2", 39_368_801),
-    ("floodmax @ cycle/10000 async", 3_007_684),
-    ("floodmax @ torus/10000 async", 4_649_716),
+    ("floodmax @ cycle/10000", 2_087_841),
+    ("floodmax @ cycle/100000", 17_696_533),
+    ("floodmax @ torus/10000", 2_438_817),
+    ("floodmax @ torus/99856", 24_580_913),
+    ("floodmax @ sparse-rnd/10000", 3_557_577),
+    ("floodmax @ sparse-rnd/100000", 32_540_517),
+    ("dfs-agent @ path/1000", 362_765),
+    ("dfs-agent @ path/10000", 3_996_369),
+    ("floodmax @ torus/99856 threads-2", 27_197_730),
+    ("floodmax @ torus/99856 delay-2", 32_978_017),
+    ("floodmax @ cycle/10000 async", 2_687_928),
+    ("floodmax @ torus/10000 async", 4_009_960),
 ];
 
 /// The async rows' worker count, pinned as the benchmark pins its async
 /// workload: each worker keeps its own entry pool, channel blocks and
 /// wakeup calendar, and more workers cut more edges, so a recorded peak
 /// holds for one worker count, whatever the host's cores.
-const ASYNC_WORKERS: usize = 2;
+const ASYNC_WORKERS: u64 = 2;
 
 /// Runs `f` alone under the counters: the allocations it made and the
 /// live heap it added at its peak, beside what it returns.
@@ -144,32 +139,15 @@ fn counted<R>(f: impl FnOnce() -> R) -> ((u64, usize), R) {
     ((allocations, peak), out)
 }
 
-/// Runs FloodMax on the one cell of `spec`, an engine-scale FloodMax cell,
-/// on the async runtime with [`ASYNC_WORKERS`] workers, under the config
-/// `execute` gives its one trial; returns the messages sent.
-fn floodmax_async(spec: &CampaignSpec) -> u64 {
-    let g = &spec.groups[0];
-    assert_eq!(
-        (g.diameter, g.knowledge, g.trials),
-        (DiameterMode::UpperBound, KnowledgeMode::NAndDiameter, 1)
-    );
-    let graph = workload_graph(spec.graph_seed, g.families[0], g.sizes[0]).expect("graph builds");
-    let d = 2 * diameter_double_sweep(&graph, 0).expect("graph is connected") as usize;
-    let (n, d) = (graph.len(), d.max(1));
-    let mut cfg = Algorithm::FloodMax.config(n, Some(d), 0);
-    cfg.max_rounds = u64::MAX / 4;
-    cfg.knowledge = Knowledge::n_and_diameter(n, d);
-    let runtime = AsyncRuntime::new()
-        .with_workers(ASYNC_WORKERS)
-        .without_trace();
-    runtime
-        .run(&graph, &cfg, |_, _, _| FloodMax::new())
-        .outcome
-        .messages
-}
-
 #[test]
 fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
+    // A graph past the CSR's u32 node indices is refused before anything
+    // is allocated for it.
+    let n = u32::MAX as usize + 1;
+    let (counts, refused) = counted(|| Graph::from_edges(n, &[]));
+    assert_eq!(refused, Err(GraphError::TooManyNodes(n)));
+    assert_eq!(counts, (0, 0), "refusing {n} nodes allocated");
+
     let campaign = builtin("engine-scale", true).expect("engine-scale is a builtin");
     let mut cells = Vec::new();
     for group in &campaign.groups {
@@ -220,14 +198,20 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
             && cell.threads.is_none()
             && cell.adversary == AdversaryProfile::Lockstep
         {
+            let mut spec = spec.clone();
+            spec.groups[0].runtime = RuntimeKind::Async;
+            spec.groups[0].threads = Some(ASYNC_WORKERS);
             asynchronous.push((spec, format!("{label} async"), messages, cell.n));
         }
         record(label, counts, messages, cell.n);
     }
     for (spec, label, messages, n) in asynchronous {
-        let (counts, sent) = counted(|| floodmax_async(spec));
+        let (counts, result) =
+            counted(|| execute(&spec, RunMeta::fixed(), false).expect("async cell runs"));
+        let summary = &result.cells[0].summary;
         assert_eq!(
-            sent as f64, messages,
+            summary.mean_messages * summary.trials as f64,
+            messages,
             "{label} sent other messages than its cell"
         );
         record(label, counts, messages, n);

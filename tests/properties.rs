@@ -132,7 +132,7 @@ proptest! {
         prop_assert_eq!(cc.graph.len(), cc.gamma * cc.d_prime);
         prop_assert!(cc.graph.is_connected());
         // Rotation is an automorphism of order 4.
-        for &(u, v) in cc.graph.edges() {
+        for (u, v) in cc.graph.edges() {
             prop_assert!(cc.graph.has_edge(cc.rotate(u), cc.rotate(v)));
         }
         // Diameter is Θ(D').
@@ -154,7 +154,7 @@ proptest! {
         prop_assert!(out.election_succeeded());
         let sp = Graph::from_edges(g.len(), &edges).unwrap();
         prop_assert!(sp.is_connected());
-        for &(u, v) in g.edges() {
+        for (u, v) in g.edges() {
             let dist = analysis::bfs_distances(&sp, u)[v];
             prop_assert!(dist <= sc.stretch(), "stretch {} > {}", dist, sc.stretch());
         }
