@@ -5,17 +5,18 @@
 //! paper's discussion names: rings, stars, cliques, paths, expanders,
 //! plus random graphs of prescribed density for the `m > n^{1+ε}` regime of
 //! Corollary 4.2).
+//!
+//! Every generator refuses a node count no [`Graph`] can hold
+//! ([`GraphError::TooManyNodes`]) before it allocates its edge list.
 
-use crate::graph::{Graph, GraphError, NodeId};
+use crate::graph::{check_node_count, Graph, GraphError, NodeId};
 use rand::seq::SliceRandom;
 use rand::Rng;
 use std::collections::HashSet;
 
 /// Path `0 - 1 - … - (n-1)`; diameter `n-1`.
 pub fn path(n: usize) -> Result<Graph, GraphError> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
+    check_node_count(n)?;
     let edges: Vec<_> = (0..n.saturating_sub(1)).map(|i| (i, i + 1)).collect();
     Graph::from_edges(n, &edges)
 }
@@ -28,6 +29,7 @@ pub fn cycle(n: usize) -> Result<Graph, GraphError> {
             "cycle needs n >= 3, got {n}"
         )));
     }
+    check_node_count(n)?;
     let edges: Vec<_> = (0..n).map(|i| (i, (i + 1) % n)).collect();
     Graph::from_edges(n, &edges)
 }
@@ -40,15 +42,14 @@ pub fn star(n: usize) -> Result<Graph, GraphError> {
             "star needs n >= 2, got {n}"
         )));
     }
+    check_node_count(n)?;
     let edges: Vec<_> = (1..n).map(|i| (0, i)).collect();
     Graph::from_edges(n, &edges)
 }
 
 /// Complete graph `K_n`; the topology of \[14\]'s sublinear result.
 pub fn complete(n: usize) -> Result<Graph, GraphError> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
+    check_node_count(n)?;
     let mut edges = Vec::with_capacity(n * (n - 1) / 2);
     for u in 0..n {
         for v in (u + 1)..n {
@@ -61,9 +62,7 @@ pub fn complete(n: usize) -> Result<Graph, GraphError> {
 /// `rows × cols` grid; diameter `rows + cols - 2`. A stand-in for planar
 /// sensor deployments.
 pub fn grid(rows: usize, cols: usize) -> Result<Graph, GraphError> {
-    if rows == 0 || cols == 0 {
-        return Err(GraphError::Empty);
-    }
+    check_node_count(rows.saturating_mul(cols))?;
     let idx = |r: usize, c: usize| r * cols + c;
     let mut edges = Vec::new();
     for r in 0..rows {
@@ -88,6 +87,7 @@ pub fn torus(rows: usize, cols: usize) -> Result<Graph, GraphError> {
             "torus needs rows, cols >= 3".into(),
         ));
     }
+    check_node_count(rows.saturating_mul(cols))?;
     let idx = |r: usize, c: usize| r * cols + c;
     let mut edges = Vec::new();
     for r in 0..rows {
@@ -107,7 +107,8 @@ pub fn hypercube(d: u32) -> Result<Graph, GraphError> {
             "hypercube needs d >= 1".into(),
         ));
     }
-    let n = 1usize << d;
+    let n = 1usize.checked_shl(d).unwrap_or(usize::MAX);
+    check_node_count(n)?;
     let mut edges = Vec::with_capacity(n * d as usize / 2);
     for v in 0..n {
         for bit in 0..d {
@@ -155,7 +156,16 @@ pub fn balanced_tree(arity: usize, depth: usize) -> Result<Graph, GraphError> {
     if arity == 0 {
         return Err(GraphError::InvalidParameters("arity must be >= 1".into()));
     }
-    let mut edges = Vec::new();
+    // 1 + a + … + a^depth nodes (usize::MAX when a^(depth + 1) overflows).
+    let n = match arity {
+        1 => depth.saturating_add(1),
+        _ => u32::try_from(depth.saturating_add(1))
+            .ok()
+            .and_then(|levels| arity.checked_pow(levels))
+            .map_or(usize::MAX, |power| (power - 1) / (arity - 1)),
+    };
+    check_node_count(n)?;
+    let mut edges = Vec::with_capacity(n - 1);
     let mut level: Vec<NodeId> = vec![0];
     let mut next_id = 1usize;
     for _ in 0..depth {
@@ -182,6 +192,7 @@ pub fn lollipop(clique: usize, tail: usize) -> Result<Graph, GraphError> {
             "lollipop needs clique >= 2".into(),
         ));
     }
+    check_node_count(clique.saturating_add(tail))?;
     let mut edges = Vec::new();
     for u in 0..clique {
         for v in (u + 1)..clique {
@@ -202,9 +213,7 @@ pub fn lollipop(clique: usize, tail: usize) -> Result<Graph, GraphError> {
 ///
 /// `m` must satisfy `n - 1 <= m <= n(n-1)/2`.
 pub fn random_connected<R: Rng>(n: usize, m: usize, rng: &mut R) -> Result<Graph, GraphError> {
-    if n == 0 {
-        return Err(GraphError::Empty);
-    }
+    check_node_count(n)?;
     let max_m = n * n.saturating_sub(1) / 2;
     if m + 1 < n || m > max_m {
         return Err(GraphError::InvalidParameters(format!(
@@ -252,11 +261,12 @@ pub fn random_connected<R: Rng>(n: usize, m: usize, rng: &mut R) -> Result<Graph
 /// Requires `n·d` even, `d < n`, and `d >= 1`; fails only on adversarially
 /// tiny inputs (then returns [`GraphError::InvalidParameters`]).
 pub fn random_regular<R: Rng>(n: usize, d: usize, rng: &mut R) -> Result<Graph, GraphError> {
-    if d == 0 || d >= n || (n * d) % 2 != 0 {
+    if d == 0 || d >= n || (n % 2 == 1 && d % 2 == 1) {
         return Err(GraphError::InvalidParameters(format!(
             "random_regular(n={n}, d={d}) needs 1 <= d < n and n*d even"
         )));
     }
+    check_node_count(n)?;
     'attempt: for _ in 0..50 {
         let mut stubs: Vec<NodeId> = (0..n).flat_map(|v| std::iter::repeat(v).take(d)).collect();
         stubs.shuffle(rng);
@@ -313,6 +323,7 @@ pub fn random_dense<R: Rng>(n: usize, eps: f64, rng: &mut R) -> Result<Graph, Gr
             "eps must be in [0, 1], got {eps}"
         )));
     }
+    check_node_count(n)?;
     let target = (n as f64).powf(1.0 + eps).round() as usize;
     let max_m = n * n.saturating_sub(1) / 2;
     let m = target.clamp(n.saturating_sub(1), max_m);
@@ -390,7 +401,7 @@ impl Family {
             Family::Hypercube => hypercube(hypercube_dim(n)),
             Family::SparseRandom => {
                 let m = (3 * n)
-                    .min(n * n.saturating_sub(1) / 2)
+                    .min(n.saturating_mul(n.saturating_sub(1)) / 2)
                     .max(n.saturating_sub(1));
                 random_connected(n, m, rng)
             }
@@ -575,6 +586,33 @@ mod tests {
                 Family::Lollipop.build(n, &mut rng),
                 Err(GraphError::InvalidParameters(_))
             ));
+        }
+    }
+
+    #[test]
+    fn every_generator_refuses_too_many_nodes_before_building() {
+        const N: usize = u32::MAX as usize + 1;
+        let mut rng = StdRng::seed_from_u64(0);
+        let refusals = [
+            (N, path(N)),
+            (N, cycle(N)),
+            (N, star(N)),
+            (N, complete(N)),
+            (65_536 * 65_537, grid(65_536, 65_537)),
+            (usize::MAX, grid(usize::MAX, 2)),
+            (65_536 * 65_537, torus(65_536, 65_537)),
+            (1 << 33, hypercube(33)),
+            (usize::MAX, hypercube(64)),
+            ((1 << 33) - 1, balanced_tree(2, 32)),
+            (usize::MAX, balanced_tree(1, usize::MAX)),
+            (N + 1, lollipop(2, u32::MAX as usize)),
+            (N, random_connected(N, N, &mut rng)),
+            (N, random_regular(N, 4, &mut rng)),
+            (N, random_dense(N, 0.5, &mut rng)),
+            (N, Family::SparseRandom.build(N, &mut rng)),
+        ];
+        for (k, (n, refused)) in refusals.into_iter().enumerate() {
+            assert_eq!(refused, Err(GraphError::TooManyNodes(n)), "refusal {k}");
         }
     }
 

@@ -63,7 +63,7 @@ impl std::error::Error for GraphError {}
 
 /// Refuses a node count no [`Graph`] can hold, before anything is
 /// allocated for it.
-fn check_node_count(n: usize) -> Result<(), GraphError> {
+pub(crate) fn check_node_count(n: usize) -> Result<(), GraphError> {
     match n {
         0 => Err(GraphError::Empty),
         n if n > MAX_NODES => Err(GraphError::TooManyNodes(n)),

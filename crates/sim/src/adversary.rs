@@ -16,8 +16,8 @@
 //! function of the run seed and the decision's coordinates. Message fates
 //! in particular are a pure function of `(run_seed, directed edge,
 //! per-edge send index)` — **never** of a global send order — so any
-//! runtime that tracks per-edge send counters (the engine's `Ledger`, the
-//! async runtime's per-edge `LinkSeq` stampers) reproduces the exact same
+//! runtime that tracks per-edge send counters (the `LedgerPart` each
+//! engine shard and each async worker keeps) reproduces the exact same
 //! decisions locally, with no sequential bottleneck. A run's
 //! [`crate::RunOutcome`] therefore stays byte-for-byte identical at any
 //! [`crate::Parallelism`] setting *and* across runtimes. Randomized

@@ -1181,8 +1181,9 @@ pub(crate) struct LedgerPart {
     first_directed_use: Vec<u64>,
     /// Allocated iff the run reports edge statistics *or* is asynchronous
     /// (fates consume the per-edge send index even when the outcome won't
-    /// report it). Empty only when neither needs it.
-    directed_message_counts: Vec<u64>,
+    /// report it), and on a traced async run, whose trace logs that index.
+    /// Empty only when none needs it.
+    pub(crate) directed_message_counts: Vec<u64>,
 }
 
 /// Adds `count` late deliveries at `round` to an ascending tally. Within a
@@ -1240,10 +1241,10 @@ impl LedgerPart {
         }
         let e = s.didx - self.edges.start;
         // The per-edge send index (how many sends this directed edge saw
-        // before this one) — the schedule's stream coordinate, equal to
-        // the async runtime's `LinkSeq` frame counter. The counts column
-        // is empty only on synchronous edge-stats-off runs, where no fate
-        // consumes it.
+        // before this one) — the schedule's stream coordinate, and the
+        // frame sequence number an async trace logs. The counts column is
+        // empty only on synchronous edge-stats-off untraced runs, where
+        // nothing consumes it.
         let edge_seq = match self.directed_message_counts.get_mut(e) {
             Some(count) => {
                 *count += 1;

@@ -6,8 +6,8 @@
 //! channels: the nodes are cut into the engine's contiguous ranges, one
 //! per worker of a thread pool, each with its own node store (the shared
 //! set-up of [`crate::exec`], lazy RNG column included), every message
-//! crosses a channel wrapped in a [`Frame`] whose sequence
-//! number is gated on arrival ([`crate::transport::LinkGate`]), and there
+//! crosses a channel under a fixed header whose send round is checked
+//! against its in-port's clock on arrival, and there
 //! is no global round loop — a node runs whenever its inputs are ready,
 //! and idle stretches are crossed by an **arbiter handshake** instead of a
 //! clock (round-free wakeups).
@@ -17,10 +17,12 @@
 //! This is a conservative parallel discrete-event simulation in the
 //! Chandy–Misra tradition, with the engine's round numbers as virtual
 //! time. Each in-port has a **clock**: one past the latest *send*
-//! round seen on it (per-edge FIFO delivery — enforced by
-//! the frame gates — makes that a lower bound on anything still in
-//! flight, because a sender's send rounds strictly increase, so every
-//! later frame on the port is delivered after its own send round). A node
+//! round seen on it. A directed edge carries at most one send per round,
+//! so its send rounds strictly increase, and per-edge FIFO delivery is
+//! exactly "no frame lands with a send round below its port's clock" —
+//! which every landing checks, in every build. The clock is therefore a
+//! lower bound on anything still in flight on the port: every later frame
+//! is delivered after its own send round. A node
 //! executes its next event (earliest pending delivery or its own wakeup
 //! timer) only once every in-port clock has reached that round, so no
 //! earlier input can still arrive. When nothing is executable anywhere
@@ -44,9 +46,11 @@
 //!
 //! # Scheduling cost
 //!
-//! A worker does work per event, not per node. Its in-port clocks and
-//! frame gate are flat columns over its in-port slots, and four
-//! structures decide who is looked at:
+//! A worker does work per event, not per node. Its one per-link column
+//! is the in-port clocks, a flat `u64` column over its in-port slots (the
+//! frame sequence numbers a trace logs are the ledger's per-edge send
+//! counts, not a column of their own), and four structures decide who is
+//! looked at:
 //!
 //! * the **ready** list (a stack with a dedup bit per node) holds the
 //!   nodes that may have become executable: a frame landed on them,
@@ -77,8 +81,8 @@
 //! This module owns *how a staged send travels* and *when a node steps*;
 //! what a send costs and what becomes of it is [`crate::exec`]'s. The
 //! `send` closure a worker hands `step_node` is the whole transport:
-//! account, stamp a [`Frame`] on the link, then land the delivery on the
-//! destination's chain or ship it over the owning worker's channel. A
+//! account, then land the delivery on the destination's chain or ship it
+//! with its header over the owning worker's channel. A
 //! worker keeps every pending delivery of its range in one free-listed
 //! entry pool (the engine's, see `exec::Pool`): a landing links its
 //! delivery at the head of its node's chain, and an activation unlinks
@@ -93,8 +97,8 @@
 //! link-failure adversaries run here with engine-equal outcomes because
 //! message fates are a pure function of `(run_seed, directed edge,
 //! per-edge send index)` (see [`crate::adversary`]): no global merge order
-//! is needed. Lost sends still consume a frame sequence number (the
-//! receiving gate tolerates the gap), crashes suppress wakeups *at arm
+//! is needed. Lost sends still consume a per-edge send index (the
+//! receiving clock tolerates the gap), crashes suppress wakeups *at arm
 //! time* on both runtimes, and deliveries into a node at or past its
 //! crash round are discarded at the sender.
 //!
@@ -126,7 +130,6 @@ use crate::exec::{
     Slot, StagedSend, StepScratch, Termination, Wakes, WatchHit, NO_SLOT,
 };
 use crate::protocol::{NodeSetup, Protocol};
-use crate::transport::{Frame, LinkGate, LinkSeq};
 use rand::rngs::StdRng;
 use std::collections::BTreeMap;
 use std::ops::Range;
@@ -291,8 +294,7 @@ struct Book<P: Protocol>(NodeStore<P>, LedgerPart, WorkerStats);
 /// The books of the ranges the shared set-up cut.
 fn books<P: Protocol>(facts: &RunFacts, ranges: Vec<(NodeStore<P>, Range<usize>)>) -> Vec<Book<P>> {
     let book = |(store, edges): (NodeStore<P>, Range<usize>)| {
-        let stats = WorkerStats::new(edges.len());
-        Book(store, LedgerPart::new(facts, edges), stats)
+        Book(store, LedgerPart::new(facts, edges), WorkerStats::default())
     };
     ranges.into_iter().map(book).collect()
 }
@@ -432,14 +434,12 @@ fn lock(coord: &Mutex<Coord>) -> std::sync::MutexGuard<'_, Coord> {
 
 /// What crosses the worker channels.
 enum Packet<M> {
-    /// One protocol message: the [`Frame`] carries the link sequence
-    /// number (gated on arrival) and the delivery metadata
-    /// `[send round, delivery round, sender, emission index]`; the
-    /// protocol payload rides alongside, untouched.
+    /// One protocol message: the [`Header`] (its send round is checked
+    /// on arrival) and the protocol payload alongside, untouched.
     Payload {
         dest: NodeId,
         port: Port,
-        frame: Frame<Header>,
+        header: Header,
         msg: M,
     },
     /// Arbiter broadcast: no frame below round `upto` is outstanding
@@ -510,7 +510,7 @@ type Key = (u64, u64, u32, u32);
 type Queued<M> = (Key, M);
 
 /// The wire header of a delivery: `[send round, delivery round, sender,
-/// emission index]`, inline in its [`Frame`].
+/// emission index]`, inline in its packet.
 type Header = [u64; 4];
 
 /// A stack of node offsets, each on it at most once (one dedup bit per
@@ -542,12 +542,12 @@ impl NodeList {
 }
 
 /// Where frames land in a worker: the owned nodes' queued deliveries —
-/// one chain per node through one entry pool — the in-port clocks and
-/// the frame gate — flat columns over the worker's in-port slots — and
-/// the ready list a landing frame puts its destination on. In-port
-/// `(dest, port)` is slot `directed_index(dest, port) − first`: directed
-/// indices are degree prefix sums, so the reverse edges of the owned
-/// nodes' in-ports are exactly the worker's own out-edge range.
+/// one chain per node through one entry pool — the in-port clocks — a
+/// flat column over the worker's in-port slots — and the ready list a
+/// landing frame puts its destination on. In-port `(dest, port)` is slot
+/// `directed_index(dest, port) − first`: directed indices are degree
+/// prefix sums, so the reverse edges of the owned nodes' in-ports are
+/// exactly the worker's own out-edge range.
 ///
 /// A landing links its delivery at the head of its node's chain, in O(1)
 /// whatever order deliveries arrive in. An activation walks the chain
@@ -574,7 +574,6 @@ struct Inbox<M> {
     order: Vec<(Key, u32)>,
     /// Per in-port slot: one past the latest send round seen on it.
     clock: Vec<u64>,
-    gate: LinkGate,
     /// Nodes to look at: a frame landed on them, or an `Advance` may
     /// have released them.
     ready: NodeList,
@@ -592,7 +591,6 @@ impl<M> Inbox<M> {
             pool: Pool::new(0),
             order: Vec::new(),
             clock: vec![0; in_ports],
-            gate: LinkGate::new(in_ports),
             ready: NodeList::new(nodes),
         }
     }
@@ -608,26 +606,31 @@ impl<M> Inbox<M> {
         }
     }
 
-    /// Gates, decodes and queues one frame at its destination, and readies
-    /// the destination.
+    /// Checks, decodes and queues one frame at its destination, and
+    /// readies the destination.
     ///
     /// The port clock advances to `send round + 1`, not to the delivery
     /// round: per-directed-edge send rounds strictly increase (a node sends
     /// at most once per port per round), so after a frame sent at round `s`
     /// arrives, nothing still in flight on this port can be due at or
     /// before `s + 1` — even when a delay adversary scatters delivery
-    /// rounds out of order.
-    fn land<T: Topology>(
-        &mut self,
-        topo: &T,
-        dest: NodeId,
-        port: Port,
-        frame: &Frame<Header>,
-        msg: M,
-    ) {
+    /// rounds out of order. For the same reason a send round below the
+    /// clock is a FIFO violation; a gap (dropped frames) is not.
+    ///
+    /// # Panics
+    ///
+    /// Panics when the frame was sent before a frame already landed on its
+    /// in-port: the transport broke the per-edge FIFO order.
+    fn land<T: Topology>(&mut self, topo: &T, dest: NodeId, port: Port, header: Header, msg: M) {
         let slot = topo.directed_index(dest, port) - self.first;
-        let &[send_round, at, src, emit] = self.gate.accept(slot, frame);
-        self.clock[slot] = self.clock[slot].max(send_round + 1);
+        let [send_round, at, src, emit] = header;
+        let clock = &mut self.clock[slot];
+        assert!(
+            send_round >= *clock,
+            "out-of-order frame on in-port slot {slot}: sent at round {send_round}, after one sent at round {}",
+            *clock - 1
+        );
+        *clock = send_round + 1;
         let i = dest - self.lo;
         let key = (at, send_round, src as u32, emit as u32);
         self.queue(i, port as u32, (key, msg));
@@ -664,13 +667,11 @@ impl<M> Inbox<M> {
     }
 }
 
-/// What a worker keeps beside its [`LedgerPart`]: the transport state of
-/// its out-links and the trace-side log that `assemble` rebuilds
-/// `round_totals` from (there is no global round loop to push them from).
+/// What a worker keeps beside its [`LedgerPart`]: the trace-side log that
+/// `assemble` rebuilds `round_totals` from (there is no global round loop
+/// to push them from).
+#[derive(Default)]
 struct WorkerStats {
-    /// Outgoing link sequencers of the owned directed-edge range (indexed
-    /// relative to the part's `edges.start`).
-    link_seq: Vec<LinkSeq>,
     /// Messages sent per round in which any owned node ran — the keys are
     /// the active rounds of the cumulative `round_totals`; lost sends
     /// count, exactly as in the ledger.
@@ -685,17 +686,6 @@ struct WorkerStats {
 }
 
 impl WorkerStats {
-    fn new(edges: usize) -> Self {
-        WorkerStats {
-            link_seq: (0..edges).map(|_| LinkSeq::new()).collect(),
-            sends_per_round: BTreeMap::new(),
-            run: None,
-            last_status_change: None,
-            last_exec: None,
-            events: Vec::new(),
-        }
-    }
-
     /// Counts an activation at `round` that sent `sends` messages.
     fn tally(&mut self, round: u64, sends: u64) {
         match &mut self.run {
@@ -742,7 +732,9 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
     /// `w`-th range's book — its nodes' store and the part over their
     /// out-edges. The one constructor behind a live pool and a replay. The
     /// spontaneous round-0 wakeups (armed as `wake == 0` by the run set-up)
-    /// start on the ready list.
+    /// start on the ready list. A traced worker's part keeps the per-edge
+    /// send counts even where the outcome and the fates need none: they
+    /// number the frames its trace logs.
     #[allow(clippy::too_many_arguments)] // the pool's shared state, then what this worker alone owns
     fn new(
         graph: &'env T,
@@ -755,6 +747,9 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         senders: Vec<Sender<Packet<P::Msg>>>,
     ) -> Self {
         let len = store.wake.len();
+        if record_trace {
+            part.directed_message_counts.resize(part.edges.len(), 0);
+        }
         let mut inbox = Inbox::new(store.base, part.edges.start, len, part.edges.len());
         for i in (0..len).rev().filter(|&i| store.wake[i] == 0) {
             inbox.ready.push(i);
@@ -877,38 +872,37 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
         // included (the fate derivation recovers them).
         let mut sends = 0u64;
         let mut sent = Vec::new();
-        // The closure borrows the books, the link sequencers, this
-        // worker's inbox and the peers' queues; `step_node` holds the
-        // store and the scratch.
+        // The closure borrows the books, this worker's inbox and the
+        // peers' queues; `step_node` holds the store and the scratch.
         let send = |s: StagedSend<P::Msg>| {
             let emit = sends;
             sends += 1;
             let fate = self.part.account(self.facts, e, &s);
-            // Every send consumes its link's next sequence number — lost
-            // ones too (a frame that never ships), so the receiving gate
-            // sees a gap, never a regression. The number equals the
-            // per-edge send index the part just fed the fate stream.
-            let header = [e, fate.unwrap_or(u64::MAX), s.src as u64, emit];
-            let frame = self.stats.link_seq[s.didx - self.part.edges.start].stamp(header);
+            // A frame's sequence number is the per-edge send index the part
+            // just counted and fed the fate stream — lost sends consume one
+            // too, so the receiving clock sees a gap, never a regression. A
+            // traced run's parts always keep the counts column.
             if self.record_trace {
-                sent.push((s.didx, frame.seq));
+                let count = self.part.directed_message_counts[s.didx - self.part.edges.start];
+                sent.push((s.didx, count - 1));
             }
-            if fate.is_none() {
+            let Some(at) = fate else {
                 return;
-            }
+            };
+            let header = [e, at, s.src as u64, emit];
             // `dest - lo` indexes the owned range; a destination below
             // `lo` wraps past its end, like one above it.
             if s.dest.wrapping_sub(lo) < self.inbox.head.len() {
                 // The destination shares this worker: land it directly —
-                // through the same gate the channel path uses.
-                self.inbox.land(topo, s.dest, s.dest_port, &frame, s.msg);
+                // through the same check the channel path uses.
+                self.inbox.land(topo, s.dest, s.dest_port, header, s.msg);
             } else {
                 lock(self.coord).in_flight += 1;
                 self.senders[self.owners.of(s.dest)]
                     .send(Packet::Payload {
                         dest: s.dest,
                         port: s.dest_port,
-                        frame,
+                        header,
                         msg: s.msg,
                     })
                     .expect("a worker channel closed mid-run");
@@ -973,9 +967,9 @@ impl<'env, T: Topology, P: Protocol> Worker<'env, T, P> {
             Packet::Payload {
                 dest,
                 port,
-                frame,
+                header,
                 msg,
-            } => self.inbox.land(self.rc.topo, dest, port, &frame, msg),
+            } => self.inbox.land(self.rc.topo, dest, port, header, msg),
             Packet::Advance { upto } => {
                 // `upto` is the global minimum event: what it releases is
                 // a parked node or a wakeup due at it. The calendar holds
@@ -1319,6 +1313,72 @@ mod tests {
         assert_eq!(inbox.pool.slots(), 4);
     }
 
+    /// Node 1 of a path of two, alone in its inbox: its one in-port is slot
+    /// 0 (directed index 1, the first of the range).
+    fn lone_in_port() -> (ule_graph::Graph, Inbox<()>) {
+        (gen::path(2).unwrap(), Inbox::new(1, 1, 1, 1))
+    }
+
+    #[test]
+    fn a_landing_after_a_gap_in_send_rounds_passes_and_moves_the_clock() {
+        // Frames dropped in flight, or rounds the sender kept quiet, leave
+        // a gap in the send rounds a port sees; a gap is no regression.
+        let (g, mut inbox) = lone_in_port();
+        inbox.land(&g, 1, 0, [0, 1, 0, 0], ());
+        inbox.land(&g, 1, 0, [5, 9, 0, 0], ());
+        assert_eq!(inbox.clock, [6]);
+        assert_eq!(inbox.due[0], 1);
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "out-of-order frame on in-port slot 0: sent at round 2, after one sent at round 3"
+    )]
+    fn a_landing_out_of_send_round_order_panics() {
+        let (g, mut inbox) = lone_in_port();
+        inbox.land(&g, 1, 0, [3, 4, 0, 0], ());
+        inbox.land(&g, 1, 0, [2, 5, 0, 1], ());
+    }
+
+    #[test]
+    #[should_panic(expected = "sent at round 3, after one sent at round 3")]
+    fn a_second_landing_from_one_send_round_panics() {
+        // One directed edge carries at most one send per round.
+        let (g, mut inbox) = lone_in_port();
+        inbox.land(&g, 1, 0, [3, 4, 0, 0], ());
+        inbox.land(&g, 1, 0, [3, 6, 0, 0], ());
+    }
+
+    /// A traced run numbers each directed edge's frames 0, 1, 2, … from the
+    /// ledger's per-edge send counts — also on a lockstep run without edge
+    /// statistics, whose outcome and fates need no counts.
+    #[test]
+    fn a_traced_run_numbers_each_edges_frames_from_zero() {
+        let g = gen::torus(4, 5).unwrap();
+        for edge_stats in [false, true] {
+            let c = cfg(20, 4).with_edge_stats(edge_stats);
+            let a = AsyncRuntime::new().with_workers(2).run(&g, &c, mk(9));
+            // Each directed edge's sequence numbers, in `(round, node)` order.
+            let mut seqs: BTreeMap<usize, Vec<u64>> = BTreeMap::new();
+            for ev in &a.trace.events {
+                for &(didx, seq) in &ev.sent {
+                    seqs.entry(didx).or_default().push(seq);
+                }
+            }
+            assert_eq!(seqs.len(), g.directed_edge_count());
+            for (&didx, seqs) in &seqs {
+                let numbered: Vec<u64> = (0..seqs.len() as u64).collect();
+                assert_eq!(*seqs, numbered, "directed edge {didx}");
+                if edge_stats {
+                    let sent = a.outcome.directed_message_counts[didx];
+                    assert_eq!(seqs.last().map(|s| s + 1), Some(sent), "edge {didx}");
+                }
+            }
+            assert_eq!(a.outcome.directed_message_counts.is_empty(), !edge_stats);
+            assert_eq!(replay(&g, &c, mk(9), &a.trace), a);
+        }
+    }
+
     /// Watch hits — a global-interleaving quantity — are reconstructed
     /// from the trace and must equal the ledger's, adversary or not.
     #[test]
@@ -1369,7 +1429,8 @@ mod tests {
     }
 
     /// An adversarial replay reproduces the run — dropped sends included
-    /// (they are logged in the trace and re-derived on replay).
+    /// (they are logged in the trace and re-derived on replay, and leave
+    /// gaps behind them on the in-port clocks).
     #[test]
     fn adversarial_replay_reproduces_the_run() {
         let g = gen::torus(3, 3).unwrap();
@@ -1383,6 +1444,7 @@ mod tests {
             },
         ]));
         let recorded = AsyncRuntime::new().with_workers(3).run(&g, &c, mk(12));
+        assert!(recorded.outcome.messages_dropped > 0);
         let replayed = replay(&g, &c, mk(12), &recorded.trace);
         assert_eq!(replayed, recorded);
         assert_eq!(recorded.outcome, run(&g, &c, mk(12)));

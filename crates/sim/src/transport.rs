@@ -1,10 +1,13 @@
-//! Framed links: the wire format and FIFO discipline of the async
-//! threads+channels runtime ([`crate::rt`]).
+//! Framed links: a sequence-numbered wire format and its FIFO discipline.
 //!
-//! Every delivery crosses its `mpsc` channel wrapped in a [`Frame`] whose
-//! `u64` sequence number ([`LinkSeq`]) is checked on arrival
-//! ([`LinkGate`]), making the per-edge FIFO guarantee of the execution
-//! model an enforced invariant rather than an assumption.
+//! A [`Frame`] carries a `u64` sequence number ([`LinkSeq`]) that a
+//! receiver checks on arrival ([`LinkGate`]), making per-edge FIFO order
+//! an enforced invariant rather than an assumption. The async runtime
+//! ([`crate::rt`]) no longer routes its deliveries through these types: a
+//! directed edge carries at most one send per round, so it checks FIFO
+//! order on each in-port's clock, and the sequence numbers its trace logs
+//! are the ledger's per-edge send counts. The types remain as the wire
+//! discipline the benchmark's replay kernel times (`sim.transport.frame_ns`).
 
 use ule_graph::Port;
 
@@ -12,9 +15,7 @@ use ule_graph::Port;
 ///
 /// The header type `W` is the sender's choice — the gate only reads `seq`.
 /// The default, a `Vec<u64>`, carries any number of words at one heap
-/// allocation per frame; the async runtime stamps a fixed `[u64; 4]`
-/// (send round, delivery round, sender, emission index), which travels
-/// inline.
+/// allocation per frame; a fixed `[u64; 4]` travels inline.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Frame<W = Vec<u64>> {
     /// Position of this frame on its link (0-based). `u64`: the
@@ -28,11 +29,9 @@ pub struct Frame<W = Vec<u64>> {
 /// Sender side of a FIFO link discipline: stamps each outgoing [`Frame`]
 /// on one directed link with the next `u64` sequence number.
 ///
-/// This is how the async threads+channels runtime ([`crate::rt`]) ships
-/// deliveries: every protocol message crosses its channel wrapped in a
-/// frame whose `words` carry the delivery metadata and whose `seq` proves
-/// per-edge FIFO order to the receiving [`LinkGate`]. One stamper per
-/// directed edge.
+/// Every message crosses its link wrapped in a frame whose `words` carry
+/// the delivery metadata and whose `seq` proves per-edge FIFO order to
+/// the receiving [`LinkGate`]. One stamper per directed edge.
 #[derive(Debug, Default)]
 pub struct LinkSeq {
     next: u64,
@@ -55,9 +54,8 @@ impl LinkSeq {
 /// Receiver side of the FIFO link discipline: verifies that the frames
 /// arriving on each port carry *monotonically increasing* sequence
 /// numbers, i.e. that the transport really delivered the link's frames in
-/// order. The async runtime routes every channel delivery through a gate;
-/// a regression would mean the per-edge FIFO guarantee the execution model
-/// rests on is broken. Gaps are legal: a sender under a fault adversary
+/// order; a regression would mean the per-edge FIFO guarantee the
+/// execution model rests on is broken. Gaps are legal: a sender under a fault adversary
 /// consumes a sequence number for every send, including sends the
 /// adversary drops in flight — a dropped frame simply never arrives.
 #[derive(Debug)]
@@ -67,8 +65,7 @@ pub struct LinkGate {
 
 impl LinkGate {
     /// A gate over `degree` ports: one node's, or the flat in-port range
-    /// of several nodes (the async runtime keeps one gate per worker,
-    /// indexed by in-port slot).
+    /// of several nodes, indexed by in-port slot.
     pub fn new(degree: usize) -> Self {
         LinkGate {
             expect: vec![0; degree],

@@ -6,9 +6,10 @@
 //!
 //! Spins up the threads+channels runtime (`ule_sim::rt`) on a small
 //! peer-to-peer overlay: every node runs on a worker thread pool, every
-//! protocol message crosses an `mpsc` channel as a sequence-numbered
-//! [`ule_sim::transport::Frame`], and idle stretches are crossed by the
-//! arbiter handshake instead of a global clock. The service elects a
+//! protocol message crosses an `mpsc` channel under a fixed header whose
+//! send round its in-port checks for per-edge FIFO order, and idle
+//! stretches are crossed by the arbiter handshake instead of a global
+//! clock. The service elects a
 //! coordinator with the paper's size-estimate algorithm (Corollary 4.5 —
 //! zero knowledge of `n`, `m`, or `D`), prints who won, then demonstrates
 //! the deterministic-seed contract: the delivery trace replays byte for

@@ -1,8 +1,8 @@
 //! The runtimes' memory contract, measured on the heap rather than on the
 //! process: every cell of the quick `engine-scale` grid, and its FloodMax
-//! `cycle/10000` and `torus/10000` cells again on the async runtime with
-//! two workers, runs alone under a counting global allocator, and each
-//! must stay within
+//! `cycle/10000`, `torus/10000` and `sparse-rnd/10000` cells again on the
+//! async runtime with two workers, runs alone under a counting global
+//! allocator, and each must stay within
 //!
 //! * **0.5 allocations per simulated message** — the calendar-queue /
 //!   arena engine, the async workers' entry pools and the protocols
@@ -18,12 +18,13 @@
 //! counters. Run with `--nocapture` to print the per-cell
 //! table (allocations, allocations/message, peak bytes, bytes/node).
 //! The same test checks that a graph too large for the CSR's `u32` node
-//! indices is refused before anything is allocated for it.
+//! indices is refused before anything is allocated for it, by the builder
+//! and by the generators.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use ule_core::Algorithm;
-use ule_graph::gen::Family;
+use ule_graph::gen::{self, Family};
 use ule_graph::{Graph, GraphError};
 use ule_sim::RuntimeKind;
 use ule_xp::{builtin, execute, AdversaryProfile, CampaignSpec, JobGroup, RunMeta};
@@ -95,18 +96,22 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 const MAX_ALLOCS_PER_MESSAGE: f64 = 0.5;
 
 /// Each cell's peak live heap in bytes, in grid order, keyed by
-/// `algorithm @ workload [threads] [adversary] [async]`, as measured on
-/// the change after `5ac873a` that keeps the CSR graph in `u32` columns
-/// and stops storing its edge list. Every cell holds its graph, so every
-/// peak fell; `5ac873a` read, in this order, 2 407 841, 20 896 533,
-/// 3 078 817, 30 971 697 (310 B/node), 4 517 577, 42 140 517, 394 733,
-/// 4 316 337, 33 588 514, 39 368 801, 3 007 928 and 4 649 960 B with
-/// this test. The `async` cells run through `execute` on an async group
-/// with [`ASYNC_WORKERS`] threads. Debug and release builds read the same
+/// `algorithm @ workload [threads] [adversary] [async]`. The engine rows
+/// are as measured on the change after `5ac873a` that keeps the CSR graph
+/// in `u32` columns and stops storing its edge list (`5ac873a` read, in
+/// this order, 2 407 841, 20 896 533, 3 078 817, 30 971 697 (310 B/node),
+/// 4 517 577, 42 140 517, 394 733, 4 316 337, 33 588 514 and 39 368 801 B
+/// with this test). The `async` rows are as measured on the change after
+/// `6e690dd` that keeps the in-port clock as the async runtime's one
+/// per-link column, dropping its `LinkGate` and `LinkSeq` columns:
+/// `6e690dd` read 2 687 928, 4 009 960 (401 B/node) and, with the
+/// `sparse-rnd` row this change added, 8 297 176 B (830 B/node). The
+/// `async` cells run through `execute` on an async group with
+/// [`ASYNC_WORKERS`] threads. Debug and release builds read the same
 /// bytes, and so do repeated runs, but for the `async` cells, which move
 /// by a few kB with how the two workers interleave; a cell's budget is
 /// 1.25 × its entry.
-const MEASURED_PEAKS: [(&str, usize); 12] = [
+const MEASURED_PEAKS: [(&str, usize); 13] = [
     ("floodmax @ cycle/10000", 2_087_841),
     ("floodmax @ cycle/100000", 17_696_533),
     ("floodmax @ torus/10000", 2_438_817),
@@ -117,8 +122,9 @@ const MEASURED_PEAKS: [(&str, usize); 12] = [
     ("dfs-agent @ path/10000", 3_996_369),
     ("floodmax @ torus/99856 threads-2", 27_197_730),
     ("floodmax @ torus/99856 delay-2", 32_978_017),
-    ("floodmax @ cycle/10000 async", 2_687_928),
-    ("floodmax @ torus/10000 async", 4_009_960),
+    ("floodmax @ cycle/10000 async", 2_366_880),
+    ("floodmax @ torus/10000 async", 3_365_936),
+    ("floodmax @ sparse-rnd/10000 async", 7_092_672),
 ];
 
 /// The async rows' worker count, pinned as the benchmark pins its async
@@ -142,11 +148,20 @@ fn counted<R>(f: impl FnOnce() -> R) -> ((u64, usize), R) {
 #[test]
 fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
     // A graph past the CSR's u32 node indices is refused before anything
-    // is allocated for it.
-    let n = u32::MAX as usize + 1;
-    let (counts, refused) = counted(|| Graph::from_edges(n, &[]));
-    assert_eq!(refused, Err(GraphError::TooManyNodes(n)));
-    assert_eq!(counts, (0, 0), "refusing {n} nodes allocated");
+    // is allocated for it, by the builder and by the generators, which
+    // would otherwise ask for tens of GiB of edge list first.
+    const N: usize = u32::MAX as usize + 1;
+    type Build = fn() -> Result<Graph, GraphError>;
+    let refusals: [(usize, Build); 3] = [
+        (N, || Graph::from_edges(N, &[])),
+        (N, || gen::cycle(N)),
+        (65_536 * 65_537, || gen::torus(65_536, 65_537)),
+    ];
+    for (nodes, build) in refusals {
+        let (counts, refused) = counted(build);
+        assert_eq!(refused, Err(GraphError::TooManyNodes(nodes)));
+        assert_eq!(counts, (0, 0), "refusing {nodes} nodes allocated");
+    }
 
     let campaign = builtin("engine-scale", true).expect("engine-scale is a builtin");
     let mut cells = Vec::new();
@@ -178,7 +193,8 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
         measured.push((label, per_message, peak));
     };
     // The async runtime's rows: the grid's lockstep FloodMax cells at
-    // n = 10⁴, rerun on the threads+channels runtime after the grid.
+    // n = 10⁴, rerun on the threads+channels runtime after the grid;
+    // `sparse-rnd` (m = 3n) gives them uneven degrees.
     let mut asynchronous = Vec::new();
     for spec in &cells {
         let (counts, result) =
@@ -193,7 +209,10 @@ fn every_quick_engine_scale_cell_stays_within_its_heap_and_allocation_budget() {
         }
         let messages = cell.summary.mean_messages * cell.summary.trials as f64;
         if cell.algorithm == Algorithm::FloodMax
-            && matches!(cell.family, Family::Cycle | Family::Torus)
+            && matches!(
+                cell.family,
+                Family::Cycle | Family::Torus | Family::SparseRandom
+            )
             && cell.n == 10_000
             && cell.threads.is_none()
             && cell.adversary == AdversaryProfile::Lockstep
